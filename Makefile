@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke check clean
+.PHONY: all build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke warebench-smoke check clean
 
 all: build
 
@@ -123,7 +123,15 @@ bench-smoke:
 	@grep -q '"acceptance"' BENCH_serve.json && grep -q '"speedup"' BENCH_serve.json \
 	  && echo "BENCH_serve.json well-formed"
 
-check: build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke
+# End-to-end warehouse benchmark smoke: a real `rfview serve` child on
+# loopback driven through all three workloads for 2 measured seconds
+# each.  Every answer is checked against a reference computed by
+# Rfview_core, and the run ends with a recovery check of every view;
+# the command exits 1 on any wrong answer or failed request.
+warebench-smoke:
+	python3 warebench/run.py --workload all --seconds 2 --trace 0
+
+check: build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke warebench-smoke
 
 clean:
 	dune clean

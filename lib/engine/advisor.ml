@@ -299,6 +299,7 @@ let answer_with (state : Matview.state) (qspec : Matview.seq_spec) (p : proposal
           Core.Seqdata.raw_of_array
             (Array.map (fun row -> Value.to_float (Row.get row state.Matview.vcol)) all_rows);
         seq = derived_seq;
+        rendered = None;
       }
     in
     render_answer state qspec [ (merged_part, derived_seq) ]

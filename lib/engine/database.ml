@@ -165,11 +165,16 @@ type result =
    ([Catalog.set_rows], fresh [Array.map]/[Array.append] results) and
    materialized-view contents are replaced by fresh [Relation.t] values
    ([Matview.render], [run_query]), so a captured pointer can never
-   observe a later write.  Readers acquire versions under [mv_mu] from
-   any domain; the single writer publishes under the same mutex.  The
-   retained window keeps the last [mv_retain] versions acquirable;
-   older versions survive exactly as long as an active snapshot pins
-   them ([v_refs]). *)
+   observe a later write.  Only a view's top-level contents array is
+   fresh per commit: [Matview.render] re-renders just the partitions a
+   commit touched, so the rendered rows of every other partition are
+   shared by the render cache's per-partition arrays and by each
+   retained version that captured them.  That is sound because neither
+   those arrays nor their rows are ever mutated.  Readers acquire
+   versions under [mv_mu] from any domain; the single writer publishes
+   under the same mutex.  The retained window keeps the last
+   [mv_retain] versions acquirable; older versions survive exactly as
+   long as an active snapshot pins them ([v_refs]). *)
 
 type vtable = {
   vt_name : string;
@@ -1728,6 +1733,9 @@ let rebuild_state db (view : Catalog.view) =
               ~out_schema:(Relation.schema contents)
           in
           if Relation.equal_bag contents (Matview.render state) then begin
+            (* the restored contents stay what queries see: do not keep
+               the cross-check rendering resident beside them *)
+            Matview.drop_render_cache state;
             Hashtbl.replace db.view_states (key view.Catalog.view_name) state;
             true
           end

@@ -132,6 +132,9 @@ type partition_state = {
   mutable base_rows : Row.t array; (* base rows of this partition, ordered *)
   mutable raw : Core.Seqdata.raw;
   mutable seq : Core.Seqdata.t;
+  mutable rendered : (Core.Seqdata.t * Row.t array) option;
+      (* render cache: the output rows last rendered, keyed by the [seq]
+         they were rendered from (see [render]) *)
 }
 
 type state = {
@@ -216,7 +219,7 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
         let sorted = Array.map (fun i -> arr.(i)) idx in
         let raw = Core.Seqdata.raw_of_array (Array.map value_of sorted) in
         let seq = Core.Compute.sequence ~agg:(core_agg spec.agg) spec.frame raw in
-        { pkey = k; base_rows = sorted; raw; seq })
+        { pkey = k; base_rows = sorted; raw; seq; rendered = None })
       (List.rev !order)
     |> List.sort (fun a b -> compare_pkey a.pkey b.pkey)
   in
@@ -225,7 +228,9 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
 (* Deep copy of the mutable layers, for undo-log snapshots.  Rows,
    [Seqdata.raw] and [Seqdata.t] values are never mutated in place by the
    maintenance path ([Maintain.apply] is functional), so sharing them is
-   safe; the partition records and their [base_rows] arrays are. *)
+   safe; the partition records and their [base_rows] arrays are.  The
+   render cache is shared too: its arrays are never mutated, and the
+   copy keeps the [seq] they are keyed by. *)
 let copy_state (st : state) : state =
   {
     st with
@@ -252,6 +257,16 @@ let coerce_to ty (v : Value.t) : Value.t =
   | Dtype.Int, Value.Float f when Float.is_integer f -> Value.Int (int_of_float f)
   | _ -> v
 
+(* Rendering is incremental per partition.  A partition's output rows
+   are a function of its [base_rows] and [seq] (plus the state's fixed
+   spec and schemas), and every maintenance path that changes
+   [base_rows] installs a fresh [seq] — [Maintain.apply],
+   [Compute.sequence] and [Seqdata.make] always allocate, and nothing
+   here mutates a [seq] in place.  So a cached rendering is current
+   exactly while its key is still physically the partition's [seq]; no
+   write site invalidates anything.  The concatenation is a fresh
+   top-level array per render, so MVCC pointer-capture publication
+   stays valid; cached arrays are never mutated. *)
 let render (st : state) : Relation.t =
   let item_cols =
     List.map
@@ -264,24 +279,31 @@ let render (st : state) : Relation.t =
   let out_tys =
     List.mapi (fun i _ -> (Schema.col st.out_schema i).Schema.ty) st.spec.items
   in
-  let buf = ref [] in
-  List.iter
-    (fun p ->
-      Array.iteri
-        (fun i row ->
-          let k = i + 1 in
-          let values =
-            List.map2
-              (fun src ty ->
-                match src with
-                | Some c -> Row.get row c
-                | None -> coerce_to ty (window_value st p ~k))
-              item_cols out_tys
-          in
-          buf := Array.of_list values :: !buf)
-        p.base_rows)
-    st.parts;
-  Relation.of_array st.out_schema (Array.of_list (List.rev !buf))
+  let render_partition p =
+    Array.mapi
+      (fun i row ->
+        let k = i + 1 in
+        Array.of_list
+          (List.map2
+             (fun src ty ->
+               match src with
+               | Some c -> Row.get row c
+               | None -> coerce_to ty (window_value st p ~k))
+             item_cols out_tys))
+      p.base_rows
+  in
+  let rows_of p =
+    match p.rendered with
+    | Some (from, rows) when from == p.seq -> rows
+    | _ ->
+      let rows = render_partition p in
+      p.rendered <- Some (p.seq, rows);
+      rows
+  in
+  Relation.of_array st.out_schema (Array.concat (List.map rows_of st.parts))
+
+let drop_render_cache (st : state) =
+  List.iter (fun p -> p.rendered <- None) st.parts
 
 (* ---- Incremental maintenance under base DML ---- *)
 
@@ -318,7 +340,7 @@ let apply_insert st row =
     st.parts <-
       List.sort
         (fun a b -> compare_pkey a.pkey b.pkey)
-        ({ pkey; base_rows = [| row |]; raw; seq } :: st.parts)
+        ({ pkey; base_rows = [| row |]; raw; seq; rendered = None } :: st.parts)
   | Some p ->
     let k = insert_rank st p row in
     let seq', raw' =
@@ -561,7 +583,7 @@ let apply_partition_batch st pkey ~inserts ~deletes ~updates =
       st.parts <-
         List.sort
           (fun a b -> compare_pkey a.pkey b.pkey)
-          ({ pkey; base_rows = rows; raw; seq } :: st.parts)
+          ({ pkey; base_rows = rows; raw; seq; rendered = None } :: st.parts)
     end
   | Some p ->
     (match
@@ -717,7 +739,7 @@ let apply_shared (plan : shared_plan) st =
           st.parts <-
             List.sort
               (fun a b -> compare_pkey a.pkey b.pkey)
-              ({ pkey; base_rows = rows; raw; seq } :: st.parts)
+              ({ pkey; base_rows = rows; raw; seq; rendered = None } :: st.parts)
         end
       | P_drop, Some p -> st.parts <- List.filter (fun q -> q != p) st.parts
       | P_edit { rows'; n2o; touches; gaps; old_len }, Some p ->

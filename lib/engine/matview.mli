@@ -43,6 +43,10 @@ type partition_state = {
   mutable base_rows : Row.t array;  (** base rows of the partition, ordered *)
   mutable raw : Core.Seqdata.raw;
   mutable seq : Core.Seqdata.t;
+  mutable rendered : (Core.Seqdata.t * Row.t array) option;
+      (** render cache: the partition's output rows as last rendered, with
+          the [seq] they were rendered from; current only while that is
+          still physically [seq].  Build new records with [None]. *)
 }
 
 type state = {
@@ -66,8 +70,16 @@ val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
     arrays are copied. *)
 val copy_state : state -> state
 
-(** Render the view contents from the state. *)
+(** Render the view contents from the state, re-rendering only the
+    partitions whose [seq] changed since their last render.  The result
+    is a fresh top-level row array, row-for-row and in physical order
+    what a from-scratch render gives; rows of unchanged partitions are
+    shared with earlier results (rows are immutable). *)
 val render : state -> Relation.t
+
+(** Forget every partition's cached rendering, e.g. after a cross-check
+    render whose rows should not stay resident. *)
+val drop_render_cache : state -> unit
 
 (** Incremental DML application (§2.3 rules under the hood).  Update of
     the ordering or partition column is handled as delete + insert.

@@ -15,6 +15,10 @@ type t = {
 
 let port srv = srv.port
 
+(* Upper bound on [batch N]: the header alone would otherwise make the
+   server buffer any number of lines a client claims to send. *)
+let max_batch = 10_000
+
 let close_sock srv =
   (* exactly-once: a double [Unix.close] could hit a reused descriptor *)
   if Atomic.compare_and_set srv.sock_closed false true then
@@ -94,6 +98,11 @@ let handle_conn srv fd =
     match int_of_string_opt rest with
     | None -> respond (Wire.error "batch: expected a statement count")
     | Some n when n <= 0 -> respond (Wire.error "batch: count must be positive")
+    | Some n when n > max_batch ->
+      respond
+        (Wire.error
+           (Printf.sprintf "batch: count %d exceeds the limit of %d" n
+              max_batch))
     | Some n ->
       (* read the statements first: the writer lock is never held while
          blocked on the client *)

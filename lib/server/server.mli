@@ -20,7 +20,9 @@
                          → {"ok":true,"lsn":N,"rows":R,"data":"..."}
     exec SQL             execute one statement (writer-serialized)
     batch N              read the next N lines as statements, execute
-                         them in one batch scope (one group commit)
+                         them in one batch scope (one group commit);
+                         N above {!max_batch} is refused before any
+                         line is read
     status               {"ok":true,"lsn":N,"retained":[...],
                           "snapshots":K,"domains":D}
     close                release the pinned snapshot
@@ -36,6 +38,9 @@ type t
 val start : ?domains:int -> session:Rfview.Session.t -> port:int -> unit -> t
 
 val port : t -> int
+
+(** The largest statement count a [batch N] request may announce. *)
+val max_batch : int
 
 (** Block until the server stops (a client sent [shutdown], or {!stop}
     was called), then drain and join every domain.  Idempotent with

@@ -173,6 +173,46 @@ let test_snapshot_local_heal () =
         (Db.stale_views db);
       Db.release db sn)
 
+(* A commit re-renders only the partitions it touched; the rest of the
+   new contents shares rows with the versions before it.  A pinned
+   snapshot must still see its own state of the touched partition, and
+   the tip must differ from it in that partition only. *)
+let test_partition_sharing_isolation () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE seq (grp INT, pos INT, val FLOAT)");
+  ignore
+    (Db.exec db
+       (Printf.sprintf "INSERT INTO seq VALUES %s"
+          (String.concat ", "
+             (List.init 12 (fun i ->
+                  Printf.sprintf "(%d, %d, %d)" ((i mod 3) + 1) (i / 3) (i * 5))))));
+  ignore
+    (Db.exec db
+       "CREATE MATERIALIZED VIEW v AS SELECT grp, pos, val, SUM(val) OVER \
+        (PARTITION BY grp ORDER BY pos ROWS BETWEEN 1 PRECEDING AND 1 \
+        FOLLOWING) AS s FROM seq");
+  let rows rel = Array.to_list (Relation.rows rel) in
+  let in_grp g row = Value.equal (Row.get row 0) (Value.Int g) in
+  let sn = Db.snapshot db in
+  let fp_before = Db.Snapshot.fingerprint sn in
+  let before = rows (Db.Snapshot.query sn "SELECT * FROM v") in
+  ignore (Db.exec db "UPDATE seq SET val = 1000 WHERE grp = 2 AND pos = 1");
+  let pinned = rows (Db.Snapshot.query sn "SELECT * FROM v") in
+  let tip = rows (Db.query db "SELECT * FROM v") in
+  Alcotest.(check bool) "pinned snapshot keeps the old rows, in order" true
+    (List.equal Row.equal before pinned);
+  Alcotest.(check string) "pinned fingerprint unchanged" fp_before
+    (Db.Snapshot.fingerprint sn);
+  let outside g l = List.filter (fun r -> not (in_grp g r)) l in
+  let inside g l = List.filter (in_grp g) l in
+  Alcotest.(check bool) "other partitions identical at the tip" true
+    (List.equal Row.equal (outside 2 before) (outside 2 tip));
+  Alcotest.(check int) "touched partition keeps its size"
+    (List.length (inside 2 before)) (List.length (inside 2 tip));
+  Alcotest.(check bool) "touched partition changed at the tip" false
+    (List.equal Row.equal (inside 2 before) (inside 2 tip));
+  Db.release db sn
+
 (* ---- The façade: Session.query as snapshot-at-tip, Rfview.Snapshot ---- *)
 
 let session_fixture () =
@@ -381,6 +421,8 @@ let () =
           Alcotest.test_case "read-only" `Quick test_snapshot_read_only;
           Alcotest.test_case "snapshot-local heal" `Quick
             test_snapshot_local_heal;
+          Alcotest.test_case "partition sharing keeps pins isolated" `Quick
+            test_partition_sharing_isolation;
         ] );
       ( "facade",
         [

@@ -126,6 +126,34 @@ let test_server_batch_and_errors () =
             (Wire.field r "ok");
           ignore (expect_ok "still alive" (req c "ping"))))
 
+(* An oversized batch header is refused up front — no payload line is
+   read or executed — and the connection stays usable. *)
+let test_server_batch_limit () =
+  with_server (fun srv _session ->
+      let c = Server.Client.connect ~port:(Server.port srv) in
+      Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+        (fun () ->
+          ignore (expect_ok "create" (req c "exec CREATE TABLE t (a INT)"));
+          let r = req c (Printf.sprintf "batch %d" (Server.max_batch + 1)) in
+          Alcotest.(check (option string)) "oversized batch refused"
+            (Some "false") (Wire.field r "ok");
+          Alcotest.(check (option string)) "the error names the limit"
+            (Some
+               (Printf.sprintf "batch: count %d exceeds the limit of %d"
+                  (Server.max_batch + 1) Server.max_batch))
+            (Wire.field r "error");
+          (* the next line is a fresh request, not batch payload *)
+          ignore (expect_ok "still alive" (req c "ping"));
+          let r =
+            expect_ok "a small batch still works"
+              (req c "batch 1\nINSERT INTO t VALUES (1)")
+          in
+          Alcotest.(check (option string)) "executed" (Some "1")
+            (Wire.field r "executed");
+          let r = expect_ok "count" (req c "query SELECT * FROM t") in
+          Alcotest.(check (option string)) "only the small batch committed"
+            (Some "1") (Wire.field r "rows")))
+
 let test_server_concurrent_clients () =
   with_server (fun srv _session ->
       let port = Server.port srv in
@@ -179,6 +207,7 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_server_roundtrips;
           Alcotest.test_case "batch + errors" `Quick
             test_server_batch_and_errors;
+          Alcotest.test_case "batch size limit" `Quick test_server_batch_limit;
         ] );
       ( "concurrency",
         [

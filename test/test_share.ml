@@ -11,6 +11,9 @@
 
 open Rfview_relalg
 module Db = Rfview_engine.Database
+module Matview = Rfview_engine.Matview
+module Catalog = Rfview_engine.Catalog
+module Fault = Rfview_engine.Fault
 module Parser = Rfview_sql.Parser
 module Share = Rfview_analysis.Share
 module Cost = Rfview_analysis.Cost
@@ -259,15 +262,14 @@ let batch_steps =
     [ "DELETE FROM seq WHERE grp = 4" ];
   ]
 
-let run_steps db =
-  List.iter
-    (fun stmts ->
-      match stmts with
-      | [ sql ] -> ignore (Db.exec db sql)
-      | stmts ->
-        Db.with_batch db (fun () ->
-            List.iter (fun sql -> ignore (Db.exec db sql)) stmts))
-    batch_steps
+(* One step: a lone statement runs on its own, several as one batch. *)
+let run_step db = function
+  | [ sql ] -> ignore (Db.exec db sql)
+  | stmts ->
+    Db.with_batch db (fun () ->
+        List.iter (fun sql -> ignore (Db.exec db sql)) stmts)
+
+let run_steps db = List.iter (run_step db) batch_steps
 
 let test_shared_batch_maintenance () =
   let db = fixture_db () in
@@ -476,10 +478,10 @@ let concretize chunks =
            let v = !fresh in
            fresh := !fresh + 10;
            add g !p ((8 * v) + 1);
-           Some (sql_of_op (Ins (g, !p, v)))
+           Some (Ins (g, !p, v))
          | Del (g, p) ->
            if mem g p then remove g p;
-           Some (sql_of_op op)
+           Some op
          | Bump g ->
            (* uniform shift of one whole group: preserves within-group
               val distinctness and relative order, so v_byval's key stays
@@ -488,14 +490,14 @@ let concretize chunks =
              (fun (g', p) v acc -> if g' = g then ((g', p), v) :: acc else acc)
              rowval []
            |> List.iter (fun (k, v) -> Hashtbl.replace rowval k (v + 1));
-           Some (sql_of_op op)
+           Some op
          | Move_pos (g, p, p') ->
            if mem g p && pcount p' = 0 && p <> p' then begin
              let v8 = Hashtbl.find rowval (g, p) in
              remove g p;
              add g p' v8;
              Hashtbl.replace moved_pos p' ();
-             Some (sql_of_op op)
+             Some op
            end
            else None
          | Move_grp (g, p, g') ->
@@ -512,7 +514,7 @@ let concretize chunks =
              remove g p;
              add g' p v8;
              Hashtbl.replace moved_pos p ();
-             Some (sql_of_op op)
+             Some op
            end
            else None))
     chunks
@@ -526,22 +528,141 @@ let prop_shared_stream chunks =
   create_views off;
   List.for_all
     (fun stmts ->
-      let run db =
-        match stmts with
-        | [ sql ] -> ignore (Db.exec db sql)
-        | stmts ->
-          Db.with_batch db (fun () ->
-              List.iter (fun sql -> ignore (Db.exec db sql)) stmts)
-      in
-      run on;
-      run off;
+      run_step on stmts;
+      run_step off stmts;
       List.for_all
         (fun (name, def, _) ->
           let sql = Printf.sprintf "SELECT * FROM %s" name in
           bit_identical (Db.query on sql) (Db.query off sql)
           && bit_identical (Db.query on sql) (Db.query on def))
         views)
-    (List.filter (fun stmts -> stmts <> []) (concretize chunks))
+    (List.filter_map
+       (function [] -> None | ops -> Some (List.map sql_of_op ops))
+       (concretize chunks))
+
+(* ---- Render-cache coherence (qcheck) ----
+
+   [Matview.render] re-renders only the partitions whose sequence
+   changed.  Under random per-row, batched and shared-scan streams —
+   each step optionally first run with every [matview.apply_*] site
+   armed, so maintenance faults and the step rolls back — every view's
+   render must equal, row for row and in order, the render of a state
+   freshly built from the same base table, and every partition the step
+   did not touch must come back with physically the same rows as the
+   previous render.  A 64-row padding partition (grp 9, negative
+   positions: out of the interpreter's reach) keeps every delta far
+   narrower than the table, so no step takes the wide-delta full
+   refresh that legitimately re-renders everything. *)
+
+let padding_sql =
+  "INSERT INTO seq VALUES "
+  ^ String.concat ", "
+      (List.init 64 (fun i -> Printf.sprintf "(9, %d, %d.5)" (-(i + 1)) i))
+
+let groups_of_op = function
+  | Ins (g, _, _) | Del (g, _) | Bump g | Move_pos (g, _, _) -> [ g ]
+  | Move_grp (g, _, g') -> [ g; g' ]
+
+let apply_sites () =
+  List.filter (String.starts_with ~prefix:"matview.apply_") (Fault.sites ())
+
+let prop_render_cache_coherent (chunks, faults) =
+  let db =
+    fixture_db ~config:{ Db.default_config with Db.degradation = `Abort } ()
+  in
+  ignore (Db.exec db padding_sql);
+  create_views db;
+  let seq_views =
+    List.filter_map
+      (fun (name, _, _) ->
+        Option.map (fun _ -> name) (Db.view_state db name))
+      views
+  in
+  let base () =
+    Catalog.table_relation (Option.get (Catalog.find_table (Db.catalog db) "seq"))
+  in
+  let previous = Hashtbl.create 8 in
+  let same_pkey a b = List.equal Value.equal a b in
+  (* [untouched pkey]: the step cannot have changed this partition *)
+  let check ~untouched =
+    List.iter
+      (fun name ->
+        let st = Option.get (Db.view_state db name) in
+        let rows = Relation.rows (Matview.render st) in
+        let fresh =
+          Relation.rows
+            (Matview.render
+               (Matview.init_state st.Matview.spec ~base:(base ())
+                  ~out_schema:st.Matview.out_schema))
+        in
+        if
+          not
+            (Array.length rows = Array.length fresh
+            && Array.for_all2 row_same_bits rows fresh)
+        then Alcotest.failf "%s: cached render differs from a fresh render" name;
+        let off = ref 0 in
+        let slices =
+          List.map
+            (fun (p : Matview.partition_state) ->
+              let n = Array.length p.Matview.base_rows in
+              let slice = Array.sub rows !off n in
+              off := !off + n;
+              (p.Matview.pkey, slice))
+            st.Matview.parts
+        in
+        (match Hashtbl.find_opt previous name with
+         | None -> ()
+         | Some old ->
+           let find pkey l = List.find_opt (fun (k, _) -> same_pkey k pkey) l in
+           List.iter
+             (fun (pkey, slice) ->
+               if untouched pkey then
+                 match find pkey old with
+                 | Some (_, old_slice)
+                   when Array.length old_slice = Array.length slice
+                        && Array.for_all2 ( == ) old_slice slice -> ()
+                 | _ ->
+                   Alcotest.failf "%s: an untouched partition was re-rendered"
+                     name)
+             slices;
+           List.iter
+             (fun (pkey, _) ->
+               if untouched pkey && find pkey slices = None then
+                 Alcotest.failf "%s: an untouched partition vanished" name)
+             old);
+        Hashtbl.replace previous name slices)
+      seq_views
+  in
+  let run = run_step db in
+  check ~untouched:(fun _ -> false);
+  Fun.protect ~finally:Fault.reset (fun () ->
+      List.iteri
+        (fun i ops ->
+          let stmts = List.map sql_of_op ops in
+          let groups = List.concat_map groups_of_op ops in
+          let inject = List.nth_opt faults i = Some true in
+          (* an armed step that reaches no maintenance commits as is *)
+          let committed =
+            inject
+            &&
+            (List.iter (fun s -> Fault.arm s Fault.Always) (apply_sites ());
+             match run stmts with
+             | () ->
+               Fault.reset ();
+               true
+             | exception Fault.Injected _ ->
+               Fault.reset ();
+               false)
+          in
+          (* rolled back: nothing changed, every partition is cached *)
+          if inject && not committed then check ~untouched:(fun _ -> true);
+          (* then (re)run unarmed, keeping the interpreter's model exact *)
+          if not committed then run stmts;
+          check ~untouched:(function
+            | [ Value.Int g ] -> not (List.mem g groups)
+            | _ -> false))
+        (List.filter (fun ops -> ops <> []) (concretize chunks)));
+  true
 
 let () =
   Alcotest.run "share"
@@ -579,5 +700,11 @@ let () =
             (QCheck.Test.make ~count:40
                ~name:"random batched DML: shared == per-view == refresh"
                arb_share_stream prop_shared_stream);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:40
+               ~name:"random DML with rollbacks: render cache coherent"
+               (QCheck.pair arb_share_stream
+                  QCheck.(list_of_size Gen.(int_range 0 4) bool))
+               prop_render_cache_coherent);
         ] );
     ]
