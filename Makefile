@@ -105,7 +105,10 @@ serve-smoke:
 # batched maintenance, bit-identical fingerprints), writing
 # BENCH_share.json, the replica experiment, and the concurrent-serving
 # experiment (snapshot-read fan-out + wrong-read chaos), writing
-# BENCH_serve.json, all under the same checks.
+# BENCH_serve.json, all under the same checks.  Last, the compiled
+# scalar-expression micro bench (a 20,000-row filter, interpreted vs
+# compiled), writing BENCH_expr.json and failing unless compiled costs
+# at most half of interpreted.
 bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
@@ -122,6 +125,9 @@ bench-smoke:
 	dune exec bench/main.exe -- serve --smoke
 	@grep -q '"acceptance"' BENCH_serve.json && grep -q '"speedup"' BENCH_serve.json \
 	  && echo "BENCH_serve.json well-formed"
+	dune exec bench/main.exe -- expr --smoke
+	@grep -q '"acceptance"' BENCH_expr.json && grep -q '"ratio"' BENCH_expr.json \
+	  && echo "BENCH_expr.json well-formed"
 
 # End-to-end warehouse benchmark smoke: a real `rfview serve` child on
 # loopback driven through all three workloads for 2 measured seconds

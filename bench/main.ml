@@ -28,9 +28,11 @@
    - Concurrent serving: MVCC snapshot-read fan-out across reader
      domains, wire round-trips, and a wrong-read chaos check (writes
      BENCH_serve.json).
+   - Scalar expressions: a 20,000-row filter, interpreted vs compiled
+     (writes BENCH_expr.json).
 
    Usage: main.exe
-   [table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|all]
+   [table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|all]
    [--full] [--smoke]
    --full uses the paper's original row counts (slow: the unindexed self
    join is quadratic); --smoke shrinks the delta experiment to a
@@ -86,6 +88,39 @@ let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let row_line cells = print_endline (String.concat " | " cells)
+
+(* ---- JSON reports ---- *)
+
+(* Every BENCH_*.json opens with its experiment, its mode and the host
+   it ran on. *)
+let report_header buf ~experiment ~smoke =
+  Buffer.add_string buf "{\n";
+  Buffer.add_string buf (Printf.sprintf "  \"experiment\": \"%s\",\n" experiment);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
+  Buffer.add_string buf
+    (Printf.sprintf "  \"host\": {\"cores\": %d, \"ocaml\": \"%s\"},\n"
+       (Domain.recommended_domain_count ()) Sys.ocaml_version)
+
+(* Write a report, then reread it and check the brace balance and the
+   keys a consumer relies on. *)
+let write_report out buf ~keys =
+  let oc = open_out out in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  let written = In_channel.with_open_bin out In_channel.input_all in
+  let contains sub =
+    let n = String.length written and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub written i m = sub || go (i + 1)) in
+    go 0
+  in
+  let balanced =
+    let d = ref 0 in
+    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
+    !d = 0
+  in
+  if not (balanced && List.for_all (fun k -> contains ("\"" ^ k ^ "\"")) keys) then
+    failwith (out ^ " failed its well-formedness self-check")
 
 (* ---- Table 1: computing sequence data ---- *)
 
@@ -477,10 +512,7 @@ let run_delta ~smoke =
   let required = if smoke then 1.0 else 5.0 in
   let pass = accept_speedup >= required in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"delta-maintenance\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
+  report_header buf ~experiment:"delta-maintenance" ~smoke;
   Buffer.add_string buf (Printf.sprintf "  \"base_rows\": %d,\n" n0);
   Buffer.add_string buf "  \"runs\": [\n";
   List.iteri
@@ -501,34 +533,7 @@ let run_delta ~smoke =
        accept_batch accept_speedup required pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_delta.json" in
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  (* well-formedness self-check: reread and verify the keys and brace
-     balance a consumer relies on *)
-  let written =
-    let ic = open_in out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let balanced =
-    let d = ref 0 in
-    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
-    !d = 0
-  in
-  if
-    not
-      (balanced
-      && contains written "\"acceptance\""
-      && contains written "\"runs\""
-      && contains written "\"speedup\"")
-  then failwith "BENCH_delta.json failed its well-formedness self-check";
+  write_report out buf ~keys:[ "acceptance"; "runs"; "speedup" ];
   Printf.printf "\nwrote %s (acceptance speedup at B=%d, 4 views: %.1fx)\n%!" out
     accept_batch accept_speedup;
   if (not smoke) && not pass then begin
@@ -663,10 +668,7 @@ let run_delta_ivm ~smoke =
   let required = if smoke then 1.0 else 5.0 in
   let pass = speedup >= required in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"delta-ivm\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
+  report_header buf ~experiment:"delta-ivm" ~smoke;
   Buffer.add_string buf
     (Printf.sprintf "  \"fact_rows\": %d, \"dml_statements\": %d,\n" n0 b);
   Buffer.add_string buf "  \"runs\": [\n";
@@ -687,32 +689,7 @@ let run_delta_ivm ~smoke =
        speedup required pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_IVM.json" in
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  let written =
-    let ic = open_in out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let balanced =
-    let d = ref 0 in
-    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
-    !d = 0
-  in
-  if
-    not
-      (balanced
-      && contains written "\"acceptance\""
-      && contains written "\"runs\""
-      && contains written "\"speedup\"")
-  then failwith "BENCH_IVM.json failed its well-formedness self-check";
+  write_report out buf ~keys:[ "acceptance"; "runs"; "speedup" ];
   Printf.printf "\nwrote %s (derived vs full refresh: %.1fx)\n%!" out speedup;
   if (not smoke) && not pass then begin
     Printf.eprintf "delta-ivm acceptance FAILED: %.1fx < %.1fx\n%!" speedup required;
@@ -878,10 +855,7 @@ let run_share ~smoke =
   let required = if smoke then 1.0 else 1.5 in
   let pass = speedup >= required in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"scan-sharing\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
+  report_header buf ~experiment:"scan-sharing" ~smoke;
   Buffer.add_string buf
     (Printf.sprintf
        "  \"base_rows\": %d, \"groups\": %d, \"dml_statements\": %d, \
@@ -905,32 +879,7 @@ let run_share ~smoke =
        speedup required pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_share.json" in
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  let written =
-    let ic = open_in out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let balanced =
-    let d = ref 0 in
-    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
-    !d = 0
-  in
-  if
-    not
-      (balanced
-      && contains written "\"acceptance\""
-      && contains written "\"runs\""
-      && contains written "\"speedup\"")
-  then failwith "BENCH_share.json failed its well-formedness self-check";
+  write_report out buf ~keys:[ "acceptance"; "runs"; "speedup" ];
   Printf.printf "\nwrote %s (shared vs per-view at 4 views: %.2fx)\n%!" out
     speedup;
   if (not smoke) && not pass then begin
@@ -1123,10 +1072,7 @@ let run_replica_bench ~smoke =
   let bounded = suffix_ckpt < suffix_plain in
   let pass = speedup4 >= required && bounded in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"replica\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
+  report_header buf ~experiment:"replica" ~smoke;
   Buffer.add_string buf
     (Printf.sprintf
        "  \"base_rows\": %d, \"writes\": %d, \"queries\": %d, \"tip_lsn\": %d,\n"
@@ -1159,32 +1105,7 @@ let run_replica_bench ~smoke =
        speedup4 required bounded pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_replica.json" in
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  let written =
-    let ic = open_in out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let balanced =
-    let d = ref 0 in
-    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
-    !d = 0
-  in
-  if
-    not
-      (balanced
-      && contains written "\"acceptance\""
-      && contains written "\"reads\""
-      && contains written "\"bootstrap\"")
-  then failwith "BENCH_replica.json failed its well-formedness self-check";
+  write_report out buf ~keys:[ "acceptance"; "reads"; "bootstrap" ];
   Printf.printf
     "\nwrote %s (4-replica speedup %.1fx; replay suffix %d -> %d)\n%!" out
     speedup4 suffix_plain suffix_ckpt;
@@ -1359,11 +1280,7 @@ let run_serve_bench ~smoke =
   let required = 2.0 in
   let pass = speedup4 >= required && wrong_reads = 0 && chaos_reads > 0 in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"serve\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full"));
-  Buffer.add_string buf "  \"cores\": 1,\n";
+  report_header buf ~experiment:"serve" ~smoke;
   Buffer.add_string buf
     "  \"model\": \"per-share fan-out: each domain's share measured serially, \
      wall = sum of shares / domains (shares identical by construction)\",\n";
@@ -1396,33 +1313,7 @@ let run_serve_bench ~smoke =
        speedup4 required wrong_reads pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_serve.json" in
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  let written =
-    let ic = open_in out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let balanced =
-    let d = ref 0 in
-    String.iter (fun c -> if c = '{' then incr d else if c = '}' then decr d) written;
-    !d = 0
-  in
-  if
-    not
-      (balanced
-      && contains written "\"acceptance\""
-      && contains written "\"reads\""
-      && contains written "\"chaos\""
-      && contains written "\"speedup\"")
-  then failwith "BENCH_serve.json failed its well-formedness self-check";
+  write_report out buf ~keys:[ "acceptance"; "reads"; "chaos"; "speedup" ];
   Printf.printf
     "\nwrote %s (4-domain speedup %.1fx, %d wrong reads)\n%!" out speedup4
     wrong_reads;
@@ -1500,6 +1391,105 @@ let run_bechamel () =
     (bechamel_tests ());
   Printf.printf "%!"
 
+(* ---- Compiled vs interpreted scalar expressions ----
+
+   A filter over a 20,000-row relation shaped like the warehouse's seq
+   table (8 groups x 2,500 positions), interpreted ([Expr.holds] per
+   row) against compiled ([Expr.compile_pred] once per run, then the
+   closure per row), for the two predicates the warehouse workloads
+   filter with: a 20-row range lookup and the single-row UPDATE/DELETE
+   predicate.  Reports ns per row (bechamel OLS estimate over the whole
+   filter, divided by the row count) and fails unless compiled costs at
+   most half of interpreted on both (writes BENCH_expr.json). *)
+
+let run_expr_bench ~smoke =
+  let open Bechamel in
+  let open Toolkit in
+  header "Scalar expressions: interpreted vs compiled filter";
+  let groups = 8 and per_group = 2_500 in
+  let rows =
+    Array.init (groups * per_group) (fun i ->
+        [| Value.Int (i / per_group); Value.Int ((i mod per_group) + 1);
+           Value.Float (float_of_int (i * 7 mod 1000) /. 10.) |])
+  in
+  let n = Array.length rows in
+  let int k = Expr.Const (Value.Int k) in
+  let eq col k = Expr.Binop (Expr.Eq, Expr.Col col, int k) in
+  let preds =
+    [
+      ( "lookup", "grp = 3 AND pos BETWEEN 1000 AND 1019",
+        Expr.Binop (Expr.And, eq 0 3, Expr.Between (Expr.Col 1, int 1000, int 1019)) );
+      ("update", "grp = 3 AND pos = 1200", Expr.Binop (Expr.And, eq 0 3, eq 1 1200));
+    ]
+  in
+  let count holds =
+    let k = ref 0 in
+    Array.iter (fun row -> if holds row then incr k) rows;
+    !k
+  in
+  let cfg =
+    Benchmark.cfg ~limit:(if smoke then 100 else 500)
+      ~quota:(Time.second (if smoke then 0.25 else 1.0)) ~kde:None ()
+  in
+  let ns_per_row name f =
+    let test = Test.make ~name (Staged.stage (fun () -> ignore (f ()))) in
+    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+    let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
+    let results = Analyze.all ols Instance.monotonic_clock raw in
+    match Hashtbl.fold (fun _ r acc -> Analyze.OLS.estimates r :: acc) results [] with
+    | [ Some [ est ] ] -> est /. float_of_int n
+    | _ -> failwith ("expr: no estimate for " ^ name)
+  in
+  row_line
+    [ Printf.sprintf "%-8s" "pred"; "kept"; "interpreted ns/row"; "compiled ns/row"; "ratio" ];
+  let runs =
+    List.map
+      (fun (name, sql, pred) ->
+        let kept = count (fun row -> Expr.holds row pred) in
+        if count (Expr.compile_pred pred) <> kept then
+          failwith ("expr: compiled and interpreted filters disagree on " ^ name);
+        let interp =
+          ns_per_row (name ^ "/interpreted") (fun () -> count (fun row -> Expr.holds row pred))
+        in
+        let comp = ns_per_row (name ^ "/compiled") (fun () -> count (Expr.compile_pred pred)) in
+        row_line
+          [ Printf.sprintf "%-8s" name; Printf.sprintf "%4d" kept;
+            Printf.sprintf "%18.2f" interp; Printf.sprintf "%15.2f" comp;
+            Printf.sprintf "%5.3f" (comp /. interp) ];
+        (name, sql, kept, interp, comp))
+      preds
+  in
+  let worst = List.fold_left (fun acc (_, _, _, i, c) -> Float.max acc (c /. i)) 0. runs in
+  let required = 0.5 in
+  let pass = worst <= required in
+  let buf = Buffer.create 1024 in
+  report_header buf ~experiment:"expr" ~smoke;
+  Buffer.add_string buf (Printf.sprintf "  \"rows\": %d,\n" n);
+  Buffer.add_string buf "  \"runs\": [\n";
+  List.iteri
+    (fun i (name, sql, kept, interp, comp) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"predicate\": \"%s\", \"where\": \"%s\", \"kept\": %d, \
+            \"interpreted_ns_per_row\": %.2f, \"compiled_ns_per_row\": %.2f, \
+            \"ratio\": %.3f}%s\n"
+           name sql kept interp comp (comp /. interp)
+           (if i = List.length runs - 1 then "" else ",")))
+    runs;
+  Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"acceptance\": {\"ratio\": %.3f, \"required_at_most\": %.1f, \"pass\": %b}\n"
+       worst required pass);
+  Buffer.add_string buf "}\n";
+  let out = "BENCH_expr.json" in
+  write_report out buf ~keys:[ "acceptance"; "runs"; "ratio" ];
+  Printf.printf "\nwrote %s (compiled/interpreted, worst predicate: %.3f)\n%!" out worst;
+  if not pass then begin
+    Printf.eprintf "expr acceptance FAILED: ratio %.3f > %.1f\n%!" worst required;
+    exit 1
+  end
+
 (* ---- Entry point ---- *)
 
 let () =
@@ -1528,6 +1518,7 @@ let () =
    | "replica" -> run_replica_bench ~smoke
    | "serve" -> run_serve_bench ~smoke
    | "bechamel" -> run_bechamel ()
+   | "expr" -> run_expr_bench ~smoke
    | "all" ->
      run_table1 ~sizes:t1_sizes;
      run_table2 ~sizes:t2_sizes;
@@ -1537,11 +1528,12 @@ let () =
      run_share ~smoke:(not full);
      run_replica_bench ~smoke:(not full);
      run_serve_bench ~smoke:(not full);
-     run_bechamel ()
+     run_bechamel ();
+     run_expr_bench ~smoke:(not full)
    | other ->
      Printf.eprintf
        "unknown experiment %s (use \
-        table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|all)\n"
+        table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|all)\n"
        other;
      exit 1);
   Printf.printf "\ndone.\n"

@@ -1343,20 +1343,19 @@ let exec_update db ~table ~assignments ~where =
     List.map
       (fun (c, e) ->
         match Schema.find_opt schema c with
-        | Some i -> (i, P.Binder.bind_scalar schema e)
+        | Some i ->
+          (i, (Schema.col schema i).Schema.ty, Expr.compile (P.Binder.bind_scalar schema e))
         | None -> engine_error "table %s has no column %s" table c)
       assignments
   in
+  let holds = Expr.compile_pred pred in
   let pairs = ref [] in
   let rows =
     Array.map
       (fun row ->
-        if Expr.holds row pred then begin
+        if holds row then begin
           let fresh = Array.copy row in
-          List.iter
-            (fun (i, e) ->
-              fresh.(i) <- coerce_value (Schema.col schema i).Schema.ty (Expr.eval row e))
-            assigns;
+          List.iter (fun (i, ty, f) -> fresh.(i) <- coerce_value ty (f row)) assigns;
           pairs := (row, fresh) :: !pairs;
           fresh
         end
@@ -1374,16 +1373,32 @@ let exec_delete db ~table ~where =
     | None -> Expr.Const (Value.Bool true)
     | Some w -> P.Binder.bind_scalar schema w
   in
-  let deleted = ref [] in
-  let kept = ref [] in
-  Array.iter
-    (fun row ->
-      if Expr.holds row pred then deleted := row :: !deleted else kept := row :: !kept)
-    tbl.Catalog.rows;
-  delete_rows db ~table
-    ~kept:(Array.of_list (List.rev !kept))
-    ~deleted:(List.rev !deleted);
-  Done (Printf.sprintf "DELETE %d" (List.length !deleted))
+  let holds = Expr.compile_pred pred in
+  let rows = tbl.Catalog.rows in
+  let n = Array.length rows in
+  (* one pass marks the deleted rows; the kept runs between them are
+     blitted into a fresh array *)
+  let doomed = Bytes.make n '\000' in
+  let deleted = ref [] and ndeleted = ref 0 in
+  Array.iteri
+    (fun i row ->
+      if holds row then begin
+        Bytes.set doomed i '\001';
+        deleted := row :: !deleted;
+        incr ndeleted
+      end)
+    rows;
+  let kept = Array.make (n - !ndeleted) [||] in
+  let rec blit i at =
+    if i < n then begin
+      let stop = match Bytes.index_from_opt doomed i '\001' with Some j -> j | None -> n in
+      Array.blit rows i kept at (stop - i);
+      blit (stop + 1) (at + stop - i)
+    end
+  in
+  blit 0 0;
+  delete_rows db ~table ~kept ~deleted:(List.rev !deleted);
+  Done (Printf.sprintf "DELETE %d" !ndeleted)
 
 (* ---- Statements ---- *)
 

@@ -319,16 +319,18 @@ let pkey_of st row = List.map (fun i -> Row.get row i) st.pcols
 let find_partition st pkey = List.find_opt (fun p -> compare_pkey p.pkey pkey = 0) st.parts
 
 (* Rank (1-based) at which [row] inserts into the ordered partition:
-   after all existing rows with order value <= its own. *)
+   after all existing rows with order value <= its own, i.e. one past
+   the first row whose order value is greater (binary search). *)
 let insert_rank st (p : partition_state) row =
   let v = Row.get row st.ocol in
-  let n = Array.length p.base_rows in
-  let rec go k =
-    if k >= n then n + 1
-    else if Value.compare (Row.get p.base_rows.(k) st.ocol) v <= 0 then go (k + 1)
-    else k + 1
+  let rec go lo hi =
+    if lo >= hi then lo + 1
+    else
+      let mid = (lo + hi) / 2 in
+      if Value.compare (Row.get p.base_rows.(mid) st.ocol) v <= 0 then go (mid + 1) hi
+      else go lo mid
   in
-  go 0
+  go 0 (Array.length p.base_rows)
 
 let apply_insert st row =
   Fault.hit site_apply_insert;

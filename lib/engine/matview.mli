@@ -61,6 +61,11 @@ type state = {
 
 exception Not_maintainable of string
 
+(** The 1-based rank at which a new base row enters its ordered
+    partition: after every existing row whose order value is [<=] its
+    own. *)
+val insert_rank : state -> partition_state -> Row.t -> int
+
 (** Build the maintenance state from the base table's current contents.
     @raise Not_maintainable per the restrictions above. *)
 val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state

@@ -359,29 +359,35 @@ type change = {
 
 let empty_change = { ch_removes = []; ch_rekeys = None; ch_adds = [] }
 
-let eval_exprs exprs row =
-  Array.of_list (List.map (fun e -> Expr.eval row e) exprs)
+(* [exprs] compiled once into a row-to-row function. *)
+let compile_row exprs : Row.t -> Row.t =
+  let fns = Array.of_list (List.map Expr.compile exprs) in
+  fun row -> Array.map (fun f -> f row) fns
 
 (* Delta of a linear tree, as signed rows. *)
 let rec lin_delta env = function
   | Lscan { table } -> env.delta_of table
   | Lfilter { input; pred } ->
-    List.filter (fun (r, _) -> Expr.holds r pred) (lin_delta env input)
+    let holds = Expr.compile_pred pred in
+    List.filter (fun (r, _) -> holds r) (lin_delta env input)
   | Lproject { input; exprs } ->
-    List.map (fun (r, s) -> (eval_exprs exprs r, s)) (lin_delta env input)
+    let project = compile_row exprs in
+    List.map (fun (r, s) -> (project r, s)) (lin_delta env input)
   | Lunion { left; right } -> lin_delta env left @ lin_delta env right
   | Ljoin { left; right; cond; left_plan; right_plan } ->
     let dl = lin_delta env left in
     let dr = lin_delta env right in
     if dl = [] && dr = [] then []
     else begin
+      let holds =
+        Expr.compile_pred_pair ~left_arity:(Schema.arity (Logical.schema left_plan)) cond
+      in
       let pairs (la : (Row.t * int) list) (ra : (Row.t * int) list) sign acc =
         List.fold_left
           (fun acc (lr, ls) ->
             List.fold_left
               (fun acc (rr, rs) ->
-                let joined = Row.append lr rr in
-                if Expr.holds joined cond then (joined, sign * ls * rs) :: acc
+                if holds lr rr then (Row.append lr rr, sign * ls * rs) :: acc
                 else acc)
               acc ra)
           acc la
@@ -402,25 +408,29 @@ let rec lin_delta env = function
       List.rev acc
     end
 
-(* Run the wrap chain over one signed row; [None] when a filter drops it. *)
-let wrap_row wraps (row : Row.t) : Row.t option =
-  List.fold_left
-    (fun acc w ->
-      match acc, w with
-      | None, _ -> None
-      | Some r, Wproject exprs -> Some (eval_exprs exprs r)
-      | Some r, Wfilter pred -> if Expr.holds r pred then Some r else None)
-    (Some row) wraps
-
-let key_row exprs row : Row.t = eval_exprs exprs row
+(* The wrap chain compiled once: runs over one signed row, [None] when a
+   filter drops it. *)
+let compile_wraps wraps : Row.t -> Row.t option =
+  let steps =
+    List.map
+      (function
+        | Wproject exprs ->
+          let project = compile_row exprs in
+          fun r -> Some (project r)
+        | Wfilter pred ->
+          let holds = Expr.compile_pred pred in
+          fun r -> if holds r then Some r else None)
+      wraps
+  in
+  fun row -> List.fold_left (fun acc step -> Option.bind acc step) (Some row) steps
 
 let mem_key keys k = List.exists (Row.equal k) keys
 
 (* Deduplicated affected-key set of a child delta. *)
-let affected_keys group delta =
+let affected_keys key_row delta =
   List.fold_left
     (fun acc (r, _) ->
-      let k = key_row group r in
+      let k = key_row r in
       if mem_key acc k then acc else k :: acc)
     [] delta
   |> List.rev
@@ -429,10 +439,11 @@ let apply env t : change =
   match t.shape with
   | Linear lin ->
     let delta = lin_delta env lin in
+    let wrap_row = compile_wraps t.wraps in
     let adds = ref [] and removes = ref [] in
     List.iter
       (fun (row, s) ->
-        match wrap_row t.wraps row with
+        match wrap_row row with
         | None -> ()
         | Some out ->
           if s > 0 then adds := out :: !adds else removes := out :: !removes)
@@ -442,20 +453,19 @@ let apply env t : change =
     let delta = lin_delta env child in
     if delta = [] then empty_change
     else begin
-      let keys = affected_keys group delta in
+      let key_row = compile_row group in
+      let keys = affected_keys key_row delta in
       let rel = env.eval child_plan in
       let restricted =
         Array.of_list
-          (List.filter
-             (fun r -> mem_key keys (key_row group r))
-             (Relation.to_list rel))
+          (List.filter (fun r -> mem_key keys (key_row r)) (Relation.to_list rel))
       in
       let grouped =
         Groupop.group_by ~group ~aggs
           (Relation.of_array (Relation.schema rel) restricted)
       in
       let adds =
-        List.filter_map (wrap_row t.wraps) (Relation.to_list grouped)
+        List.filter_map (compile_wraps t.wraps) (Relation.to_list grouped)
       in
       { ch_adds = adds; ch_removes = []; ch_rekeys = Some (out_keys, keys) }
     end
@@ -463,13 +473,12 @@ let apply env t : change =
     let delta = lin_delta env child in
     if delta = [] then empty_change
     else begin
-      let keys = affected_keys partition delta in
+      let key_row = compile_row partition in
+      let keys = affected_keys key_row delta in
       let rel = env.eval child_plan in
       let restricted =
         Array.of_list
-          (List.filter
-             (fun r -> mem_key keys (key_row partition r))
-             (Relation.to_list rel))
+          (List.filter (fun r -> mem_key keys (key_row r)) (Relation.to_list rel))
       in
       let extended =
         Window.extend ~strategy:env.window_strategy
@@ -477,7 +486,7 @@ let apply env t : change =
           (List.map Logical.to_relalg_fn fns)
       in
       let adds =
-        List.filter_map (wrap_row t.wraps) (Relation.to_list extended)
+        List.filter_map (compile_wraps t.wraps) (Relation.to_list extended)
       in
       { ch_adds = adds; ch_removes = []; ch_rekeys = Some (out_keys, keys) }
     end
@@ -509,6 +518,6 @@ let splice (contents : Relation.t) (ch : change) : Relation.t =
   (match ch.ch_rekeys with
    | None -> ()
    | Some (key_exprs, keys) ->
-     rows :=
-       List.filter (fun r -> not (mem_key keys (key_row key_exprs r))) !rows);
+     let key_row = compile_row key_exprs in
+     rows := List.filter (fun r -> not (mem_key keys (key_row r))) !rows);
   Relation.make (Relation.schema contents) (!rows @ ch.ch_adds)

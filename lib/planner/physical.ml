@@ -372,43 +372,14 @@ and execute_join observer cat kind algo left right cond =
 and execute_number observer cat input partition order name =
   let r = execute_obs observer cat input in
   let rows = Relation.rows r in
-  let n = Array.length rows in
-  let part_keys =
-    Array.map (fun row -> List.map (fun e -> Expr.eval row e) partition) rows
-  in
-  let idx = Array.init n Fun.id in
-  let cmp i j =
-    let rec cmp_keys a b =
-      match a, b with
-      | [], [] -> 0
-      | x :: xs, y :: ys ->
-        let c = Value.compare x y in
-        if c <> 0 then c else cmp_keys xs ys
-      | _ -> assert false
-    in
-    let c = cmp_keys part_keys.(i) part_keys.(j) in
-    if c <> 0 then c
-    else
-      let c = Sortop.compare_keys order rows.(i) rows.(j) in
-      if c <> 0 then c else Int.compare i j
-  in
-  Array.sort cmp idx;
-  let numbers = Array.make n 0 in
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let key = part_keys.(idx.(start)) in
-    let stop = ref (start + 1) in
-    while
-      !stop < n && List.for_all2 Value.equal part_keys.(idx.(!stop)) key
-    do
-      incr stop
-    done;
-    for k = start to !stop - 1 do
-      numbers.(idx.(k)) <- k - start + 1
-    done;
-    i := !stop
-  done;
+  let { Sortop.idx; segments; _ } = Sortop.partition_sort partition order rows in
+  let numbers = Array.make (Array.length rows) 0 in
+  List.iter
+    (fun (start, stop) ->
+      for k = start to stop - 1 do
+        numbers.(idx.(k)) <- k - start + 1
+      done)
+    segments;
   let schema =
     Schema.append (Relation.schema r) (Schema.make [ Schema.column name Dtype.Int ])
   in

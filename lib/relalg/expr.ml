@@ -218,11 +218,300 @@ and eval_in row e items =
     loop false items
 
 (* A predicate holds iff it evaluates to TRUE (not NULL). *)
-let holds row e =
-  match eval row e with
+let truth = function
   | Value.Bool true -> true
   | Value.Bool false | Value.Null -> false
   | v -> Value.type_error "predicate must be boolean, got %s" (Value.to_string v)
+
+let holds row e = truth (eval row e)
+
+(* ---- Compilation ----
+
+   [eval] walks the tree for every row.  The compiled forms walk it once
+   per operator invocation and return a closure with [eval]'s exact
+   semantics: the same value (floats bit-identical), the same exception,
+   and operands evaluated in the same order.  OCaml evaluates function
+   arguments right to left, so [eval_binop] evaluates [b] before [a] and
+   BETWEEN evaluates [e], then [hi], then [lo]; the closures do the same.
+   An operand is skipped (short-circuit), or a comparison is answered
+   without allocating, only where no skipped evaluation can raise: see
+   [total] and [boolean].
+
+   Every internal closure takes two rows.  [Col i] reads the left row
+   when [i < la] and the right row at [i - la] otherwise, so a join tests
+   its condition on a (left, right) pair without building the
+   concatenated row.  The one-row forms use [la = max_int]. *)
+
+(* [total e]: evaluating [e] cannot raise.  Columns are assumed in range:
+   rows are as wide as the schema the expression was bound against. *)
+let rec total = function
+  | Const _ | Col _ -> true
+  | e -> boolean e
+
+(* [boolean e]: [e] cannot raise and yields Bool or NULL. *)
+and boolean = function
+  | Const (Value.Bool _ | Value.Null) -> true
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge), a, b) -> total a && total b
+  | Between (e, lo, hi) -> total e && total lo && total hi
+  | Is_null e | Is_not_null e -> total e
+  | Binop ((And | Or), a, b) -> boolean a && boolean b
+  | Unop (Not, a) -> boolean a
+  | _ -> false
+
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+let of_bool b = if b then vtrue else vfalse
+
+let[@inline] cmp_holds op c =
+  match op with
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | Add | Sub | Mul | Div | Mod | And | Or -> assert false
+
+(* [cmp_result] without the intermediate option. *)
+let cmp_value op a b =
+  match a, b with
+  | Value.Null, _ | _, Value.Null -> Value.Null
+  | _ -> of_bool (cmp_holds op (Value.compare a b))
+
+(* [holds] of a comparison whose right operand is the constant [kv]. *)
+let[@inline] cmp_const op kv v =
+  match v, kv with
+  | Value.Int x, Value.Int k -> cmp_holds op (Int.compare x k)
+  | Value.Null, _ | _, Value.Null -> false
+  | v, kv -> cmp_holds op (Value.compare v kv)
+
+(* [holds] of [v BETWEEN lo AND hi] with constant bounds. *)
+let[@inline] between_const lo hi v =
+  match v, lo, hi with
+  | Value.Int x, Value.Int a, Value.Int b -> a <= x && x <= b
+  | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> false
+  | v, lo, hi -> Value.compare v lo >= 0 && Value.compare v hi <= 0
+
+(* [a op b] holds iff [b op' a] holds. *)
+let flip = function
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+  | op -> op
+
+type compiled = Row.t -> Row.t -> Value.t
+
+let col la i : compiled =
+  if i < la then fun l _ -> l.(i)
+  else
+    let j = i - la in
+    fun _ r -> r.(j)
+
+let rec comp la (e : t) : compiled =
+  match e with
+  | Const v -> fun _ _ -> v
+  | Col i -> col la i
+  | Binop (op, a, b) -> comp_binop la op a b
+  | Unop (Neg, a) ->
+    let fa = comp la a in
+    fun l r -> Value.neg (fa l r)
+  | Unop (Not, a) ->
+    let fa = comp la a in
+    fun l r -> tvl_not (fa l r)
+  | Case (whens, else_) ->
+    let whens = List.map (fun (c, v) -> (comp la c, comp la v)) whens in
+    let else_ = match else_ with None -> fun _ _ -> Value.Null | Some e -> comp la e in
+    fun l r -> case_loop l r else_ whens
+  | Call (f, args) -> comp_call la f args
+  | In_list (e, items) ->
+    let fe = comp la e and items = List.map (comp la) items in
+    fun l r ->
+      let v = fe l r in
+      if Value.is_null v then Value.Null else in_loop l r v false items
+  | Between (e, lo, hi) ->
+    let fe = comp la e and flo = comp la lo and fhi = comp la hi in
+    fun l r ->
+      let v = fe l r in
+      let c_hi = cmp_value Le v (fhi l r) in
+      tvl_and (cmp_value Ge v (flo l r)) c_hi
+  | Is_null e ->
+    let fe = comp la e in
+    fun l r -> of_bool (Value.is_null (fe l r))
+  | Is_not_null e ->
+    let fe = comp la e in
+    fun l r -> of_bool (not (Value.is_null (fe l r)))
+
+and comp_binop la op a b =
+  let fa = comp la a and fb = comp la b in
+  match op with
+  (* FALSE AND x is FALSE for any x, so a total operand may be skipped *)
+  | And when total b -> fun l r ->
+    (match fa l r with Value.Bool false -> vfalse | va -> tvl_and va (fb l r))
+  | And when total a -> fun l r ->
+    (match fb l r with Value.Bool false -> vfalse | vb -> tvl_and (fa l r) vb)
+  | And -> fun l r -> let vb = fb l r in tvl_and (fa l r) vb
+  | Or when total b -> fun l r ->
+    (match fa l r with Value.Bool true -> vtrue | va -> tvl_or va (fb l r))
+  | Or when total a -> fun l r ->
+    (match fb l r with Value.Bool true -> vtrue | vb -> tvl_or (fa l r) vb)
+  | Or -> fun l r -> let vb = fb l r in tvl_or (fa l r) vb
+  | Add -> fun l r ->
+    let vb = fb l r in
+    (match fa l r, vb with
+     | Value.Int x, Value.Int y -> Value.Int (x + y)
+     | va, vb -> Value.add va vb)
+  | Sub -> fun l r ->
+    let vb = fb l r in
+    (match fa l r, vb with
+     | Value.Int x, Value.Int y -> Value.Int (x - y)
+     | va, vb -> Value.sub va vb)
+  | Mul -> fun l r -> let vb = fb l r in Value.mul (fa l r) vb
+  | Div -> fun l r -> let vb = fb l r in Value.div (fa l r) vb
+  | Mod -> fun l r -> let vb = fb l r in Value.modulo (fa l r) vb
+  | Eq | Neq | Lt | Le | Gt | Ge -> fun l r -> let vb = fb l r in cmp_value op (fa l r) vb
+
+and case_loop l r else_ = function
+  | [] -> else_ l r
+  | (c, v) :: rest ->
+    (match c l r with
+     | Value.Bool true -> v l r
+     | Value.Bool false | Value.Null -> case_loop l r else_ rest
+     | c -> Value.type_error "CASE condition must be boolean, got %s" (Value.to_string c))
+
+and in_loop l r v saw_null = function
+  | [] -> if saw_null then Value.Null else vfalse
+  | f :: rest ->
+    let x = f l r in
+    if Value.is_null x then in_loop l r v true rest
+    else if Value.compare v x = 0 then vtrue
+    else in_loop l r v saw_null rest
+
+and comp_call la f args =
+  match f, List.map (comp la) args with
+  | Coalesce, fs ->
+    let rec first l r = function
+      | [] -> Value.Null
+      | f :: rest ->
+        let v = f l r in
+        if Value.is_null v then first l r rest else v
+    in
+    fun l r -> first l r fs
+  | Abs, [ fa ] -> fun l r ->
+    (match fa l r with
+     | Value.Null -> Value.Null
+     | Value.Int i -> Value.Int (abs i)
+     | Value.Float f -> Value.Float (Float.abs f)
+     | v -> Value.type_error "ABS expects a number, got %s" (Value.to_string v))
+  | Sign, [ fa ] -> fun l r ->
+    (match fa l r with
+     | Value.Null -> Value.Null
+     | Value.Int i -> Value.Int (compare i 0)
+     | Value.Float f -> Value.Int (compare f 0.)
+     | v -> Value.type_error "SIGN expects a number, got %s" (Value.to_string v))
+  | Least, fs -> comp_extremum ( < ) fs
+  | Greatest, fs -> comp_extremum ( > ) fs
+  | (Year | Month | Day), [ fa ] ->
+    let part =
+      match f with
+      | Year -> Value.date_year
+      | Month -> Value.date_month
+      | _ -> Value.date_day
+    in
+    fun l r ->
+      (match fa l r with
+       | Value.Null -> Value.Null
+       | Value.Date d -> Value.Int (part d)
+       | v ->
+         Value.type_error "%s expects a date, got %s" (func_name f) (Value.to_string v))
+  | Nullif, [ fa; fb ] -> fun l r ->
+    let va = fa l r in
+    (match va, fb l r with
+     | Value.Null, _ | _, Value.Null -> va
+     | _, vb -> if Value.compare va vb = 0 then Value.Null else va)
+  | f, _ ->
+    let n = List.length args in
+    fun _ _ -> Value.type_error "function %s does not accept %d arguments" (func_name f) n
+
+and comp_extremum better = function
+  | [] -> fun _ _ -> Value.type_error "LEAST/GREATEST need at least one argument"
+  | fa :: rest ->
+    let pick acc v =
+      match acc, v with
+      | Value.Null, _ | _, Value.Null -> Value.Null
+      | a, b -> if better (Value.compare b a) 0 then b else a
+    in
+    let rec fold l r acc = function
+      | [] -> acc
+      | f :: rest -> fold l r (pick acc (f l r)) rest
+    in
+    fun l r -> fold l r (fa l r) rest
+
+(* The predicate form: [holds] without boxing the outcome. *)
+let rec comp_pred la (e : t) : Row.t -> Row.t -> bool =
+  match e with
+  | Const (Value.Bool b) -> fun _ _ -> b
+  | Const Value.Null -> fun _ _ -> false
+  | Binop (And, a, b) when boolean a && boolean b ->
+    let pa = comp_pred la a and pb = comp_pred la b in
+    fun l r -> pa l r && pb l r
+  | Binop (Or, a, b) when boolean a && boolean b ->
+    let pa = comp_pred la a and pb = comp_pred la b in
+    fun l r -> pa l r || pb l r
+  | Binop ((Eq | Neq | Lt | Le | Gt | Ge) as op, a, b) -> comp_cmp la op a b
+  | Between (e, lo, hi) when total e && total lo && total hi ->
+    (match e, lo, hi with
+     | Col i, Const (Value.Int a as lo), Const (Value.Int b as hi) when i < la ->
+       fun l _ ->
+         (match l.(i) with
+          | Value.Int x -> a <= x && x <= b
+          | v -> between_const lo hi v)
+     | _, Const lo, Const hi ->
+       let fe = comp la e in
+       fun l r -> between_const lo hi (fe l r)
+     | _ ->
+       let fe = comp la e and flo = comp la lo and fhi = comp la hi in
+       fun l r -> between_const (flo l r) (fhi l r) (fe l r))
+  | Is_null e ->
+    let fe = comp la e in
+    fun l r -> Value.is_null (fe l r)
+  | Is_not_null e ->
+    let fe = comp la e in
+    fun l r -> not (Value.is_null (fe l r))
+  | e ->
+    let f = comp la e in
+    fun l r -> truth (f l r)
+
+and comp_cmp la op a b =
+  match a, b with
+  | Const kv, _ when total b -> comp_cmp_const la (flip op) b kv
+  | _, Const kv when total a -> comp_cmp_const la op a kv
+  | _ ->
+    let fa = comp la a and fb = comp la b in
+    fun l r ->
+      let vb = fb l r in
+      (match fa l r, vb with
+       | Value.Null, _ | _, Value.Null -> false
+       | va, vb -> cmp_holds op (Value.compare va vb))
+
+(* [a op kv] for a total [a]. *)
+and comp_cmp_const la op a kv =
+  match a with
+  | _ when Value.is_null kv -> fun _ _ -> false
+  | Col i when i < la -> fun l _ -> cmp_const op kv l.(i)
+  | _ ->
+    let fa = comp la a in
+    fun l r -> cmp_const op kv (fa l r)
+
+let compile e =
+  let f = comp max_int e in
+  fun row -> f row row
+
+let compile_pred e =
+  let f = comp_pred max_int e in
+  fun row -> f row row
+
+let compile_pred_pair ~left_arity e = comp_pred left_arity e
 
 (* ---- Static typing against a schema ---- *)
 

@@ -61,6 +61,31 @@ val eval : Row.t -> t -> Value.t
 (** SQL filter semantics: TRUE passes; FALSE and NULL do not. *)
 val holds : Row.t -> t -> bool
 
+(** {1 Compilation}
+
+    Operators compile each expression once per invocation and run the
+    closure per row.  A compiled closure agrees with {!eval} exactly:
+    the same value (floats bit-identical), the same exception, and the
+    operands evaluated in the same order.  It skips an operand, or
+    answers a comparison without allocating, only where the skipped
+    evaluation cannot raise: constants, columns, comparisons, BETWEEN
+    and IS [NOT] NULL over those, and AND/OR/NOT of such predicates.
+    Columns are assumed in range for the rows the closure is applied
+    to. *)
+
+(** [compile e row] is [eval row e]. *)
+val compile : t -> Row.t -> Value.t
+
+(** [compile_pred e row] is [holds row e]. *)
+val compile_pred : t -> Row.t -> bool
+
+(** Join conditions: [compile_pred_pair ~left_arity e l r] is
+    [holds (Row.append l r) e] for a left row of [left_arity] columns,
+    without building the concatenated row.  With [~left_arity:max_int]
+    every column reads the left row, so [f row row] is
+    [compile_pred e row] without one indirect call per row. *)
+val compile_pred_pair : left_arity:int -> t -> Row.t -> Row.t -> bool
+
 (** {1 Static typing} *)
 
 exception Type_mismatch of string

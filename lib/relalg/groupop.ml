@@ -43,9 +43,11 @@ let group_by ?(group : Expr.t list = []) ~(aggs : agg_spec list) (r : Relation.t
   let schema = output_schema (Relation.schema r) group aggs in
   let tbl : (Row.t, Aggregate.state array) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
+  let group_fns = Array.of_list (List.map Expr.compile group) in
+  let arg_fns = Array.of_list (List.map (fun a -> Expr.compile a.arg) aggs) in
   Relation.iter
     (fun row ->
-      let key = Array.of_list (List.map (fun e -> Expr.eval row e) group) in
+      let key = Array.map (fun f -> f row) group_fns in
       let states =
         match Hashtbl.find_opt tbl key with
         | Some st -> st
@@ -55,7 +57,7 @@ let group_by ?(group : Expr.t list = []) ~(aggs : agg_spec list) (r : Relation.t
           order := key :: !order;
           st
       in
-      List.iteri (fun i a -> Aggregate.add states.(i) (Expr.eval row a.arg)) aggs)
+      Array.iteri (fun i f -> Aggregate.add states.(i) (f row)) arg_fns)
     r;
   let keys = List.rev !order in
   (* Global aggregation over an empty input still yields one row. *)

@@ -19,19 +19,24 @@ let null_row n : Row.t = Array.make n Value.Null
 let output_schema left right =
   Schema.append (Relation.schema left) (Relation.schema right)
 
+(* A condition or residual over the concatenated schema, tested on the
+   (left, right) pair so rejected pairs build no combined row. *)
+let pair_pred left cond =
+  Expr.compile_pred_pair ~left_arity:(Schema.arity (Relation.schema left)) cond
+
 let nested_loop kind (left : Relation.t) (right : Relation.t) cond : Relation.t =
   let out = ref [] in
   let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
+  let holds = pair_pred left cond in
   Relation.iter
     (fun lrow ->
       let matched = ref false in
       Array.iter
         (fun rrow ->
-          let combined = Row.append lrow rrow in
-          if Expr.holds combined cond then begin
+          if holds lrow rrow then begin
             matched := true;
-            out := combined :: !out
+            out := Row.append lrow rrow :: !out
           end)
         rrows;
       if (not !matched) && kind = Left_outer then
@@ -46,11 +51,16 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
     ?residual () : Relation.t =
   if List.length left_keys <> List.length right_keys || left_keys = [] then
     invalid_arg "Joinop.hash_join: key lists must be equal-length and non-empty";
-  let key_of exprs row = List.map (fun e -> Expr.eval row e) exprs in
+  let key_of exprs =
+    let fns = List.map Expr.compile exprs in
+    fun row -> List.map (fun f -> f row) fns
+  in
+  let left_key = key_of left_keys and right_key = key_of right_keys in
+  let residual = Option.map (pair_pred left) residual in
   let tbl = Hashtbl.create (max 16 (Relation.cardinality right)) in
   Relation.iter
     (fun rrow ->
-      let k = key_of right_keys rrow in
+      let k = right_key rrow in
       if not (List.exists Value.is_null k) then
         Hashtbl.replace tbl k (rrow :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
     right;
@@ -58,7 +68,7 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
   let out = ref [] in
   Relation.iter
     (fun lrow ->
-      let k = key_of left_keys lrow in
+      let k = left_key lrow in
       let candidates =
         if List.exists Value.is_null k then []
         else Option.value ~default:[] (Hashtbl.find_opt tbl k)
@@ -66,11 +76,10 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
       let matched = ref false in
       List.iter
         (fun rrow ->
-          let combined = Row.append lrow rrow in
-          let ok = match residual with None -> true | Some p -> Expr.holds combined p in
+          let ok = match residual with None -> true | Some p -> p lrow rrow in
           if ok then begin
             matched := true;
-            out := combined :: !out
+            out := Row.append lrow rrow :: !out
           end)
         (List.rev candidates);
       if (not !matched) && kind = Left_outer then
@@ -89,34 +98,41 @@ let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t
     ~probe ?residual () : Relation.t =
   let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
+  let residual = Option.map (pair_pred left) residual in
+  let lookup : Row.t -> int list =
+    match probe with
+    | Probe_eq e ->
+      let key = Expr.compile e in
+      fun lrow -> Index.lookup_eq index (key lrow)
+    | Probe_range (lo, hi) ->
+      let lo = Option.map Expr.compile lo and hi = Option.map Expr.compile hi in
+      fun lrow ->
+        let eval_bound = Option.map (fun f -> f lrow) in
+        (match eval_bound lo, eval_bound hi with
+         (* a NULL bound can never compare TRUE against anything *)
+         | Some Value.Null, _ | _, Some Value.Null -> []
+         | lo, hi -> Index.lookup_range index ?lo ?hi ())
+    | Probe_in items ->
+      let items = List.map Expr.compile items in
+      fun lrow ->
+        (* deduplicate keys so colliding item values do not double-count *)
+        let keys = List.map (fun f -> f lrow) items in
+        let keys = List.sort_uniq Value.compare keys in
+        List.concat_map (Index.lookup_eq index) keys
+  in
   let out = ref [] in
   Relation.iter
     (fun lrow ->
-      let ids =
-        match probe with
-        | Probe_eq e -> Index.lookup_eq index (Expr.eval lrow e)
-        | Probe_range (lo, hi) ->
-          let eval_bound = Option.map (fun e -> Expr.eval lrow e) in
-          (match eval_bound lo, eval_bound hi with
-           (* a NULL bound can never compare TRUE against anything *)
-           | Some Value.Null, _ | _, Some Value.Null -> []
-           | lo, hi -> Index.lookup_range index ?lo ?hi ())
-        | Probe_in items ->
-          (* deduplicate keys so colliding item values do not double-count *)
-          let keys = List.map (fun e -> Expr.eval lrow e) items in
-          let keys = List.sort_uniq Value.compare keys in
-          List.concat_map (Index.lookup_eq index) keys
-      in
       let matched = ref false in
       List.iter
         (fun rid ->
-          let combined = Row.append lrow rrows.(rid) in
-          let ok = match residual with None -> true | Some p -> Expr.holds combined p in
+          let rrow = rrows.(rid) in
+          let ok = match residual with None -> true | Some p -> p lrow rrow in
           if ok then begin
             matched := true;
-            out := combined :: !out
+            out := Row.append lrow rrow :: !out
           end)
-        ids;
+        (lookup lrow);
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;

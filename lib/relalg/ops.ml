@@ -1,11 +1,12 @@
 (* Basic relational operators not worth their own module. *)
 
 let filter pred (r : Relation.t) : Relation.t =
-  let rows =
-    Array.of_seq
-      (Seq.filter (fun row -> Expr.holds row pred) (Array.to_seq (Relation.rows r)))
-  in
-  Relation.of_array (Relation.schema r) rows
+  (* [compile_pred] minus its one-row wrapper: this loop is the hottest
+     per-row path of the warehouse lookups *)
+  let holds = Expr.compile_pred_pair ~left_arity:max_int pred in
+  let kept = ref [] in
+  Array.iter (fun row -> if holds row row then kept := row :: !kept) (Relation.rows r);
+  Relation.of_array (Relation.schema r) (Array.of_list (List.rev !kept))
 
 (* Project to a list of (expression, output column name).  Output types are
    inferred from the input schema. *)
@@ -24,11 +25,8 @@ let project (exprs : (Expr.t * string) list) (r : Relation.t) : Relation.t =
            Schema.column name ty)
          exprs)
   in
-  let rows =
-    Array.map
-      (fun row -> Array.of_list (List.map (fun (e, _) -> Expr.eval row e) exprs))
-      (Relation.rows r)
-  in
+  let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile e) exprs) in
+  let rows = Array.map (fun row -> Array.map (fun f -> f row) fns) (Relation.rows r) in
   Relation.of_array schema rows
 
 let distinct (r : Relation.t) : Relation.t =

@@ -8,11 +8,33 @@ type key = {
 
 val key : ?asc:bool -> Expr.t -> key
 
-(** Compare two rows under a key list. *)
-val compare_keys : key list -> Row.t -> Row.t -> int
+(** The key values of a row array.  Each key is compiled once and
+    evaluated at most once per row, on first use, so a sort evaluates
+    exactly the keys its comparisons reach, in the same order. *)
+type keyed
 
-(** Stable sort of the row indices by the keys (used by the window
-    operator, which sorts indices rather than rows). *)
+val keyed : key list -> Row.t array -> keyed
+
+(** [key_value t k i]: the [k]-th key of row [i]. *)
+val key_value : keyed -> int -> int -> Value.t
+
+(** Compare rows [i] and [j] under the keys. *)
+val compare_rows : keyed -> int -> int -> int
+
+(** Stable sort of the row indices by the keys. *)
 val sort_indices : key list -> Row.t array -> int array
 
 val sort : key list -> Relation.t -> Relation.t
+
+(** Input order of the window and numbering operators. *)
+type partitioned = {
+  idx : int array;
+      (** row indices grouped by partition key, ordered by the order
+          keys inside each partition, stable on input order *)
+  order_keys : keyed;
+  segments : (int * int) list;  (** each partition's [\[start, stop)] in [idx] *)
+}
+
+(** Partition keys are evaluated for every row, in row order, before
+    sorting; order keys on demand, as in {!keyed}. *)
+val partition_sort : Expr.t list -> key list -> Row.t array -> partitioned

@@ -346,15 +346,14 @@ let output_schema (input : Schema.t) (fns : fn list) : Schema.t =
 
 (* Ranks within one ordered partition: positions start..stop-1 of [idx],
    ties determined by the ORDER BY keys. *)
-let eval_ranks func (rows : Row.t array) order (idx : int array) ~start ~stop :
-    Value.t array =
+let eval_ranks func order_keys (idx : int array) ~start ~stop : Value.t array =
   let m = stop - start in
   let out = Array.make m Value.Null in
   let rank = ref 1 and dense = ref 1 in
   for k = 0 to m - 1 do
     if k > 0 then begin
       let tie =
-        Sortop.compare_keys order rows.(idx.(start + k - 1)) rows.(idx.(start + k)) = 0
+        Sortop.compare_rows order_keys idx.(start + k - 1) idx.(start + k) = 0
       in
       if not tie then begin
         rank := k + 1;
@@ -393,82 +392,51 @@ let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
   (match fn.func with
    | Agg _ | First_value | Last_value -> validate_frame fn.spec.frame
    | Row_number | Rank | Dense_rank | Lag _ | Lead _ -> ());
-  let n = Array.length rows in
-  let part_keys =
-    Array.map
-      (fun row -> List.map (fun e -> Expr.eval row e) fn.spec.partition)
-      rows
+  let { Sortop.idx; order_keys; segments } =
+    Sortop.partition_sort fn.spec.partition fn.spec.order rows
   in
-  (* Sort indices by (partition key, order keys), stable on input order. *)
-  let idx = Array.init n Fun.id in
-  let cmp i j =
-    let rec cmp_keys a b =
-      match a, b with
-      | [], [] -> 0
-      | x :: xs, y :: ys ->
-        let c = Value.compare x y in
-        if c <> 0 then c else cmp_keys xs ys
-      | _ -> assert false
-    in
-    let c = cmp_keys part_keys.(i) part_keys.(j) in
-    if c <> 0 then c
-    else
-      let c = Sortop.compare_keys fn.spec.order rows.(i) rows.(j) in
-      if c <> 0 then c else Int.compare i j
-  in
-  Array.sort cmp idx;
-  let out = Array.make n Value.Null in
-  (* Walk partition segments. *)
-  let i = ref 0 in
-  while !i < n do
-    let start = !i in
-    let key = part_keys.(idx.(start)) in
-    let stop = ref (start + 1) in
-    while
-      !stop < n
-      && List.for_all2 (fun a b -> Value.equal a b) part_keys.(idx.(!stop)) key
-    do
-      incr stop
-    done;
-    let m = !stop - start in
-    (* bounds function for framed evaluation: positional for ROWS,
-       key-value based for RANGE *)
-    let make_bounds () =
-      match fn.spec.frame.mode with
-      | Rows ->
-        let frame = fn.spec.frame in
-        fun ~i -> frame_bounds frame ~m ~i
-      | Range ->
-        let key =
-          match fn.spec.order with
-          | [ k ] -> k
-          | _ ->
-            raise (Invalid_frame "RANGE frames need exactly one ORDER BY key")
-        in
-        let t =
-          Array.init m (fun k ->
-              range_key_projection ~asc:key.Sortop.asc
-                (Expr.eval rows.(idx.(start + k)) key.Sortop.expr))
-        in
-        let frame = fn.spec.frame in
-        fun ~i -> range_bounds frame t ~i
-    in
-    let results =
-      match fn.func with
-      | Agg agg ->
-        let vals = Array.init m (fun k -> Expr.eval rows.(idx.(start + k)) fn.arg) in
-        eval_partition strategy agg fn.spec.frame ~bounds:(make_bounds ()) vals
-      | (Row_number | Rank | Dense_rank) as func ->
-        eval_ranks func rows fn.spec.order idx ~start ~stop:!stop
-      | (Lag _ | Lead _ | First_value | Last_value) as func ->
-        let vals = Array.init m (fun k -> Expr.eval rows.(idx.(start + k)) fn.arg) in
-        eval_navigation func ~bounds:(make_bounds ()) vals
-    in
-    for k = 0 to m - 1 do
-      out.(idx.(start + k)) <- results.(k)
-    done;
-    i := !stop
-  done;
+  let arg = Expr.compile fn.arg in
+  let out = Array.make (Array.length rows) Value.Null in
+  List.iter
+    (fun (start, stop) ->
+      let m = stop - start in
+      (* bounds function for framed evaluation: positional for ROWS,
+         key-value based for RANGE *)
+      let make_bounds () =
+        match fn.spec.frame.mode with
+        | Rows ->
+          let frame = fn.spec.frame in
+          fun ~i -> frame_bounds frame ~m ~i
+        | Range ->
+          let key =
+            match fn.spec.order with
+            | [ k ] -> k
+            | _ ->
+              raise (Invalid_frame "RANGE frames need exactly one ORDER BY key")
+          in
+          let t =
+            Array.init m (fun k ->
+                range_key_projection ~asc:key.Sortop.asc
+                  (Sortop.key_value order_keys 0 idx.(start + k)))
+          in
+          let frame = fn.spec.frame in
+          fun ~i -> range_bounds frame t ~i
+      in
+      let results =
+        match fn.func with
+        | Agg agg ->
+          let vals = Array.init m (fun k -> arg rows.(idx.(start + k))) in
+          eval_partition strategy agg fn.spec.frame ~bounds:(make_bounds ()) vals
+        | (Row_number | Rank | Dense_rank) as func ->
+          eval_ranks func order_keys idx ~start ~stop
+        | (Lag _ | Lead _ | First_value | Last_value) as func ->
+          let vals = Array.init m (fun k -> arg rows.(idx.(start + k))) in
+          eval_navigation func ~bounds:(make_bounds ()) vals
+      in
+      for k = 0 to m - 1 do
+        out.(idx.(start + k)) <- results.(k)
+      done)
+    segments;
   out
 
 (* Append one column per window function; row order of the input is

@@ -103,6 +103,105 @@ let test_expr_functions () =
   check_value "nullif equal" Value.Null
     (Expr.eval [||] (Expr.Call (Expr.Nullif, [ Expr.Const (Value.Int 1); Expr.Const (Value.Int 1) ])))
 
+(* ---- Compiled expressions agree with the interpreter ----
+
+   Random expressions over every constructor, run on random rows with
+   NULLs, mixed INT/FLOAT, dates, strings and booleans, so ill-typed
+   operands and division/MOD by zero come up often.  The compiled
+   closures must return the same value (floats compared bit for bit) or
+   raise the same exception (constructor and message). *)
+
+let arity = 4
+
+let gen_value =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, return Value.Null);
+      (2, map (fun b -> Value.Bool b) bool);
+      (4, map (fun i -> Value.Int i) (int_range (-3) 3));
+      ( 2,
+        map (fun f -> Value.Float f)
+          (oneofl [ 0.; -0.; 1.5; -2.; 3.; Float.nan; Float.infinity ]) );
+      (1, map (fun s -> Value.String s) (oneofl [ ""; "a"; "b" ]));
+      (1, map (fun d -> Value.Date d) (oneofl [ 0; 59; 11_000 ]));
+    ]
+
+let gen_row = QCheck.Gen.(map Array.of_list (list_repeat arity gen_value))
+
+let gen_expr =
+  let open QCheck.Gen in
+  let binops = Expr.[ Add; Sub; Mul; Div; Mod; Eq; Neq; Lt; Le; Gt; Ge; And; Or ] in
+  let funcs = Expr.[ Coalesce; Abs; Least; Greatest; Year; Month; Day; Nullif; Sign ] in
+  let leaf =
+    frequency
+      [ (1, map (fun v -> Expr.Const v) gen_value);
+        (2, map (fun i -> Expr.Col i) (int_bound (arity - 1))) ]
+  in
+  sized_size (int_bound 5)
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [
+               (1, leaf);
+               (6, map3 (fun op a b -> Expr.Binop (op, a, b)) (oneofl binops) sub sub);
+               (1, map2 (fun op a -> Expr.Unop (op, a)) (oneofl Expr.[ Neg; Not ]) sub);
+               ( 1,
+                 map2
+                   (fun whens else_ -> Expr.Case (whens, else_))
+                   (list_size (int_bound 2) (pair sub sub))
+                   (opt sub) );
+               (1, map2 (fun f args -> Expr.Call (f, args)) (oneofl funcs)
+                     (list_size (int_bound 3) sub));
+               (1, map2 (fun e items -> Expr.In_list (e, items)) sub
+                     (list_size (int_bound 3) sub));
+               (2, map3 (fun e lo hi -> Expr.Between (e, lo, hi)) sub sub sub);
+               (1, map (fun e -> Expr.Is_null e) sub);
+               (1, map (fun e -> Expr.Is_not_null e) sub);
+             ]))
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let same_value a b =
+  match a, b with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | a, b -> a = b
+
+let agree eq a b =
+  match a, b with
+  | Ok x, Ok y -> eq x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let prop_compile_agrees =
+  let print (e, rows, split) =
+    Printf.sprintf "%s on [%s], split %d" (Expr.to_string e)
+      (String.concat "; " (List.map Row.to_string rows))
+      split
+  in
+  QCheck.Test.make ~count:10_000 ~name:"compiled expressions agree with eval"
+    (QCheck.make ~print
+       QCheck.Gen.(triple gen_expr (list_size (int_range 1 4) gen_row) (int_bound arity)))
+    (fun (e, rows, split) ->
+      (* compiled once, applied to every row *)
+      let f = Expr.compile e and p = Expr.compile_pred e in
+      let pp = Expr.compile_pred_pair ~left_arity:split e in
+      let pp_one = Expr.compile_pred_pair ~left_arity:max_int e in
+      List.for_all
+        (fun row ->
+          let l = Array.sub row 0 split and r = Array.sub row split (arity - split) in
+          agree same_value (outcome (fun () -> Expr.eval row e)) (outcome (fun () -> f row))
+          && agree Bool.equal (outcome (fun () -> Expr.holds row e)) (outcome (fun () -> p row))
+          && agree Bool.equal
+               (outcome (fun () -> Expr.holds (Row.append l r) e))
+               (outcome (fun () -> pp l r))
+          && agree Bool.equal (outcome (fun () -> Expr.holds row e))
+               (outcome (fun () -> pp_one row row)))
+        rows)
+
 let dtype_testable = Alcotest.testable Dtype.pp Dtype.equal
 
 let test_expr_typing () =
@@ -327,6 +426,21 @@ let test_ops () =
   Alcotest.(check int) "union all" 8 (Relation.cardinality (Ops.union_all s s));
   Alcotest.(check int) "union" 4 (Relation.cardinality (Ops.union s s))
 
+(* Sort keys are evaluated on demand, at most once per row: exactly the
+   keys the comparisons reach, as when the comparator evaluated them. *)
+let test_sort_keys_on_demand () =
+  let s = seq_rel "s" [ 5.; 1.; 3. ] in
+  let boom = Expr.Binop (Expr.Div, Expr.Col 0, Expr.Const (Value.Int 0)) in
+  let sorted = Sortop.sort [ Sortop.key (Expr.Col 1); Sortop.key boom ] s in
+  check_value "distinct first keys never reach the second" (Value.Float 1.)
+    (Row.get (Relation.rows sorted).(0) 1);
+  Alcotest.(check int) "a single row is never compared" 1
+    (Relation.cardinality (Sortop.sort [ Sortop.key boom ] (seq_rel "s" [ 1. ])));
+  Alcotest.(check bool) "a compared raising key still raises" true
+    (match Sortop.sort [ Sortop.key boom ] s with
+     | exception Value.Type_error _ -> true
+     | _ -> false)
+
 let () =
   Alcotest.run "relalg"
     [
@@ -345,6 +459,7 @@ let () =
           Alcotest.test_case "in/between" `Quick test_expr_in_between;
           Alcotest.test_case "functions" `Quick test_expr_functions;
           Alcotest.test_case "typing" `Quick test_expr_typing;
+          QCheck_alcotest.to_alcotest prop_compile_agrees;
         ] );
       ("schema", [ Alcotest.test_case "lookup" `Quick test_schema_lookup ]);
       ( "index",
@@ -364,5 +479,9 @@ let () =
           Alcotest.test_case "group by" `Quick test_group_by;
           Alcotest.test_case "global empty" `Quick test_global_aggregate_empty;
         ] );
-      ("ops", [ Alcotest.test_case "basics" `Quick test_ops ]);
+      ( "ops",
+        [
+          Alcotest.test_case "basics" `Quick test_ops;
+          Alcotest.test_case "sort keys on demand" `Quick test_sort_keys_on_demand;
+        ] );
     ]

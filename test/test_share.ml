@@ -540,6 +540,48 @@ let prop_shared_stream chunks =
        (function [] -> None | ops -> Some (List.map sql_of_op ops))
        (concretize chunks))
 
+(* ---- Insert rank with duplicate order values ----
+
+   [Matview.insert_rank] binary-searches the ordered partition; it must
+   agree with the linear scan it replaced (a new row lands after every
+   row whose order value is <= its own), runs of equal values included. *)
+
+let test_insert_rank_duplicates () =
+  let db = Db.create () in
+  ignore (Db.exec db seq_ddl);
+  ignore
+    (Db.exec db
+       "INSERT INTO seq VALUES (1, 1, 2.0), (1, 2, 1.0), (1, 3, 2.0), (1, 4, 3.0), \
+        (1, 5, 2.0), (1, 6, 3.0), (2, 1, 2.0)");
+  let name, def, _ = List.find (fun (n, _, _) -> n = "v_byval") views in
+  ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW %s AS %s" name def));
+  let st = Option.get (Db.view_state db name) in
+  let p = List.find (fun p -> p.Matview.pkey = [ Value.Int 1 ]) st.Matview.parts in
+  let linear (p : Matview.partition_state) v =
+    let rec go k =
+      if k >= Array.length p.Matview.base_rows then k + 1
+      else if Value.compare (Row.get p.Matview.base_rows.(k) st.Matview.ocol) v <= 0
+      then go (k + 1)
+      else k + 1
+    in
+    go 0
+  in
+  let row v = [| Value.Int 1; Value.Int 99; v |] in
+  List.iter
+    (fun (v, expected) ->
+      let label = Value.to_string v in
+      Alcotest.(check int) ("linear " ^ label) expected (linear p v);
+      Alcotest.(check int) ("binary " ^ label) expected (Matview.insert_rank st p (row v));
+      Alcotest.(check int) ("empty " ^ label) 1
+        (Matview.insert_rank st { p with Matview.base_rows = [||] } (row v)))
+    [ (Value.Float 0.5, 1); (Value.Float 1.0, 2); (Value.Float 2.0, 5);
+      (Value.Float 2.5, 5); (Value.Float 3.0, 7); (Value.Float 9.0, 7);
+      (Value.Null, 1) ];
+  (* the maintained view still matches its definition after inserting
+     into the middle and at the end of the equal runs *)
+  ignore (Db.exec db "INSERT INTO seq VALUES (1, 7, 2.0), (1, 8, 3.0), (1, 9, 1.0)");
+  check_view db name def
+
 (* ---- Render-cache coherence (qcheck) ----
 
    [Matview.render] re-renders only the partitions whose sequence
@@ -688,6 +730,8 @@ let () =
             test_share_scans_off_equivalent;
           Alcotest.test_case "differential validator" `Quick
             test_shared_scan_validator;
+          Alcotest.test_case "insert rank, duplicate order values" `Quick
+            test_insert_rank_duplicates;
         ] );
       ( "cost",
         [
