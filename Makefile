@@ -78,7 +78,10 @@ mvcc-chaos:
 
 # End-to-end server smoke over a real durable fixture: build a database
 # from the quickstart script, serve it on a fixed port, run three
-# client round-trips (`rfview call`), and shut the server down cleanly.
+# client round-trips (`rfview call`), send one request line over the
+# 1 MiB line cap (too long for an argv string, so from python3), which
+# must draw {"ok":false,...}, check a fresh `ping` still answers, and
+# shut the server down cleanly.
 serve-smoke:
 	rm -rf _serve_smoke
 	dune build bin/rfview.exe
@@ -92,6 +95,12 @@ serve-smoke:
 	  done; \
 	  ./_build/default/bin/rfview.exe call 7491 ping status \
 	    "query SELECT * FROM seq" && \
+	  python3 -c 'import socket, sys; \
+	    s = socket.create_connection(("127.0.0.1", 7491)); \
+	    s.sendall(b"query " + b"x" * 1500000 + b"\n"); \
+	    r = s.makefile().readline().strip(); print(r[:120]); \
+	    sys.exit(0 if r.startswith("{\"ok\":false") else 1)' && \
+	  ./_build/default/bin/rfview.exe call 7491 ping && \
 	  ./_build/default/bin/rfview.exe call 7491 shutdown && \
 	  wait $$srv
 	rm -rf _serve_smoke

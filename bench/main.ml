@@ -1123,10 +1123,12 @@ let run_replica_bench ~smoke =
    1. Read throughput at 1/2/4 reader domains vs a single domain.
       Every server read pins an immutable snapshot (pointer capture, no
       writer coordination after the pin), so reader domains scale.
-      This host has one core, so — exactly as the replica bench models
-      machines — each domain's share of the query stream is measured
-      serially and the parallel wall clock is the sum of the shares
-      divided by the fan-out (shares are identical by construction).
+      The fan-out is modeled, not run on parallel domains: exactly as
+      the replica bench models machines, each domain's share of the
+      query stream is measured serially and the parallel wall clock is
+      the sum of the shares divided by the fan-out (shares are
+      identical by construction).  The speedup is therefore an upper
+      bound that ignores contention between real domains.
    2. One section runs the real wire path: a server at 4 domains, one
       client, serial request/response round-trips over the loopback
       socket.

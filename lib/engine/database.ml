@@ -198,6 +198,12 @@ type version = {
   v_view_indexes : (string * string * Index.kind) list; (* view, column, kind *)
   v_cfg : config;
   mutable v_refs : int; (* active snapshots; guarded by [mv_mu] *)
+  (* Read-path memos shared by every snapshot of this version: heals of
+     stale matviews and built indexes ("rel\tcol"), both guarded by
+     [v_mu].  Only readers touch them; the writer never does. *)
+  v_mu : Mutex.t;
+  v_heal : (string, Relation.t) Hashtbl.t;
+  v_index_memo : (string, Index.t option) Hashtbl.t;
 }
 
 type mvcc = {
@@ -257,6 +263,9 @@ let capture_version db ~lsn : version =
         db.view_indexes [];
     v_cfg = db.cfg;
     v_refs = 0;
+    v_mu = Mutex.create ();
+    v_heal = Hashtbl.create 4;
+    v_index_memo = Hashtbl.create 4;
   }
 
 (* Drop versions past the acquirable window, except those an active
@@ -622,7 +631,93 @@ let log_view db (v : Catalog.view) =
       | None -> Hashtbl.remove db.derived_views (key v.Catalog.view_name));
   log_view_index_caches db v.Catalog.view_name
 
-(* ---- Catalog adapters ---- *)
+(* ---- The read path: one reader, two sources ----
+
+   A query reads four things: base tables, materialized-view contents,
+   plain-view definitions and indexes.  A [source] resolves them, and
+   one reader (bind → window rewrite → optimize → verify → plan →
+   execute) runs over either [live_source], the mutable catalog, or
+   [version_source], one published version.  The two differ in exactly
+   three deliberate ways:
+   - the live source flushes a pending batch delta and heals
+     quarantined views in place;
+   - the version source heals into the version's memo and never writes
+     back, so every snapshot of one LSN shares heals and built indexes;
+   - only the live source runs the differential sanitizer hook: it
+     executes against a process-global mutable hook and is not
+     domain-safe. *)
+
+type source = {
+  src_cfg : config;
+  src_table : string -> Relation.t option;
+  src_matview : string -> Relation.t option; (* contents, healed if stale *)
+  src_view : string -> Ast.query option; (* plain views only *)
+  src_index : table:string -> column:string -> Index.t option;
+  src_sanitize : bool;
+}
+
+let relation src name =
+  match src.src_table name with
+  | Some _ as r -> r
+  | None -> src.src_matview name
+
+let binder_of src : P.Binder.catalog =
+  {
+    P.Binder.resolve_table =
+      (fun name -> Option.map Relation.schema (relation src name));
+    resolve_view = src.src_view;
+  }
+
+let catalog_of src : P.Physical.catalog_view =
+  {
+    P.Physical.table_contents =
+      (fun name ->
+        match relation src name with
+        | Some r -> r
+        | None -> engine_error "unknown relation %s" name);
+    table_index = src.src_index;
+  }
+
+let physical_opts (cfg : config) : P.Physical.options =
+  {
+    P.Physical.window_strategy = cfg.window_strategy;
+    enable_hash_join = cfg.hash_join;
+    enable_index_join = cfg.index_join;
+  }
+
+(* Check and plan a logical plan: the tail of every query, and the
+   whole pipeline of a derived-maintenance sub-plan. *)
+let plan_logical src ~context logical =
+  if Verify.enabled () then Verify.check_plan ~context logical;
+  let cat = catalog_of src in
+  (* differential sanitizer (no-op unless Sanitize.enable installed it);
+     its sub-plan executions must not consume injected-fault budget *)
+  if src.src_sanitize then
+    Fault.with_suspended (fun () -> P.Hooks.sanitize ~catalog:cat logical);
+  P.Physical.plan ~opts:(physical_opts src.src_cfg) cat logical
+
+(* The bound plan, the rewritten and optimized plan, and its physical
+   plan (EXPLAIN prints all three). *)
+let plan_source src (q : Ast.query) =
+  let bound = P.Binder.bind_query (binder_of src) q in
+  if Verify.enabled () then Verify.check_plan ~context:"bound plan" bound;
+  let optimized =
+    P.Optimize.optimize
+      (match src.src_cfg.window_mode with
+       | `Native -> bound
+       | `Self_join -> P.Rewrite.window_to_self_join bound)
+  in
+  (bound, optimized, plan_logical src ~context:"optimized plan" optimized)
+
+let run_source src (q : Ast.query) : Relation.t =
+  let _, _, physical = plan_source src q in
+  P.Physical.execute (catalog_of src) physical
+
+(* An index of [kind] over [r]'s rows, keyed on [column] if it exists. *)
+let index_on kind r column =
+  Option.map
+    (fun ci -> Index.build kind (Relation.rows r) ~key_col:ci)
+    (Schema.find_opt (Relation.schema r) column)
 
 (* Forward reference to [refresh_view_full], needed by the lazy
    refresh-on-read of quarantined views below. *)
@@ -645,23 +740,6 @@ let view_contents db name =
      | None -> engine_error "materialized view %s has no contents" name)
   | _ -> None
 
-let binder_catalog db : P.Binder.catalog =
-  {
-    P.Binder.resolve_table =
-      (fun name ->
-        match Catalog.find_table db.catalog name with
-        | Some tbl -> Some tbl.Catalog.schema
-        | None ->
-          (match view_contents db name with
-           | Some r -> Some (Relation.schema r)
-           | None -> None));
-    resolve_view =
-      (fun name ->
-        match Catalog.find_view db.catalog name with
-        | Some v when not v.Catalog.materialized -> Some v.Catalog.definition
-        | _ -> None);
-  }
-
 let view_index db ~view ~column =
   Hashtbl.fold
     (fun _ vi acc ->
@@ -670,35 +748,106 @@ let view_index db ~view ~column =
         match vi.vi_built with
         | Some b -> Some b
         | None ->
-          (match view_contents db view with
-           | None -> None
-           | Some r ->
-             (match Schema.find_opt (Relation.schema r) column with
-              | None -> None
-              | Some ci ->
-                let b = Index.build vi.vi_kind (Relation.rows r) ~key_col:ci in
-                vi.vi_built <- Some b;
-                Some b))
+          let b =
+            Option.bind (view_contents db view) (fun r ->
+                index_on vi.vi_kind r column)
+          in
+          vi.vi_built <- b;
+          b
       end
       else None)
     db.view_indexes None
 
-let catalog_view db : P.Physical.catalog_view =
+let live_source db =
   {
-    P.Physical.table_contents =
+    src_cfg = db.cfg;
+    src_table =
       (fun name ->
-        match Catalog.find_table db.catalog name with
-        | Some tbl -> Catalog.table_relation tbl
-        | None ->
-          (match view_contents db name with
-           | Some r -> r
-           | None -> engine_error "unknown relation %s" name));
-    table_index =
+        Option.map Catalog.table_relation (Catalog.find_table db.catalog name));
+    src_matview = view_contents db;
+    src_view =
+      (fun name ->
+        match Catalog.find_view db.catalog name with
+        | Some v when not v.Catalog.materialized -> Some v.Catalog.definition
+        | _ -> None);
+    src_index =
       (fun ~table ~column ->
         match Catalog.table_index db.catalog ~table ~column with
         | Some idx -> Some idx
         | None -> view_index db ~view:table ~column);
+    src_sanitize = true;
   }
+
+let rec version_source v =
+  (* compute outside the lock (heals nest); racing domains compute
+     equal values, first one in wins *)
+  let memo tbl k compute =
+    match Mutex.protect v.v_mu (fun () -> Hashtbl.find_opt tbl k) with
+    | Some x -> x
+    | None ->
+      let x = compute () in
+      Mutex.protect v.v_mu (fun () ->
+          match Hashtbl.find_opt tbl k with
+          | Some x' -> x'
+          | None ->
+            Hashtbl.replace tbl k x;
+            x)
+  in
+  let find_table name =
+    List.find_opt (fun vt -> key vt.vt_name = key name) v.v_tables
+  in
+  let find_view name =
+    List.find_opt (fun vv -> key vv.vv_name = key name) v.v_views
+  in
+  let table_rel vt = Relation.of_array vt.vt_schema vt.vt_rows in
+  let matview name =
+    match find_view name with
+    | Some vv when vv.vv_materialized ->
+      if vv.vv_stale then
+        Some
+          (memo v.v_heal (key name) (fun () ->
+               run_source (version_source v) vv.vv_definition))
+      else (
+        match vv.vv_contents with
+        | Some r -> Some r
+        | None -> engine_error "materialized view %s has no contents" name)
+    | _ -> None
+  in
+  {
+    src_cfg = v.v_cfg;
+    src_table = (fun name -> Option.map table_rel (find_table name));
+    src_matview = matview;
+    src_view =
+      (fun name ->
+        match find_view name with
+        | Some vv when not vv.vv_materialized -> Some vv.vv_definition
+        | _ -> None);
+    (* build on demand the index the live path would have: one declared
+       on a frozen table, or a view index over the frozen contents *)
+    src_index =
+      (fun ~table ~column ->
+        memo v.v_index_memo (key table ^ "\t" ^ key column) (fun () ->
+            match find_table table with
+            | Some vt ->
+              (match
+                 List.find_opt (fun (col, _) -> key col = key column) vt.vt_indexes
+               with
+               | Some (_, kind) -> index_on kind (table_rel vt) column
+               | None -> None)
+            | None ->
+              (match
+                 List.find_opt
+                   (fun (view, col, _) -> key view = key table && key col = key column)
+                   v.v_view_indexes
+               with
+               | Some (_, _, kind) ->
+                 Option.bind (matview table) (fun r -> index_on kind r column)
+               | None -> None)));
+    src_sanitize = false;
+  }
+
+let binder_catalog db = binder_of (live_source db)
+let catalog_view db = catalog_of (live_source db)
 
 let invalidate_view_indexes db name =
   Hashtbl.iter
@@ -708,30 +857,10 @@ let invalidate_view_indexes db name =
 (* ---- Query execution ---- *)
 
 let plan_query db (q : Ast.query) : P.Physical.t =
-  let logical = P.Binder.bind_query (binder_catalog db) q in
-  if Verify.enabled () then Verify.check_plan ~context:"bound plan" logical;
-  let logical =
-    match db.cfg.window_mode with
-    | `Native -> logical
-    | `Self_join -> P.Rewrite.window_to_self_join logical
-  in
-  let logical = P.Optimize.optimize logical in
-  if Verify.enabled () then Verify.check_plan ~context:"optimized plan" logical;
-  (* differential sanitizer (no-op unless Sanitize.enable installed it);
-     its sub-plan executions must not consume injected-fault budget *)
-  Fault.with_suspended (fun () ->
-      P.Hooks.sanitize ~catalog:(catalog_view db) logical);
-  let opts =
-    {
-      P.Physical.window_strategy = db.cfg.window_strategy;
-      enable_hash_join = db.cfg.hash_join;
-      enable_index_join = db.cfg.index_join;
-    }
-  in
-  P.Physical.plan ~opts (catalog_view db) logical
+  let _, _, physical = plan_source (live_source db) q in
+  physical
 
-let run_query db (q : Ast.query) : Relation.t =
-  P.Physical.execute (catalog_view db) (plan_query db q)
+let run_query db (q : Ast.query) : Relation.t = run_source (live_source db) q
 
 (* ---- View maintenance ---- *)
 
@@ -1056,21 +1185,9 @@ let deriv_env db (d : Delta.t) : P.Deriv.env =
         | Some td -> signed_of_td td);
     eval =
       (fun logical ->
-        if Verify.enabled () then
-          Verify.check_plan ~context:"derived maintenance sub-plan" logical;
-        (* differential sanitizer coverage for the derived sub-plans,
-           with injected-fault budget suspended as in [plan_query] *)
-        Fault.with_suspended (fun () ->
-            P.Hooks.sanitize ~catalog:(catalog_view db) logical);
-        let opts =
-          {
-            P.Physical.window_strategy = db.cfg.window_strategy;
-            enable_hash_join = db.cfg.hash_join;
-            enable_index_join = db.cfg.index_join;
-          }
-        in
-        P.Physical.execute (catalog_view db)
-          (P.Physical.plan ~opts (catalog_view db) logical));
+        let src = live_source db in
+        P.Physical.execute (catalog_of src)
+          (plan_logical src ~context:"derived maintenance sub-plan" logical));
     window_strategy = db.cfg.window_strategy;
   }
 
@@ -1486,25 +1603,11 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_explain inner ->
     (match inner with
      | Ast.St_query q ->
-       let logical = P.Binder.bind_query (binder_catalog db) q in
-       let logical' =
-         P.Optimize.optimize
-           (match db.cfg.window_mode with
-            | `Native -> logical
-            | `Self_join -> P.Rewrite.window_to_self_join logical)
-       in
-       let opts =
-         {
-           P.Physical.window_strategy = db.cfg.window_strategy;
-           enable_hash_join = db.cfg.hash_join;
-           enable_index_join = db.cfg.index_join;
-         }
-       in
-       let physical = P.Physical.plan ~opts (catalog_view db) logical' in
+       let bound, optimized, physical = plan_source (live_source db) q in
        Done
          (Printf.sprintf "== logical ==\n%s== optimized ==\n%s== physical ==\n%s"
-            (P.Logical.to_string logical)
-            (P.Logical.to_string logical')
+            (P.Logical.to_string bound)
+            (P.Logical.to_string optimized)
             (P.Physical.to_string physical))
      | other -> exec_statement_in_scope db other)
   | Ast.St_explain_analyze inner ->
@@ -2111,228 +2214,68 @@ let fingerprint db : string =
            (v.Catalog.view_name, v.Catalog.stale, v.Catalog.contents))
          (Catalog.all_views db.catalog))
 
-(* ---- MVCC snapshots: acquisition and the frozen read path ----
+(* ---- MVCC snapshots ----
 
-   A snapshot wraps one published version.  Queries against it run the
-   same parse → bind → rewrite → optimize → plan → execute pipeline as
-   the live path, but resolve every relation against the version's
-   frozen pointers, so they can run on any domain while the single
-   writer keeps committing.  Two departures from [plan_query], both
-   deliberate: the differential sanitizer hook is skipped (it executes
-   against a process-global mutable hook and is not domain-safe), and a
-   quarantined view's heal is snapshot-local — computed from the frozen
-   base tables, memoized inside the snapshot, never written back. *)
+   A snapshot pins one published version.  Its queries run the shared
+   reader over [version_source], so they can run on any domain while
+   the single writer keeps committing. *)
 
 type snapshot = {
   sn_db : t; (* release bookkeeping only: never read on the query path *)
   sn_version : version;
-  sn_mu : Mutex.t; (* guards the two memo tables below *)
-  sn_heal : (string, Relation.t) Hashtbl.t; (* stale matviews, on demand *)
-  sn_index_memo : (string, Index.t option) Hashtbl.t; (* "rel\tcol" *)
   mutable sn_released : bool; (* guarded by [sn_db.mvcc.mv_mu] *)
 }
 
-let snap_locked sn f =
-  Mutex.lock sn.sn_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sn.sn_mu) f
+let check_open sn = if sn.sn_released then engine_error "snapshot is closed"
 
-let snap_find_table sn name =
-  List.find_opt (fun vt -> key vt.vt_name = key name) sn.sn_version.v_tables
-
-let snap_find_view sn name =
-  List.find_opt (fun vv -> key vv.vv_name = key name) sn.sn_version.v_views
-
-let rec snap_view_contents sn name : Relation.t option =
-  match snap_find_view sn name with
-  | Some vv when vv.vv_materialized ->
-    if vv.vv_stale then begin
-      match snap_locked sn (fun () -> Hashtbl.find_opt sn.sn_heal (key name)) with
-      | Some r -> Some r
-      | None ->
-        (* recompute from the frozen tables outside the lock (heals can
-           nest); racing domains compute equal relations, first one in
-           wins *)
-        let r = snap_run_query sn vv.vv_definition in
-        Some
-          (snap_locked sn (fun () ->
-               match Hashtbl.find_opt sn.sn_heal (key name) with
-               | Some r' -> r'
-               | None ->
-                 Hashtbl.replace sn.sn_heal (key name) r;
-                 r))
-    end
-    else (
-      match vv.vv_contents with
-      | Some r -> Some r
-      | None -> engine_error "materialized view %s has no contents" name)
-  | _ -> None
-
-and snap_binder_catalog sn : P.Binder.catalog =
-  {
-    P.Binder.resolve_table =
-      (fun name ->
-        match snap_find_table sn name with
-        | Some vt -> Some vt.vt_schema
-        | None ->
-          (match snap_view_contents sn name with
-           | Some r -> Some (Relation.schema r)
-           | None -> None));
-    resolve_view =
-      (fun name ->
-        match snap_find_view sn name with
-        | Some vv when not vv.vv_materialized -> Some vv.vv_definition
-        | _ -> None);
-  }
-
-(* Lazily build (and memoize) the index the live path would have: a
-   secondary index declared on a frozen table, or a view index from the
-   version's registry, keyed to the frozen contents. *)
-and snap_index sn ~relname ~column : Index.t option =
-  let memo_key = key relname ^ "\t" ^ key column in
-  match snap_locked sn (fun () -> Hashtbl.find_opt sn.sn_index_memo memo_key) with
-  | Some cached -> cached
-  | None ->
-    let built =
-      match snap_find_table sn relname with
-      | Some vt ->
-        (match
-           List.find_opt (fun (col, _) -> key col = key column) vt.vt_indexes
-         with
-         | None -> None
-         | Some (_, kind) ->
-           (match Schema.find_opt vt.vt_schema column with
-            | None -> None
-            | Some ci -> Some (Index.build kind vt.vt_rows ~key_col:ci)))
-      | None ->
-        (match
-           List.find_opt
-             (fun (view, col, _) -> key view = key relname && key col = key column)
-             sn.sn_version.v_view_indexes
-         with
-         | None -> None
-         | Some (_, _, kind) ->
-           (match snap_view_contents sn relname with
-            | None -> None
-            | Some r ->
-              (match Schema.find_opt (Relation.schema r) column with
-               | None -> None
-               | Some ci -> Some (Index.build kind (Relation.rows r) ~key_col:ci))))
-    in
-    snap_locked sn (fun () ->
-        match Hashtbl.find_opt sn.sn_index_memo memo_key with
-        | Some cached -> cached
-        | None ->
-          Hashtbl.replace sn.sn_index_memo memo_key built;
-          built)
-
-and snap_catalog_view sn : P.Physical.catalog_view =
-  {
-    P.Physical.table_contents =
-      (fun name ->
-        match snap_find_table sn name with
-        | Some vt -> Relation.of_array vt.vt_schema vt.vt_rows
-        | None ->
-          (match snap_view_contents sn name with
-           | Some r -> r
-           | None -> engine_error "unknown relation %s" name));
-    table_index = (fun ~table ~column -> snap_index sn ~relname:table ~column);
-  }
-
-and snap_plan_query sn (q : Ast.query) : P.Physical.t =
-  let cfg = sn.sn_version.v_cfg in
-  let logical = P.Binder.bind_query (snap_binder_catalog sn) q in
-  if Verify.enabled () then Verify.check_plan ~context:"bound plan" logical;
-  let logical =
-    match cfg.window_mode with
-    | `Native -> logical
-    | `Self_join -> P.Rewrite.window_to_self_join logical
-  in
-  let logical = P.Optimize.optimize logical in
-  if Verify.enabled () then Verify.check_plan ~context:"optimized plan" logical;
-  let opts =
-    {
-      P.Physical.window_strategy = cfg.window_strategy;
-      enable_hash_join = cfg.hash_join;
-      enable_index_join = cfg.index_join;
-    }
-  in
-  P.Physical.plan ~opts (snap_catalog_view sn) logical
-
-and snap_run_query sn (q : Ast.query) : Relation.t =
-  P.Physical.execute (snap_catalog_view sn) (snap_plan_query sn q)
-
-let snap_check_live sn =
-  if sn.sn_released then engine_error "snapshot is closed"
-
-let make_snapshot db v =
-  {
-    sn_db = db;
-    sn_version = v;
-    sn_mu = Mutex.create ();
-    sn_heal = Hashtbl.create 4;
-    sn_index_memo = Hashtbl.create 4;
-    sn_released = false;
-  }
+(* Pin the newest retained version satisfying [pick]; [Error tip] when
+   none does. *)
+let acquire db pick =
+  let mv = db.mvcc in
+  Mutex.protect mv.mv_mu (fun () ->
+      match List.find_opt pick mv.mv_versions with
+      | Some v ->
+        v.v_refs <- v.v_refs + 1;
+        Ok { sn_db = db; sn_version = v; sn_released = false }
+      | None -> Error (match mv.mv_versions with [] -> 0 | v :: _ -> v.v_lsn))
 
 let snapshot db =
-  let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  match mv.mv_versions with
-  | [] ->
-    Mutex.unlock mv.mv_mu;
-    engine_error "no published version to snapshot" (* unreachable *)
-  | v :: _ ->
-    v.v_refs <- v.v_refs + 1;
-    Mutex.unlock mv.mv_mu;
-    make_snapshot db v
+  match acquire db (fun _ -> true) with
+  | Ok sn -> sn
+  | Error _ -> engine_error "no published version to snapshot" (* unreachable *)
 
 let snapshot_at db ~lsn:want =
-  let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  let tip = match mv.mv_versions with [] -> 0 | v :: _ -> v.v_lsn in
-  match List.find_opt (fun v -> v.v_lsn = want) mv.mv_versions with
-  | Some v ->
-    v.v_refs <- v.v_refs + 1;
-    Mutex.unlock mv.mv_mu;
-    Ok (make_snapshot db v)
-  | None ->
-    Mutex.unlock mv.mv_mu;
-    Error
+  Result.map_error
+    (fun tip ->
       Staleness.
         { applied_lsn = want; tip_lsn = tip;
-          lag = Staleness.lag ~applied_lsn:want ~tip_lsn:tip ~bytes:0 }
+          lag = Staleness.lag ~applied_lsn:want ~tip_lsn:tip ~bytes:0 })
+    (acquire db (fun v -> v.v_lsn = want))
 
 let release db sn =
   let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  if not sn.sn_released then begin
-    sn.sn_released <- true;
-    sn.sn_version.v_refs <- sn.sn_version.v_refs - 1;
-    sweep_versions mv
-  end;
-  Mutex.unlock mv.mv_mu
+  Mutex.protect mv.mv_mu (fun () ->
+      if not sn.sn_released then begin
+        sn.sn_released <- true;
+        sn.sn_version.v_refs <- sn.sn_version.v_refs - 1;
+        sweep_versions mv
+      end)
 
 let retained_lsns db =
   let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  let lsns = List.map (fun v -> v.v_lsn) mv.mv_versions in
-  Mutex.unlock mv.mv_mu;
-  lsns
+  Mutex.protect mv.mv_mu (fun () -> List.map (fun v -> v.v_lsn) mv.mv_versions)
 
 let set_retain db n =
   if n < 1 then engine_error "set_retain: window must be at least 1";
   let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  mv.mv_retain <- n;
-  sweep_versions mv;
-  Mutex.unlock mv.mv_mu
+  Mutex.protect mv.mv_mu (fun () ->
+      mv.mv_retain <- n;
+      sweep_versions mv)
 
 let open_snapshots db =
   let mv = db.mvcc in
-  Mutex.lock mv.mv_mu;
-  let n = List.fold_left (fun acc v -> acc + v.v_refs) 0 mv.mv_versions in
-  Mutex.unlock mv.mv_mu;
-  n
+  Mutex.protect mv.mv_mu (fun () ->
+      List.fold_left (fun acc v -> acc + v.v_refs) 0 mv.mv_versions)
 
 module Snapshot = struct
   type t = snapshot
@@ -2340,20 +2283,20 @@ module Snapshot = struct
   let lsn sn = sn.sn_version.v_lsn
   let released sn = sn.sn_released
 
+  let run_query sn q =
+    check_open sn;
+    run_source (version_source sn.sn_version) q
+
   let query sn sql : Relation.t =
-    snap_check_live sn;
+    check_open sn;
     match Parser.statement sql with
-    | Ast.St_query q -> snap_run_query sn q
+    | Ast.St_query q -> run_query sn q
     | stmt ->
       engine_error "snapshot is read-only: %s is not a query"
         (Pretty.statement stmt)
 
-  let run_query sn q =
-    snap_check_live sn;
-    snap_run_query sn q
-
   let fingerprint sn : string =
-    snap_check_live sn;
+    check_open sn;
     fingerprint_parts
       ~tables:
         (List.map

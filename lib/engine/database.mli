@@ -323,8 +323,9 @@ module Snapshot : sig
   (** Run one query statement against the frozen state: the regular
       plan pipeline over the version's tables, view contents and
       indexes.  Safe to call from any domain.  A quarantined view heals
-      {e snapshot-locally} (recomputed from the frozen base tables,
-      memoized in the snapshot, never written back).
+      {e snapshot-locally}: recomputed from the frozen base tables and
+      never written back.  Heals and built indexes are memoized on the
+      version, so every snapshot of one LSN shares them.
       @raise Engine_error on a non-query statement or a closed
       snapshot. *)
   val query : t -> string -> Relation.t

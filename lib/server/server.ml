@@ -19,6 +19,26 @@ let port srv = srv.port
    server buffer any number of lines a client claims to send. *)
 let max_batch = 10_000
 
+(* Upper bound on one request or batch-payload line: a client that never
+   sends a newline would otherwise make the server buffer without limit. *)
+let max_line = 1 lsl 20
+
+exception Line_too_long
+
+(* [input_line], refusing a line longer than [max_line] bytes. *)
+let read_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents buf
+    | c when Buffer.length buf < max_line ->
+      Buffer.add_char buf c;
+      go ()
+    | _ -> raise Line_too_long
+    | exception End_of_file when Buffer.length buf > 0 -> Buffer.contents buf
+  in
+  go ()
+
 let close_sock srv =
   (* exactly-once: a double [Unix.close] could hit a reused descriptor *)
   if Atomic.compare_and_set srv.sock_closed false true then
@@ -106,7 +126,7 @@ let handle_conn srv fd =
     | Some n ->
       (* read the statements first: the writer lock is never held while
          blocked on the client *)
-      let stmts = List.init n (fun _ -> input_line ic) in
+      let stmts = List.init n (fun _ -> read_line ic) in
       let results =
         with_writer (fun () ->
             Session.with_batch srv.session (fun () ->
@@ -138,9 +158,30 @@ let handle_conn srv fd =
            ("domains", Wire.jint (Pool.domains srv.pool));
          ])
   in
+  (* Refuse an over-long line and end the connection: half-close, then
+     discard at most another [max_line] bytes, so a client still sending
+     reads the error rather than a connection reset. *)
+  let refuse_long_line () =
+    (try
+       respond
+         (Wire.error
+            (Printf.sprintf "line exceeds the limit of %d bytes" max_line))
+     with _ -> ());
+    (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let chunk = Bytes.create 65536 in
+    let rec drain left =
+      left > 0
+      && match input ic chunk 0 (Bytes.length chunk) with
+         | 0 -> false
+         | n -> drain (left - n)
+         | exception _ -> false
+    in
+    ignore (drain max_line)
+  in
   let rec loop () =
-    match input_line ic with
+    match read_line ic with
     | exception (End_of_file | Sys_error _) -> ()
+    | exception Line_too_long -> refuse_long_line ()
     | line ->
       let continue = ref true in
       (try
@@ -163,7 +204,11 @@ let handle_conn srv fd =
            Atomic.set srv.stop_flag true;
            continue := false
          | verb, _ -> respond (Wire.error ("unknown verb: " ^ verb))
-       with e -> (try respond (Wire.error (Printexc.to_string e)) with _ -> ()));
+       with
+       | Line_too_long ->
+         refuse_long_line ();
+         continue := false
+       | e -> (try respond (Wire.error (Printexc.to_string e)) with _ -> ()));
       if !continue then loop ()
   in
   Fun.protect

@@ -42,6 +42,11 @@ val port : t -> int
 (** The largest statement count a [batch N] request may announce. *)
 val max_batch : int
 
+(** The longest request or batch-payload line, in bytes (1 MiB).  A
+    longer line draws [{"ok":false,...}] and ends that connection; the
+    server keeps serving the others. *)
+val max_line : int
+
 (** Block until the server stops (a client sent [shutdown], or {!stop}
     was called), then drain and join every domain.  Idempotent with
     {!stop}. *)

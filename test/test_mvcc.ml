@@ -1,7 +1,9 @@
 (* MVCC snapshot tests: version publishing at commit points, snapshot
    isolation (a snapshot never observes later writes, open batches, or
    rolled-back statements), the bounded retained-version window with
-   pin-survival, snapshot-local healing of quarantined views, the
+   pin-survival, snapshot-local healing of quarantined views with heal
+   and index memos shared per version, live and snapshot reads agreeing
+   row for row under every execution configuration, the
    [Rfview.Snapshot] façade, and a concurrent chaos harness proving
    that every snapshot read from a reader domain is bit-identical to
    the true historical state at its reported LSN.
@@ -213,6 +215,171 @@ let test_partition_sharing_isolation () =
     (List.equal Row.equal (inside 2 before) (inside 2 tip));
   Db.release db sn
 
+(* ---- One read path: the live and snapshot sources agree ---- *)
+
+(* An indexed base table, a materialized sequence view carrying a hash
+   view index, a plain view over that matview, and a quarantined matview
+   over a second table: every kind of relation the two sources resolve
+   differently. *)
+let read_path_fixture config =
+  let db = Db.create ~config () in
+  let run sql = ignore (Db.exec db sql) in
+  let rows n f = String.concat ", " (List.init n (fun i -> f (i + 1))) in
+  run "CREATE TABLE seq (pos INT, val FLOAT)";
+  run "CREATE INDEX seq_pos ON seq (pos)";
+  run
+    (Printf.sprintf "INSERT INTO seq VALUES %s"
+       (rows 40 (fun i -> Printf.sprintf "(%d, %d)" i ((i * 37) mod 23))));
+  run
+    "CREATE MATERIALIZED VIEW matseq AS SELECT pos, SUM(val) OVER (ORDER BY \
+     pos ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS val FROM seq";
+  run "CREATE INDEX matseq_pos ON matseq (pos) USING HASH";
+  run "CREATE VIEW recent AS SELECT pos, val FROM matseq WHERE pos > 30";
+  run "CREATE TABLE keys (k INT)";
+  run "INSERT INTO keys VALUES (3), (17), (40), (1000)";
+  run "CREATE TABLE q (pos INT, val FLOAT)";
+  run "INSERT INTO q VALUES (1, 5), (2, 7), (3, 1)";
+  run
+    "CREATE MATERIALIZED VIEW qcum AS SELECT pos, val, SUM(val) OVER (ORDER \
+     BY pos ROWS UNBOUNDED PRECEDING) AS c FROM q";
+  with_clean_faults (fun () ->
+      Fault.arm "matview.apply_insert" Fault.Always;
+      run "INSERT INTO q VALUES (4, 40)");
+  Alcotest.(check (list string)) "qcum is quarantined" [ "qcum" ]
+    (Db.stale_views db);
+  db
+
+let heal_sql = "SELECT * FROM qcum"
+let index_sql = "SELECT k.k, s.pos, s.val FROM keys k JOIN seq s ON s.pos = k.k"
+
+let read_path_queries =
+  let maxoa = Rfview_core.Sqlgen.maxoa ~lx:2 ~h:1 ~ly:4 in
+  [
+    ("Table 1 window",
+     Rfview_core.Sqlgen.native_window (Rfview_core.Frame.sliding ~l:2 ~h:2));
+    ("Table 2 MaxOA union", maxoa `Union);
+    ("Table 2 MaxOA join", maxoa `Disjunctive);
+    ("index lookup", index_sql);
+    ("view-index lookup",
+     "SELECT k.k, m.pos, m.val FROM keys k JOIN matseq m ON m.pos = k.k");
+    ("plain view", "SELECT * FROM recent");
+    ("quarantined view", heal_sql);
+  ]
+
+let rows_of rel = Array.to_list (Relation.rows rel)
+
+let check_same_relation what expected actual =
+  Alcotest.(check bool) (what ^ ": same schema") true
+    (Schema.equal (Relation.schema expected) (Relation.schema actual));
+  Alcotest.(check bool) (what ^ ": same rows, same order") true
+    (List.equal Row.equal (rows_of expected) (rows_of actual))
+
+let configs =
+  List.concat_map
+    (fun window_mode ->
+      List.concat_map
+        (fun window_strategy ->
+          List.concat_map
+            (fun hash_join ->
+              List.map
+                (fun index_join ->
+                  { Db.default_config with
+                    window_mode; window_strategy; hash_join; index_join })
+                [ true; false ])
+            [ true; false ])
+        [ Window.Naive; Window.Incremental ])
+    [ `Native; `Self_join ]
+
+let test_live_vs_snapshot () =
+  Alcotest.(check int) "all 16 configurations" 16 (List.length configs);
+  List.iter
+    (fun (cfg : Db.config) ->
+      let db = read_path_fixture cfg in
+      (* pinned before any live read heals qcum in place *)
+      let sn = Db.snapshot db in
+      List.iter
+        (fun (name, sql) ->
+          let q = Rfview_sql.Parser.query sql in
+          let what =
+            Printf.sprintf "%s [%s, %s, hash=%b, index=%b]" name
+              (match cfg.window_mode with
+               | `Native -> "native"
+               | `Self_join -> "self-join")
+              (match cfg.window_strategy with
+               | Window.Naive -> "naive"
+               | Window.Incremental -> "incremental")
+              cfg.hash_join cfg.index_join
+          in
+          check_same_relation what (Db.Snapshot.run_query sn q)
+            (Db.run_query db q))
+        read_path_queries;
+      Db.release db sn)
+    configs
+
+(* ---- Memos live on the version ---- *)
+
+let test_version_shares_heal () =
+  let db = read_path_fixture Db.default_config in
+  let a = Db.snapshot db and b = Db.snapshot db in
+  Alcotest.(check int) "one LSN" (Db.Snapshot.lsn a) (Db.Snapshot.lsn b);
+  let ra = Db.Snapshot.query a heal_sql in
+  Alcotest.(check int) "the heal sees every row of q" 4 (Relation.cardinality ra);
+  check_same_relation "second snapshot of the LSN" ra (Db.Snapshot.query b heal_sql);
+  Alcotest.(check (list string)) "live view stays stale" [ "qcum" ]
+    (Db.stale_views db);
+  Db.release db a;
+  Db.release db b
+
+let test_memo_never_crosses_lsns () =
+  let db = read_path_fixture Db.default_config in
+  let pinned = Db.snapshot db in
+  let finds_1000 sn =
+    List.exists
+      (fun row -> Value.equal (Row.get row 1) (Value.Int 1000))
+      (rows_of (Db.Snapshot.query sn index_sql))
+  in
+  Alcotest.(check bool) "not there before the insert" false (finds_1000 pinned);
+  ignore (Db.exec db "INSERT INTO seq VALUES (1000, 1)");
+  let tip = Db.snapshot db in
+  Alcotest.(check bool) "a new LSN" true
+    (Db.Snapshot.lsn tip > Db.Snapshot.lsn pinned);
+  Alcotest.(check bool) "the tip's index finds the new row" true (finds_1000 tip);
+  Alcotest.(check bool) "the pinned version's index does not" false
+    (finds_1000 pinned);
+  Db.release db pinned;
+  Db.release db tip
+
+(* [test_domains] reader domains race on one pinned version's cold
+   memos; every answer must equal the single-domain answer computed on
+   an identical fixture. *)
+let test_concurrent_memo () =
+  let expected =
+    let db = read_path_fixture Db.default_config in
+    let sn = Db.snapshot db in
+    let answers = (Db.Snapshot.query sn heal_sql, Db.Snapshot.query sn index_sql) in
+    Db.release db sn;
+    answers
+  in
+  Alcotest.(check int) "the single-domain heal sees every row of q" 4
+    (Relation.cardinality (fst expected));
+  let db = read_path_fixture Db.default_config in
+  let sn = Db.snapshot db in
+  let same a b = List.equal Row.equal (rows_of a) (rows_of b) in
+  let reader () =
+    let wrong = ref 0 in
+    for _ = 1 to 100 do
+      if not (same (Db.Snapshot.query sn heal_sql) (fst expected)) then incr wrong;
+      if not (same (Db.Snapshot.query sn index_sql) (snd expected)) then incr wrong
+    done;
+    !wrong
+  in
+  let readers = List.init test_domains (fun _ -> Domain.spawn reader) in
+  let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
+  Db.release db sn;
+  Alcotest.(check int) "every answer equals the single-domain answer" 0 wrong;
+  Alcotest.(check (list string)) "live view stays stale" [ "qcum" ]
+    (Db.stale_views db)
+
 (* ---- The façade: Session.query as snapshot-at-tip, Rfview.Snapshot ---- *)
 
 let session_fixture () =
@@ -423,6 +590,17 @@ let () =
             test_snapshot_local_heal;
           Alcotest.test_case "partition sharing keeps pins isolated" `Quick
             test_partition_sharing_isolation;
+          Alcotest.test_case "snapshots of one LSN share heals" `Quick
+            test_version_shares_heal;
+          Alcotest.test_case "index memo never crosses LSNs" `Quick
+            test_memo_never_crosses_lsns;
+          Alcotest.test_case "reader domains share one version's memos"
+            `Quick test_concurrent_memo;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "live vs snapshot under 16 configs" `Quick
+            test_live_vs_snapshot;
         ] );
       ( "facade",
         [

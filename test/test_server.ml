@@ -154,6 +154,43 @@ let test_server_batch_limit () =
           Alcotest.(check (option string)) "only the small batch committed"
             (Some "1") (Wire.field r "rows")))
 
+(* A line over [Server.max_line] — a request or a batch payload line —
+   draws an error and ends that connection only: the server never
+   buffers it whole, and a fresh connection is served as before. *)
+let test_server_line_cap () =
+  with_server (fun srv _session ->
+      let port = Server.port srv in
+      let refused what line =
+        let c = Server.Client.connect ~port in
+        Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+          (fun () ->
+            let r = req c line in
+            Alcotest.(check (option string)) (what ^ " refused") (Some "false")
+              (Wire.field r "ok");
+            Alcotest.(check (option string)) "the error names the limit"
+              (Some
+                 (Printf.sprintf "line exceeds the limit of %d bytes"
+                    Server.max_line))
+              (Wire.field r "error");
+            match req c "ping" with
+            | r -> Alcotest.failf "%s: connection must be closed, got %s" what r
+            | exception (End_of_file | Sys_error _) -> ())
+      in
+      let c = Server.Client.connect ~port in
+      ignore (expect_ok "create" (req c "exec CREATE TABLE t (a INT)"));
+      Server.Client.disconnect c;
+      (* 2 MiB on the wire, newline included *)
+      refused "2 MiB request line" (String.make ((2 lsl 20) - 1) 'x');
+      refused "over-long batch payload line"
+        ("batch 1\n" ^ String.make (Server.max_line + 1) 'x');
+      let c = Server.Client.connect ~port in
+      Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+        (fun () ->
+          ignore (expect_ok "ping on a fresh connection" (req c "ping"));
+          let r = expect_ok "count" (req c "query SELECT * FROM t") in
+          Alcotest.(check (option string)) "the refused batch wrote nothing"
+            (Some "0") (Wire.field r "rows")))
+
 let test_server_concurrent_clients () =
   with_server (fun srv _session ->
       let port = Server.port srv in
@@ -208,6 +245,7 @@ let () =
           Alcotest.test_case "batch + errors" `Quick
             test_server_batch_and_errors;
           Alcotest.test_case "batch size limit" `Quick test_server_batch_limit;
+          Alcotest.test_case "line length limit" `Quick test_server_line_cap;
         ] );
       ( "concurrency",
         [
