@@ -142,9 +142,13 @@ bench-smoke:
 # loopback driven through all three workloads for 2 measured seconds
 # each.  Every answer is checked against a reference computed by
 # Rfview_core, and the run ends with a recovery check of every view;
-# the command exits 1 on any wrong answer or failed request.
+# the command exits 1 on any wrong answer or failed request.  A second,
+# traced trickle-mixed run replays each write in-process through the
+# per-row, batched and shared-scan maintenance entry points on copied
+# view states (`--trace 1`).
 warebench-smoke:
 	python3 warebench/run.py --workload all --seconds 2 --trace 0
+	python3 warebench/run.py --workload trickle-mixed --seconds 2 --trace 1
 
 check: build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke warebench-smoke
 

@@ -38,7 +38,7 @@ let () =
   Relation.print (Db.query db "SELECT * FROM seq");
 
   section "Quarantine: a maintenance fault marks the view stale, not the db";
-  Fault.arm "matview.apply_insert" Fault.Always;
+  Fault.arm "matview.apply_shared" Fault.Always;
   ignore (Db.exec db "INSERT INTO seq VALUES (1, 3, 30)");
   Fault.disarm_all ();
   Printf.printf "insert succeeded; v_cum stale? %b\n" (Db.is_stale db "v_cum");

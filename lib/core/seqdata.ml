@@ -26,6 +26,7 @@ let raw_length r = r.n
 let raw_get r i = if i < 1 || i > r.n then 0. else r.data.(i - 1)
 
 let raw_to_array r = Array.copy r.data
+let raw_blit r ~src dst ~pos ~len = Array.blit r.data (src - 1) dst pos len
 
 (* Raw-data editing used by the maintenance rules (§2.3). *)
 let raw_update r ~k ~value =
@@ -92,6 +93,7 @@ let get t k =
 
 (* All stored values, ascending by position. *)
 let to_array t = Array.copy t.values
+let blit t ~src dst ~pos ~len = Array.blit t.values (src - t.lo) dst pos len
 
 (* In-place mutation of a stored value; used by the O(w) maintenance fast
    path.  The position must lie in the stored range. *)

@@ -28,6 +28,11 @@ val raw_get : raw -> int -> float
 
 val raw_to_array : raw -> float array
 
+(** [raw_blit r ~src dst ~pos ~len] copies [x_src .. x_(src+len-1)] into
+    [dst.(pos) ..].
+    @raise Invalid_argument if a position lies outside [1, n]. *)
+val raw_blit : raw -> src:int -> float array -> pos:int -> len:int -> unit
+
 (** Functional edits used by the §2.3 maintenance rules.  Positions are
     1-based; insert shifts positions [>= k] right, delete shifts
     positions [> k] left.
@@ -72,6 +77,11 @@ val set_value : t -> int -> float -> unit
 
 (** All stored values, ascending by position (a copy). *)
 val to_array : t -> float array
+
+(** [blit t ~src dst ~pos ~len] copies the stored values at positions
+    [src .. src+len-1] into [dst.(pos) ..].
+    @raise Invalid_argument if a position is not stored. *)
+val blit : t -> src:int -> float array -> pos:int -> len:int -> unit
 
 (** Values at body positions [1..n] only. *)
 val body : t -> float array

@@ -608,9 +608,10 @@ let log_view_index_caches db name =
     log_undo db (fun () -> List.iter (fun (vi, b) -> vi.vi_built <- b) saved)
 
 (* Snapshot a materialized view: contents, quarantine flag, incremental
-   maintenance state (deep-copied: maintenance mutates it in place;
-   derived-plan states are immutable, so their binding suffices) and
-   index caches. *)
+   maintenance state (its records copied: maintenance reassigns their
+   fields but never writes into the row arrays, raw data or sequences
+   they hold, so the copy shares those; derived-plan states are
+   immutable, so their binding suffices) and index caches. *)
 let log_view db (v : Catalog.view) =
   mark_dirty db;
   let contents = v.Catalog.contents in
@@ -938,9 +939,8 @@ let refresh_view_full db (v : Catalog.view) =
               ~context:"the incremental sequence state" ~incremental:rendered
               ~recomputed:contents;
             (* serve the state's rendering, so a refresh and incremental
-               maintenance leave the same physical row order behind — this
-               keeps batched maintenance (whose wide deltas fall back to
-               this path) bit-identical to per-row maintenance *)
+               maintenance leave the same physical row order behind —
+               wide deltas fall back to this path *)
             v.Catalog.contents <- Some rendered;
             Hashtbl.replace db.view_states (key v.Catalog.view_name) state;
             true
@@ -949,12 +949,6 @@ let refresh_view_full db (v : Catalog.view) =
   if not seq_installed then ignore (try_derive db v)
 
 let () = refresh_ref := refresh_view_full
-
-type dml_change =
-  | Rows_inserted of Row.t list
-  | Rows_deleted of Row.t list
-  | Rows_updated of (Row.t * Row.t) list (* old, new *)
-  | Rows_batch of Delta.table_delta (* consolidated batch delta *)
 
 (* Quarantine a view whose maintenance faulted mid statement: drop the
    (possibly half-applied) incremental state and mark the contents
@@ -967,7 +961,7 @@ let quarantine_view db (v : Catalog.view) =
   v.Catalog.stale <- true;
   invalidate_view_indexes db v.Catalog.view_name
 
-(* ---- Scan sharing (batch maintenance) ----
+(* ---- Scan sharing ----
 
    Sequence views over the same base table whose live states agree on
    the resolved (partition columns, order column) scan key keep
@@ -976,110 +970,107 @@ let quarantine_view db (v : Catalog.view) =
    [Rfview_analysis.Share] flags as RF401.  Exactly like [try_derive],
    the mechanism is certificate-gated: the runtime keys must match AND
    the static sharing certificate over the view definitions must hold —
-   the engine never trusts one without the other. *)
-let shared_classes_for db ~table =
-  if not db.cfg.share_scans then []
-  else begin
-    let candidates =
-      List.filter_map
-        (fun (v : Catalog.view) ->
-          if
-            v.Catalog.materialized
-            && (not v.Catalog.stale)
-            && not (Hashtbl.mem db.derived_views (key v.Catalog.view_name))
-          then
-            match Hashtbl.find_opt db.view_states (key v.Catalog.view_name) with
-            | Some st when key st.Matview.spec.Matview.source = key table ->
-              Some (v, st)
-            | _ -> None
-          else None)
-        (Catalog.all_views db.catalog)
-      (* the catalog is hashed: order by name so classes, their
-         representative and the maintenance order are deterministic *)
-      |> List.sort (fun ((a : Catalog.view), _) (b, _) ->
-             compare (key a.Catalog.view_name) (key b.Catalog.view_name))
-    in
-    (* group by the runtime scan key, preserving catalog order *)
-    let classes = ref [] in
-    List.iter
-      (fun ((_, st) as member) ->
-        let k = (st.Matview.pcols, st.Matview.ocol) in
-        match List.assoc_opt k !classes with
-        | Some members -> members := member :: !members
-        | None -> classes := !classes @ [ (k, ref [ member ]) ])
-      candidates;
+   the engine never trusts one without the other.  Every other live
+   sequence view over the table, and every view when [share_scans] is
+   off, is a class of one. *)
+let maintenance_classes db ~table =
+  let candidates =
     List.filter_map
-      (fun (_, members) ->
-        let members = List.rev !members in
-        if List.length members < 2 then None
-        else
-          (* the static certificate over the view definitions *)
-          let specs =
-            List.map
-              (fun ((v : Catalog.view), _) ->
-                Rfview_analysis.Share.scan_spec ~view:v.Catalog.view_name
-                  v.Catalog.definition)
-              members
-          in
-          let certified =
-            List.for_all Option.is_some specs
-            &&
-            match List.filter_map Fun.id specs with
-            | [] -> false
-            | rep :: rest ->
-              List.for_all (Rfview_analysis.Share.compatible rep) rest
-          in
-          if certified then Some members else None)
-      !classes
-  end
-
-(* Propagate one base-table change to every materialized view that
-   references the table: incrementally when a sequence-view state exists,
-   by full refresh otherwise.  Views under derived delta-plan
-   maintenance are skipped here — they are maintained once per change
-   set with the full consolidated delta ([maintain_derived] below),
-   because per-table propagation would double-count the dA |x| dB cross
-   term of multi-table join deltas.  Already-quarantined views are
-   skipped — they will catch up wholesale on their next read. *)
-let propagate db ~table change =
-  (* a delta at least as wide as the (post-change) base table gains
-     nothing over recomputation: route it to the full-refresh path *)
-  let wide =
-    match change with
-    | Rows_batch td ->
-      Delta.weight td >= Array.length (Catalog.table db.catalog table).Catalog.rows
-    | _ -> false
+      (fun (v : Catalog.view) ->
+        if
+          v.Catalog.materialized
+          && (not v.Catalog.stale)
+          && not (Hashtbl.mem db.derived_views (key v.Catalog.view_name))
+        then
+          match Hashtbl.find_opt db.view_states (key v.Catalog.view_name) with
+          | Some st when key st.Matview.spec.Matview.source = key table ->
+            Some (v, st)
+          | _ -> None
+        else None)
+      (Catalog.all_views db.catalog)
+    (* the catalog is hashed: order by name so classes, their
+       representative and the maintenance order are deterministic *)
+    |> List.sort (fun ((a : Catalog.view), _) (b, _) ->
+           compare (key a.Catalog.view_name) (key b.Catalog.view_name))
   in
-  (* certificate-gated shared base scans: a consolidated batch delta
-     drives all views of a certified scan-share class from ONE shared
-     structural merge; everything else takes the per-view path below *)
-  let shared_done = Hashtbl.create 4 in
-  (match change with
-   | Rows_batch td when not wide ->
-     List.iter
-       (fun members ->
-         match
-           Matview.shared_plan
-             (List.map snd members)
-             ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
-             ~updates:td.Delta.updated
-         with
-         | exception Matview.Not_maintainable _ ->
-           (* the shared structural merge is not applicable (e.g. an
-              edited row is missing from the base structure): leave the
-              whole class to the per-view path, which reaches the same
-              verdict view by view *)
-           ()
-         | plan ->
-           List.iter
-             (fun ((v : Catalog.view), state) ->
-               Hashtbl.replace shared_done (key v.Catalog.view_name) ();
-               let maintain () =
-                 Fault.hit site_propagate;
-                 log_view db v;
-                 try
+  (* group by the runtime scan key, preserving name order *)
+  let classes = ref [] in
+  List.iter
+    (fun ((_, st) as member) ->
+      let k = (st.Matview.pcols, st.Matview.ocol) in
+      match List.assoc_opt k !classes with
+      | Some members when db.cfg.share_scans -> members := member :: !members
+      | _ -> classes := !classes @ [ (k, ref [ member ]) ])
+    candidates;
+  List.concat_map
+    (fun (_, members) ->
+      let members = List.rev !members in
+      (* the static certificate over the view definitions *)
+      let specs =
+        List.map
+          (fun ((v : Catalog.view), _) ->
+            Rfview_analysis.Share.scan_spec ~view:v.Catalog.view_name
+              v.Catalog.definition)
+          members
+      in
+      let certified =
+        List.for_all Option.is_some specs
+        &&
+        match List.filter_map Fun.id specs with
+        | [] -> false
+        | rep :: rest -> List.for_all (Rfview_analysis.Share.compatible rep) rest
+      in
+      if certified then [ members ] else List.map (fun m -> [ m ]) members)
+    !classes
+
+(* Propagate one table's consolidated delta to every materialized view
+   that references the table.  Sequence views maintain incrementally,
+   one share class at a time: the class's structural merge is computed
+   once and replayed into each member.  Other views, and every view
+   under a delta at least as wide as the (post-change) base table,
+   refresh in full.  Views under derived delta-plan maintenance are
+   skipped here — they are maintained once per change set with the
+   full consolidated delta ([maintain_derived] below), because
+   per-table propagation would double-count the dA |x| dB cross term of
+   multi-table join deltas.  Already-quarantined views are skipped —
+   they will catch up wholesale on their next read. *)
+let propagate db ~table (td : Delta.table_delta) =
+  let wide =
+    Delta.weight td >= Array.length (Catalog.table db.catalog table).Catalog.rows
+  in
+  let maintain (v : Catalog.view) step =
+    match
+      Fault.hit site_propagate;
+      log_view db v;
+      step ()
+    with
+    | () -> ()
+    | exception e when db.cfg.degradation = `Quarantine && recoverable_exn e ->
+      quarantine_view db v
+  in
+  let classes = maintenance_classes db ~table in
+  List.iter
+    (fun members ->
+      let plan =
+        if wide then None
+        else
+          try
+            Some
+              (Matview.shared_plan (List.map snd members)
+                 ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
+                 ~updates:td.Delta.updated)
+          with Matview.Not_maintainable _ -> None
+      in
+      List.iter
+        (fun ((v : Catalog.view), state) ->
+          maintain v (fun () ->
+              match plan with
+              | None -> refresh_view_full db v
+              | Some plan ->
+                (try
                    let solo =
-                     if Verify.enabled () then Some (Matview.copy_state state)
+                     if Verify.enabled () && List.length members > 1 then
+                       Some (Matview.copy_state state)
                      else None
                    in
                    Matview.apply_shared plan state;
@@ -1087,78 +1078,41 @@ let propagate db ~table change =
                    (match solo with
                     | Some s ->
                       (* differential validation: the shared scan must
-                         land bit-identically where the per-view scan
-                         lands, and both must agree with recomputation *)
+                         land bit-identically where the member's own
+                         scan lands *)
                       Matview.apply_batch s ~inserts:td.Delta.inserted
                         ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
                       P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
-                        ~shared:rendered ~per_view:(Matview.render s);
-                      Verify.check_view_maintenance ~view:v.Catalog.view_name
-                        ~context:"shared-scan batch maintenance"
-                        ~incremental:rendered
-                        ~recomputed:(run_query db v.Catalog.definition)
+                        ~shared:rendered ~per_view:(Matview.render s)
                     | None -> ());
+                   (* translation validation: incremental maintenance
+                      must agree with recomputing the view definition *)
+                   if Verify.enabled () then
+                     Verify.check_view_maintenance ~view:v.Catalog.view_name
+                       ~context:"incremental sequence maintenance"
+                       ~incremental:rendered
+                       ~recomputed:(run_query db v.Catalog.definition);
                    v.Catalog.contents <- Some rendered;
                    invalidate_view_indexes db v.Catalog.view_name
-                 with Matview.Not_maintainable _ -> refresh_view_full db v
-               in
-               match maintain () with
-               | () -> ()
-               | exception e
-                 when db.cfg.degradation = `Quarantine && recoverable_exn e ->
-                 quarantine_view db v)
-             members)
-       (shared_classes_for db ~table)
-   | _ -> ());
+                 with Matview.Not_maintainable _ -> refresh_view_full db v)))
+        members)
+    classes;
+  let in_class (v : Catalog.view) =
+    List.exists
+      (List.exists (fun ((u : Catalog.view), _) -> u == v))
+      classes
+  in
   List.iter
     (fun (v : Catalog.view) ->
       if
         v.Catalog.materialized
         && (not v.Catalog.stale)
-        && (not (Hashtbl.mem shared_done (key v.Catalog.view_name)))
+        && (not (in_class v))
         && (not (Hashtbl.mem db.derived_views (key v.Catalog.view_name)))
         && List.exists
              (fun t -> key t = key table)
              (tables_of_query v.Catalog.definition)
-      then begin
-        let maintain () =
-          Fault.hit site_propagate;
-          log_view db v;
-          match
-            if wide then None
-            else Hashtbl.find_opt db.view_states (key v.Catalog.view_name)
-          with
-          | Some state ->
-            (try
-               (match change with
-                | Rows_inserted rows -> List.iter (Matview.apply_insert state) rows
-                | Rows_deleted rows -> List.iter (Matview.apply_delete state) rows
-                | Rows_updated pairs ->
-                  List.iter
-                    (fun (old_row, new_row) ->
-                      Matview.apply_update state ~old_row ~new_row)
-                    pairs
-                | Rows_batch td ->
-                  Matview.apply_batch state ~inserts:td.Delta.inserted
-                    ~deletes:td.Delta.deleted ~updates:td.Delta.updated);
-               let rendered = Matview.render state in
-               (* translation validation: incremental maintenance must agree
-                  with recomputing the view definition from scratch *)
-               if Verify.enabled () then
-                 Verify.check_view_maintenance ~view:v.Catalog.view_name
-                   ~context:"incremental sequence maintenance"
-                   ~incremental:rendered
-                   ~recomputed:(run_query db v.Catalog.definition);
-               v.Catalog.contents <- Some rendered;
-               invalidate_view_indexes db v.Catalog.view_name
-             with Matview.Not_maintainable _ -> refresh_view_full db v)
-          | None -> refresh_view_full db v
-        in
-        match maintain () with
-        | () -> ()
-        | exception e when db.cfg.degradation = `Quarantine && recoverable_exn e ->
-          quarantine_view db v
-      end)
+      then maintain v (fun () -> refresh_view_full db v))
     (Catalog.all_views db.catalog)
 
 (* ---- Derived delta-plan maintenance ----
@@ -1252,13 +1206,17 @@ let maintain_derived db (d : Delta.t) =
             end)
       (Catalog.all_views db.catalog)
 
-(* The consolidated single-statement delta for the immediate
-   (non-batch) path. *)
-let delta_of_change ~table = function
-  | Rows_inserted rows -> Delta.insert Delta.empty ~table rows
-  | Rows_deleted rows -> Delta.delete Delta.empty ~table rows
-  | Rows_updated pairs -> Delta.update Delta.empty ~table pairs
-  | Rows_batch _ -> assert false (* batch deltas never reach this path *)
+(* Maintain every dependent view under one consolidated delta: each
+   table's sequence and refresh propagation, then the derived views
+   against the whole delta. *)
+let propagate_delta db (d : Delta.t) =
+  List.iter
+    (fun table ->
+      match Delta.find d table with
+      | Some td -> propagate db ~table td
+      | None -> ())
+    (Delta.tables d);
+  maintain_derived db d
 
 (* ---- Batch scopes ----
 
@@ -1269,27 +1227,17 @@ let delta_of_change ~table = function
    batch's WAL records are framed as one [Wal.Batch] record and fsynced
    once — the group commit. *)
 
-let record_or_propagate db ~table change =
-  (* a DML statement that matched nothing must not touch the views at
-     all — in batch mode [Delta.find] drops empty deltas, so the
-     immediate path has to skip them too or the two modes would leave
-     different physical view contents (render order) behind *)
-  match change with
-  | Rows_inserted [] | Rows_deleted [] | Rows_updated [] -> ()
-  | _ ->
+(* Record one statement's change ([record] adds it to a delta): into
+   the open batch's delta, or as a delta of its own propagated at once.
+   Either way the views see the same consolidated delta shape, and a
+   statement that matched nothing records nothing. *)
+let record_or_propagate db record =
   match db.batch with
   | Some b ->
     let d = b.b_delta in
     log_undo db (fun () -> b.b_delta <- d);
-    b.b_delta <-
-      (match change with
-       | Rows_inserted rows -> Delta.insert d ~table rows
-       | Rows_deleted rows -> Delta.delete d ~table rows
-       | Rows_updated pairs -> Delta.update d ~table pairs
-       | Rows_batch _ -> assert false (* batches never nest into deltas *))
-  | None ->
-    propagate db ~table change;
-    maintain_derived db (delta_of_change ~table change)
+    b.b_delta <- record d
+  | None -> propagate_delta db (record Delta.empty)
 
 let flush_delta db =
   match db.batch with
@@ -1303,14 +1251,7 @@ let flush_delta db =
          itself (view recomputation, verification) re-enter
          [view_contents] and must not flush again *)
       b.b_delta <- Delta.empty;
-      List.iter
-        (fun table ->
-          match Delta.find d table with
-          | Some td -> propagate db ~table (Rows_batch td)
-          | None -> ())
-        (Delta.tables d);
-      (* derived views see the whole consolidated delta at once *)
-      maintain_derived db d
+      propagate_delta db d
     in
     (match db.undo with
      | Some _ -> run () (* mid-statement: join its scope *)
@@ -1397,7 +1338,7 @@ let insert_rows db ~table (new_rows : Row.t list) =
   Catalog.set_rows tbl (Array.append tbl.Catalog.rows (Array.of_list new_rows));
   Fault.hit site_apply_insert;
   wal_log db (Wal.Insert { table; rows = Array.of_list new_rows });
-  record_or_propagate db ~table (Rows_inserted new_rows)
+  record_or_propagate db (fun d -> Delta.insert d ~table new_rows)
 
 let exec_insert db ~table ~columns ~rows =
   let tbl = Catalog.table db.catalog table in
@@ -1438,7 +1379,7 @@ let update_rows db ~table ~rows ~pairs =
   Catalog.set_rows tbl rows;
   Fault.hit site_apply_update;
   wal_log db (Wal.Update { table; pairs = Array.of_list pairs });
-  record_or_propagate db ~table (Rows_updated pairs)
+  record_or_propagate db (fun d -> Delta.update d ~table pairs)
 
 let delete_rows db ~table ~kept ~deleted =
   let tbl = Catalog.table db.catalog table in
@@ -1446,7 +1387,7 @@ let delete_rows db ~table ~kept ~deleted =
   Catalog.set_rows tbl kept;
   Fault.hit site_apply_delete;
   wal_log db (Wal.Delete { table; rows = Array.of_list deleted });
-  record_or_propagate db ~table (Rows_deleted deleted)
+  record_or_propagate db (fun d -> Delta.delete d ~table deleted)
 
 let exec_update db ~table ~assignments ~where =
   let tbl = Catalog.table db.catalog table in
@@ -1642,7 +1583,8 @@ let load_table db ~table rows =
           log_table db tbl;
           Catalog.set_rows tbl (Array.append tbl.Catalog.rows rows);
           wal_log db (Wal.Load { table; rows });
-          record_or_propagate db ~table (Rows_inserted (Array.to_list rows))))
+          record_or_propagate db (fun d ->
+              Delta.insert d ~table (Array.to_list rows))))
 
 (* ---- Entry points ---- *)
 
@@ -1730,7 +1672,8 @@ let share_classes db ~table =
   List.map
     (fun members ->
       List.map (fun ((v : Catalog.view), _) -> v.Catalog.view_name) members)
-    (shared_classes_for db ~table)
+    (List.filter (fun members -> List.length members > 1)
+       (maintenance_classes db ~table))
 
 (* ---- Durability: checkpoint, recovery, the database directory ----
 

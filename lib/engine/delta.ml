@@ -102,16 +102,14 @@ let add_update a (old_row, new_row) =
      | Some upd_rev -> { a with upd_rev }
      | None -> { a with upd_rev = (old_row, new_row) :: a.upd_rev })
 
-let with_acc d table f = M.add (key table) (f (acc_of d table)) d
+(* Fold [changes] into [table]'s accumulator; no change, no entry. *)
+let record add d table changes =
+  if changes = [] then d
+  else M.add (key table) (List.fold_left add (acc_of d table) changes) d
 
-let insert (d : t) ~table rows =
-  with_acc d table (fun a -> List.fold_left add_insert a rows)
-
-let delete (d : t) ~table rows =
-  with_acc d table (fun a -> List.fold_left add_delete a rows)
-
-let update (d : t) ~table pairs =
-  with_acc d table (fun a -> List.fold_left add_update a pairs)
+let insert (d : t) ~table rows = record add_insert d table rows
+let delete (d : t) ~table rows = record add_delete d table rows
+let update (d : t) ~table pairs = record add_update d table pairs
 
 let tables (d : t) = List.map fst (M.bindings d)
 

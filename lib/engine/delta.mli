@@ -10,7 +10,8 @@
 
     The structure is persistent: recording a change returns a new value
     and never mutates the old one, which lets the undo log snapshot a
-    delta by capturing the pointer. *)
+    delta by capturing the pointer.  Recording an empty list returns the
+    delta unchanged. *)
 
 open Rfview_relalg
 

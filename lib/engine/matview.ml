@@ -149,12 +149,10 @@ type state = {
 
 exception Not_maintainable of string
 
-(* Fault-injection sites (see Fault): state construction and the three
-   incremental maintenance entry points. *)
+(* Fault-injection sites (see Fault): state construction and the one
+   incremental maintenance step ([apply_shared], below). *)
 let site_init = Fault.define "matview.init_state"
-let site_apply_insert = Fault.define "matview.apply_insert"
-let site_apply_delete = Fault.define "matview.apply_delete"
-let site_apply_update = Fault.define "matview.apply_update"
+let site_apply_shared = Fault.define "matview.apply_shared"
 
 let core_agg = function
   | Aggregate.Sum | Aggregate.Count | Aggregate.Avg -> Core.Agg.Sum
@@ -225,18 +223,13 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
   in
   { spec; base_schema; out_schema; pcols; ocol; vcol; parts }
 
-(* Deep copy of the mutable layers, for undo-log snapshots.  Rows,
-   [Seqdata.raw] and [Seqdata.t] values are never mutated in place by the
-   maintenance path ([Maintain.apply] is functional), so sharing them is
-   safe; the partition records and their [base_rows] arrays are.  The
-   render cache is shared too: its arrays are never mutated, and the
-   copy keeps the [seq] they are keyed by. *)
+(* Copy of the mutable layers, for undo-log snapshots: the state and
+   partition records.  Row arrays, [Seqdata.raw] and [Seqdata.t] values
+   are never written in place (maintenance installs fresh ones), so the
+   copy shares them.  The render cache is shared too: its arrays are
+   never mutated, and the copy keeps the [seq] they are keyed by. *)
 let copy_state (st : state) : state =
-  {
-    st with
-    parts =
-      List.map (fun p -> { p with base_rows = Array.copy p.base_rows }) st.parts;
-  }
+  { st with parts = List.map (fun p -> { p with rendered = p.rendered }) st.parts }
 
 (* ---- Rendering ---- *)
 
@@ -259,10 +252,9 @@ let coerce_to ty (v : Value.t) : Value.t =
 
 (* Rendering is incremental per partition.  A partition's output rows
    are a function of its [base_rows] and [seq] (plus the state's fixed
-   spec and schemas), and every maintenance path that changes
-   [base_rows] installs a fresh [seq] — [Maintain.apply],
-   [Compute.sequence] and [Seqdata.make] always allocate, and nothing
-   here mutates a [seq] in place.  So a cached rendering is current
+   spec and schemas), and maintenance that changes [base_rows] installs
+   a fresh [seq] — [Compute.sequence] and [Seqdata.make] always
+   allocate, and nothing here mutates a [seq] in place.  So a cached rendering is current
    exactly while its key is still physically the partition's [seq]; no
    write site invalidates anything.  The concatenation is a fresh
    top-level array per render, so MVCC pointer-capture publication
@@ -305,7 +297,27 @@ let render (st : state) : Relation.t =
 let drop_render_cache (st : state) =
   List.iter (fun p -> p.rendered <- None) st.parts
 
-(* ---- Incremental maintenance under base DML ---- *)
+(* ---- Incremental maintenance under base DML (multi-row §2.3) ----
+
+   Every change — one statement's rows or a whole batch's consolidated
+   delta — takes one path.  Per partition, the edits are merged into
+   the ordered row array; the merge records the blocks of kept rows
+   (the rank map) plus the edit events.  Each event dirties the window
+   span it touches — [k-h, k+l] for an insert/update landing at new
+   rank k, [g-h, g+l-1] for a deletion gap at g — and the dirty
+   positions are recomputed with one pipelined span scan per contiguous
+   run (Maintain.recompute_span).  Clean positions copy the old
+   sequence value under their block's rank shift: a clean position's
+   window contains no edit, so every raw value in it moved by the same
+   offset.  When at least half the sequence is dirty the partition is
+   recomputed outright.
+
+   The structural half of the merge depends only on the ordered base
+   rows and the order column, so it is computed once per scan-share
+   class ([shared_plan]) and replayed into each member ([apply_shared]);
+   a lone view is a class of one.  Row arrays are never written in
+   place: a merge builds fresh arrays, so states, their undo copies and
+   the members of a class may share them. *)
 
 let value_of st row =
   match Row.get row st.vcol with
@@ -318,194 +330,131 @@ let pkey_of st row = List.map (fun i -> Row.get row i) st.pcols
 
 let find_partition st pkey = List.find_opt (fun p -> compare_pkey p.pkey pkey = 0) st.parts
 
-(* Rank (1-based) at which [row] inserts into the ordered partition:
-   after all existing rows with order value <= its own, i.e. one past
-   the first row whose order value is greater (binary search). *)
-let insert_rank st (p : partition_state) row =
-  let v = Row.get row st.ocol in
+(* Index of the first row whose order value is greater than [v]
+   ([~past_equal:true]) or not less than [v] ([false]): binary search
+   over rows ordered by the order column. *)
+let search ~ocol (rows : Row.t array) v ~past_equal =
   let rec go lo hi =
-    if lo >= hi then lo + 1
+    if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if Value.compare (Row.get p.base_rows.(mid) st.ocol) v <= 0 then go (mid + 1) hi
-      else go lo mid
+      let c = Value.compare (Row.get rows.(mid) ocol) v in
+      if c < 0 || (past_equal && c = 0) then go (mid + 1) hi else go lo mid
   in
-  go 0 (Array.length p.base_rows)
+  go 0 (Array.length rows)
 
-let apply_insert st row =
-  Fault.hit site_apply_insert;
-  let pkey = pkey_of st row in
-  match find_partition st pkey with
-  | None ->
-    let raw = Core.Seqdata.raw_of_array [| value_of st row |] in
-    let seq = Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw in
-    st.parts <-
-      List.sort
-        (fun a b -> compare_pkey a.pkey b.pkey)
-        ({ pkey; base_rows = [| row |]; raw; seq; rendered = None } :: st.parts)
-  | Some p ->
-    let k = insert_rank st p row in
-    let seq', raw' =
-      Core.Maintain.apply p.seq p.raw (Core.Maintain.Insert { k; value = value_of st row })
-    in
-    let n = Array.length p.base_rows in
-    let rows = Array.make (n + 1) row in
-    Array.blit p.base_rows 0 rows 0 (k - 1);
-    Array.blit p.base_rows (k - 1) rows k (n - k + 1);
-    p.base_rows <- rows;
-    p.raw <- raw';
-    p.seq <- seq'
+(* Rank (1-based) at which [row] inserts into the ordered partition:
+   after all existing rows with order value <= its own. *)
+let insert_rank st (p : partition_state) row =
+  search ~ocol:st.ocol p.base_rows (Row.get row st.ocol) ~past_equal:true + 1
 
-(* Position of [row] in its partition (first row equal to it). *)
-let find_rank (p : partition_state) row =
-  let n = Array.length p.base_rows in
-  let rec go k =
-    if k >= n then None
-    else if Row.equal p.base_rows.(k) row then Some (k + 1)
-    else go (k + 1)
-  in
-  go 0
-
-let apply_delete st row =
-  Fault.hit site_apply_delete;
-  let pkey = pkey_of st row in
-  match find_partition st pkey with
-  | None -> raise (Not_maintainable "deleted row not found in view state")
-  | Some p ->
-    (match find_rank p row with
-     | None -> raise (Not_maintainable "deleted row not found in view state")
-     | Some k ->
-       let seq', raw' = Core.Maintain.apply p.seq p.raw (Core.Maintain.Delete { k }) in
-       let n = Array.length p.base_rows in
-       if n = 1 then st.parts <- List.filter (fun q -> q != p) st.parts
-       else begin
-         let rows = Array.make (n - 1) row in
-         Array.blit p.base_rows 0 rows 0 (k - 1);
-         Array.blit p.base_rows k rows (k - 1) (n - k);
-         p.base_rows <- rows;
-         p.raw <- raw';
-         p.seq <- seq'
-       end)
-
-let apply_update st ~old_row ~new_row =
-  Fault.hit site_apply_update;
-  let same_partition = compare_pkey (pkey_of st old_row) (pkey_of st new_row) = 0 in
-  let same_order =
-    Value.equal (Row.get old_row st.ocol) (Row.get new_row st.ocol)
-  in
-  if same_partition && same_order then begin
-    match find_partition st (pkey_of st old_row) with
-    | None -> raise (Not_maintainable "updated row not found in view state")
-    | Some p ->
-      (match find_rank p old_row with
-       | None -> raise (Not_maintainable "updated row not found in view state")
-       | Some k ->
-         let seq', raw' =
-           Core.Maintain.apply p.seq p.raw
-             (Core.Maintain.Update { k; value = value_of st new_row })
-         in
-         p.base_rows.(k - 1) <- new_row;
-         p.raw <- raw';
-         p.seq <- seq')
-  end
-  else begin
-    (* order or partition changed: delete + insert *)
-    apply_delete st old_row;
-    apply_insert st new_row
-  end
-
-(* ---- Batched maintenance (multi-row §2.3) ----
-
-   One partition's consolidated edits are merged into the ordered row
-   array in a single two-pointer pass; the merge records, per new rank,
-   which old rank it came from (0 for an inserted row) plus the edit
-   events.  Each event dirties the window span it touches — [k-h, k+l]
-   for an insert/update landing at new rank k, [g-h, g+l-1] for a
-   deletion gap at g — and the dirty positions are recomputed with one
-   pipelined span scan per contiguous run (Maintain.recompute_span).
-   Clean positions copy the old sequence value under the run-local rank
-   shift: a clean position's window contains no edit, so every raw value
-   in it moved by the same offset.  When at least half the sequence is
-   dirty the partition is recomputed outright. *)
-
-let site_apply_batch = Fault.define "matview.apply_batch"
-
-(* Stable by arrival on equal order values, matching per-row insert_rank
-   (a new row lands after existing rows with order <= it). *)
+(* Stable by arrival on equal order values: a new row lands after the
+   existing rows with order <= it, and after earlier arrivals. *)
 let sort_inserts ~ocol inserts =
   List.stable_sort
     (fun a b -> Value.compare (Row.get a ocol) (Row.get b ocol))
     inserts
 
-(* Structural half of one partition's batched merge: claim one old rank
-   per delete / per in-place update, then two-pointer merge the sorted
-   inserts over the old ranks.  Depends only on the order column and the
-   ordered base rows — not on the view's value column, aggregate or
-   frame — which is what shared-scan maintenance exploits: every view of
-   a scan-share class has bit-identical [base_rows], so the merge is
-   computed once and replayed per view. *)
+(* Structural half of one partition's merge.  Each delete, then each
+   in-place update, claims the first unclaimed row equal to it; equal
+   rows share their order value, so the claim searches only that run.
+   Each insert lands at its [insert_rank] slot, after earlier inserts
+   with the same slot.  Between those event points the old rows are
+   blitted: [runs] lists each such block as (new rank, old rank,
+   length) — the rank map of every kept row.  [touches] are the new
+   ranks of inserted and updated rows, [gaps] the new rank following
+   each deleted one.  Depends only on the order column and the ordered
+   base rows — not on the view's value column, aggregate or frame — so
+   every view of a scan-share class can replay one merge. *)
 let merge_structure ~ocol (base_rows : Row.t array) ~sorted_inserts ~deletes
     ~updates =
   let n = Array.length base_rows in
-  let status = Array.make n `Keep in
+  let claimed = Hashtbl.create 8 in
   let claim row f =
+    let v = Row.get row ocol in
     let rec go k =
-      if k >= n then raise (Not_maintainable "edited row not found in view state")
-      else
-        match status.(k) with
-        | `Keep when Row.equal base_rows.(k) row -> status.(k) <- f
-        | _ -> go (k + 1)
+      if k >= n || Value.compare (Row.get base_rows.(k) ocol) v <> 0 then
+        raise (Not_maintainable "edited row not found in view state")
+      else if (not (Hashtbl.mem claimed k)) && Row.equal base_rows.(k) row then
+        Hashtbl.replace claimed k f
+      else go (k + 1)
     in
-    go 0
+    go (search ~ocol base_rows v ~past_equal:false)
   in
   List.iter (fun r -> claim r `Drop) deletes;
   List.iter (fun (o, nw) -> claim o (`Set nw)) updates;
-  (* two-pointer merge over old ranks and sorted inserts *)
-  let new_rows = ref [] and n2o = ref [] in
-  let touches = ref [] and gaps = ref [] in
-  let nk = ref 0 in
-  let take row ~old_rank ~event =
-    incr nk;
-    new_rows := row :: !new_rows;
-    n2o := old_rank :: !n2o;
-    if event then touches := !nk :: !touches
+  let claims =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (Hashtbl.fold (fun k f acc -> (k, f) :: acc) claimed [])
   in
-  let rec merge old_k ins =
-    if old_k > n then List.iter (fun r -> take r ~old_rank:0 ~event:true) ins
-    else
-      let old_row = base_rows.(old_k - 1) in
-      match ins with
-      | r :: rest
-        when Value.compare (Row.get r ocol) (Row.get old_row ocol) < 0 ->
-        take r ~old_rank:0 ~event:true;
-        merge old_k rest
-      | _ ->
-        (match status.(old_k - 1) with
-         | `Keep -> take old_row ~old_rank:old_k ~event:false
-         | `Set nr -> take nr ~old_rank:old_k ~event:true
-         | `Drop -> gaps := (!nk + 1) :: !gaps);
-        merge (old_k + 1) ins
+  let inserts =
+    List.map
+      (fun r -> (search ~ocol base_rows (Row.get r ocol) ~past_equal:true, r))
+      sorted_inserts
   in
-  merge 1 sorted_inserts;
-  if !nk = 0 then `Drop
-  else
-    `Edit
-      ( Array.of_list (List.rev !new_rows),
-        Array.of_list (List.rev !n2o),
-        !touches,
-        !gaps )
+  let drops = List.length (List.filter (fun (_, f) -> f = `Drop) claims) in
+  let n' = n - drops + List.length inserts in
+  if n' = 0 then `Drop
+  else begin
+    let rows' = Array.make n' [||] in
+    let runs = ref [] and touches = ref [] and gaps = ref [] in
+    let src = ref 0 and dst = ref 0 in
+    (* keep the old rows [src, k) *)
+    let keep_upto k =
+      let len = k - !src in
+      if len > 0 then begin
+        Array.blit base_rows !src rows' !dst len;
+        runs := (!dst + 1, !src + 1, len) :: !runs
+      end;
+      src := k;
+      dst := !dst + len
+    in
+    let put row =
+      rows'.(!dst) <- row;
+      incr dst;
+      touches := !dst :: !touches
+    in
+    (* an insert goes before the old row at its slot *)
+    let next_claim = function (k, _) :: _ -> k | [] -> max_int in
+    let rec merge inserts claims =
+      match (inserts, claims) with
+      | (slot, r) :: ins, _ when slot <= next_claim claims ->
+        keep_upto slot;
+        put r;
+        merge ins claims
+      | _, (k, f) :: rest ->
+        keep_upto k;
+        (match f with
+         | `Drop -> gaps := (!dst + 1) :: !gaps
+         | `Set nr -> put nr);
+        src := k + 1;
+        merge inserts rest
+      | _, [] -> keep_upto n
+    in
+    merge inserts claims;
+    `Edit (rows', List.rev !runs, !touches, !gaps)
+  end
 
-(* Per-view half: re-extract the raw values with the view's value
-   column, mark the window spans the merge events dirtied, recompute
-   each contiguous dirty run with one pipelined span scan (clean
-   positions copy their old value under the run-local rank shift), and
-   install.  A partition at least half-dirty is recomputed outright. *)
-let apply_merge st (p : partition_state) ~rows' ~n2o ~touches ~gaps =
+(* Per-view half.  Kept rows copy their raw values under the rank map;
+   only inserted and updated rows extract theirs.  Each event dirties
+   the window span it touches; the spans merge into maximal dirty runs,
+   each recomputed with one pipelined span scan, while every clean
+   position copies its old value under its block's rank shift.  A
+   partition at least half-dirty is recomputed outright. *)
+let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
   let agg = core_agg st.spec.agg in
   let frame = st.spec.frame in
   let n = Array.length p.base_rows in
   let n' = Array.length rows' in
-  let raw' = Core.Seqdata.raw_of_array (Array.map (value_of st) rows') in
+  let raw' =
+    let values = Array.create_float n' in
+    List.iter
+      (fun (dst, src, len) -> Core.Seqdata.raw_blit p.raw ~src values ~pos:(dst - 1) ~len)
+      runs;
+    List.iter (fun k -> values.(k - 1) <- value_of st rows'.(k - 1)) touches;
+    Core.Seqdata.raw_of_array values
+  in
   let lo', hi' = Core.Seqdata.complete_range frame ~n:n' in
   let l, h =
     match frame with
@@ -513,43 +462,47 @@ let apply_merge st (p : partition_state) ~rows' ~n2o ~touches ~gaps =
     | Core.Frame.Cumulative -> (max n' n, 0)
   in
   let size = hi' - lo' + 1 in
-  let dirty = Array.make size false in
-  let mark lo hi =
-    for i = max lo' lo to min hi' hi do
-      dirty.(i - lo') <- true
-    done
+  let rec merge_spans = function
+    | (a, b) :: (c, d) :: rest when c <= b + 1 -> merge_spans ((a, max b d) :: rest)
+    | span :: rest -> span :: merge_spans rest
+    | [] -> []
   in
-  List.iter (fun k -> mark (k - h) (k + l)) touches;
-  List.iter (fun g -> mark (g - h) (g + l - 1)) gaps;
-  let dirty_count =
-    Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty
+  let dirty =
+    List.map (fun k -> (k - h, k + l)) touches
+    @ List.map (fun g -> (g - h, g + l - 1)) gaps
+    |> List.filter_map (fun (lo, hi) ->
+           let lo = max lo' lo and hi = min hi' hi in
+           if lo <= hi then Some (lo, hi) else None)
+    |> List.sort compare |> merge_spans
   in
+  let dirty_count = List.fold_left (fun acc (lo, hi) -> acc + hi - lo + 1) 0 dirty in
   let seq' =
     if 2 * dirty_count >= size then
       (* the delta is wider than the view: recompute the partition *)
       Core.Compute.sequence ~agg frame raw'
     else begin
-      let out = Array.make size 0. in
-      for i = lo' to hi' do
-        if not dirty.(i - lo') then begin
-          let anchor = max 1 (min n' i) in
-          let s = n2o.(anchor - 1) - anchor in
-          out.(i - lo') <- Core.Seqdata.get p.seq (i + s)
-        end
-      done;
-      let i = ref lo' in
-      while !i <= hi' do
-        if not dirty.(!i - lo') then incr i
-        else begin
-          let rlo = !i in
-          let rhi = ref rlo in
-          while !rhi < hi' && dirty.(!rhi + 1 - lo') do
-            incr rhi
-          done;
+      (* copy every position under its rank shift; the dirty ones are
+         overwritten below *)
+      let out = Array.create_float size in
+      List.iter
+        (fun (dst, src, len) ->
+          Core.Seqdata.blit p.seq ~src out ~pos:(dst - lo') ~len;
+          (* the header and trailer shift with the first and last rank *)
+          if dst = 1 then
+            for i = lo' to 0 do
+              out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
+            done;
+          if dst + len - 1 = n' then
+            for i = n' + 1 to hi' do
+              out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
+            done)
+        runs;
+      List.iter
+        (fun (rlo, rhi) ->
           let span =
             match frame with
             | Core.Frame.Sliding _ ->
-              Core.Maintain.recompute_span ~agg ~l ~h raw' ~lo:rlo ~hi:!rhi
+              Core.Maintain.recompute_span ~agg ~l ~h raw' ~lo:rlo ~hi:rhi
             | Core.Frame.Cumulative ->
               let seed =
                 if rlo = 1 then
@@ -558,43 +511,16 @@ let apply_merge st (p : partition_state) ~rows' ~n2o ~touches ~gaps =
                   | Core.Agg.Min | Core.Agg.Max -> Core.Agg.absent
                 else out.(rlo - 1 - lo')
               in
-              Core.Maintain.recompute_cumulative_span ~agg raw' ~seed ~lo:rlo
-                ~hi:!rhi
+              Core.Maintain.recompute_cumulative_span ~agg raw' ~seed ~lo:rlo ~hi:rhi
           in
-          Array.blit span 0 out (rlo - lo') (Array.length span);
-          i := !rhi + 1
-        end
-      done;
+          Array.blit span 0 out (rlo - lo') (Array.length span))
+        dirty;
       Core.Seqdata.make frame agg ~n:n' ~lo:lo' out
     end
   in
   p.base_rows <- rows';
   p.raw <- raw';
   p.seq <- seq'
-
-let apply_partition_batch st pkey ~inserts ~deletes ~updates =
-  let sorted_inserts = sort_inserts ~ocol:st.ocol inserts in
-  match find_partition st pkey with
-  | None ->
-    if deletes <> [] || updates <> [] then
-      raise (Not_maintainable "edited row not found in view state");
-    if sorted_inserts <> [] then begin
-      let rows = Array.of_list sorted_inserts in
-      let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
-      let seq = Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw in
-      st.parts <-
-        List.sort
-          (fun a b -> compare_pkey a.pkey b.pkey)
-          ({ pkey; base_rows = rows; raw; seq; rendered = None } :: st.parts)
-    end
-  | Some p ->
-    (match
-       merge_structure ~ocol:st.ocol p.base_rows ~sorted_inserts
-         ~deletes ~updates
-     with
-     | `Drop -> st.parts <- List.filter (fun q -> q != p) st.parts
-     | `Edit (rows', n2o, touches, gaps) ->
-       apply_merge st p ~rows' ~n2o ~touches ~gaps)
 
 (* Group one consolidated delta by partition key (first-seen order),
    normalizing updates that move a row (order or partition changed) to
@@ -638,33 +564,13 @@ let group_edits st ~inserts ~deletes ~updates =
       (pkey, (List.rev !ins, List.rev !del, List.rev !upd)))
     !groups
 
-let apply_batch st ~inserts ~deletes ~updates =
-  Fault.hit site_apply_batch;
-  List.iter
-    (fun (pkey, (ins, del, upd)) ->
-      apply_partition_batch st pkey ~inserts:ins ~deletes:del ~updates:upd)
-    (group_edits st ~inserts ~deletes ~updates)
-
-(* ---- Shared-scan batched maintenance ----
-
-   All sequence views of one scan-share class (same base table, same
-   partition columns, same order column — certified by
-   Rfview_analysis.Share and re-checked here) keep bit-identical
-   [base_rows] per partition: both initialization and every maintenance
-   path are deterministic functions of the base contents and the shared
-   (partition, order) key.  So the per-view work that depends only on
-   that structure — delta grouping, claim matching, the two-pointer
-   merge and the rank map — is computed ONCE against a representative
-   state ([shared_plan]) and replayed into each view ([apply_shared]),
-   leaving per view only the value re-extraction and the dirty-span
-   sequence recompute. *)
-
+(* A class's merge, computed once against its representative. *)
 type partition_plan =
   | P_new of Row.t array  (* no partition under this key: fresh sorted rows *)
   | P_drop                (* the partition empties *)
   | P_edit of {
       rows' : Row.t array;
-      n2o : int array;
+      runs : (int * int * int) list;
       touches : int list;
       gaps : int list;
       old_len : int;  (* every member's partition must have this length *)
@@ -675,8 +581,6 @@ type shared_plan = {
   shp_ocol : int;
   shp_parts : (Value.t list * partition_plan) list;
 }
-
-let site_apply_shared = Fault.define "matview.apply_shared"
 
 let shared_plan states ~inserts ~deletes ~updates : shared_plan =
   match states with
@@ -705,12 +609,12 @@ let shared_plan states ~inserts ~deletes ~updates : shared_plan =
                  ~deletes:del ~updates:upd
              with
              | `Drop -> (pkey, P_drop)
-             | `Edit (rows', n2o, touches, gaps) ->
+             | `Edit (rows', runs, touches, gaps) ->
                ( pkey,
                  P_edit
                    {
                      rows';
-                     n2o;
+                     runs;
                      touches;
                      gaps;
                      old_len = Array.length p.base_rows;
@@ -732,26 +636,32 @@ let apply_shared (plan : shared_plan) st =
     (fun (pkey, pplan) ->
       match (pplan, find_partition st pkey) with
       | P_new rows, None ->
-        if Array.length rows > 0 then begin
-          let rows = Array.copy rows in
-          let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
-          let seq =
-            Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw
-          in
-          st.parts <-
-            List.sort
-              (fun a b -> compare_pkey a.pkey b.pkey)
-              ({ pkey; base_rows = rows; raw; seq; rendered = None } :: st.parts)
-        end
+        let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
+        let seq =
+          Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw
+        in
+        st.parts <-
+          List.sort
+            (fun a b -> compare_pkey a.pkey b.pkey)
+            ({ pkey; base_rows = rows; raw; seq; rendered = None } :: st.parts)
       | P_drop, Some p -> st.parts <- List.filter (fun q -> q != p) st.parts
-      | P_edit { rows'; n2o; touches; gaps; old_len }, Some p ->
+      | P_edit { rows'; runs; touches; gaps; old_len }, Some p ->
         if Array.length p.base_rows <> old_len then diverged ();
-        (* each view installs its own copy: rows arrays are mutated in
-           place by the per-row update path and must not be aliased
-           across states *)
-        apply_merge st p ~rows':(Array.copy rows') ~n2o ~touches ~gaps
+        (* members share [rows']: no path writes into a row array *)
+        apply_merge st p ~rows' ~runs ~touches ~gaps
       | P_new _, Some _ | P_drop, None | P_edit _, None -> diverged ())
     plan.shp_parts
+
+(* A lone view's maintenance: a share class of one. *)
+let apply_batch st ~inserts ~deletes ~updates =
+  apply_shared (shared_plan [ st ] ~inserts ~deletes ~updates) st
+
+(* Batches of one, for callers outside the library. *)
+let apply_insert st row = apply_batch st ~inserts:[ row ] ~deletes:[] ~updates:[]
+let apply_delete st row = apply_batch st ~inserts:[] ~deletes:[ row ] ~updates:[]
+
+let apply_update st ~old_row ~new_row =
+  apply_batch st ~inserts:[] ~deletes:[] ~updates:[ (old_row, new_row) ]
 
 (* ---- Derived views (generalized IVM) ----
 

@@ -70,9 +70,9 @@ val insert_rank : state -> partition_state -> Row.t -> int
     @raise Not_maintainable per the restrictions above. *)
 val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
 
-(** Deep copy of the mutable layers (for undo-log snapshots): immutable
-    rows and sequence values are shared, partition records and their
-    arrays are copied. *)
+(** Copy of the mutable layers (for undo-log snapshots): the state and
+    partition records.  Row arrays, raw data and sequences are shared —
+    no maintenance path writes into them. *)
 val copy_state : state -> state
 
 (** Render the view contents from the state, re-rendering only the
@@ -86,49 +86,30 @@ val render : state -> Relation.t
     render whose rows should not stay resident. *)
 val drop_render_cache : state -> unit
 
-(** Incremental DML application (§2.3 rules under the hood).  Update of
-    the ordering or partition column is handled as delete + insert.
-    @raise Not_maintainable when a row cannot be located or the new value
-    is unusable; the engine then falls back to a full refresh. *)
-
-val apply_insert : state -> Row.t -> unit
-val apply_delete : state -> Row.t -> unit
-val apply_update : state -> old_row:Row.t -> new_row:Row.t -> unit
-
-(** Batched application of one table's consolidated delta (multi-row
-    §2.3): per partition, edits are merged into the ordered rows in one
-    two-pointer pass and each contiguous run of dirty sequence positions
-    is recomputed with a single pipelined span scan; positions outside
-    every touched window copy their old value under the rank shift.  A
-    partition at least half-dirty is recomputed outright.
-    @raise Not_maintainable as for the per-row entry points. *)
-val apply_batch :
-  state ->
-  inserts:Row.t list ->
-  deletes:Row.t list ->
-  updates:(Row.t * Row.t) list ->
-  unit
-
-(** Shared-scan batched maintenance.  Every sequence view of one
-    scan-share class (same base table, partition columns and order
-    column — certified statically by [Rfview_analysis.Share] and
-    re-checked at runtime) keeps bit-identical ordered [base_rows] per
-    partition, so the structural half of {!apply_batch} — delta
-    grouping, claim matching, the two-pointer merge and the rank map —
-    is view-independent.  {!shared_plan} computes it once against a
-    representative (the head of the class); {!apply_shared} replays it
-    into each member, leaving per view only value re-extraction and the
-    dirty-span sequence recompute.  Results are bit-identical to running
-    {!apply_batch} per view (the engine's differential validator
-    asserts this whenever verification is on). *)
+(** Incremental maintenance (multi-row §2.3).  Every change — one
+    statement's rows or a batch's consolidated delta — takes one path:
+    {!shared_plan} computes the structural merge once per scan-share
+    class (same base table, partition columns and order column —
+    certified statically by [Rfview_analysis.Share] and re-checked at
+    runtime; a lone view is a class of one), and {!apply_shared}
+    replays it into each member.  Per partition, each delete or
+    in-place update claims the first unclaimed equal row (binary search
+    to its run of equal order values), each insert lands at its
+    {!insert_rank}, and the new row array is blitted between those
+    event points.  Per member, kept rows copy their raw and sequence
+    values under the rank map; each contiguous run of dirty sequence
+    positions is recomputed with one pipelined span scan.  A partition
+    at least half-dirty is recomputed outright.  An update of the
+    ordering or partition column is a delete + insert.  No step writes
+    into an existing row array, raw data or sequence. *)
 
 type shared_plan
 
 (** Compute the class's shared structural merge.
     @raise Invalid_argument on an empty class or when the states
     disagree on the (base, partition, order) scan key;
-    @raise Not_maintainable as {!apply_batch} would for every member
-    (an edited row missing from the shared base structure). *)
+    @raise Not_maintainable when an edited row is missing from the
+    shared base structure; the engine then refreshes the class. *)
 val shared_plan :
   state list ->
   inserts:Row.t list ->
@@ -136,12 +117,29 @@ val shared_plan :
   updates:(Row.t * Row.t) list ->
   shared_plan
 
-(** Replay the shared merge into one member state.  Each member installs
-    its own copies of the merged row arrays (no aliasing across states).
+(** Replay the shared merge into one member state.  Members install the
+    same merged row arrays.
     @raise Not_maintainable when this member's partitions diverge
-    structurally from the plan (broken class invariant); the engine then
-    falls back to a full refresh of that member only. *)
+    structurally from the plan (broken class invariant), or a new value
+    is NULL or non-numeric; the engine then falls back to a full
+    refresh of that member only. *)
 val apply_shared : shared_plan -> state -> unit
+
+(** One view's maintenance as a class of one:
+    [apply_shared (shared_plan [st] ...) st]. *)
+val apply_batch :
+  state ->
+  inserts:Row.t list ->
+  deletes:Row.t list ->
+  updates:(Row.t * Row.t) list ->
+  unit
+
+(** Batches of one over {!apply_batch}, for callers outside the
+    library (the engine maintains through {!apply_shared}). *)
+
+val apply_insert : state -> Row.t -> unit
+val apply_delete : state -> Row.t -> unit
+val apply_update : state -> old_row:Row.t -> new_row:Row.t -> unit
 
 (** Derived views (generalized IVM): immutable maintenance state for
     views beyond the sequence shape — the delta rules of

@@ -153,9 +153,9 @@ let rollback_cases =
     ("matview.init_state",
      "CREATE MATERIALIZED VIEW v2 AS SELECT pos, val, MIN(val) OVER (ORDER BY \
       pos ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS m FROM seq", true);
-    ("matview.apply_insert", "INSERT INTO seq VALUES (10, 99)", true);
-    ("matview.apply_delete", "DELETE FROM seq WHERE pos = 1", true);
-    ("matview.apply_update", "UPDATE seq SET val = 99 WHERE pos = 2", true);
+    ("matview.apply_shared", "INSERT INTO seq VALUES (10, 99)", true);
+    ("matview.apply_shared", "DELETE FROM seq WHERE pos = 1", true);
+    ("matview.apply_shared", "UPDATE seq SET val = 99 WHERE pos = 2", true);
   ]
 
 let test_rollback_per_site () =
@@ -227,14 +227,14 @@ let test_ddl_rollback () =
 let test_quarantine_and_heal () =
   with_clean_faults (fun () ->
       let db = db_with_view [ 1.; 2.; 3. ] in
-      Fault.arm "matview.apply_insert" Fault.Always;
+      Fault.arm "matview.apply_shared" Fault.Always;
       (* default [`Quarantine]: the statement succeeds, the view goes stale *)
       ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
       Alcotest.(check int) "base row applied" 4
         (Relation.cardinality (Db.query db "SELECT * FROM seq"));
       Alcotest.(check bool) "view quarantined" true (Db.is_stale db "v");
       Alcotest.(check (list string)) "stale_views lists it" [ "v" ] (Db.stale_views db);
-      Fault.disarm "matview.apply_insert";
+      Fault.disarm "matview.apply_shared";
       (* the next read heals by full refresh *)
       let r = Db.query db "SELECT * FROM v" in
       Alcotest.(check bool) "healed by the read" false (Db.is_stale db "v");
@@ -359,7 +359,7 @@ let prop_sites =
   [
     "database.apply_insert"; "database.apply_delete"; "database.apply_update";
     "database.propagate_view"; "database.refresh_view"; "matview.init_state";
-    "matview.apply_insert"; "matview.apply_delete"; "matview.apply_update";
+    "matview.apply_shared";
   ]
 
 (* A short random DML stream; values are integers so SQL text round-trips

@@ -161,9 +161,9 @@ let test_snapshot_read_only () =
 let test_snapshot_local_heal () =
   with_clean_faults (fun () ->
       let db = db_with_view [ 1.; 2.; 3. ] in
-      Fault.arm "matview.apply_insert" Fault.Always;
+      Fault.arm "matview.apply_shared" Fault.Always;
       ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
-      Fault.disarm "matview.apply_insert";
+      Fault.disarm "matview.apply_shared";
       Alcotest.(check (list string)) "view is quarantined" [ "v" ]
         (Db.stale_views db);
       let sn = Db.snapshot db in
@@ -243,7 +243,7 @@ let read_path_fixture config =
     "CREATE MATERIALIZED VIEW qcum AS SELECT pos, val, SUM(val) OVER (ORDER \
      BY pos ROWS UNBOUNDED PRECEDING) AS c FROM q";
   with_clean_faults (fun () ->
-      Fault.arm "matview.apply_insert" Fault.Always;
+      Fault.arm "matview.apply_shared" Fault.Always;
       run "INSERT INTO q VALUES (4, 40)");
   Alcotest.(check (list string)) "qcum is quarantined" [ "qcum" ]
     (Db.stale_views db);

@@ -382,6 +382,7 @@ let test_cost_rf402_rf403 () =
 
 type share_op =
   | Ins of int * int * int  (* grp, pos, val tenths *)
+  | Ins_pair of int * int * int  (* the same row twice *)
   | Del of int * int        (* grp, pos *)
   | Bump of int             (* grp: val += 0.125 *)
   | Move_pos of int * int * int  (* grp, pos, new pos *)
@@ -390,6 +391,9 @@ type share_op =
 let sql_of_op = function
   | Ins (g, p, v) ->
     Printf.sprintf "INSERT INTO seq VALUES (%d, %d, %d.125)" g p v
+  | Ins_pair (g, p, v) ->
+    Printf.sprintf "INSERT INTO seq VALUES (%d, %d, %d.125), (%d, %d, %d.125)" g p v
+      g p v
   | Del (g, p) ->
     Printf.sprintf "DELETE FROM seq WHERE grp = %d AND pos = %d" g p
   | Bump g -> Printf.sprintf "UPDATE seq SET val = val + 0.125 WHERE grp = %d" g
@@ -411,6 +415,7 @@ let arb_share_stream =
         frequency
           [
             (4, map (fun ((g, p), v) -> Ins (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
+            (1, map (fun ((g, p), v) -> Ins_pair (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
             (2, map (fun (g, p) -> Del (g, p)) (pair grp pos));
             (2, map (fun g -> Bump g) grp);
             (1, map (fun ((g, p), p') -> Move_pos (g, p, p')) (pair (pair grp pos) (int_range 1 9)));
@@ -419,83 +424,74 @@ let arb_share_stream =
       in
       list_size (int_range 1 4) (list_size (int_range 1 5) op))
 
-(* The §2.3 sequence machinery assumes unique (partition, order) keys —
-   a duplicate order key makes the maintained equal-key order diverge
-   from recomputation's stable sort (a long-standing, documented
-   limitation; see the matrix note in test_ivm.ml).  The interpreter
-   below replays a raw stream against an occupancy model so every
-   executed statement keeps keys unique: colliding inserts slide to a
-   free position, colliding moves are dropped.  Inserts and deletes of
-   duplicate keys are fine (a fresh row is appended physically last,
-   matching the stable recompute sort) — only a *move* (normalized by
-   the engine to delete + reinsert while the row keeps its physical
-   slot) must land on an order key that is free both in the target
-   partition and globally: v_all has no PARTITION BY, so its order key
-   is pos across the whole table. *)
+(* The §2.3 sequence machinery places a new row after the rows with an
+   equal order value, while recomputation sorts ties stably by physical
+   table order.  The two agree for inserts — a fresh row is appended
+   physically last — so the interpreter below lets an insert land on an
+   occupied order key, and [Ins_pair] puts two byte-identical rows into
+   one partition.  Only a *move* (normalized by the engine to delete +
+   reinsert while the row keeps its physical slot) must land on a key
+   that is free both in the target partition and globally (v_all has
+   no PARTITION BY, so its order key is pos across the whole table),
+   and must carry a single row: a batch's consolidated delta lists the
+   rows it inserted before the rows it moved, so moving a key that
+   holds an older row and a row inserted in the same batch reinserts
+   them out of physical order (a known limitation of batched
+   maintenance under duplicate order keys).  Other moves are dropped.
+   The interpreter replays a raw stream against a model of the live
+   rows so every executed statement keeps to that. *)
 let concretize chunks =
-  let occupied = Hashtbl.create 16 in
-  let pos_count = Hashtbl.create 16 in
-  (* order keys a Move ever landed on: the moved row keeps its physical
+  (* live rows as (grp, pos, val in eighths): exact, float-free *)
+  let live = ref [ (1, 1, 84); (1, 2, 162); (1, 3, 121); (2, 1, 46); (2, 2, 200); (3, 1, 60) ] in
+  (* order keys a move ever landed on: the moved row keeps its physical
      slot, so a later insert at the same table-wide key would make the
-     equal-key physical order diverge from insertion order — the one
-     duplicate shape the stable recompute sort does NOT absorb *)
+     equal-key physical order diverge from insertion order *)
   let moved_pos = Hashtbl.create 16 in
-  (* v_byval keys on (grp, val), so that pair must stay unique too.  We
-     track every live row's val in eighths (exact, float-free) and
-     rewrite inserted vals to a fresh monotone series (1000.125,
-     1010.125, ...) spaced wider than any possible number of Bumps in a
-     stream (<= 20 ops, each Bump shifts one group by 1/8) — so an
-     insert can never collide with any live, bumped, or deleted val.
-     Only Move_grp needs an exact check against its target group. *)
-  let rowval = Hashtbl.create 16 in
+  (* v_byval keys on (grp, val): inserted vals come from a fresh
+     monotone series (1000.125, 1010.125, ...) spaced wider than any
+     possible number of Bumps in a stream (each shifts one group by
+     1/8), so an insert never collides with a live, bumped or deleted
+     val; only Move_grp needs an exact check against its target group. *)
   let fresh = ref 1000 in
-  let pcount p = try Hashtbl.find pos_count p with Not_found -> 0 in
-  let add g p v8 =
-    Hashtbl.replace occupied (g, p) ();
-    Hashtbl.replace rowval (g, p) v8;
-    Hashtbl.replace pos_count p (pcount p + 1)
+  let count g p = List.length (List.filter (fun (g', p', _) -> g' = g && p' = p) !live) in
+  let mem g p = count g p > 0 in
+  let pcount p = List.length (List.filter (fun (_, p', _) -> p' = p) !live) in
+  let val_in g v8 = List.exists (fun (g', _, v) -> g' = g && v = v8) !live in
+  let insert g p copies =
+    let p = ref p in
+    while Hashtbl.mem moved_pos !p do
+      p := !p + 7
+    done;
+    let v = !fresh in
+    fresh := !fresh + 10;
+    live := List.init copies (fun _ -> (g, !p, (8 * v) + 1)) @ !live;
+    (!p, v)
   in
-  let remove g p =
-    Hashtbl.remove occupied (g, p);
-    Hashtbl.remove rowval (g, p);
-    Hashtbl.replace pos_count p (pcount p - 1)
+  (* move every row at (g, p) through [f] *)
+  let move g p f =
+    live := List.map (fun ((g', p', _) as r) -> if g' = g && p' = p then f r else r) !live
   in
-  let val_in g v8 =
-    Hashtbl.fold (fun (g', _) v acc -> acc || (g' = g && v = v8)) rowval false
-  in
-  List.iter
-    (fun (g, p, v8) -> add g p v8)
-    [ (1, 1, 84); (1, 2, 162); (1, 3, 121); (2, 1, 46); (2, 2, 200); (3, 1, 60) ];
-  let mem g p = Hashtbl.mem occupied (g, p) in
   List.map
     (List.filter_map (fun op ->
          match op with
          | Ins (g, p, _) ->
-           let p = ref p in
-           while mem g !p || Hashtbl.mem moved_pos !p do
-             p := !p + 7
-           done;
-           let v = !fresh in
-           fresh := !fresh + 10;
-           add g !p ((8 * v) + 1);
-           Some (Ins (g, !p, v))
+           let p, v = insert g p 1 in
+           Some (Ins (g, p, v))
+         | Ins_pair (g, p, _) ->
+           let p, v = insert g p 2 in
+           Some (Ins_pair (g, p, v))
          | Del (g, p) ->
-           if mem g p then remove g p;
+           live := List.filter (fun (g', p', _) -> not (g' = g && p' = p)) !live;
            Some op
          | Bump g ->
            (* uniform shift of one whole group: preserves within-group
               val distinctness and relative order, so v_byval's key stays
               unique — but the absolute vals move, so track them *)
-           Hashtbl.fold
-             (fun (g', p) v acc -> if g' = g then ((g', p), v) :: acc else acc)
-             rowval []
-           |> List.iter (fun (k, v) -> Hashtbl.replace rowval k (v + 1));
+           live := List.map (fun (g', p, v) -> if g' = g then (g', p, v + 1) else (g', p, v)) !live;
            Some op
          | Move_pos (g, p, p') ->
-           if mem g p && pcount p' = 0 && p <> p' then begin
-             let v8 = Hashtbl.find rowval (g, p) in
-             remove g p;
-             add g p' v8;
+           if count g p = 1 && pcount p' = 0 && p <> p' then begin
+             move g p (fun (g, _, v) -> (g, p', v));
              Hashtbl.replace moved_pos p' ();
              Some op
            end
@@ -504,36 +500,36 @@ let concretize chunks =
            (* reinserts at the same pos: only safe if this row is the
               sole holder of pos table-wide (v_all's order key) and its
               val is free in the target group (v_byval's order key) *)
-           if
-             mem g p
-             && (not (mem g' p))
-             && pcount p = 1 && g <> g'
-             && not (val_in g' (Hashtbl.find rowval (g, p)))
-           then begin
-             let v8 = Hashtbl.find rowval (g, p) in
-             remove g p;
-             add g' p v8;
-             Hashtbl.replace moved_pos p ();
-             Some op
-           end
-           else None))
+           (match List.find_opt (fun (g'', p', _) -> g'' = g && p' = p) !live with
+            | Some (_, _, v8)
+              when (not (mem g' p)) && pcount p = 1 && g <> g' && not (val_in g' v8) ->
+              move g p (fun (_, p, v) -> (g', p, v));
+              Hashtbl.replace moved_pos p ();
+              Some op
+            | _ -> None)))
     chunks
 
+(* Three databases take the same stream: shared scans on and off, each
+   running a lone statement on its own, and a third running every step
+   — lone statements too — as a batch. *)
 let prop_shared_stream chunks =
   let on = fixture_db () in
   let off =
     fixture_db ~config:{ Db.default_config with Db.share_scans = false } ()
   in
-  create_views on;
-  create_views off;
+  let scoped = fixture_db () in
+  List.iter create_views [ on; off; scoped ];
   List.for_all
     (fun stmts ->
       run_step on stmts;
       run_step off stmts;
+      Db.with_batch scoped (fun () ->
+          List.iter (fun sql -> ignore (Db.exec scoped sql)) stmts);
       List.for_all
         (fun (name, def, _) ->
           let sql = Printf.sprintf "SELECT * FROM %s" name in
           bit_identical (Db.query on sql) (Db.query off sql)
+          && bit_identical (Db.query on sql) (Db.query scoped sql)
           && bit_identical (Db.query on sql) (Db.query on def))
         views)
     (List.filter_map
@@ -602,7 +598,7 @@ let padding_sql =
       (List.init 64 (fun i -> Printf.sprintf "(9, %d, %d.5)" (-(i + 1)) i))
 
 let groups_of_op = function
-  | Ins (g, _, _) | Del (g, _) | Bump g | Move_pos (g, _, _) -> [ g ]
+  | Ins (g, _, _) | Ins_pair (g, _, _) | Del (g, _) | Bump g | Move_pos (g, _, _) -> [ g ]
   | Move_grp (g, _, g') -> [ g; g' ]
 
 let apply_sites () =
@@ -706,6 +702,83 @@ let prop_render_cache_coherent (chunks, faults) =
         (List.filter (fun ops -> ops <> []) (concretize chunks)));
   true
 
+(* ---- Row arrays are never written in place (qcheck) ----
+
+   Undo snapshots ([Matview.copy_state]) copy only the state and
+   partition records; they share row arrays, raw data and sequences
+   with the live state, and the members of a share class share the
+   merged row arrays.  That is sound only while no maintenance path
+   writes into any of them.  Freeze a copy of every view's state
+   before each step, with a deep snapshot of its contents and its
+   render, then run the rest of a random stream — lone statements, a
+   lone same-order UPDATE after every step (a value edit in place),
+   batches, with shared scans on and off — and check after every step
+   that no frozen copy changed. *)
+
+type frozen = {
+  fz_state : Matview.state;
+  fz_parts : (Row.t array * float array * float array) list;
+      (* per partition: deep copies of base rows, raw data, sequence *)
+  fz_render : Row.t array;
+}
+
+let freeze st =
+  let copy = Matview.copy_state st in
+  let module S = Rfview_core.Seqdata in
+  {
+    fz_state = copy;
+    fz_parts =
+      List.map
+        (fun (p : Matview.partition_state) ->
+          (Array.map Array.copy p.Matview.base_rows, S.raw_to_array p.Matview.raw,
+           S.to_array p.Matview.seq))
+        copy.Matview.parts;
+    fz_render = Relation.rows (Matview.render copy);
+  }
+
+let floats_same a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let rows_same a b = Array.length a = Array.length b && Array.for_all2 row_same_bits a b
+
+let still_frozen fz =
+  let module S = Rfview_core.Seqdata in
+  List.for_all2
+    (fun (p : Matview.partition_state) (rows, raw, seq) ->
+      rows_same p.Matview.base_rows rows
+      && floats_same (S.raw_to_array p.Matview.raw) raw
+      && floats_same (S.to_array p.Matview.seq) seq)
+    fz.fz_state.Matview.parts fz.fz_parts
+  &&
+  (Matview.drop_render_cache fz.fz_state;
+   rows_same (Relation.rows (Matview.render fz.fz_state)) fz.fz_render)
+
+let prop_no_in_place_writes chunks =
+  let on = fixture_db () and off =
+    fixture_db ~config:{ Db.default_config with Db.share_scans = false } ()
+  in
+  List.iter create_views [ on; off ];
+  let steps =
+    concretize (List.concat_map (fun ops -> [ ops; [ Bump 1 ] ]) chunks)
+    |> List.filter (fun ops -> ops <> [])
+  in
+  List.for_all
+    (fun db ->
+      let frozen = ref [] in
+      List.for_all
+        (fun ops ->
+          List.iter
+            (fun (name, _, _) ->
+              Option.iter
+                (fun st -> frozen := freeze st :: !frozen)
+                (Db.view_state db name))
+            views;
+          run_step db (List.map sql_of_op ops);
+          List.for_all still_frozen !frozen)
+        steps)
+    [ on; off ]
+
 let () =
   Alcotest.run "share"
     [
@@ -750,5 +823,9 @@ let () =
                (QCheck.pair arb_share_stream
                   QCheck.(list_of_size Gen.(int_range 0 4) bool))
                prop_render_cache_coherent);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:25
+               ~name:"no maintenance path writes into a row array"
+               arb_share_stream prop_no_in_place_writes);
         ] );
     ]
