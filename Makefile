@@ -114,10 +114,14 @@ serve-smoke:
 # batched maintenance, bit-identical fingerprints), writing
 # BENCH_share.json, the replica experiment, and the concurrent-serving
 # experiment (snapshot-read fan-out + wrong-read chaos), writing
-# BENCH_serve.json, all under the same checks.  Last, the compiled
+# BENCH_serve.json, all under the same checks.  Then the compiled
 # scalar-expression micro bench (a 20,000-row filter, interpreted vs
 # compiled), writing BENCH_expr.json and failing unless compiled costs
-# at most half of interpreted.
+# at most half of interpreted.  Last, the read-path allocation bench
+# (minor-heap words and forced minor collections per server read of
+# the warehouse read shapes), writing BENCH_reads.json and failing
+# unless the serve query allocates at most 100k words and the Table 1
+# window averages at most 0.1 minor collections per read.
 bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
@@ -137,6 +141,9 @@ bench-smoke:
 	dune exec bench/main.exe -- expr --smoke
 	@grep -q '"acceptance"' BENCH_expr.json && grep -q '"ratio"' BENCH_expr.json \
 	  && echo "BENCH_expr.json well-formed"
+	dune exec bench/main.exe -- reads --smoke
+	@grep -q '"acceptance"' BENCH_reads.json && grep -q '"words_per_read"' BENCH_reads.json \
+	  && echo "BENCH_reads.json well-formed"
 
 # End-to-end warehouse benchmark smoke: a real `rfview serve` child on
 # loopback driven through all three workloads for 2 measured seconds

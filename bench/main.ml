@@ -30,9 +30,11 @@
      BENCH_serve.json).
    - Scalar expressions: a 20,000-row filter, interpreted vs compiled
      (writes BENCH_expr.json).
+   - Read path: minor-heap words and forced minor collections per
+     server read of the warehouse read shapes (writes BENCH_reads.json).
 
    Usage: main.exe
-   [table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|all]
+   [table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|reads|all]
    [--full] [--smoke]
    --full uses the paper's original row counts (slow: the unindexed self
    join is quadratic); --smoke shrinks the delta experiment to a
@@ -1492,6 +1494,173 @@ let run_expr_bench ~smoke =
     exit 1
   end
 
+(* ---- Read path: allocation and forced minor collections ----
+
+   The report-read shapes of the warehouse benchmark, rebuilt from
+   [Core.Sqlgen] on the same warehouse layout (8 partitions of 2,500
+   rows, positions spaced by 16, in position order; a cumulative view
+   v_cum; a complete (2,1) view matseq of 300 values with an index on
+   pos), plus the serve bench's query over a 2,000-row seq.  Each read
+   is what the server does for a [query] line: pin a snapshot, query,
+   render, encode, release.
+
+   On OCaml 5 every minor collection stops all domains, so the report
+   counts the words a read allocates on the minor heap (all of it, and
+   the query alone) and the minor collections one read runs.  Each
+   measured read begins from an empty minor heap ([Gc.minor ()] first),
+   so a read that allocates less than the minor heap and still
+   collects forced that collection.  The run fails unless the serve
+   query alone allocates at most 100k words per read and the Table 1
+   window averages at most 0.1 minor collections per read (writes
+   BENCH_reads.json). *)
+
+let reads_words_bar = 100_000.
+let reads_gcs_bar = 0.1
+
+let run_reads_bench ~smoke =
+  header "Read path: minor-heap words and forced minor collections per read";
+  let reps = if smoke then 40 else 400 in
+  let groups = 8 and per_group = 2_500 and spacing = 16 in
+  let wh = Session.open_in_memory () in
+  sexec wh "CREATE TABLE seq (grp INT, pos INT, val FLOAT)";
+  let rng = Prng.create ~seed:23 in
+  Session.load_table wh ~table:"seq"
+    (Array.init (groups * per_group) (fun i ->
+         [|
+           Value.Int (i / per_group);
+           Value.Int (((i mod per_group) + 1) * spacing);
+           Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+         |]));
+  sexec wh
+    (Printf.sprintf
+       "CREATE MATERIALIZED VIEW v_cum AS SELECT grp, pos, val, SUM(val) OVER \
+        (PARTITION BY grp ORDER BY pos %s) AS s FROM seq"
+       (Core.Frame.to_sql Core.Frame.cumulative));
+  Seqgen.create_matseq_table_session ~indexed:true wh
+    (Core.Compute.sequence (Core.Frame.sliding ~l:2 ~h:1)
+       (Core.Seqdata.raw_of_array (Seqgen.raw_values ~seed:29 300)));
+  let sv = Session.open_in_memory () in
+  sexec sv "CREATE TABLE seq (pos INT, val FLOAT)";
+  let rng = Prng.create ~seed:19 in
+  Session.load_table sv ~table:"seq"
+    (Array.init 2_000 (fun i ->
+         [|
+           Value.Int (i + 1);
+           Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+         |]));
+  let lookup i =
+    let r = i * 37 mod (per_group - 19) in
+    Printf.sprintf
+      "SELECT grp, pos, s FROM v_cum WHERE grp = %d AND pos BETWEEN %d AND %d"
+      (i mod groups) ((r + 1) * spacing) ((r + 20) * spacing)
+  in
+  let window i =
+    Core.Sqlgen.native_window (Core.Frame.sliding ~l:1 ~h:1)
+    ^ Printf.sprintf " WHERE grp = %d" (i mod groups)
+  in
+  let derive _ = Core.Sqlgen.maxoa ~lx:2 ~h:1 ~ly:4 `Union in
+  let shapes =
+    [
+      ("serve", sv, (fun _ -> serve_read_sql), 2_000);
+      ("lookup", wh, lookup, 20);
+      ("window", wh, window, per_group);
+      ("derive", wh, derive, 303);
+    ]
+  in
+  (* one server read; the words the query alone allocated, and the line *)
+  let read s sql =
+    let sn = Snapshot.snapshot s in
+    let w0 = Gc.minor_words () in
+    let rel =
+      match Snapshot.query sn sql with
+      | Ok r -> r
+      | Error e -> failwith (Session.describe_error e)
+    in
+    let query_words = Gc.minor_words () -. w0 in
+    let line =
+      Rfview_server.Wire.ok_fields
+        [
+          ("lsn", Rfview_server.Wire.jint (Snapshot.lsn sn));
+          ("rows", Rfview_server.Wire.jint (Relation.cardinality rel));
+          ("data", Rfview_server.Wire.jstr (Relation.render ~max_rows:max_int rel));
+        ]
+    in
+    Snapshot.close sn;
+    (Relation.cardinality rel, query_words, line)
+  in
+  row_line
+    [ Printf.sprintf "%-7s" "shape"; " rows"; "words/read"; "query words"; "minor GCs/read";
+      "   p50" ];
+  let runs =
+    List.map
+      (fun (name, s, sql, rows) ->
+        (* warm the version's index and heal memos *)
+        let _, _, first = read s (sql 0) in
+        let total_words = ref 0. and query_words = ref 0. and gcs = ref 0 in
+        let times = Array.make reps 0. in
+        for i = 0 to reps - 1 do
+          Gc.minor ();
+          let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+          let w0 = Gc.minor_words () in
+          let t0 = Unix.gettimeofday () in
+          let n, qw, _ = read s (sql i) in
+          times.(i) <- Unix.gettimeofday () -. t0;
+          total_words := !total_words +. (Gc.minor_words () -. w0);
+          gcs := !gcs + ((Gc.quick_stat ()).Gc.minor_collections - c0);
+          query_words := !query_words +. qw;
+          if n <> rows then
+            failwith (Printf.sprintf "reads: %s answered %d rows, expected %d" name n rows)
+        done;
+        Array.sort Float.compare times;
+        let per x = x /. float_of_int reps in
+        let words = per !total_words and qwords = per !query_words in
+        let gcs = per (float_of_int !gcs) and p50 = times.(reps / 2) in
+        row_line
+          [ Printf.sprintf "%-7s" name; Printf.sprintf "%5d" rows;
+            Printf.sprintf "%10.0f" words; Printf.sprintf "%11.0f" qwords;
+            Printf.sprintf "%14.2f" gcs; fmt_time p50 ];
+        (name, sql 0, rows, words, qwords, gcs, p50, Digest.to_hex (Digest.string first)))
+      shapes
+  in
+  Session.close wh;
+  Session.close sv;
+  let find name = List.find (fun (n, _, _, _, _, _, _, _) -> n = name) runs in
+  let _, _, _, _, serve_words, _, _, _ = find "serve" in
+  let _, _, _, _, _, window_gcs, _, _ = find "window" in
+  let pass = serve_words <= reads_words_bar && window_gcs <= reads_gcs_bar in
+  let buf = Buffer.create 2048 in
+  report_header buf ~experiment:"reads" ~smoke;
+  Buffer.add_string buf (Printf.sprintf "  \"reads_per_shape\": %d,\n" reps);
+  Buffer.add_string buf "  \"runs\": [\n";
+  List.iteri
+    (fun i (name, sql, rows, words, qwords, gcs, p50, digest) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"shape\": \"%s\", \"sql\": %s, \"rows\": %d, \
+            \"words_per_read\": %.0f, \"query_words_per_read\": %.0f, \
+            \"minor_gcs_per_read\": %.3f, \"p50_us\": %.1f, \"answer_md5\": \"%s\"}%s\n"
+           name (Rfview_server.Wire.jstr sql) rows words qwords gcs (p50 *. 1e6) digest
+           (if i = List.length runs - 1 then "" else ",")))
+    runs;
+  Buffer.add_string buf "  ],\n";
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"acceptance\": {\"serve_query_words_per_read\": %.0f, \"required_words_at_most\": %.0f, \
+        \"window_minor_gcs_per_read\": %.3f, \"required_gcs_at_most\": %.1f, \"pass\": %b}\n"
+       serve_words reads_words_bar window_gcs reads_gcs_bar pass);
+  Buffer.add_string buf "}\n";
+  let out = "BENCH_reads.json" in
+  write_report out buf ~keys:[ "acceptance"; "runs"; "words_per_read"; "minor_gcs_per_read" ];
+  Printf.printf "\nwrote %s (serve query: %.0f words/read; window: %.3f minor GCs/read)\n%!" out
+    serve_words window_gcs;
+  if not pass then begin
+    Printf.eprintf
+      "reads acceptance FAILED: serve query %.0f words/read (bar %.0f), window %.3f minor \
+       GCs/read (bar %.1f)\n%!"
+      serve_words reads_words_bar window_gcs reads_gcs_bar;
+    exit 1
+  end
+
 (* ---- Entry point ---- *)
 
 let () =
@@ -1521,6 +1690,7 @@ let () =
    | "serve" -> run_serve_bench ~smoke
    | "bechamel" -> run_bechamel ()
    | "expr" -> run_expr_bench ~smoke
+   | "reads" -> run_reads_bench ~smoke
    | "all" ->
      run_table1 ~sizes:t1_sizes;
      run_table2 ~sizes:t2_sizes;
@@ -1531,11 +1701,12 @@ let () =
      run_replica_bench ~smoke:(not full);
      run_serve_bench ~smoke:(not full);
      run_bechamel ();
-     run_expr_bench ~smoke:(not full)
+     run_expr_bench ~smoke:(not full);
+     run_reads_bench ~smoke:(not full)
    | other ->
      Printf.eprintf
        "unknown experiment %s (use \
-        table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|all)\n"
+        table1|table2|ablations|delta|delta-ivm|share|replica|serve|bechamel|expr|reads|all)\n"
        other;
      exit 1);
   Printf.printf "\ndone.\n"

@@ -384,7 +384,8 @@ and execute_number observer cat input partition order name =
     Schema.append (Relation.schema r) (Schema.make [ Schema.column name Dtype.Int ])
   in
   let out =
-    Array.mapi (fun i row -> Row.append row [| Value.Int numbers.(i) |]) rows
+    Row.array_init (Array.length rows) (fun i ->
+        Row.append rows.(i) [| Value.Int numbers.(i) |])
   in
   Relation.of_array schema out
 

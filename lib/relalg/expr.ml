@@ -302,6 +302,8 @@ let flip = function
 
 type compiled = Row.t -> Row.t -> Value.t
 
+exception Not_int
+
 let col la i : compiled =
   if i < la then fun l _ -> l.(i)
   else
@@ -488,11 +490,47 @@ and comp_cmp la op a b =
   | _, Const kv when total a -> comp_cmp_const la op a kv
   | _ ->
     let fa = comp la a and fb = comp la b in
-    fun l r ->
+    let boxed l r =
       let vb = fb l r in
-      (match fa l r, vb with
-       | Value.Null, _ | _, Value.Null -> false
-       | va, vb -> cmp_holds op (Value.compare va vb))
+      match fa l r, vb with
+      | Value.Null, _ | _, Value.Null -> false
+      | va, vb -> cmp_holds op (Value.compare va vb)
+    in
+    (* two bare columns or constants already compare without boxing *)
+    (match int_form la a, int_form la b with
+     | Some ia, Some ib when not (total a && total b) ->
+       fun l r ->
+         (match ia l r with
+          | exception Not_int -> boxed l r
+          | x ->
+            (match ib l r with
+             | exception Not_int -> boxed l r
+             | y -> cmp_holds op (Int.compare x y)))
+     | _ -> boxed)
+
+(* Integer arithmetic without boxing.  [int_form la e] is [Some f] when
+   [e] is built from columns, Int constants, [+], [-] and MOD by a
+   non-zero Int constant.  [f] returns [e]'s value when every column it
+   reads holds an Int, where [eval] computes the same int boxed (no
+   operand can raise), and raises [Not_int] at the first other leaf:
+   the caller then runs the boxed closures from the start, so NULLs,
+   floats, dates and [eval]'s exceptions come out as before. *)
+and int_form la (e : t) : (Row.t -> Row.t -> int) option =
+  let int_of = function Value.Int x -> x | _ -> raise_notrace Not_int in
+  match e with
+  | Const (Value.Int k) -> Some (fun _ _ -> k)
+  | Col i when i < la -> Some (fun l _ -> int_of l.(i))
+  | Col i ->
+    let j = i - la in
+    Some (fun _ r -> int_of r.(j))
+  | Binop (((Add | Sub) as op), a, b) ->
+    (match int_form la a, int_form la b with
+     | Some fa, Some fb when op = Add -> Some (fun l r -> fa l r + fb l r)
+     | Some fa, Some fb -> Some (fun l r -> fa l r - fb l r)
+     | _ -> None)
+  | Binop (Mod, a, Const (Value.Int m)) when m <> 0 ->
+    Option.map (fun fa l r -> Value.floored_mod (fa l r) m) (int_form la a)
+  | _ -> None
 
 (* [a op kv] for a total [a]. *)
 and comp_cmp_const la op a kv =

@@ -45,35 +45,39 @@ let group_by ?(group : Expr.t list = []) ~(aggs : agg_spec list) (r : Relation.t
   let order = ref [] in
   let group_fns = Array.of_list (List.map Expr.compile group) in
   let arg_fns = Array.of_list (List.map (fun a -> Expr.compile a.arg) aggs) in
-  Relation.iter
-    (fun row ->
-      let key = Array.map (fun f -> f row) group_fns in
-      let states =
-        match Hashtbl.find_opt tbl key with
-        | Some st -> st
-        | None ->
-          let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
-          Hashtbl.add tbl key st;
-          order := key :: !order;
-          st
-      in
-      Array.iteri (fun i f -> Aggregate.add states.(i) (f row)) arg_fns)
-    r;
-  let keys = List.rev !order in
+  let rows = Relation.rows r in
+  for n = 0 to Array.length rows - 1 do
+    let row = rows.(n) in
+    let key = Array.make (Array.length group_fns) Value.Null in
+    for k = 0 to Array.length group_fns - 1 do
+      key.(k) <- group_fns.(k) row
+    done;
+    let states =
+      match Hashtbl.find_opt tbl key with
+      | Some st -> st
+      | None ->
+        let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
+        Hashtbl.add tbl key st;
+        order := key :: !order;
+        st
+    in
+    for i = 0 to Array.length arg_fns - 1 do
+      Aggregate.add states.(i) (arg_fns.(i) row)
+    done
+  done;
   (* Global aggregation over an empty input still yields one row. *)
-  let keys =
-    if keys = [] && group = [] then begin
-      let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
-      Hashtbl.add tbl [||] st;
-      [ [||] ]
-    end
-    else keys
-  in
+  if !order = [] && group = [] then begin
+    let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
+    Hashtbl.add tbl [||] st;
+    order := [ [||] ]
+  end;
+  (* [!order] lists the groups newest first: the rows are built in
+     reverse *)
   let rows =
     List.map
       (fun key ->
         let states = Hashtbl.find tbl key in
         Row.append key (Array.map Aggregate.result states))
-      keys
+      !order
   in
-  Relation.of_array schema (Array.of_list rows)
+  Relation.of_rev_list schema rows

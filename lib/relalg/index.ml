@@ -39,12 +39,22 @@ let build kind (rows : Row.t array) ~key_col : t =
       rows;
     Hash_index tbl
   | Ordered ->
-    let entries =
-      Array.to_list rows
-      |> List.mapi (fun i row -> (Row.get row key_col, i))
-      |> List.filter (fun (k, _) -> not (Value.is_null k))
-      |> Array.of_list
+    let count =
+      Array.fold_left
+        (fun n row -> if Value.is_null (Row.get row key_col) then n else n + 1)
+        0 rows
     in
+    (* filled from a constant, not [Array.of_list]: see [Row.array_init] *)
+    let entries = Array.make count (Value.Null, 0) in
+    let next = ref 0 in
+    Array.iteri
+      (fun i row ->
+        let k = Row.get row key_col in
+        if not (Value.is_null k) then begin
+          entries.(!next) <- (k, i);
+          incr next
+        end)
+      rows;
     Array.sort
       (fun (a, i) (b, j) ->
         let c = Value.compare a b in
@@ -87,14 +97,17 @@ let lookup_eq t k =
     | Ordered_index entries ->
       collect_ids entries ~start:(lower_bound entries k) ~stop:(upper_bound entries k)
 
-(* Row ids whose key lies in [lo, hi] (inclusive; either bound optional). *)
-let lookup_range t ?lo ?hi () =
+(* [f] on each row id whose key lies in [lo, hi] (inclusive; either
+   bound optional), in key order; no list of ids is built. *)
+let iter_range t ?lo ?hi f =
   match t with
-  | Hash_index _ -> invalid_arg "Index.lookup_range: hash indexes answer equality only"
+  | Hash_index _ -> invalid_arg "Index.iter_range: hash indexes answer equality only"
   | Ordered_index entries ->
     let start = match lo with None -> 0 | Some v -> lower_bound entries v in
     let stop = match hi with None -> Array.length entries | Some v -> upper_bound entries v in
-    collect_ids entries ~start ~stop
+    for i = start to stop - 1 do
+      f (snd entries.(i))
+    done
 
 let supports_range t =
   match t with Ordered_index _ -> true | Hash_index _ -> false

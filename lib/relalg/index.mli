@@ -24,8 +24,9 @@ val build : kind -> Row.t array -> key_col:int -> t
 (** Row ids whose key equals the value ([] for NULL). *)
 val lookup_eq : t -> Value.t -> int list
 
-(** Row ids with key in [[lo, hi]] (inclusive; either bound optional).
+(** [iter_range t ?lo ?hi f] calls [f] on each row id with key in
+    [[lo, hi]] (inclusive; either bound optional), in key order.
     @raise Invalid_argument on hash indexes. *)
-val lookup_range : t -> ?lo:Value.t -> ?hi:Value.t -> unit -> int list
+val iter_range : t -> ?lo:Value.t -> ?hi:Value.t -> (int -> unit) -> unit
 
 val supports_range : t -> bool

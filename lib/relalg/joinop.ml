@@ -42,7 +42,7 @@ let nested_loop kind (left : Relation.t) (right : Relation.t) cond : Relation.t 
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;
-  Relation.of_array (output_schema left right) (Array.of_list (List.rev !out))
+  Relation.of_rev_list (output_schema left right) !out
 
 (* Hash join on [left_keys(l) = right_keys(r)] pairwise, with an optional
    residual predicate over the combined row.  SQL equality: NULL keys
@@ -85,7 +85,7 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;
-  Relation.of_array (output_schema left right) (Array.of_list (List.rev !out))
+  Relation.of_rev_list (output_schema left right) !out
 
 (* Probe specification for an index join: how to derive the inner key
    bounds from the outer row. *)
@@ -99,41 +99,40 @@ let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t
   let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let residual = Option.map (pair_pred left) residual in
-  let lookup : Row.t -> int list =
+  (* [matches lrow f]: [f] on each candidate inner row id, in index order *)
+  let matches : Row.t -> (int -> unit) -> unit =
     match probe with
     | Probe_eq e ->
       let key = Expr.compile e in
-      fun lrow -> Index.lookup_eq index (key lrow)
+      fun lrow f -> List.iter f (Index.lookup_eq index (key lrow))
     | Probe_range (lo, hi) ->
       let lo = Option.map Expr.compile lo and hi = Option.map Expr.compile hi in
-      fun lrow ->
-        let eval_bound = Option.map (fun f -> f lrow) in
+      fun lrow f ->
+        let eval_bound = Option.map (fun g -> g lrow) in
         (match eval_bound lo, eval_bound hi with
          (* a NULL bound can never compare TRUE against anything *)
-         | Some Value.Null, _ | _, Some Value.Null -> []
-         | lo, hi -> Index.lookup_range index ?lo ?hi ())
+         | Some Value.Null, _ | _, Some Value.Null -> ()
+         | lo, hi -> Index.iter_range index ?lo ?hi f)
     | Probe_in items ->
       let items = List.map Expr.compile items in
-      fun lrow ->
+      fun lrow f ->
         (* deduplicate keys so colliding item values do not double-count *)
-        let keys = List.map (fun f -> f lrow) items in
+        let keys = List.map (fun g -> g lrow) items in
         let keys = List.sort_uniq Value.compare keys in
-        List.concat_map (Index.lookup_eq index) keys
+        List.iter (fun k -> List.iter f (Index.lookup_eq index k)) keys
   in
   let out = ref [] in
   Relation.iter
     (fun lrow ->
       let matched = ref false in
-      List.iter
-        (fun rid ->
+      matches lrow (fun rid ->
           let rrow = rrows.(rid) in
           let ok = match residual with None -> true | Some p -> p lrow rrow in
           if ok then begin
             matched := true;
             out := Row.append lrow rrow :: !out
-          end)
-        (lookup lrow);
+          end);
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;
-  Relation.of_array (output_schema left right) (Array.of_list (List.rev !out))
+  Relation.of_rev_list (output_schema left right) !out

@@ -6,7 +6,7 @@ let filter pred (r : Relation.t) : Relation.t =
   let holds = Expr.compile_pred_pair ~left_arity:max_int pred in
   let kept = ref [] in
   Array.iter (fun row -> if holds row row then kept := row :: !kept) (Relation.rows r);
-  Relation.of_array (Relation.schema r) (Array.of_list (List.rev !kept))
+  Relation.of_rev_list (Relation.schema r) !kept
 
 (* Project to a list of (expression, output column name).  Output types are
    inferred from the input schema. *)
@@ -26,8 +26,15 @@ let project (exprs : (Expr.t * string) list) (r : Relation.t) : Relation.t =
          exprs)
   in
   let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile e) exprs) in
-  let rows = Array.map (fun row -> Array.map (fun f -> f row) fns) (Relation.rows r) in
-  Relation.of_array schema rows
+  let rows = Relation.rows r in
+  let project row =
+    let out = Array.make (Array.length fns) Value.Null in
+    for j = 0 to Array.length fns - 1 do
+      out.(j) <- fns.(j) row
+    done;
+    out
+  in
+  Relation.of_array schema (Row.array_init (Array.length rows) (fun i -> project rows.(i)))
 
 let distinct (r : Relation.t) : Relation.t =
   let seen = Hashtbl.create 64 in
@@ -39,7 +46,7 @@ let distinct (r : Relation.t) : Relation.t =
         out := row :: !out
       end)
     r;
-  Relation.of_array (Relation.schema r) (Array.of_list (List.rev !out))
+  Relation.of_rev_list (Relation.schema r) !out
 
 let limit n (r : Relation.t) : Relation.t =
   let rows = Relation.rows r in

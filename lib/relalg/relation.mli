@@ -6,6 +6,11 @@ type t
 
 val make : Schema.t -> Row.t list -> t
 val of_array : Schema.t -> Row.t array -> t
+
+(** [of_rev_list schema rows] holds [rows] in reverse order: the way an
+    operator conses up its output.  Long outputs never force a minor
+    collection (see {!Row.array_init}). *)
+val of_rev_list : Schema.t -> Row.t list -> t
 val schema : t -> Schema.t
 val rows : t -> Row.t array
 val cardinality : t -> int

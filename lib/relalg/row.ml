@@ -24,6 +24,22 @@ let compare (a : t) (b : t) =
 let hash (r : t) =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 r
 
+(* [Array.init n f] without the forced minor collection.  An array
+   longer than 256 words goes straight to the major heap, and when its
+   fill value is a young block [caml_make_vect] first runs a full minor
+   collection, rather than fill it with that many pointers into the
+   minor heap.  [Array.init], [map], [mapi] and [of_list] all pass
+   their first fresh element as that fill value, and on OCaml 5 a minor
+   collection stops every domain.  So fill from [[||]], a static atom
+   that is never young, and then store [f 0 .. f (n-1)] in index order,
+   as [Array.init] does. *)
+let array_init n (f : int -> t) : t array =
+  let a = Array.make n [||] in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
 (* Project the listed indices into a fresh row. *)
 let project idxs (r : t) : t = Array.map (fun i -> r.(i)) idxs
 

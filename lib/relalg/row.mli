@@ -15,6 +15,11 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+(** [array_init n f] is [Array.init n f], filled from the constant
+    [[||]] and then in index order, so a long array of fresh rows never
+    forces a minor collection (see the implementation). *)
+val array_init : int -> (int -> t) -> t array
+
 (** Project the listed column indices into a fresh row. *)
 val project : int array -> t -> t
 

@@ -9,11 +9,15 @@ type key = {
 let key ?(asc = true) expr = { expr; asc }
 
 (* Key values of a row array.  Each key is compiled once and evaluated
-   at most once per row, when a comparison first needs it.  Memoizing
-   does not change which comparisons a sort makes, so keys are first
-   evaluated in the order a comparator evaluating them afresh would:
-   a key that raises raises at the same comparison, and a key no
-   comparison reaches is never evaluated. *)
+   at most once per row, when a comparison first needs it.  A sort first
+   compares each row with the next, in row order, to see whether the
+   input is already ordered, so keys are first evaluated in row order.
+   That check reaches a key of a row only where the row and its
+   neighbour agree on every earlier key; rows that agree on those keys
+   end up adjacent to such a row in any ordering, and a sort compares
+   every pair that ends up adjacent, so the sort would have evaluated
+   that key too.  A key no comparison reaches is still never
+   evaluated, and a key that raises still raises. *)
 type keyed = {
   rows : Row.t array;
   fns : (Row.t -> Value.t) array;
@@ -42,17 +46,23 @@ let key_value t k i =
     v
   end
 
-let compare_rows t i j =
-  let rec loop k =
-    if k = Array.length t.fns then 0
-    else
-      let va = key_value t k i in
-      let vb = key_value t k j in
-      let c = Value.compare va vb in
-      let c = if t.ascending.(k) then c else -c in
-      if c <> 0 then c else loop (k + 1)
-  in
-  loop 0
+let rec compare_from t i j k =
+  if k = Array.length t.fns then 0
+  else
+    let c = Value.compare (key_value t k i) (key_value t k j) in
+    let c = if t.ascending.(k) then c else -c in
+    if c <> 0 then c else compare_from t i j (k + 1)
+
+let compare_rows t i j = compare_from t i j 0
+
+(* Sort [idx], the identity permutation of [0, n), by [cmp], a strict
+   total order (it breaks ties on the index).  Sorted input, such as a
+   scan of a table kept in key order, costs n-1 comparisons and no
+   sort: the identity is then the one ordering [cmp] admits. *)
+let sort_identity cmp idx =
+  let n = Array.length idx in
+  let rec ordered i = i >= n - 1 || (cmp i (i + 1) < 0 && ordered (i + 1)) in
+  if not (ordered 0) then Array.sort cmp idx
 
 let sort_indices keys (rows : Row.t array) : int array =
   let t = keyed keys rows in
@@ -61,13 +71,14 @@ let sort_indices keys (rows : Row.t array) : int array =
     let c = compare_rows t i j in
     if c <> 0 then c else Int.compare i j
   in
-  Array.sort cmp idx;
+  sort_identity cmp idx;
   idx
 
 let sort keys (r : Relation.t) : Relation.t =
   let rows = Relation.rows r in
   let idx = sort_indices keys rows in
-  Relation.of_array (Relation.schema r) (Array.map (fun i -> rows.(i)) idx)
+  Relation.of_array (Relation.schema r)
+    (Row.array_init (Array.length idx) (fun k -> rows.(idx.(k))))
 
 type partitioned = {
   idx : int array;
@@ -75,18 +86,24 @@ type partitioned = {
   segments : (int * int) list;
 }
 
-let compare_values (a : Value.t array) (b : Value.t array) =
-  let rec loop k =
-    if k = Array.length a then 0
-    else
-      let c = Value.compare a.(k) b.(k) in
-      if c <> 0 then c else loop (k + 1)
-  in
-  loop 0
+let rec compare_values_from (a : Value.t array) (b : Value.t array) k =
+  if k = Array.length a then 0
+  else
+    let c = Value.compare a.(k) b.(k) in
+    if c <> 0 then c else compare_values_from a b (k + 1)
+
+let compare_values a b = compare_values_from a b 0
 
 let partition_sort partition order (rows : Row.t array) : partitioned =
   let part = Array.of_list (List.map Expr.compile partition) in
-  let part_keys = Array.map (fun row -> Array.map (fun f -> f row) part) rows in
+  let part_keys =
+    Row.array_init (Array.length rows) (fun i ->
+        let key = Array.make (Array.length part) Value.Null in
+        for k = 0 to Array.length part - 1 do
+          key.(k) <- part.(k) rows.(i)
+        done;
+        key)
+  in
   let order_keys = keyed order rows in
   let n = Array.length rows in
   let idx = Array.init n Fun.id in
@@ -97,7 +114,7 @@ let partition_sort partition order (rows : Row.t array) : partitioned =
       let c = compare_rows order_keys i j in
       if c <> 0 then c else Int.compare i j
   in
-  Array.sort cmp idx;
+  sort_identity cmp idx;
   let rec segments acc start =
     if start >= n then List.rev acc
     else begin

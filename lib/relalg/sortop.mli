@@ -9,8 +9,10 @@ type key = {
 val key : ?asc:bool -> Expr.t -> key
 
 (** The key values of a row array.  Each key is compiled once and
-    evaluated at most once per row, on first use, so a sort evaluates
-    exactly the keys its comparisons reach, in the same order. *)
+    evaluated at most once per row, on first use.  A sort first checks
+    whether its input is already ordered, comparing each row with the
+    next, so keys are first evaluated in row order; the keys evaluated
+    are still exactly those some comparison of the sort reaches. *)
 type keyed
 
 val keyed : key list -> Row.t array -> keyed
@@ -21,7 +23,8 @@ val key_value : keyed -> int -> int -> Value.t
 (** Compare rows [i] and [j] under the keys. *)
 val compare_rows : keyed -> int -> int -> int
 
-(** Stable sort of the row indices by the keys. *)
+(** Stable sort of the row indices by the keys.  Input already in key
+    order is recognised in n-1 comparisons and not sorted. *)
 val sort_indices : key list -> Row.t array -> int array
 
 val sort : key list -> Relation.t -> Relation.t

@@ -17,6 +17,15 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
 let is_null = function Null -> true | _ -> false
 
+(* [Array.init n f] filled from the immediate [Null], then in index
+   order: see [Row.array_init] for the minor collection this avoids. *)
+let array_init n f =
+  let a = Array.make n Null in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
 let dtype_of = function
   | Null -> None
   | Bool _ -> Some Dtype.Bool
@@ -84,7 +93,10 @@ let to_string = function
   | Bool false -> "FALSE"
   | Int i -> string_of_int i
   | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    (* integral and below 1e15: exactly an int, so "%.1f" is its digits
+       and ".0", with the sign of a negative zero kept *)
+    if Float.is_integer f && Float.abs f < 1e15 then
+      if f = 0. && Float.sign_bit f then "-0.0" else string_of_int (int_of_float f) ^ ".0"
     else Printf.sprintf "%.6g" f
   | String s -> s
   | Date d -> date_to_string d

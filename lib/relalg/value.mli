@@ -18,6 +18,11 @@ val type_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 val is_null : t -> bool
 
+(** [array_init n f] is [Array.init n f], filled from [Null] and then in
+    index order, so a long array of fresh values never forces a minor
+    collection (see {!Row.array_init}). *)
+val array_init : int -> (int -> t) -> t array
+
 (** The type of a non-NULL value; [None] for NULL. *)
 val dtype_of : t -> Dtype.t option
 

@@ -187,7 +187,7 @@ let range_key_projection ~asc (v : Value.t) : float =
 
 let eval_naive agg ~bounds (vals : Value.t array) : Value.t array =
   let m = Array.length vals in
-  Array.init m (fun i ->
+  Value.array_init m (fun i ->
       let lo, hi = bounds ~i in
       let lo = max 0 lo and hi = min (m - 1) hi in
       let st = Aggregate.create agg in
@@ -205,7 +205,7 @@ let eval_two_pointer agg ~bounds (vals : Value.t array) : Value.t array =
   let st = Aggregate.create agg in
   let a = ref 0 (* first position currently in the frame *)
   and b = ref (-1) (* last position currently in the frame *) in
-  Array.init m (fun i ->
+  Value.array_init m (fun i ->
       let lo, hi = bounds ~i in
       let lo = max 0 lo and hi = min (m - 1) hi in
       if hi < lo then begin
@@ -246,7 +246,7 @@ let eval_deque agg ~bounds (vals : Value.t array) : Value.t array =
   let dq = Array.make (m + 1) 0 in
   let front = ref 0 and back = ref 0 (* deque in dq.(front..back-1) *) in
   let pushed = ref 0 (* next position to feed to the deque *) in
-  Array.init m (fun i ->
+  Value.array_init m (fun i ->
       let lo, hi = bounds ~i in
       let lo = max 0 lo and hi = min (m - 1) hi in
       if hi < lo then Value.Null
@@ -298,7 +298,7 @@ let eval_running_extremum agg ~from_left ~bounds (vals : Value.t array) : Value.
       running.(j) <- !acc
     done
   end;
-  Array.init m (fun i ->
+  Value.array_init m (fun i ->
       let lo, hi = bounds ~i in
       let lo = max 0 lo and hi = min (m - 1) hi in
       if hi < lo then Value.Null
@@ -316,7 +316,7 @@ let eval_partition strategy agg frame ~bounds (vals : Value.t array) : Value.t a
        (match frame.lo, frame.hi with
         | Unbounded_preceding, Unbounded_following ->
           let total = Aggregate.of_seq agg (Array.to_seq vals) in
-          Array.map (fun _ -> total) vals
+          Value.array_init (Array.length vals) (fun _ -> total)
         | Unbounded_preceding, _ -> eval_running_extremum agg ~from_left:true ~bounds vals
         | _, Unbounded_following -> eval_running_extremum agg ~from_left:false ~bounds vals
         | _ -> eval_deque agg ~bounds vals))
@@ -374,7 +374,7 @@ let eval_ranks func order_keys (idx : int array) ~start ~stop : Value.t array =
    [vals] are in partition order. *)
 let eval_navigation func ~bounds (vals : Value.t array) : Value.t array =
   let m = Array.length vals in
-  Array.init m (fun i ->
+  Value.array_init m (fun i ->
       match func with
       | Lag off -> if i - off >= 0 then vals.(i - off) else Value.Null
       | Lead off -> if i + off < m then vals.(i + off) else Value.Null
@@ -425,12 +425,12 @@ let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
       let results =
         match fn.func with
         | Agg agg ->
-          let vals = Array.init m (fun k -> arg rows.(idx.(start + k))) in
+          let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
           eval_partition strategy agg fn.spec.frame ~bounds:(make_bounds ()) vals
         | (Row_number | Rank | Dense_rank) as func ->
           eval_ranks func order_keys idx ~start ~stop
         | (Lag _ | Lead _ | First_value | Last_value) as func ->
-          let vals = Array.init m (fun k -> arg rows.(idx.(start + k))) in
+          let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
           eval_navigation func ~bounds:(make_bounds ()) vals
       in
       for k = 0 to m - 1 do
@@ -443,11 +443,17 @@ let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
    preserved. *)
 let extend ?(strategy = Incremental) (r : Relation.t) (fns : fn list) : Relation.t =
   let rows = Relation.rows r in
-  let columns = List.map (compute_column strategy rows) fns in
+  let columns = Array.of_list (List.map (compute_column strategy rows) fns) in
+  let extra = Array.length columns in
   let out_rows =
-    Array.mapi
-      (fun i row ->
-        Row.append row (Array.of_list (List.map (fun col -> col.(i)) columns)))
-      rows
+    Row.array_init (Array.length rows) (fun i ->
+        let row = rows.(i) in
+        let arity = Array.length row in
+        let out = Array.make (arity + extra) Value.Null in
+        Array.blit row 0 out 0 arity;
+        for c = 0 to extra - 1 do
+          out.(arity + c) <- columns.(c).(i)
+        done;
+        out)
   in
   Relation.of_array (output_schema (Relation.schema r) fns) out_rows

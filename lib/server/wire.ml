@@ -1,23 +1,76 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON strings are written into bytes sized exactly, in one pass
+   after a counting pass: a query answer is one string of tens of
+   kilobytes, and each grow-and-copy of a buffer that size is another
+   major-heap allocation. *)
 
-let jstr s = "\"" ^ json_escape s ^ "\""
+let escape = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+  | _ -> "" (* the character itself *)
+
+let escaped_length s =
+  let n = ref 0 in
+  String.iter (fun c -> n := !n + max 1 (String.length (escape c))) s;
+  !n
+
+(* Write [s] escaped at [at]; the position after it.  Runs that need no
+   escape are copied whole. *)
+let blit_escaped s b at =
+  let at = ref at and run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let e = escape s.[i] in
+    if String.length e > 0 then begin
+      Bytes.blit_string s !run b !at (i - !run);
+      at := !at + i - !run;
+      Bytes.blit_string e 0 b !at (String.length e);
+      at := !at + String.length e;
+      run := i + 1
+    end
+  done;
+  Bytes.blit_string s !run b !at (String.length s - !run);
+  !at + String.length s - !run
+
+let blit_jstr s b at =
+  Bytes.set b at '"';
+  let at = blit_escaped s b (at + 1) in
+  Bytes.set b at '"';
+  at + 1
+
+let json_escape s =
+  let b = Bytes.create (escaped_length s) in
+  ignore (blit_escaped s b 0);
+  Bytes.unsafe_to_string b
+
+let jstr s =
+  let b = Bytes.create (escaped_length s + 2) in
+  ignore (blit_jstr s b 0);
+  Bytes.unsafe_to_string b
 
 let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
+  (* '{', then per field: the key, ':', the value and ',' (or '}') *)
+  let size =
+    List.fold_left
+      (fun n (k, v) -> n + escaped_length k + 2 + 1 + String.length v + 1)
+      1 fields
+  in
+  let b = Bytes.create (max size 2) in
+  Bytes.set b 0 '{';
+  let at =
+    List.fold_left
+      (fun at (k, v) ->
+        let at = if at > 1 then (Bytes.set b at ','; at + 1) else at in
+        let at = blit_jstr k b at in
+        Bytes.set b at ':';
+        Bytes.blit_string v 0 b (at + 1) (String.length v);
+        at + 1 + String.length v)
+      1 fields
+  in
+  Bytes.set b at '}';
+  Bytes.unsafe_to_string b
 
 let jlist items = "[" ^ String.concat "," items ^ "]"
 let jint = string_of_int

@@ -257,14 +257,16 @@ let test_index_eq () =
 let test_index_range () =
   let rows = rows_of_ints [ (1, 10.); (2, 20.); (3, 30.); (5, 50.); (8, 80.) ] in
   let idx = Index.build Index.Ordered rows ~key_col:0 in
+  let range ?lo ?hi () =
+    let ids = ref [] in
+    Index.iter_range idx ?lo ?hi (fun id -> ids := id :: !ids);
+    List.rev !ids
+  in
   Alcotest.(check (list int)) "closed range" [ 1; 2; 3 ]
-    (List.sort compare (Index.lookup_range idx ~lo:(Value.Int 2) ~hi:(Value.Int 5) ()));
-  Alcotest.(check (list int)) "open low" [ 0; 1 ]
-    (List.sort compare (Index.lookup_range idx ~hi:(Value.Int 2) ()));
-  Alcotest.(check (list int)) "open high" [ 3; 4 ]
-    (List.sort compare (Index.lookup_range idx ~lo:(Value.Int 4) ()));
-  Alcotest.(check (list int)) "empty" []
-    (Index.lookup_range idx ~lo:(Value.Int 6) ~hi:(Value.Int 7) ())
+    (range ~lo:(Value.Int 2) ~hi:(Value.Int 5) ());
+  Alcotest.(check (list int)) "open low" [ 0; 1 ] (range ~hi:(Value.Int 2) ());
+  Alcotest.(check (list int)) "open high" [ 3; 4 ] (range ~lo:(Value.Int 4) ());
+  Alcotest.(check (list int)) "empty" [] (range ~lo:(Value.Int 6) ~hi:(Value.Int 7) ())
 
 (* ---- Joins ---- *)
 
@@ -441,6 +443,328 @@ let test_sort_keys_on_demand () =
      | exception Value.Type_error _ -> true
      | _ -> false)
 
+(* ---- The read path never forces a minor collection ----
+
+   [caml_make_vect] runs a minor collection before it builds an array of
+   more than 256 words whose fill value is a young block, and on OCaml 5
+   every minor collection stops all domains.  Each operator below runs
+   over 1,000 rows and allocates a small fraction of the minor heap, so
+   from an empty minor heap any minor collection it starts is a forced
+   one.  [Gc.full_major] empties the minor heap and also finishes the
+   major cycle, whose end would empty the minor heap again mid-run. *)
+
+let big_n = 1_000
+
+let big_rel name =
+  rel (seq_schema name)
+    (List.init big_n (fun i ->
+         [| Value.Int (i + 1); Value.Float (float_of_int ((i * 7919) mod 101 - 50)) |]))
+
+let no_forced_minor (name, f) =
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. w0 in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  if words > float_of_int (Gc.get ()).Gc.minor_heap_size /. 2. then
+    Alcotest.failf "%s allocated %.0f words: too close to a full minor heap" name words;
+  Alcotest.(check int) (name ^ ": minor collections") before after
+
+(* an operator run whose result is kept alive until it returns *)
+let op name f = (name, fun () -> ignore (Sys.opaque_identity (f ())))
+
+let test_no_forced_minor () =
+  let l = big_rel "s1" and r = big_rel "s2" in
+  let int k = Expr.Const (Value.Int k) in
+  let eq = Expr.Binop (Expr.Eq, Expr.Col 0, Expr.Col 2) in
+  let ordered = Index.build Index.Ordered (Relation.rows r) ~key_col:0 in
+  let hashed = Index.build Index.Hash (Relation.rows r) ~key_col:0 in
+  let range =
+    Joinop.Probe_range
+      ( Some (Expr.Binop (Expr.Sub, Expr.Col 0, int 1)),
+        Some (Expr.Binop (Expr.Add, Expr.Col 0, int 1)) )
+  in
+  let window ?strategy func frame =
+    let spec =
+      { Window.partition = [ Expr.Binop (Expr.Mod, Expr.Col 0, int 2) ];
+        order = [ Sortop.key (Expr.Col 0) ]; frame }
+    in
+    op (Printf.sprintf "window %s" (Window.func_name func)) (fun () ->
+        (* a computed argument, so MIN/MAX/LAG results are fresh values *)
+        let arg = Expr.Binop (Expr.Add, Expr.Col 1, int 0) in
+        Window.extend ?strategy l [ { Window.func; arg; spec; name = "w" } ])
+  in
+  let rows_frame = Window.sliding_frame ~l:2 ~h:1 and range_frame = Window.range_frame ~l:4 ~h:2 in
+  let joins kind kname =
+    [
+      op ("nested loop " ^ kname) (fun () -> Joinop.nested_loop kind l r eq);
+      op ("hash join " ^ kname) (fun () ->
+          Joinop.hash_join kind ~left:l ~right:r ~left_keys:[ Expr.Col 0 ]
+            ~right_keys:[ Expr.Col 0 ] ());
+      op ("index join eq " ^ kname) (fun () ->
+          Joinop.index_join kind ~left:l ~right:r ~index:hashed
+            ~probe:(Joinop.Probe_eq (Expr.Col 0)) ());
+      op ("index join range " ^ kname) (fun () ->
+          Joinop.index_join kind ~left:l ~right:r ~index:ordered ~probe:range ());
+    ]
+  in
+  List.iter no_forced_minor
+    ([
+       op "filter" (fun () -> Ops.filter (Expr.Binop (Expr.Gt, Expr.Col 0, int 10)) l);
+       op "project" (fun () ->
+           Ops.project [ (Expr.Col 1, "v"); (Expr.Binop (Expr.Add, Expr.Col 0, int 1), "p") ] l);
+       window (Window.Agg Aggregate.Sum) rows_frame;
+       window (Window.Agg Aggregate.Avg) range_frame;
+       window ~strategy:Window.Naive (Window.Agg Aggregate.Sum) rows_frame;
+       window (Window.Agg Aggregate.Min) rows_frame;
+       window (Window.Agg Aggregate.Max) Window.cumulative_frame;
+       window (Window.Agg Aggregate.Min) range_frame;
+       window (Window.Agg Aggregate.Max) Window.whole_partition_frame;
+       window Window.Row_number rows_frame;
+       window (Window.Lag 1) rows_frame;
+       window Window.First_value range_frame;
+     ]
+    @ joins Joinop.Inner "inner"
+    @ joins Joinop.Left_outer "left outer"
+    @ [
+        op "group by 1,000 groups" (fun () ->
+            Groupop.group_by ~group:[ Expr.Col 0 ]
+              ~aggs:[ { Groupop.kind = Aggregate.Sum; arg = Expr.Col 1; name = "s" } ]
+              l);
+        (* sorting fresh rows: a gather of old rows could never force *)
+        op "sort" (fun () ->
+            Sortop.sort [ Sortop.key ~asc:false (Expr.Col 0) ]
+              (Ops.project [ (Expr.Col 1, "v"); (Expr.Col 0, "p") ] l));
+        op "render" (fun () -> Relation.render ~max_rows:max_int l);
+      ])
+
+(* ---- Rendering is byte-identical to the Printf forms ---- *)
+
+(* [Value.to_string] of a float as it was: the oracle. *)
+let printf_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.6g" f
+
+let prop_float_to_string =
+  let gen =
+    let open QCheck.Gen in
+    frequency
+      [
+        (3, map (fun k -> 1e15 -. float_of_int k) (int_range (-3) 1_000));
+        (3, map (fun k -> -1e15 +. float_of_int k) (int_range (-3) 1_000));
+        (2, oneofl [ 0.; -0.; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+                     999_999_999_999_999.; -999_999_999_999_999.; 1e15; -1e15 ]);
+        (3, map float_of_int (int_range (-1_000_000) 1_000_000));
+        (3, float);
+        (2, map (fun (a, b) -> float_of_int a +. (float_of_int b /. 7.))
+              (pair (int_range (-100) 100) (int_range 1 6)));
+      ]
+  in
+  QCheck.Test.make ~count:5_000 ~name:"float rendering equals the Printf form"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> String.equal (Value.to_string (Value.Float f)) (printf_float f))
+
+(* [Relation.render] as it was, kept as the oracle. *)
+let render_oracle ?(max_rows = 40) r =
+  let headers = Array.map (fun c -> Schema.qualified_name c) (Relation.schema r) in
+  let rows = Relation.rows r in
+  let shown = min max_rows (Array.length rows) in
+  let cells = Array.init shown (fun i -> Array.map Value.to_string rows.(i)) in
+  let ncols = Array.length headers in
+  let width j =
+    Array.fold_left
+      (fun acc row -> max acc (String.length row.(j)))
+      (String.length headers.(j))
+      cells
+  in
+  let widths = Array.init ncols width in
+  let buf = Buffer.create 256 in
+  let line () =
+    Buffer.add_char buf '+';
+    Array.iter
+      (fun w ->
+        Buffer.add_string buf (String.make (w + 2) '-');
+        Buffer.add_char buf '+')
+      widths;
+    Buffer.add_char buf '\n'
+  in
+  let row_of cells =
+    Buffer.add_char buf '|';
+    Array.iteri
+      (fun j c ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf c;
+        Buffer.add_string buf (String.make (widths.(j) - String.length c + 1) ' ');
+        Buffer.add_char buf '|')
+      cells;
+    Buffer.add_char buf '\n'
+  in
+  line ();
+  row_of headers;
+  line ();
+  Array.iter row_of cells;
+  line ();
+  if shown < Array.length rows then
+    Buffer.add_string buf
+      (Printf.sprintf "... (%d of %d rows shown)\n" shown (Array.length rows));
+  Buffer.contents buf
+
+let prop_render_oracle =
+  let gen =
+    let open QCheck.Gen in
+    int_range 0 4 >>= fun ncols ->
+    let value =
+      frequency
+        [ (6, gen_value);
+          (1, map (fun s -> Value.String s) (string_size ~gen:printable (int_range 0 12)));
+          (1, map (fun f -> Value.Float f) float) ]
+    in
+    triple
+      (list_repeat ncols
+         (pair (opt (oneofl [ "t"; "seq" ])) (string_size ~gen:(char_range 'a' 'z') (int_range 1 9))))
+      (list_size (int_range 0 30) (map Array.of_list (list_repeat ncols value)))
+      (opt (int_range 0 35))
+  in
+  QCheck.Test.make ~count:2_000 ~name:"render equals the old render"
+    (QCheck.make gen)
+    (fun (cols, rows, max_rows) ->
+      let schema =
+        Schema.make (List.map (fun (rel, name) -> Schema.column ?rel name Dtype.String) cols)
+      in
+      let r = Relation.of_array schema (Array.of_list rows) in
+      String.equal (Relation.render ?max_rows r) (render_oracle ?max_rows r))
+
+(* ---- Sorting against a stable list sort ----
+
+   Rows carry their input position in column 2, so the oracle is
+   [List.stable_sort] (ties keep input order: the index tie-break).
+   Inputs are random, already ordered, reverse ordered or all equal,
+   with NULL keys and descending keys. *)
+
+let gen_sort_case =
+  let open QCheck.Gen in
+  let key_value = frequency [ (1, return Value.Null); (5, map (fun i -> Value.Int i) (int_range 0 3)) ] in
+  let key = pair (int_bound 1) bool in
+  quad
+    (list_size (int_range 0 40) (pair key_value key_value))
+    (list_size (int_range 1 3) key)
+    (list_size (int_range 0 2) (int_bound 1))
+    (oneofl [ `Random; `Ordered; `Reversed; `Equal ])
+
+let sort_oracle keys rows =
+  let cmp a b =
+    List.fold_left
+      (fun c (k : Sortop.key) ->
+        if c <> 0 then c
+        else
+          let c = Value.compare (Expr.eval a k.expr) (Expr.eval b k.expr) in
+          if k.asc then c else -c)
+      0 keys
+  in
+  List.stable_sort cmp rows
+
+let sort_input (pairs, keys, parts, shape) =
+  let keys = List.map (fun (c, asc) -> Sortop.key ~asc (Expr.Col c)) keys in
+  let parts = List.map (fun c -> Expr.Col c) parts in
+  let rows = List.map (fun (a, b) -> [| a; b; Value.Null |]) pairs in
+  let rows =
+    match shape with
+    | `Random -> rows
+    | `Ordered -> sort_oracle (List.map Sortop.key parts @ keys) rows
+    | `Reversed -> List.rev (sort_oracle (List.map Sortop.key parts @ keys) rows)
+    | `Equal -> List.map (fun _ -> [| Value.Int 1; Value.Int 1; Value.Null |]) rows
+  in
+  let rows = List.mapi (fun i row -> [| row.(0); row.(1); Value.Int i |]) rows in
+  (keys, parts, rows)
+
+let positions rows = List.map (fun row -> row.(2)) rows
+
+let prop_sort_oracle =
+  QCheck.Test.make ~count:2_000 ~name:"sort equals a stable list sort"
+    (QCheck.make gen_sort_case)
+    (fun case ->
+      let keys, _, rows = sort_input case in
+      let schema =
+        Schema.make (List.map (fun n -> Schema.column n Dtype.Int) [ "a"; "b"; "i" ])
+      in
+      let sorted = Sortop.sort keys (Relation.of_array schema (Array.of_list rows)) in
+      positions (Relation.to_list sorted) = positions (sort_oracle keys rows))
+
+let prop_partition_sort_oracle =
+  QCheck.Test.make ~count:2_000 ~name:"partition_sort equals a stable list sort"
+    (QCheck.make gen_sort_case)
+    (fun case ->
+      let keys, parts, rows = sort_input case in
+      let arr = Array.of_list rows in
+      let { Sortop.idx; segments; _ } = Sortop.partition_sort parts keys arr in
+      let expected = sort_oracle (List.map Sortop.key parts @ keys) rows in
+      let part_of row = List.map (Expr.eval row) parts in
+      let boundaries =
+        List.filteri
+          (fun k row -> k = 0 || part_of row <> part_of (List.nth expected (k - 1)))
+          expected
+        |> List.length
+      in
+      positions (Array.to_list (Array.map (fun i -> arr.(i)) idx)) = positions expected
+      && List.length segments = boundaries
+      && List.for_all
+           (fun (start, stop) ->
+             start < stop
+             && List.for_all
+                  (fun k -> part_of arr.(idx.(k)) = part_of arr.(idx.(start)))
+                  (List.init (stop - start) (fun k -> start + k)))
+           segments
+      && List.fold_left (fun at (start, stop) -> if at = start then stop else -1) 0 segments
+         = Array.length arr)
+
+(* ---- Index joins with range probes against the nested loop ---- *)
+
+let prop_index_range_join =
+  let gen =
+    let open QCheck.Gen in
+    let pos = frequency [ (1, return Value.Null); (6, map (fun i -> Value.Int i) (int_range 0 12)) ] in
+    let side = list_size (int_range 0 25) (map (fun p -> [| p; Value.Float 1. |]) pos) in
+    quad side side
+      (pair (opt (int_range 0 3)) (opt (int_range 0 3)))
+      (pair bool (opt (int_range 1 3)))
+  in
+  QCheck.Test.make ~count:1_000 ~name:"index range join equals nested loop"
+    (QCheck.make gen)
+    (fun (lrows, rrows, (lo, hi), (outer, residual)) ->
+      let l = rel (seq_schema "s1") lrows and r = rel (seq_schema "s2") rrows in
+      let kind = if outer then Joinop.Left_outer else Joinop.Inner in
+      let int k = Expr.Const (Value.Int k) in
+      let lo = Option.map (fun d -> Expr.Binop (Expr.Sub, Expr.Col 0, int d)) lo in
+      let hi = Option.map (fun d -> Expr.Binop (Expr.Add, Expr.Col 0, int d)) hi in
+      (* MOD(s1.pos - 1, m) = MOD(s2.pos, m): the derive residual's shape *)
+      let residual =
+        Option.map
+          (fun m ->
+            Expr.Binop
+              ( Expr.Eq,
+                Expr.Binop (Expr.Mod, Expr.Binop (Expr.Sub, Expr.Col 0, int 1), int m),
+                Expr.Binop (Expr.Mod, Expr.Col 2, int m) ))
+          residual
+      in
+      let cond =
+        Expr.conjoin
+          (List.filter_map Fun.id
+             [
+               Option.map (fun e -> Expr.Binop (Expr.Ge, Expr.Col 2, e)) lo;
+               Option.map (fun e -> Expr.Binop (Expr.Le, Expr.Col 2, e)) hi;
+               residual;
+             ])
+      in
+      (* NULL keys are not indexed, so even an unbounded probe skips them *)
+      let cond = Expr.Binop (Expr.And, Expr.Is_not_null (Expr.Col 2), cond) in
+      let index = Index.build Index.Ordered (Relation.rows r) ~key_col:0 in
+      let ij =
+        Joinop.index_join kind ~left:l ~right:r ~index ~probe:(Joinop.Probe_range (lo, hi))
+          ?residual ()
+      in
+      Relation.equal_bag ij (Joinop.nested_loop kind l r cond))
+
 let () =
   Alcotest.run "relalg"
     [
@@ -483,5 +807,14 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_ops;
           Alcotest.test_case "sort keys on demand" `Quick test_sort_keys_on_demand;
+          QCheck_alcotest.to_alcotest prop_sort_oracle;
+          QCheck_alcotest.to_alcotest prop_partition_sort_oracle;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "no forced minor collection" `Quick test_no_forced_minor;
+          QCheck_alcotest.to_alcotest prop_float_to_string;
+          QCheck_alcotest.to_alcotest prop_render_oracle;
+          QCheck_alcotest.to_alcotest prop_index_range_join;
         ] );
     ]

@@ -48,6 +48,12 @@ let test_pool_propagates_exceptions () =
 let test_wire_roundtrip () =
   Alcotest.(check string) "escaping" "a\\\"b\\\\c\\nd"
     (Wire.json_escape "a\"b\\c\nd");
+  Alcotest.(check string) "control characters" "\\u0001\\t\\r x\\u001f"
+    (Wire.json_escape "\001\t\r x\031");
+  Alcotest.(check string) "empty string" "\"\"" (Wire.jstr "");
+  Alcotest.(check string) "empty object" "{}" (Wire.jobj []);
+  Alcotest.(check string) "object" "{\"a\\\"\":1,\"b\":\"c\\n\"}"
+    (Wire.jobj [ ("a\"", "1"); ("b", Wire.jstr "c\n") ]);
   let obj = Wire.ok_fields [ ("n", Wire.jint 3); ("s", Wire.jstr "x y") ] in
   Alcotest.(check (option string)) "scalar field" (Some "3") (Wire.field obj "n");
   Alcotest.(check (option string)) "string field" (Some "x y")
