@@ -18,7 +18,9 @@
    unindexed self join) is what EXPERIMENTS.md records.
 
    - Delta maintenance: per-row vs batched vs full-refresh view
-     maintenance under bulk inserts (writes BENCH_delta.json).
+     maintenance under bulk inserts, plus minor-heap words and minor
+     collections per single-row statement at the warehouse shape
+     (writes BENCH_delta.json).
    - Generalized IVM: derived delta-plan maintenance of join/GROUP BY
      views vs full refresh (writes BENCH_IVM.json).
    - Scan sharing: certificate-gated shared base scans for same-keyed
@@ -420,6 +422,98 @@ let delta_time ~repeat setup f =
   done;
   (!best, Option.get !keep)
 
+(* Write path at the warehouse shape: [seq(grp, pos, val)] with 8
+   partitions of 2,500 rows and four sequence views in one share class
+   (cumulative SUM, SUM(2,1), MIN(3,0), AVG(1,1), all PARTITION BY grp
+   ORDER BY pos).  Single-row UPDATE, INSERT and DELETE statements run
+   one at a time, each from an empty minor heap ([Gc.minor ()] first),
+   so a statement that allocates less than the minor heap and still
+   collects forced that collection — or ended a major cycle, which
+   also empties the minor heap, about once per 20 statements here.
+   Reports minor-heap words, minor collections and p50 per statement
+   kind; the run fails unless every kind allocates at most 150k words
+   and all statements together average at most 0.1 minor collections
+   per statement. *)
+
+let writes_words_bar = 150_000.
+let writes_gcs_bar = 0.1
+
+let write_path ~smoke =
+  let reps = if smoke then 100 else 500 in
+  let groups = 8 and per_group = 2_500 and spacing = 16 in
+  let s = Session.open_in_memory () in
+  sexec s "CREATE TABLE seq (grp INT, pos INT, val FLOAT)";
+  let rng = Prng.create ~seed:41 in
+  Session.load_table s ~table:"seq"
+    (Array.init (groups * per_group) (fun i ->
+         [|
+           Value.Int (i / per_group);
+           Value.Int (((i mod per_group) + 1) * spacing);
+           Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+         |]));
+  List.iter
+    (fun (name, fn, frame, col) ->
+      sexec s
+        (Printf.sprintf
+           "CREATE MATERIALIZED VIEW %s AS SELECT grp, pos, val, %s(val) OVER \
+            (PARTITION BY grp ORDER BY pos %s) AS %s FROM seq"
+           name fn (Core.Frame.to_sql frame) col))
+    [
+      ("v_cum", "SUM", Core.Frame.cumulative, "s");
+      ("v_s21", "SUM", Core.Frame.sliding ~l:2 ~h:1, "s");
+      ("v_min", "MIN", Core.Frame.sliding ~l:3 ~h:0, "m");
+      ("v_avg", "AVG", Core.Frame.sliding ~l:1 ~h:1, "a");
+    ];
+  (* rep i edits one existing row and adds, then removes, one row
+     between two existing ones, so the table stays level *)
+  let kinds =
+    [
+      ("UPDATE", fun ~grp ~pos ~v ->
+         Printf.sprintf "UPDATE seq SET val = %d WHERE grp = %d AND pos = %d" v grp pos);
+      ("INSERT", fun ~grp ~pos ~v ->
+         Printf.sprintf "INSERT INTO seq VALUES (%d, %d, %d)" grp (pos + (spacing / 2)) v);
+      ("DELETE", fun ~grp ~pos ~v:_ ->
+         Printf.sprintf "DELETE FROM seq WHERE grp = %d AND pos = %d" grp
+           (pos + (spacing / 2)));
+    ]
+  in
+  let words = Array.make 3 0. and gcs = Array.make 3 0 in
+  let times = Array.make_matrix 3 reps 0. in
+  for i = 0 to reps - 1 do
+    let grp = i mod groups and pos = ((i * 37 mod per_group) + 1) * spacing in
+    let v = Prng.int_range rng ~lo:(-50) ~hi:50 in
+    List.iteri
+      (fun j (_, sql) ->
+        let sql = sql ~grp ~pos ~v in
+        Gc.minor ();
+        let c0 = (Gc.quick_stat ()).Gc.minor_collections in
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        sexec s sql;
+        times.(j).(i) <- Unix.gettimeofday () -. t0;
+        words.(j) <- words.(j) +. (Gc.minor_words () -. w0);
+        gcs.(j) <- gcs.(j) + ((Gc.quick_stat ()).Gc.minor_collections - c0))
+      kinds
+  done;
+  Session.close s;
+  let per x = x /. float_of_int reps in
+  let runs =
+    List.mapi
+      (fun j (kind, _) ->
+        Array.sort Float.compare times.(j);
+        (kind, per words.(j), per (float_of_int gcs.(j)), times.(j).(reps / 2)))
+      kinds
+  in
+  print_endline "\nwrite path (8 x 2,500 rows, 4 views in one share class):";
+  row_line [ "statement"; "words/statement"; "minor GCs/statement"; "   p50" ];
+  List.iter
+    (fun (kind, w, g, p50) ->
+      row_line
+        [ Printf.sprintf "%-9s" kind; Printf.sprintf "%15.0f" w;
+          Printf.sprintf "%19.3f" g; fmt_time p50 ])
+    runs;
+  (reps, runs)
+
 let run_delta ~smoke =
   header "Delta maintenance: per-row vs batched vs full refresh";
   let n0 = if smoke then 300 else 5_000 in
@@ -513,6 +607,17 @@ let run_delta ~smoke =
      them against their own *)
   let required = if smoke then 1.0 else 5.0 in
   let pass = accept_speedup >= required in
+  let write_reps, write_runs = write_path ~smoke in
+  (* words: the worst statement kind; collections: the mean over all
+     statements, as the rare major-cycle ends land on any kind *)
+  let write_words =
+    List.fold_left (fun acc (_, w, _, _) -> Float.max acc w) 0. write_runs
+  in
+  let write_gcs =
+    List.fold_left (fun acc (_, _, g, _) -> acc +. g) 0. write_runs
+    /. float_of_int (List.length write_runs)
+  in
+  let write_pass = write_words <= writes_words_bar && write_gcs <= writes_gcs_bar in
   let buf = Buffer.create 1024 in
   report_header buf ~experiment:"delta-maintenance" ~smoke;
   Buffer.add_string buf (Printf.sprintf "  \"base_rows\": %d,\n" n0);
@@ -530,14 +635,43 @@ let run_delta ~smoke =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
+       "  \"write_path\": {\"groups\": 8, \"rows_per_group\": 2500, \"views\": 4, \
+        \"statements_per_kind\": %d,\n    \"runs\": [\n"
+       write_reps);
+  List.iteri
+    (fun i (kind, w, g, p50) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "      {\"statement\": \"%s\", \"words_per_statement\": %.0f, \
+            \"minor_gcs_per_statement\": %.3f, \"p50_us\": %.1f}%s\n"
+           kind w g (p50 *. 1e6)
+           (if i = List.length write_runs - 1 then "" else ",")))
+    write_runs;
+  Buffer.add_string buf
+    (Printf.sprintf
+       "    ],\n    \"words_per_statement\": %.0f, \"required_words_at_most\": %.0f, \
+        \"minor_gcs_per_statement\": %.3f, \"required_gcs_at_most\": %.1f, \"pass\": %b},\n"
+       write_words writes_words_bar write_gcs writes_gcs_bar write_pass);
+  Buffer.add_string buf
+    (Printf.sprintf
        "  \"acceptance\": {\"batch\": %d, \"views\": 4, \"speedup\": %.2f, \
         \"required\": %.1f, \"pass\": %b}\n"
        accept_batch accept_speedup required pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_delta.json" in
-  write_report out buf ~keys:[ "acceptance"; "runs"; "speedup" ];
-  Printf.printf "\nwrote %s (acceptance speedup at B=%d, 4 views: %.1fx)\n%!" out
-    accept_batch accept_speedup;
+  write_report out buf
+    ~keys:[ "acceptance"; "runs"; "speedup"; "words_per_statement"; "minor_gcs_per_statement" ];
+  Printf.printf
+    "\nwrote %s (acceptance speedup at B=%d, 4 views: %.1fx; write path: %.0f \
+     words, %.3f minor GCs per statement)\n%!"
+    out accept_batch accept_speedup write_words write_gcs;
+  if not write_pass then begin
+    Printf.eprintf
+      "delta write path FAILED: %.0f words/statement (bar %.0f), %.3f minor \
+       GCs/statement (bar %.1f)\n%!"
+      write_words writes_words_bar write_gcs writes_gcs_bar;
+    exit 1
+  end;
   if (not smoke) && not pass then begin
     Printf.eprintf "delta acceptance FAILED: %.1fx < %.1fx\n%!" accept_speedup
       required;

@@ -52,9 +52,11 @@ let of_span t (get : int -> float) ~lo ~hi =
 (* COUNT has a closed form: the number of raw positions inside the window
    clamped to [1, n] (paper §2.1: "COUNT is trivial"). *)
 let count_at frame ~n ~k =
-  let lo, hi = Frame.bounds frame ~k in
-  let lo = max 1 lo and hi = min n hi in
-  max 0 (hi - lo + 1)
+  (* [Frame.bounds] clamped to [1, n], without building its pair: the
+     renderer compares counts per row and must not allocate *)
+  match frame with
+  | Frame.Cumulative -> Int.max 0 (Int.min n k)
+  | Frame.Sliding { l; h } -> Int.max 0 (Int.min n (k + h) - Int.max 1 (k - l) + 1)
 
 (* AVG is derived: SUM / COUNT, absent on empty windows. *)
 let avg_of_sum frame ~n ~k sum =

@@ -63,10 +63,13 @@ let pipelined_extremum agg frame (raw : Seqdata.raw) : Seqdata.t =
        values.(k - lo) <- !acc
      done
    | Frame.Sliding { l; h } ->
+     (* is [a] at least as good as [b]?  Among equal values -0. is the
+        smaller, as in [Agg.combine]'s [Float.min]/[Float.max], so the
+        deque lands on the bits every maintenance path computes *)
      let better a b =
        match agg with
-       | Agg.Min -> a <= b
-       | Agg.Max -> a >= b
+       | Agg.Min -> a < b || (a = b && (Float.sign_bit a || not (Float.sign_bit b)))
+       | Agg.Max -> a > b || (a = b && ((not (Float.sign_bit a)) || Float.sign_bit b))
        | Agg.Sum -> assert false
      in
      let dq = Array.make (n + 1) 0 in

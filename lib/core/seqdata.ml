@@ -78,7 +78,7 @@ let make frame agg ~n ~lo values =
     invalid_arg "Seqdata.make: values do not cover the complete range";
   { frame; agg; n; lo; values }
 
-let get t k =
+let[@inline] get t k =
   let hi = stored_hi t in
   if k >= t.lo && k <= hi then t.values.(k - t.lo)
   else
@@ -90,6 +90,11 @@ let get t k =
       if k < t.lo || empty then Agg.absent else t.values.(hi - t.lo)
     | Frame.Sliding _, Agg.Sum -> 0.
     | Frame.Sliding _, (Agg.Min | Agg.Max) -> Agg.absent
+
+(* Compared in place: [get] is inlined here, so no float is boxed. *)
+let same_quotient a i ~by b j ~by0 =
+  let x = get a i /. float_of_int by and y = get b j /. float_of_int by0 in
+  (x <> x && y <> y) || Int64.bits_of_float x = Int64.bits_of_float y
 
 (* All stored values, ascending by position. *)
 let to_array t = Array.copy t.values

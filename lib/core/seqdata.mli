@@ -71,6 +71,11 @@ val make : Frame.t -> Agg.t -> n:int -> lo:int -> float array -> t
 (** Total accessor: the sequence value at any position. *)
 val get : t -> int -> float
 
+(** [same_quotient a i ~by b j ~by0] is whether [get a i /. by] and
+    [get b j /. by0] are the same float bit for bit (so [-0.] differs
+    from [0.]), any two NaNs counting as the same.  Allocates nothing. *)
+val same_quotient : t -> int -> by:int -> t -> int -> by0:int -> bool
+
 (** In-place mutation of a stored value (the O(w) maintenance fast path).
     @raise Invalid_argument if the position is outside the stored range. *)
 val set_value : t -> int -> float -> unit

@@ -166,11 +166,12 @@ type result =
    materialized-view contents are replaced by fresh [Relation.t] values
    ([Matview.render], [run_query]), so a captured pointer can never
    observe a later write.  Only a view's top-level contents array is
-   fresh per commit: [Matview.render] re-renders just the partitions a
-   commit touched, so the rendered rows of every other partition are
-   shared by the render cache's per-partition arrays and by each
-   retained version that captured them.  That is sound because neither
-   those arrays nor their rows are ever mutated.  Readers acquire
+   fresh per commit: [Matview.render] returns the cached rows of every
+   partition a commit did not touch and, in a touched one, re-renders
+   only the rows whose output changed.  Every other rendered row is
+   shared by the render cache and by each retained version that
+   captured it.  That is sound because neither the cached arrays nor
+   their rows are ever mutated.  Readers acquire
    versions under [mv_mu] from any domain; the single writer publishes
    under the same mutex.  The retained window keeps the last
    [mv_retain] versions acquirable; older versions survive exactly as

@@ -70,7 +70,8 @@ let recognize (q : Ast.query) : seq_spec option =
         group_by = [];
         having = None;
       }
-    when q.Ast.order_by = [] || true -> begin
+    -> begin
+      (* a definition's ORDER BY is ignored: the physical order is partition order *)
       (* collect items: simple columns plus exactly one window function *)
       let win = ref None in
       let layout = ref [] in
@@ -127,14 +128,23 @@ let recognize (q : Ast.query) : seq_spec option =
 
 (* ---- Maintenance state ---- *)
 
+(* The render cache of one partition (see [render]): the output rows
+   last rendered, the [seq] they were rendered from, and the rank map
+   from the partition's current rows back to those rows, valid while
+   [current] is physically the partition's [seq]. *)
+type render_cache = {
+  from : Core.Seqdata.t;
+  rows : Row.t array;
+  ranks : (int * int * int) list; (* (current rank, rendered rank, length) *)
+  current : Core.Seqdata.t;
+}
+
 type partition_state = {
   pkey : Value.t list;
   mutable base_rows : Row.t array; (* base rows of this partition, ordered *)
   mutable raw : Core.Seqdata.raw;
   mutable seq : Core.Seqdata.t;
-  mutable rendered : (Core.Seqdata.t * Row.t array) option;
-      (* render cache: the output rows last rendered, keyed by the [seq]
-         they were rendered from (see [render]) *)
+  mutable rendered : render_cache option;
 }
 
 type state = {
@@ -226,70 +236,131 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
 (* Copy of the mutable layers, for undo-log snapshots: the state and
    partition records.  Row arrays, [Seqdata.raw] and [Seqdata.t] values
    are never written in place (maintenance installs fresh ones), so the
-   copy shares them.  The render cache is shared too: its arrays are
-   never mutated, and the copy keeps the [seq] they are keyed by. *)
+   copy shares them.  The render cache is shared too: a cache record is
+   never written in place either — maintenance and [render] install
+   fresh ones. *)
 let copy_state (st : state) : state =
   { st with parts = List.map (fun p -> { p with rendered = p.rendered }) st.parts }
 
 (* ---- Rendering ---- *)
 
-let window_value (st : state) (p : partition_state) ~k : Value.t =
-  let n = Core.Seqdata.raw_length p.raw in
+let count_at frame seq k = Core.Agg.count_at frame ~n:(Core.Seqdata.length seq) ~k
+
+let window_value (st : state) seq ~k : Value.t =
   let float_value v = if Float.is_nan v then Value.Null else Value.Float v in
   match st.spec.agg with
   | Aggregate.Sum | Aggregate.Min | Aggregate.Max ->
-    float_value (Core.Seqdata.get p.seq k)
-  | Aggregate.Count -> Value.Int (Core.Agg.count_at st.spec.frame ~n ~k)
+    float_value (Core.Seqdata.get seq k)
+  | Aggregate.Count -> Value.Int (count_at st.spec.frame seq k)
   | Aggregate.Avg ->
-    let c = Core.Agg.count_at st.spec.frame ~n ~k in
+    let c = count_at st.spec.frame seq k in
     if c = 0 then Value.Null
-    else Value.Float (Core.Seqdata.get p.seq k /. float_of_int c)
+    else Value.Float (Core.Seqdata.get seq k /. float_of_int c)
+
+(* Whether the window cell at rank [k] of [seq] renders as the one at
+   rank [k0] of [seq0]: bit for bit, so -0.0 differs from 0.0, with any
+   two NaNs alike where [window_value] maps NaN to NULL.  Allocates
+   nothing. *)
+let same_window_cell (st : state) seq ~k seq0 ~k0 =
+  match st.spec.agg with
+  | Aggregate.Sum | Aggregate.Min | Aggregate.Max ->
+    Core.Seqdata.same_quotient seq k ~by:1 seq0 k0 ~by0:1
+  | Aggregate.Count -> count_at st.spec.frame seq k = count_at st.spec.frame seq0 k0
+  | Aggregate.Avg ->
+    let c = count_at st.spec.frame seq k and c0 = count_at st.spec.frame seq0 k0 in
+    if c = 0 || c0 = 0 then c = c0
+    else Core.Seqdata.same_quotient seq k ~by:c seq0 k0 ~by0:c0
 
 let coerce_to ty (v : Value.t) : Value.t =
   match ty, v with
   | Dtype.Int, Value.Float f when Float.is_integer f -> Value.Int (int_of_float f)
   | _ -> v
 
-(* Rendering is incremental per partition.  A partition's output rows
-   are a function of its [base_rows] and [seq] (plus the state's fixed
-   spec and schemas), and maintenance that changes [base_rows] installs
-   a fresh [seq] — [Compute.sequence] and [Seqdata.make] always
-   allocate, and nothing here mutates a [seq] in place.  So a cached rendering is current
-   exactly while its key is still physically the partition's [seq]; no
-   write site invalidates anything.  The concatenation is a fresh
-   top-level array per render, so MVCC pointer-capture publication
-   stays valid; cached arrays are never mutated. *)
+(* One output row: [cols] holds the base column of each output item, -1
+   for the window column. *)
+let fresh_row st ~cols ~window_ty seq (base_row : Row.t) ~k : Row.t =
+  let row = Array.make (Array.length cols) Value.Null in
+  for j = 0 to Array.length cols - 1 do
+    let c = cols.(j) in
+    row.(j) <-
+      (if c >= 0 then Row.get base_row c
+       else coerce_to window_ty (window_value st seq ~k))
+  done;
+  row
+
+(* Compose two rank maps given as blocks (rank, earlier rank, length):
+   [outer] maps the current ranks to a middle sequence's, [inner] the
+   middle ranks to the rendered ones.  Kept rows keep their relative
+   order, so both lists ascend in both coordinates. *)
+let compose_ranks outer inner =
+  let rec go outer inner acc =
+    match (outer, inner) with
+    | (d, m, len) :: outer', (m', s, len') :: inner' ->
+      let lo = max m m' and hi = min (m + len) (m' + len') in
+      let acc = if lo < hi then (d + lo - m, s + lo - m', hi - lo) :: acc else acc in
+      if m + len <= m' + len' then go outer' inner acc else go outer inner' acc
+    | _ -> List.rev acc
+  in
+  go outer inner []
+
+(* Rendering is incremental per partition and, within a partition, per
+   row.  A partition's output rows are a function of its [base_rows]
+   and [seq] (plus the state's fixed spec and schemas), and maintenance
+   that changes [base_rows] installs a fresh [seq] — [Compute.sequence]
+   and [Seqdata.make] always allocate, and nothing here mutates a [seq]
+   in place.  So a cached rendering is current exactly while its [from]
+   is still physically the partition's [seq].
+
+   Otherwise each merge since that render ([apply_merge]) has composed
+   its rank map of kept rows into the cache's [ranks], keyed by the
+   [seq] it leads to.  A kept row's base row is the same row (the merge
+   blits it), so its output row is unchanged exactly when its window
+   cell is, and it keeps its previously rendered row; every other row
+   is rendered fresh.  A partition with no current map (first render, a
+   new partition, a dropped cache) is the same loop with every row
+   fresh.  A single in-place edit under a sliding (l, h) frame so
+   re-renders at most l+h+1 rows.
+
+   The concatenation is a fresh top-level array per render, so MVCC
+   pointer-capture publication stays valid; cached arrays and rows are
+   never mutated. *)
 let render (st : state) : Relation.t =
-  let item_cols =
-    List.map
-      (fun (src, _) ->
-        match src with
-        | Some c -> Some (Schema.find st.base_schema c)
-        | None -> None)
-      st.spec.items
+  let cols =
+    Array.of_list
+      (List.map
+         (function
+           | Some c, _ -> Schema.find st.base_schema c
+           | None, _ -> -1)
+         st.spec.items)
   in
-  let out_tys =
-    List.mapi (fun i _ -> (Schema.col st.out_schema i).Schema.ty) st.spec.items
-  in
-  let render_partition p =
-    Array.mapi
-      (fun i row ->
-        let k = i + 1 in
-        Array.of_list
-          (List.map2
-             (fun src ty ->
-               match src with
-               | Some c -> Row.get row c
-               | None -> coerce_to ty (window_value st p ~k))
-             item_cols out_tys))
-      p.base_rows
+  let window_ty =
+    (Schema.col st.out_schema (Option.get (Array.find_index (fun c -> c < 0) cols)))
+      .Schema.ty
   in
   let rows_of p =
+    let seq = p.seq in
     match p.rendered with
-    | Some (from, rows) when from == p.seq -> rows
-    | _ ->
-      let rows = render_partition p in
-      p.rendered <- Some (p.seq, rows);
+    | Some c when c.from == seq -> c.rows
+    | cache ->
+      let cache = match cache with Some c when c.current == seq -> Some c | _ -> None in
+      let runs = ref (match cache with Some c -> c.ranks | None -> []) in
+      let rows =
+        Row.array_init (Array.length p.base_rows) (fun i ->
+            let k = i + 1 in
+            (* drop the blocks that end before rank k *)
+            while
+              match !runs with (dst, _, len) :: _ -> dst + len <= k | [] -> false
+            do
+              runs := List.tl !runs
+            done;
+            match (cache, !runs) with
+            | Some c, (dst, src, _) :: _
+              when dst <= k && same_window_cell st seq ~k c.from ~k0:(src + k - dst) ->
+              c.rows.(src + k - dst - 1)
+            | _ -> fresh_row st ~cols ~window_ty seq p.base_rows.(i) ~k)
+      in
+      let n = Array.length rows in
+      p.rendered <- Some { from = seq; rows; ranks = [ (1, 1, n) ]; current = seq };
       rows
   in
   Relation.of_array st.out_schema (Array.concat (List.map rows_of st.parts))
@@ -518,6 +589,12 @@ let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
       Core.Seqdata.make frame agg ~n:n' ~lo:lo' out
     end
   in
+  (* carry the render cache across the merge (see [render]) *)
+  p.rendered <-
+    (match p.rendered with
+     | Some c when c.current == p.seq ->
+       Some { c with ranks = compose_ranks runs c.ranks; current = seq' }
+     | _ -> None);
   p.base_rows <- rows';
   p.raw <- raw';
   p.seq <- seq'

@@ -38,15 +38,18 @@ val recognize : Ast.query -> seq_spec option
     on the SUM sequence). *)
 val core_agg : Aggregate.kind -> Core.Agg.t
 
+(** A partition's render cache: its output rows as last rendered, the
+    [seq] they were rendered from, and the rank map of the rows kept
+    since (see {!render}). *)
+type render_cache
+
 type partition_state = {
   pkey : Value.t list;
   mutable base_rows : Row.t array;  (** base rows of the partition, ordered *)
   mutable raw : Core.Seqdata.raw;
   mutable seq : Core.Seqdata.t;
-  mutable rendered : (Core.Seqdata.t * Row.t array) option;
-      (** render cache: the partition's output rows as last rendered, with
-          the [seq] they were rendered from; current only while that is
-          still physically [seq].  Build new records with [None]. *)
+  mutable rendered : render_cache option;
+      (** Build new records with [None]. *)
 }
 
 type state = {
@@ -75,11 +78,15 @@ val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
     no maintenance path writes into them. *)
 val copy_state : state -> state
 
-(** Render the view contents from the state, re-rendering only the
-    partitions whose [seq] changed since their last render.  The result
-    is a fresh top-level row array, row-for-row and in physical order
-    what a from-scratch render gives; rows of unchanged partitions are
-    shared with earlier results (rows are immutable). *)
+(** Render the view contents from the state, at a cost in what changed
+    since the last render rather than in what the view holds.  A
+    partition whose [seq] is unchanged returns its cached rows.  In a
+    changed partition, a row the maintenance merges kept (same base
+    row) whose window cell is bit-identical keeps its previously
+    rendered row; every other row is rendered fresh.  The result is a
+    fresh top-level row array, row-for-row, bit for bit and in physical
+    order what a from-scratch render gives; reused rows are shared with
+    earlier results (rows are immutable). *)
 val render : state -> Relation.t
 
 (** Forget every partition's cached rendering, e.g. after a cross-check

@@ -387,6 +387,7 @@ type share_op =
   | Bump of int             (* grp: val += 0.125 *)
   | Move_pos of int * int * int  (* grp, pos, new pos *)
   | Move_grp of int * int * int  (* grp, pos, new grp *)
+  | Set of int * int * int  (* grp, pos, new val: 0 is -0.0, 1 is 0.0, else fresh *)
 
 let sql_of_op = function
   | Ins (g, p, v) ->
@@ -401,28 +402,35 @@ let sql_of_op = function
     Printf.sprintf "UPDATE seq SET pos = %d WHERE grp = %d AND pos = %d" p' g p
   | Move_grp (g, p, g') ->
     Printf.sprintf "UPDATE seq SET grp = %d WHERE grp = %d AND pos = %d" g' g p
+  | Set (g, p, v) ->
+    Printf.sprintf "UPDATE seq SET val = %s WHERE grp = %d AND pos = %d"
+      (match v with 0 -> "-0.0" | 1 -> "0.0" | v -> Printf.sprintf "%d.125" v)
+      g p
 
-let arb_share_stream =
+let grp = QCheck.Gen.int_range 1 3
+let pos = QCheck.Gen.int_range 1 6
+
+let share_ops =
+  QCheck.Gen.
+    [
+      (4, map (fun ((g, p), v) -> Ins (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
+      (1, map (fun ((g, p), v) -> Ins_pair (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
+      (2, map (fun (g, p) -> Del (g, p)) (pair grp pos));
+      (2, map (fun g -> Bump g) grp);
+      (1, map (fun ((g, p), p') -> Move_pos (g, p, p')) (pair (pair grp pos) (int_range 1 9)));
+      (1, map (fun ((g, p), g') -> Move_grp (g, p, g')) (pair (pair grp pos) grp));
+    ]
+
+let arb_stream ops =
   QCheck.make
     ~print:(fun chunks ->
       String.concat " | "
         (List.map
            (fun ops -> String.concat "; " (List.map sql_of_op ops))
            chunks))
-    QCheck.Gen.(
-      let grp = int_range 1 3 and pos = int_range 1 6 in
-      let op =
-        frequency
-          [
-            (4, map (fun ((g, p), v) -> Ins (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
-            (1, map (fun ((g, p), v) -> Ins_pair (g, p, v)) (pair (pair grp pos) (int_range (-9) 9)));
-            (2, map (fun (g, p) -> Del (g, p)) (pair grp pos));
-            (2, map (fun g -> Bump g) grp);
-            (1, map (fun ((g, p), p') -> Move_pos (g, p, p')) (pair (pair grp pos) (int_range 1 9)));
-            (1, map (fun ((g, p), g') -> Move_grp (g, p, g')) (pair (pair grp pos) grp));
-          ]
-      in
-      list_size (int_range 1 4) (list_size (int_range 1 5) op))
+    QCheck.Gen.(list_size (int_range 1 4) (list_size (int_range 1 5) (frequency ops)))
+
+let arb_share_stream = arb_stream share_ops
 
 (* The §2.3 sequence machinery places a new row after the rows with an
    equal order value, while recomputation sorts ties stably by physical
@@ -464,7 +472,7 @@ let concretize chunks =
     done;
     let v = !fresh in
     fresh := !fresh + 10;
-    live := List.init copies (fun _ -> (g, !p, (8 * v) + 1)) @ !live;
+    live := !live @ List.init copies (fun _ -> (g, !p, (8 * v) + 1));
     (!p, v)
   in
   (* move every row at (g, p) through [f] *)
@@ -486,9 +494,16 @@ let concretize chunks =
          | Bump g ->
            (* uniform shift of one whole group: preserves within-group
               val distinctness and relative order, so v_byval's key stays
-              unique — but the absolute vals move, so track them *)
-           live := List.map (fun (g', p, v) -> if g' = g then (g', p, v + 1) else (g', p, v)) !live;
-           Some op
+              unique — but the absolute vals move, so track them.  Two
+              zeros share a key: a batch could list one as an insert,
+              out of physical order, so skip the group then *)
+           if List.length (List.filter (fun (g', _, v) -> g' = g && v = 0) !live) > 1
+           then None
+           else begin
+             live :=
+               List.map (fun (g', p, v) -> if g' = g then (g', p, v + 1) else (g', p, v)) !live;
+             Some op
+           end
          | Move_pos (g, p, p') ->
            if count g p = 1 && pcount p' = 0 && p <> p' then begin
              move g p (fun (g, _, v) -> (g, p', v));
@@ -506,7 +521,35 @@ let concretize chunks =
               move g p (fun (_, p, v) -> (g', p, v));
               Hashtbl.replace moved_pos p ();
               Some op
-            | _ -> None)))
+            | _ -> None)
+         | Set (g, p, v) ->
+           (* v_byval moves the single row at (g, p) to its new val,
+              after the rows already holding it.  Other vals come from
+              the fresh series; -0.0 and 0.0 share one key, so a zero
+              may join only zeros that are physically earlier (the list
+              is in physical order: inserts append, moves keep slots) *)
+           let later_zero =
+             let rec go seen = function
+               | [] -> false
+               | (g', p', v') :: rest ->
+                 if g' = g && p' = p then go true rest
+                 else (seen && g' = g && v' = 0) || go seen rest
+             in
+             go false !live
+           in
+           if count g p <> 1 || (v < 2 && later_zero) then None
+           else begin
+             let v, v8 =
+               if v < 2 then (v, 0)
+               else begin
+                 let f = !fresh in
+                 fresh := !fresh + 10;
+                 (f, (8 * f) + 1)
+               end
+             in
+             move g p (fun (g, p, _) -> (g, p, v8));
+             Some (Set (g, p, v))
+           end))
     chunks
 
 (* Three databases take the same stream: shared scans on and off, each
@@ -580,49 +623,76 @@ let test_insert_rank_duplicates () =
 
 (* ---- Render-cache coherence (qcheck) ----
 
-   [Matview.render] re-renders only the partitions whose sequence
-   changed.  Under random per-row, batched and shared-scan streams —
-   each step optionally first run with every [matview.apply_*] site
-   armed, so maintenance faults and the step rolls back — every view's
-   render must equal, row for row and in order, the render of a state
-   freshly built from the same base table, and every partition the step
-   did not touch must come back with physically the same rows as the
-   previous render.  A 64-row padding partition (grp 9, negative
-   positions: out of the interpreter's reach) keeps every delta far
-   narrower than the table, so no step takes the wide-delta full
-   refresh that legitimately re-renders everything. *)
+   [Matview.render] re-renders only what changed.  Under random
+   per-row, batched and shared-scan streams — each step optionally
+   first run with every [matview.apply_*] site armed, so maintenance
+   faults and the step rolls back — every view's render must equal,
+   row for row, in order and bit for bit, the render of a state freshly
+   built from the same base table.  Against the previous render:
+   - every partition the step did not touch comes back with physically
+     the same rows;
+   - in every partition, a row whose base row is physically the same
+     and whose output is bit-identical comes back physically the same;
+   - a lone single-row in-place UPDATE renders at most l+h+1 fresh rows
+     in a sliding (l, h) view.
+   The stream also sets values to -0.0 and 0.0, which only bits tell
+   apart, and the views include a cumulative MIN, whose suffix keeps its
+   values under most edits.  A 64-row padding partition (grp 9,
+   negative positions: out of the interpreter's reach) keeps every
+   delta far narrower than the table, so no step takes the wide-delta
+   full refresh that legitimately re-renders everything. *)
 
 let padding_sql =
   "INSERT INTO seq VALUES "
   ^ String.concat ", "
       (List.init 64 (fun i -> Printf.sprintf "(9, %d, %d.5)" (-(i + 1)) i))
 
+let cmin_sql =
+  "CREATE MATERIALIZED VIEW v_cmin AS SELECT grp, pos, val, MIN(val) OVER (PARTITION \
+   BY grp ORDER BY pos ROWS UNBOUNDED PRECEDING) AS m FROM seq"
+
+let arb_render_stream =
+  arb_stream
+    (share_ops
+    @ [
+        ( 3,
+          QCheck.Gen.(
+            map
+              (fun ((g, p), v) -> Set (g, p, v))
+              (pair (pair grp pos) (frequency [ (2, return 0); (2, return 1); (1, return 2) ]))) );
+      ])
+
 let groups_of_op = function
-  | Ins (g, _, _) | Ins_pair (g, _, _) | Del (g, _) | Bump g | Move_pos (g, _, _) -> [ g ]
+  | Ins (g, _, _) | Ins_pair (g, _, _) | Del (g, _) | Bump g | Move_pos (g, _, _)
+  | Set (g, _, _) ->
+    [ g ]
   | Move_grp (g, _, g') -> [ g; g' ]
 
 let apply_sites () =
   List.filter (String.starts_with ~prefix:"matview.apply_") (Fault.sites ())
 
-let prop_render_cache_coherent (chunks, faults) =
+(* Run concretized [steps], the i-th first armed when [faults] says so. *)
+let render_cache_run ~faults steps =
   let db =
     fixture_db ~config:{ Db.default_config with Db.degradation = `Abort } ()
   in
   ignore (Db.exec db padding_sql);
   create_views db;
+  ignore (Db.exec db cmin_sql);
   let seq_views =
-    List.filter_map
-      (fun (name, _, _) ->
-        Option.map (fun _ -> name) (Db.view_state db name))
-      views
+    List.filter
+      (fun name -> Db.view_state db name <> None)
+      ("v_cmin" :: List.map (fun (name, _, _) -> name) views)
   in
   let base () =
     Catalog.table_relation (Option.get (Catalog.find_table (Db.catalog db) "seq"))
   in
+  (* per view: (pkey, base rows, rendered rows) of each partition *)
   let previous = Hashtbl.create 8 in
   let same_pkey a b = List.equal Value.equal a b in
-  (* [untouched pkey]: the step cannot have changed this partition *)
-  let check ~untouched =
+  (* [untouched pkey]: the step cannot have changed this partition;
+     [lone_update]: the step was one single-row in-place UPDATE *)
+  let check ~untouched ~lone_update =
     List.iter
       (fun name ->
         let st = Option.get (Db.view_state db name) in
@@ -645,18 +715,31 @@ let prop_render_cache_coherent (chunks, faults) =
               let n = Array.length p.Matview.base_rows in
               let slice = Array.sub rows !off n in
               off := !off + n;
-              (p.Matview.pkey, slice))
+              (p.Matview.pkey, p.Matview.base_rows, slice))
             st.Matview.parts
         in
         (match Hashtbl.find_opt previous name with
          | None -> ()
          | Some old ->
-           let find pkey l = List.find_opt (fun (k, _) -> same_pkey k pkey) l in
+           let find pkey l = List.find_opt (fun (k, _, _) -> same_pkey k pkey) l in
            List.iter
-             (fun (pkey, slice) ->
+             (fun (pkey, base_rows, slice) ->
+               (match find pkey old with
+                | Some (_, old_base, old_slice) ->
+                  Array.iteri
+                    (fun k row ->
+                      match
+                        Array.find_index (fun b -> b == base_rows.(k)) old_base
+                      with
+                      | Some j when row_same_bits row old_slice.(j) && row != old_slice.(j)
+                        ->
+                        Alcotest.failf "%s: an unchanged kept row was re-rendered" name
+                      | _ -> ())
+                    slice
+                | None -> ());
                if untouched pkey then
                  match find pkey old with
-                 | Some (_, old_slice)
+                 | Some (_, _, old_slice)
                    when Array.length old_slice = Array.length slice
                         && Array.for_all2 ( == ) old_slice slice -> ()
                  | _ ->
@@ -664,15 +747,27 @@ let prop_render_cache_coherent (chunks, faults) =
                      name)
              slices;
            List.iter
-             (fun (pkey, _) ->
+             (fun (pkey, _, _) ->
                if untouched pkey && find pkey slices = None then
                  Alcotest.failf "%s: an untouched partition vanished" name)
-             old);
+             old;
+           match st.Matview.spec.Matview.frame with
+           | Rfview_core.Frame.Sliding { l; h } when lone_update ->
+             let old_rows = List.concat_map (fun (_, _, sl) -> Array.to_list sl) old in
+             let fresh_rows =
+               Array.fold_left
+                 (fun acc row -> if List.memq row old_rows then acc else acc + 1)
+                 0 rows
+             in
+             if fresh_rows > l + h + 1 then
+               Alcotest.failf "%s: one in-place UPDATE rendered %d fresh rows (at most %d)"
+                 name fresh_rows (l + h + 1)
+           | _ -> ());
         Hashtbl.replace previous name slices)
       seq_views
   in
   let run = run_step db in
-  check ~untouched:(fun _ -> false);
+  check ~untouched:(fun _ -> false) ~lone_update:false;
   Fun.protect ~finally:Fault.reset (fun () ->
       List.iteri
         (fun i ops ->
@@ -693,14 +788,208 @@ let prop_render_cache_coherent (chunks, faults) =
                false)
           in
           (* rolled back: nothing changed, every partition is cached *)
-          if inject && not committed then check ~untouched:(fun _ -> true);
+          if inject && not committed then
+            check ~untouched:(fun _ -> true) ~lone_update:false;
           (* then (re)run unarmed, keeping the interpreter's model exact *)
           if not committed then run stmts;
-          check ~untouched:(function
-            | [ Value.Int g ] -> not (List.mem g groups)
-            | _ -> false))
-        (List.filter (fun ops -> ops <> []) (concretize chunks)));
+          check
+            ~untouched:(function
+              | [ Value.Int g ] -> not (List.mem g groups)
+              | _ -> false)
+            ~lone_update:(match ops with [ Set _ ] -> true | _ -> false))
+        (List.filter (fun ops -> ops <> []) steps))
+
+let prop_render_cache_coherent (chunks, faults) =
+  render_cache_run ~faults (concretize chunks);
   true
+
+(* The signed-zero transitions, in a group grown to six rows so that an
+   edit stays local: a 0.0 heads group 1, a -0.0 follows it, so the
+   cumulative MIN of the kept third row turns from 0.0 to -0.0; then a
+   0.0 after the -0.0 ties a sliding MIN window (-0.0 must win, as in
+   [Float.min]); then the -0.0 goes and the third row's cumulative MIN
+   turns back. *)
+let test_render_cache_signed_zeros () =
+  render_cache_run
+    ~faults:[ false; false; false; false; true; false; true ]
+    (concretize
+       [
+         [ Ins (1, 4, 0) ]; [ Ins (1, 5, 0) ]; [ Ins (1, 6, 0) ];
+         [ Set (1, 1, 1) ]; [ Set (1, 2, 0) ]; [ Set (1, 3, 1) ]; [ Del (1, 2) ];
+       ])
+
+(* ---- Rank maps compose across unrendered merges (qcheck) ----
+
+   The engine renders after every commit, so its render caches follow
+   one merge at a time.  A state maintained through several merges
+   before its next render composes their rank maps: that render must
+   still equal a fresh one bit for bit, and keep every row whose base
+   row is physically the same and whose output is bit-identical.
+   Values include -0.0 and 0.0. *)
+
+type edit = E_ins of int * int | E_del of int | E_upd of int * int
+
+let compose_views =
+  [
+    "SELECT grp, pos, val, MIN(val) OVER (PARTITION BY grp ORDER BY pos ROWS \
+     UNBOUNDED PRECEDING) AS m FROM seq";
+    "SELECT grp, pos, val, SUM(val) OVER (PARTITION BY grp ORDER BY pos ROWS \
+     BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s FROM seq";
+    "SELECT grp, pos, val, AVG(val) OVER (PARTITION BY grp ORDER BY pos ROWS \
+     BETWEEN 1 PRECEDING AND 1 FOLLOWING) AS a FROM seq";
+  ]
+
+let arb_edits =
+  QCheck.make
+    ~print:(fun (edits, _) ->
+      String.concat "; "
+        (List.map
+           (function
+             | E_ins (p, v) -> Printf.sprintf "ins %d %d" p v
+             | E_del i -> Printf.sprintf "del %d" i
+             | E_upd (i, v) -> Printf.sprintf "upd %d %d" i v)
+           edits))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 12)
+           (frequency
+              [
+                (2, map2 (fun p v -> E_ins (p, v)) (int_range 1 50) (int_range (-2) 2));
+                (1, map (fun i -> E_del i) (int_range 0 99));
+                (3, map2 (fun i v -> E_upd (i, v)) (int_range 0 99) (int_range (-2) 2));
+              ]))
+        (list_size (int_range 0 12) bool))
+
+(* value [v]: 0 is -0.0, anything else the float *)
+let edit_value v = Value.Float (if v = 0 then -0.0 else float_of_int v)
+
+let prop_ranks_compose (edits, renders) =
+  let db = Db.create () in
+  ignore (Db.exec db seq_ddl);
+  ignore
+    (Db.exec db
+       ("INSERT INTO seq VALUES "
+       ^ String.concat ", "
+           (List.init 24 (fun i -> Printf.sprintf "(1, %d, %d.0)" (2 * (i + 1)) ((i mod 5) - 2)))));
+  List.iteri
+    (fun i def ->
+      ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW vc%d AS %s" i def)))
+    compose_views;
+  List.iteri
+    (fun i _ ->
+      let name = Printf.sprintf "vc%d" i in
+      let st = Matview.copy_state (Option.get (Db.view_state db name)) in
+      let base_rows () =
+        Array.concat (List.map (fun p -> p.Matview.base_rows) st.Matview.parts)
+      in
+      let previous = ref (base_rows (), Relation.rows (Matview.render st)) in
+      let check () =
+        let base = base_rows () in
+        let rows = Relation.rows (Matview.render st) in
+        let fresh =
+          Relation.rows
+            (Matview.render
+               (Matview.init_state st.Matview.spec
+                  ~base:(Relation.of_array st.Matview.base_schema base)
+                  ~out_schema:st.Matview.out_schema))
+        in
+        if not (Array.length rows = Array.length fresh && Array.for_all2 row_same_bits rows fresh)
+        then Alcotest.failf "%s: render after unrendered merges differs from a fresh one" name;
+        let old_base, old_rows = !previous in
+        Array.iteri
+          (fun k row ->
+            match Array.find_index (fun b -> b == base.(k)) old_base with
+            | Some j when row_same_bits row old_rows.(j) && row != old_rows.(j) ->
+              Alcotest.failf "%s: an unchanged kept row was re-rendered" name
+            | _ -> ())
+          rows;
+        previous := (base, rows)
+      in
+      List.iteri
+        (fun j edit ->
+          let base = base_rows () in
+          let n = Array.length base in
+          (match edit with
+           | E_ins (p, v) -> Matview.apply_insert st [| Value.Int 1; Value.Int p; edit_value v |]
+           | E_del i -> if n > 1 then Matview.apply_delete st base.(i mod n)
+           | E_upd (i, v) ->
+             let old_row = base.(i mod n) in
+             Matview.apply_update st ~old_row
+               ~new_row:[| Row.get old_row 0; Row.get old_row 1; edit_value v |]);
+          if List.nth_opt renders j = Some true then check ())
+        edits;
+      check ())
+    compose_views;
+  true
+
+(* ---- No forced minor collection on the write path ----
+
+   [caml_make_vect] runs a minor collection before it builds an array of
+   more than 256 words whose fill value is a young block, and on OCaml 5
+   every minor collection stops all domains.  Four warehouse-shaped
+   views in one share class (cumulative SUM, SUM(2,1), MIN(3,0),
+   AVG(1,1)) sit over one 2,500-row partition.  A single-row INSERT,
+   UPDATE and DELETE each allocate a small fraction of the minor heap,
+   so from an empty minor heap any minor collection one starts is a
+   forced one.  [Gc.full_major] empties the minor heap and also finishes
+   the major cycle, whose end would empty the minor heap again mid-run.
+   Verification is off: its recomputation is not the write path. *)
+
+let write_path_views =
+  [
+    ("v_cum", "SUM", "ROWS UNBOUNDED PRECEDING", "s");
+    ("v_s21", "SUM", "ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING", "s");
+    ("v_min", "MIN", "ROWS BETWEEN 3 PRECEDING AND CURRENT ROW", "m");
+    ("v_avg", "AVG", "ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING", "a");
+  ]
+
+let test_write_path_no_forced_minor () =
+  Rfview_analysis.Verify.disable ();
+  Fun.protect ~finally:Rfview_analysis.Verify.enable (fun () ->
+      let db = Db.create () in
+      ignore (Db.exec db seq_ddl);
+      ignore
+        (Db.exec db
+           ("INSERT INTO seq VALUES "
+           ^ String.concat ", "
+               (List.init 2_500 (fun i ->
+                    Printf.sprintf "(1, %d, %d.5)" ((i + 1) * 16) ((i * 37 mod 101) - 50)))));
+      List.iter
+        (fun (name, fn, frame, col) ->
+          ignore
+            (Db.exec db
+               (Printf.sprintf
+                  "CREATE MATERIALIZED VIEW %s AS SELECT grp, pos, val, %s(val) OVER \
+                   (PARTITION BY grp ORDER BY pos %s) AS %s FROM seq"
+                  name fn frame col)))
+        write_path_views;
+      Alcotest.(check (list (list string)))
+        "one share class" [ [ "v_avg"; "v_cum"; "v_min"; "v_s21" ] ]
+        (Db.share_classes db ~table:"seq");
+      List.iter
+        (fun sql ->
+          Gc.full_major ();
+          let before = (Gc.quick_stat ()).Gc.minor_collections in
+          let w0 = Gc.minor_words () in
+          ignore (Db.exec db sql);
+          let words = Gc.minor_words () -. w0 in
+          let after = (Gc.quick_stat ()).Gc.minor_collections in
+          if words > float_of_int (Gc.get ()).Gc.minor_heap_size /. 2. then
+            Alcotest.failf "%s allocated %.0f words: too close to a full minor heap" sql
+              words;
+          Alcotest.(check int) (sql ^ ": minor collections") before after)
+        (* each edits the partition's first row, so every view renders
+           its first row fresh: a young block, as a fill value would be *)
+        [
+          "INSERT INTO seq VALUES (1, 8, 7.5)";
+          "UPDATE seq SET val = -3.5 WHERE grp = 1 AND pos = 8";
+          "DELETE FROM seq WHERE grp = 1 AND pos = 8";
+        ];
+      List.iter
+        (fun (name, _, _, _) ->
+          if Db.view_state db name = None then
+            Alcotest.failf "%s left incremental maintenance" name)
+        write_path_views)
 
 (* ---- Row arrays are never written in place (qcheck) ----
 
@@ -805,6 +1094,13 @@ let () =
             test_shared_scan_validator;
           Alcotest.test_case "insert rank, duplicate order values" `Quick
             test_insert_rank_duplicates;
+          Alcotest.test_case "signed zeros: render cache coherent" `Quick
+            test_render_cache_signed_zeros;
+        ] );
+      ( "write path",
+        [
+          Alcotest.test_case "no forced minor collection on the write path" `Quick
+            test_write_path_no_forced_minor;
         ] );
       ( "cost",
         [
@@ -820,9 +1116,13 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:40
                ~name:"random DML with rollbacks: render cache coherent"
-               (QCheck.pair arb_share_stream
+               (QCheck.pair arb_render_stream
                   QCheck.(list_of_size Gen.(int_range 0 4) bool))
                prop_render_cache_coherent);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:100
+               ~name:"rank maps compose across unrendered merges" arb_edits
+               prop_ranks_compose);
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:25
                ~name:"no maintenance path writes into a row array"
