@@ -109,9 +109,11 @@ serve-smoke:
 # per-row vs full-refresh propagation): asserts the modes agree
 # bit-for-bit, writes BENCH_delta.json, and fails unless the report is
 # well-formed.  Its write-path run (single-row UPDATE, INSERT and
-# DELETE against four views over 8 x 2,500 rows) fails unless a
-# statement allocates at most 150k minor-heap words and statements
-# average at most 0.1 minor collections.  Then the generalized-IVM experiment (derived delta
+# DELETE against four views over 8 x 2,500 rows, and over 64 x 2,500)
+# fails unless a statement allocates at most 150k minor-heap words and
+# at most 40k words directly on the major heap, statements average at
+# most 0.1 minor collections, and the 64-partition p50 stays within 2x
+# of the 8-partition one.  Then the generalized-IVM experiment (derived delta
 # plans vs full refresh on join/GROUP BY views), writing BENCH_IVM.json,
 # the scan-sharing experiment (certified shared base scans vs per-view
 # batched maintenance, bit-identical fingerprints), writing
@@ -129,6 +131,7 @@ bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
 	  && grep -q '"words_per_statement"' BENCH_delta.json \
+	  && grep -q '"major_words_per_statement"' BENCH_delta.json \
 	  && echo "BENCH_delta.json well-formed"
 	dune exec bench/main.exe -- delta-ivm --smoke
 	@grep -q '"acceptance"' BENCH_IVM.json && grep -q '"speedup"' BENCH_IVM.json \

@@ -21,7 +21,7 @@ type index_def = {
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable rows : Row.t array;
+  mutable rows : Relation.t; (* stored: chunked and zoned *)
   mutable indexes : index_def list;
 }
 
@@ -54,7 +54,7 @@ let table t name =
 let create_table t ~name ~schema =
   if Hashtbl.mem t.tables (key name) || Hashtbl.mem t.views (key name) then
     catalog_error "relation %s already exists" name;
-  let tbl = { table_name = name; schema; rows = [||]; indexes = [] } in
+  let tbl = { table_name = name; schema; rows = Relation.empty schema; indexes = [] } in
   Hashtbl.replace t.tables (key name) tbl;
   tbl
 
@@ -62,13 +62,13 @@ let drop_table t ~name ~if_exists =
   if Hashtbl.mem t.tables (key name) then Hashtbl.remove t.tables (key name)
   else if not if_exists then catalog_error "unknown table %s" name
 
-let table_relation (tbl : table) : Relation.t = Relation.of_array tbl.schema tbl.rows
+let table_relation (tbl : table) : Relation.t = tbl.rows
 
 let invalidate_indexes (tbl : table) =
   List.iter (fun idx -> idx.built <- None) tbl.indexes
 
 let set_rows (tbl : table) rows =
-  tbl.rows <- rows;
+  tbl.rows <- Relation.store rows;
   invalidate_indexes tbl
 
 (* ---- Indexes ---- *)

@@ -17,7 +17,9 @@ type index_def = {
 type table = {
   table_name : string;
   schema : Schema.t;
-  mutable rows : Row.t array;
+  mutable rows : Relation.t;
+      (** stored ({!Relation.store}): chunked and zoned; replaced whole,
+          never written in place *)
   mutable indexes : index_def list;
 }
 
@@ -25,7 +27,8 @@ type view = {
   view_name : string;
   materialized : bool;
   definition : Ast.query;
-  mutable contents : Relation.t option;  (** [Some] for materialized views *)
+  mutable contents : Relation.t option;
+      (** [Some] for materialized views; stored ({!Relation.store}) *)
   mutable stale : bool;
       (** quarantined: maintenance faulted, contents lag the base table
           until the next read triggers a full refresh *)
@@ -50,8 +53,9 @@ val drop_table : t -> name:string -> if_exists:bool -> unit
 (** A snapshot of the current contents. *)
 val table_relation : table -> Relation.t
 
-(** Replace the rows and invalidate all indexes. *)
-val set_rows : table -> Row.t array -> unit
+(** Replace the rows, stored ({!Relation.store}: existing zones are
+    kept), and invalidate all indexes. *)
+val set_rows : table -> Relation.t -> unit
 
 val invalidate_indexes : table -> unit
 

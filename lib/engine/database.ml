@@ -160,18 +160,18 @@ type result =
 
    Every commit point (top-level statement success, batch commit,
    recovery) publishes an immutable, LSN-stamped version of the logical
-   state.  Publication is pointer capture, never a deep copy: table row
-   arrays are replaced wholesale by every mutation path
-   ([Catalog.set_rows], fresh [Array.map]/[Array.append] results) and
-   materialized-view contents are replaced by fresh [Relation.t] values
-   ([Matview.render], [run_query]), so a captured pointer can never
-   observe a later write.  Only a view's top-level contents array is
-   fresh per commit: [Matview.render] returns the cached rows of every
-   partition a commit did not touch and, in a touched one, re-renders
-   only the rows whose output changed.  Every other rendered row is
-   shared by the render cache and by each retained version that
-   captured it.  That is sound because neither the cached arrays nor
-   their rows are ever mutated.  Readers acquire
+   state.  Publication is pointer capture, never a deep copy: table
+   contents are replaced wholesale by every mutation path
+   ([Catalog.set_rows]) and materialized-view contents are replaced by
+   fresh [Relation.t] values ([Matview.render], [run_query]), so a
+   captured pointer can never observe a later write.  A relation is a
+   sequence of row chunks, and no chunk is written after it is built:
+   DML ([Relation.edit], [Relation.append_rows]) copies the chunks it
+   changes into fresh ones and shares the rest, and [Matview.render]
+   shares the cached chunks of every partition a commit did not touch
+   and, in a touched one, of every chunk whose rows are unchanged.
+   So every version, the undo log and the render cache may hold the
+   same chunks and rows.  Readers acquire
    versions under [mv_mu] from any domain; the single writer publishes
    under the same mutex.  The retained window keeps the last
    [mv_retain] versions acquirable; older versions survive exactly as
@@ -179,8 +179,7 @@ type result =
 
 type vtable = {
   vt_name : string;
-  vt_schema : Schema.t;
-  vt_rows : Row.t array; (* frozen: the array pointer at commit *)
+  vt_rows : Relation.t; (* frozen: the stored relation at commit *)
   vt_indexes : (string * Index.kind) list; (* column, kind *)
 }
 
@@ -241,7 +240,6 @@ let capture_version db ~lsn : version =
       |> List.map (fun (tbl : Catalog.table) ->
              {
                vt_name = tbl.Catalog.table_name;
-               vt_schema = tbl.Catalog.schema;
                vt_rows = tbl.Catalog.rows;
                vt_indexes =
                  List.map
@@ -718,7 +716,7 @@ let run_source src (q : Ast.query) : Relation.t =
 (* An index of [kind] over [r]'s rows, keyed on [column] if it exists. *)
 let index_on kind r column =
   Option.map
-    (fun ci -> Index.build kind (Relation.rows r) ~key_col:ci)
+    (fun ci -> Index.build kind r ~key_col:ci)
     (Schema.find_opt (Relation.schema r) column)
 
 (* Forward reference to [refresh_view_full], needed by the lazy
@@ -801,14 +799,14 @@ let rec version_source v =
   let find_view name =
     List.find_opt (fun vv -> key vv.vv_name = key name) v.v_views
   in
-  let table_rel vt = Relation.of_array vt.vt_schema vt.vt_rows in
+  let table_rel vt = vt.vt_rows in
   let matview name =
     match find_view name with
     | Some vv when vv.vv_materialized ->
       if vv.vv_stale then
         Some
           (memo v.v_heal (key name) (fun () ->
-               run_source (version_source v) vv.vv_definition))
+               Relation.store (run_source (version_source v) vv.vv_definition)))
       else (
         match vv.vv_contents with
         | Some r -> Some r
@@ -911,7 +909,7 @@ let try_derive db (v : Catalog.view) =
 let refresh_view_full db (v : Catalog.view) =
   Fault.hit site_refresh;
   log_view db v;
-  let contents = run_query db v.Catalog.definition in
+  let contents = Relation.store (run_query db v.Catalog.definition) in
   v.Catalog.contents <- Some contents;
   v.Catalog.stale <- false;
   invalidate_view_indexes db v.Catalog.view_name;
@@ -1037,7 +1035,7 @@ let maintenance_classes db ~table =
    they will catch up wholesale on their next read. *)
 let propagate db ~table (td : Delta.table_delta) =
   let wide =
-    Delta.weight td >= Array.length (Catalog.table db.catalog table).Catalog.rows
+    Delta.weight td >= Relation.cardinality (Catalog.table db.catalog table).Catalog.rows
   in
   let maintain (v : Catalog.view) step =
     match
@@ -1176,7 +1174,7 @@ let maintain_derived db (d : Delta.t) =
                   List.fold_left
                     (fun acc t ->
                       match Catalog.find_table db.catalog t with
-                      | Some tbl -> acc + Array.length tbl.Catalog.rows
+                      | Some tbl -> acc + Relation.cardinality tbl.Catalog.rows
                       | None -> acc)
                     0 sources
                 in
@@ -1194,7 +1192,7 @@ let maintain_derived db (d : Delta.t) =
                          ~context:"derived delta maintenance"
                          ~incremental:contents'
                          ~recomputed:(run_query db v.Catalog.definition);
-                     v.Catalog.contents <- Some contents';
+                     v.Catalog.contents <- Some (Relation.store contents');
                      invalidate_view_indexes db v.Catalog.view_name
                    | exception P.Deriv.Divergence _ -> refresh_view_full db v)
                 | _ -> refresh_view_full db v
@@ -1336,7 +1334,7 @@ let coerce_value ty (v : Value.t) : Value.t =
 let insert_rows db ~table (new_rows : Row.t list) =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
-  Catalog.set_rows tbl (Array.append tbl.Catalog.rows (Array.of_list new_rows));
+  Catalog.set_rows tbl (Relation.append_rows tbl.Catalog.rows (Array.of_list new_rows));
   Fault.hit site_apply_insert;
   wal_log db (Wal.Insert { table; rows = Array.of_list new_rows });
   record_or_propagate db (fun d -> Delta.insert d ~table new_rows)
@@ -1372,8 +1370,9 @@ let exec_insert db ~table ~columns ~rows =
   Done (Printf.sprintf "INSERT %d" (List.length new_rows))
 
 (* Shared apply steps for update/delete deltas (statement path and WAL
-   replay).  [rows]/[kept] is the table's full new contents; [pairs]/
-   [deleted] the delta that maintains dependent views and the log. *)
+   replay).  [rows]/[kept] is the table's full new contents, sharing
+   every chunk the change left alone; [pairs]/[deleted] the delta that
+   maintains dependent views and the log. *)
 let update_rows db ~table ~rows ~pairs =
   let tbl = Catalog.table db.catalog table in
   log_table db tbl;
@@ -1389,6 +1388,28 @@ let delete_rows db ~table ~kept ~deleted =
   Fault.hit site_apply_delete;
   wal_log db (Wal.Delete { table; rows = Array.of_list deleted });
   record_or_propagate db (fun d -> Delta.delete d ~table deleted)
+
+(* Chunk rewrites for [Relation.edit], [None] when they change
+   nothing.  [without doomed] drops the rows [doomed] picks, in order;
+   [rewriting f] replaces each row [f] maps to [Some row'], in order,
+   in a copy of the chunk. *)
+let without doomed chunk =
+  let kept = ref [] and hit = ref false in
+  Array.iter (fun row -> if doomed row then hit := true else kept := row :: !kept) chunk;
+  if !hit then Some (Array.of_list (List.rev !kept)) else None
+
+let rewriting f chunk =
+  let copy = ref None in
+  Array.iteri
+    (fun i row ->
+      match f row with
+      | Some row' ->
+        let c = match !copy with Some c -> c | None -> Array.copy chunk in
+        c.(i) <- row';
+        copy := Some c
+      | None -> ())
+    chunk;
+  !copy
 
 let exec_update db ~table ~assignments ~where =
   let tbl = Catalog.table db.catalog table in
@@ -1409,17 +1430,18 @@ let exec_update db ~table ~assignments ~where =
   in
   let holds = Expr.compile_pred pred in
   let pairs = ref [] in
+  (* [WHERE] runs only on the chunks its zones admit, and only the
+     chunks holding a matched row are copied *)
   let rows =
-    Array.map
-      (fun row ->
-        if holds row then begin
-          let fresh = Array.copy row in
-          List.iter (fun (i, ty, f) -> fresh.(i) <- coerce_value ty (f row)) assigns;
-          pairs := (row, fresh) :: !pairs;
-          fresh
-        end
-        else row)
-      tbl.Catalog.rows
+    Relation.edit tbl.Catalog.rows ~admit:[ Expr.int_ranges pred ]
+      (rewriting (fun row ->
+           if holds row then begin
+             let fresh = Array.copy row in
+             List.iter (fun (i, ty, f) -> fresh.(i) <- coerce_value ty (f row)) assigns;
+             pairs := (row, fresh) :: !pairs;
+             Some fresh
+           end
+           else None))
   in
   update_rows db ~table ~rows ~pairs:(List.rev !pairs);
   Done (Printf.sprintf "UPDATE %d" (List.length !pairs))
@@ -1433,29 +1455,18 @@ let exec_delete db ~table ~where =
     | Some w -> P.Binder.bind_scalar schema w
   in
   let holds = Expr.compile_pred pred in
-  let rows = tbl.Catalog.rows in
-  let n = Array.length rows in
-  (* one pass marks the deleted rows; the kept runs between them are
-     blitted into a fresh array *)
-  let doomed = Bytes.make n '\000' in
   let deleted = ref [] and ndeleted = ref 0 in
-  Array.iteri
-    (fun i row ->
-      if holds row then begin
-        Bytes.set doomed i '\001';
-        deleted := row :: !deleted;
-        incr ndeleted
-      end)
-    rows;
-  let kept = Array.make (n - !ndeleted) [||] in
-  let rec blit i at =
-    if i < n then begin
-      let stop = match Bytes.index_from_opt doomed i '\001' with Some j -> j | None -> n in
-      Array.blit rows i kept at (stop - i);
-      blit (stop + 1) (at + stop - i)
-    end
+  (* as for UPDATE: only admitted chunks are read, only hit ones copied *)
+  let kept =
+    Relation.edit tbl.Catalog.rows ~admit:[ Expr.int_ranges pred ]
+      (without (fun row ->
+           let hit = holds row in
+           if hit then begin
+             deleted := row :: !deleted;
+             incr ndeleted
+           end;
+           hit))
   in
-  blit 0 0;
   delete_rows db ~table ~kept ~deleted:(List.rev !deleted);
   Done (Printf.sprintf "DELETE %d" !ndeleted)
 
@@ -1582,7 +1593,7 @@ let load_table db ~table rows =
       with_undo db (fun () ->
           let tbl = Catalog.table db.catalog table in
           log_table db tbl;
-          Catalog.set_rows tbl (Array.append tbl.Catalog.rows rows);
+          Catalog.set_rows tbl (Relation.append_rows tbl.Catalog.rows rows);
           wal_log db (Wal.Load { table; rows });
           record_or_propagate db (fun d ->
               Delta.insert d ~table (Array.to_list rows))))
@@ -1717,46 +1728,54 @@ let row_equal (a : Row.t) (b : Row.t) =
         true
       with Exit -> false)
 
+(* The chunks a pre-image can lie in: its Int columns, as ranges for
+   [Relation.edit]. *)
+let pre_image_ranges (row : Row.t) =
+  Array.to_list row
+  |> List.mapi (fun j v -> match v with Value.Int k -> Some (j, k, k) | _ -> None)
+  |> List.filter_map Fun.id
+
+(* Each table row, in order, consumes the first pending entry whose
+   pre-image ([image] of it) equals the row: the k-th row of a class of
+   equal rows pairs with the k-th pre-image of that class, so the match
+   is multiset-correct, and a row already rewritten is never matched
+   again. *)
+let take_first image pending row =
+  let rec go acc = function
+    | [] -> None
+    | x :: rest when row_equal (image x) row -> Some (x, List.rev_append acc rest)
+    | x :: rest -> go (x :: acc) rest
+  in
+  match go [] !pending with
+  | Some (x, rest) ->
+    pending := rest;
+    Some x
+  | None -> None
+
 let replay_delete db ~table rows =
   let tbl = Catalog.table db.catalog table in
   let pending = ref (Array.to_list rows) in
-  let kept = ref [] in
-  Array.iter
-    (fun row ->
-      let rec take acc = function
-        | [] -> None
-        | r :: rest when row_equal r row -> Some (List.rev_append acc rest)
-        | r :: rest -> take (r :: acc) rest
-      in
-      match take [] !pending with
-      | Some rest -> pending := rest
-      | None -> kept := row :: !kept)
-    tbl.Catalog.rows;
+  let kept =
+    Relation.edit tbl.Catalog.rows
+      ~admit:(List.map pre_image_ranges !pending)
+      (fun chunk ->
+        if !pending = [] then None
+        else without (fun row -> take_first Fun.id pending row <> None) chunk)
+  in
   if !pending <> [] then engine_error "replay: DELETE pre-image missing from %s" table;
-  delete_rows db ~table
-    ~kept:(Array.of_list (List.rev !kept))
-    ~deleted:(Array.to_list rows)
+  delete_rows db ~table ~kept ~deleted:(Array.to_list rows)
 
 let replay_update db ~table pairs =
   let tbl = Catalog.table db.catalog table in
-  let rows = Array.copy tbl.Catalog.rows in
-  (* consume a distinct row per pair: equal pre-images evaluate the same
-     assignments, so any matching is multiset-equivalent — but a row
-     already rewritten must not satisfy a later pair's pre-image *)
-  let used = Array.make (Array.length rows) false in
-  Array.iter
-    (fun (old_row, new_row) ->
-      let rec find i =
-        if i >= Array.length rows then
-          engine_error "replay: UPDATE pre-image missing from %s" table
-        else if (not used.(i)) && row_equal rows.(i) old_row then begin
-          rows.(i) <- new_row;
-          used.(i) <- true
-        end
-        else find (i + 1)
-      in
-      find 0)
-    pairs;
+  let pending = ref (Array.to_list pairs) in
+  let rows =
+    Relation.edit tbl.Catalog.rows
+      ~admit:(List.map (fun (old_row, _) -> pre_image_ranges old_row) !pending)
+      (fun chunk ->
+        if !pending = [] then None
+        else rewriting (fun row -> Option.map snd (take_first fst pending row)) chunk)
+  in
+  if !pending <> [] then engine_error "replay: UPDATE pre-image missing from %s" table;
   update_rows db ~table ~rows ~pairs:(Array.to_list pairs)
 
 let rec replay_record db (record : Wal.record) =
@@ -1817,7 +1836,7 @@ let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
         Catalog.create_table db.catalog ~name:t.Checkpoint.t_name
           ~schema:t.Checkpoint.t_schema
       in
-      Catalog.set_rows tbl t.Checkpoint.t_rows)
+      Catalog.set_rows tbl (Relation.of_array t.Checkpoint.t_schema t.Checkpoint.t_rows))
     snap.Checkpoint.tables;
   List.iter
     (fun (v : Checkpoint.view_entry) ->
@@ -1839,7 +1858,7 @@ let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
               s_contents = Some contents;
               s_incremental;
             } ->
-          view.Catalog.contents <- Some contents;
+          view.Catalog.contents <- Some (Relation.store contents);
           view.Catalog.stale <- s_stale;
           if s_stale then quarantine ~already:true view
           else if s_incremental then
@@ -1994,7 +2013,7 @@ let checkpoint db =
              {
                Checkpoint.t_name = t.Catalog.table_name;
                t_schema = t.Catalog.schema;
-               t_rows = t.Catalog.rows;
+               t_rows = Relation.rows t.Catalog.rows;
              })
     in
     let index_ddl =
@@ -2244,7 +2263,7 @@ module Snapshot = struct
     fingerprint_parts
       ~tables:
         (List.map
-           (fun vt -> (vt.vt_name, Relation.of_array vt.vt_schema vt.vt_rows))
+           (fun vt -> (vt.vt_name, vt.vt_rows))
            sn.sn_version.v_tables)
       ~views:
         (List.map

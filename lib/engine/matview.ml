@@ -129,12 +129,13 @@ let recognize (q : Ast.query) : seq_spec option =
 (* ---- Maintenance state ---- *)
 
 (* The render cache of one partition (see [render]): the output rows
-   last rendered, the [seq] they were rendered from, and the rank map
-   from the partition's current rows back to those rows, valid while
-   [current] is physically the partition's [seq]. *)
+   last rendered, cut into full chunks, the [seq] they were rendered
+   from, and the rank map from the partition's current rows back to
+   those rows, valid while [current] is physically the partition's
+   [seq]. *)
 type render_cache = {
   from : Core.Seqdata.t;
-  rows : Row.t array;
+  chunks : Relation.chunk array;
   ranks : (int * int * int) list; (* (current rank, rendered rank, length) *)
   current : Core.Seqdata.t;
 }
@@ -321,9 +322,13 @@ let compose_ranks outer inner =
    fresh.  A single in-place edit under a sliding (l, h) frame so
    re-renders at most l+h+1 rows.
 
-   The concatenation is a fresh top-level array per render, so MVCC
-   pointer-capture publication stays valid; cached arrays and rows are
-   never mutated. *)
+   A partition's rows are cut into full chunks of [Relation.chunk_size]
+   rows (the last one shorter); a chunk whose rows all come out
+   physically the same as the cached chunk at its place is that chunk,
+   zone included.  The view is the partitions' chunks in order, with no
+   row array copied, so a render costs the chunks it replaces; cached
+   chunks and rows are never mutated, which keeps MVCC pointer-capture
+   publication valid. *)
 let render (st : state) : Relation.t =
   let cols =
     Array.of_list
@@ -337,33 +342,56 @@ let render (st : state) : Relation.t =
     (Schema.col st.out_schema (Option.get (Array.find_index (fun c -> c < 0) cols)))
       .Schema.ty
   in
-  let rows_of p =
+  let size = Relation.chunk_size in
+  let chunks_of p =
     let seq = p.seq in
     match p.rendered with
-    | Some c when c.from == seq -> c.rows
+    | Some c when c.from == seq -> c.chunks
     | cache ->
       let cache = match cache with Some c when c.current == seq -> Some c | _ -> None in
+      (* the cached rendering's row at 0-based position [j] *)
+      let cached c j = (Relation.chunk_rows c.chunks.(j / size)).(j mod size) in
       let runs = ref (match cache with Some c -> c.ranks | None -> []) in
-      let rows =
-        Row.array_init (Array.length p.base_rows) (fun i ->
-            let k = i + 1 in
-            (* drop the blocks that end before rank k *)
-            while
-              match !runs with (dst, _, len) :: _ -> dst + len <= k | [] -> false
-            do
-              runs := List.tl !runs
-            done;
-            match (cache, !runs) with
-            | Some c, (dst, src, _) :: _
-              when dst <= k && same_window_cell st seq ~k c.from ~k0:(src + k - dst) ->
-              c.rows.(src + k - dst - 1)
-            | _ -> fresh_row st ~cols ~window_ty seq p.base_rows.(i) ~k)
+      let row_at i =
+        let k = i + 1 in
+        (* drop the blocks that end before rank k *)
+        while match !runs with (dst, _, len) :: _ -> dst + len <= k | [] -> false do
+          runs := List.tl !runs
+        done;
+        match (cache, !runs) with
+        | Some c, (dst, src, _) :: _
+          when dst <= k && same_window_cell st seq ~k c.from ~k0:(src + k - dst) ->
+          cached c (src + k - dst - 1)
+        | _ -> fresh_row st ~cols ~window_ty seq p.base_rows.(i) ~k
       in
-      let n = Array.length rows in
-      p.rendered <- Some { from = seq; rows; ranks = [ (1, 1, n) ]; current = seq };
-      rows
+      let n = Array.length p.base_rows in
+      let chunks =
+        Relation.chunks_init ((n + size - 1) / size) (fun j ->
+            let base = j * size in
+            let rows = Array.make (min size (n - base)) [||] in
+            (* the cached chunk at this place, if it is as long *)
+            let old =
+              match cache with
+              | Some c
+                when j < Array.length c.chunks
+                     && Array.length (Relation.chunk_rows c.chunks.(j)) = Array.length rows ->
+                Some c.chunks.(j)
+              | _ -> None
+            in
+            let same = ref (old <> None) in
+            for i = 0 to Array.length rows - 1 do
+              rows.(i) <- row_at (base + i);
+              same :=
+                !same && match old with Some o -> rows.(i) == (Relation.chunk_rows o).(i) | None -> false
+            done;
+            match old with
+            | Some o when !same -> o
+            | _ -> Relation.chunk st.out_schema rows)
+      in
+      p.rendered <- Some { from = seq; chunks; ranks = [ (1, 1, n) ]; current = seq };
+      chunks
   in
-  Relation.of_array st.out_schema (Array.concat (List.map rows_of st.parts))
+  Relation.of_chunks st.out_schema (Array.concat (List.map chunks_of st.parts))
 
 let drop_render_cache (st : state) =
   List.iter (fun p -> p.rendered <- None) st.parts

@@ -38,9 +38,9 @@ val recognize : Ast.query -> seq_spec option
     on the SUM sequence). *)
 val core_agg : Aggregate.kind -> Core.Agg.t
 
-(** A partition's render cache: its output rows as last rendered, the
-    [seq] they were rendered from, and the rank map of the rows kept
-    since (see {!render}). *)
+(** A partition's render cache: its output rows as last rendered, in
+    chunks, the [seq] they were rendered from, and the rank map of the
+    rows kept since (see {!render}). *)
 type render_cache
 
 type partition_state = {
@@ -79,14 +79,18 @@ val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
 val copy_state : state -> state
 
 (** Render the view contents from the state, at a cost in what changed
-    since the last render rather than in what the view holds.  A
-    partition whose [seq] is unchanged returns its cached rows.  In a
-    changed partition, a row the maintenance merges kept (same base
-    row) whose window cell is bit-identical keeps its previously
-    rendered row; every other row is rendered fresh.  The result is a
-    fresh top-level row array, row-for-row, bit for bit and in physical
-    order what a from-scratch render gives; reused rows are shared with
-    earlier results (rows are immutable). *)
+    since the last render rather than in what the view holds.  Each
+    partition's rendered rows are cached as chunks of
+    {!Relation.chunk_size} rows (the last one shorter), with their
+    zones.  A partition whose [seq] is unchanged returns its cached
+    chunks.  In a changed partition, a row the maintenance merges kept
+    (same base row) whose window cell is bit-identical keeps its
+    previously rendered row, every other row is rendered fresh, and a
+    chunk whose rows all come out physically the same as the cached
+    chunk at its place is that chunk.  The result is the partitions'
+    chunks in order, with no row array copied: row-for-row, bit for bit
+    and in physical order what a from-scratch render gives.  Chunks and
+    rows are shared with earlier results (neither is ever written). *)
 val render : state -> Relation.t
 
 (** Forget every partition's cached rendering, e.g. after a cross-check

@@ -199,7 +199,7 @@ module Codec = struct
     let schema = get_schema r in
     let n = get_int r in
     if n < 0 then decode_error "negative row count %d" n;
-    Relation.of_array schema (Array.init n (fun _ -> get_row r))
+    Relation.init schema n (fun _ -> get_row r)
 end
 
 (* ---- Records ---- *)

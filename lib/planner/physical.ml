@@ -315,13 +315,17 @@ let rec plan ?(opts = default_options) (cat : catalog_view) (l : Logical.t) : t 
 (* ---- Execution ---- *)
 
 (* [observer] is called per node with the node, its output and its
-   inclusive wall time; used by EXPLAIN ANALYZE. *)
-let rec execute_obs observer (cat : catalog_view) (p : t) : Relation.t =
+   inclusive wall time; used by EXPLAIN ANALYZE.  A scan under a filter
+   (through aliases) delivers only the chunks whose zones admit the
+   filter's [ranges] (see [Relation.prune]): the rows it reports are
+   the rows the filter examines. *)
+let rec execute_obs ?(ranges = []) observer (cat : catalog_view) (p : t) : Relation.t =
   let t0 = if observer == no_observer then 0. else Unix.gettimeofday () in
   let result =
     match p with
-    | Scan { table; _ } -> cat.table_contents table
-    | Filter { input; pred } -> Ops.filter pred (execute_obs observer cat input)
+    | Scan { table; _ } -> Relation.prune ranges (cat.table_contents table)
+    | Filter { input; pred } ->
+      Ops.filter pred (execute_obs ~ranges:(Expr.int_ranges pred) observer cat input)
     | Project { input; exprs } -> Ops.project exprs (execute_obs observer cat input)
     | Join { kind; algo; left; right; cond } ->
       execute_join observer cat kind algo left right cond
@@ -337,8 +341,8 @@ let rec execute_obs observer (cat : catalog_view) (p : t) : Relation.t =
     | Union_all { left; right } ->
       Ops.union_all (execute_obs observer cat left) (execute_obs observer cat right)
     | Alias { input; rel } ->
-      let r = execute_obs observer cat input in
-      Relation.of_array (Schema.with_rel rel (Relation.schema r)) (Relation.rows r)
+      let r = execute_obs ~ranges observer cat input in
+      Relation.with_schema (Schema.with_rel rel (Relation.schema r)) r
   in
   if observer != no_observer then
     observer p result (Unix.gettimeofday () -. t0);
@@ -383,11 +387,8 @@ and execute_number observer cat input partition order name =
   let schema =
     Schema.append (Relation.schema r) (Schema.make [ Schema.column name Dtype.Int ])
   in
-  let out =
-    Row.array_init (Array.length rows) (fun i ->
-        Row.append rows.(i) [| Value.Int numbers.(i) |])
-  in
-  Relation.of_array schema out
+  Relation.init schema (Array.length rows) (fun i ->
+      Row.append rows.(i) [| Value.Int numbers.(i) |])
 
 let execute (cat : catalog_view) (p : t) : Relation.t =
   execute_obs no_observer cat p

@@ -48,6 +48,20 @@ type state = {
 let create kind =
   { kind; count = 0; sum_i = 0; sum_f = 0.; all_int = true; extremum = Value.Null }
 
+(* [Value.compare] with -0.0 below 0.0 (and below an Int 0), the order
+   [Float.min]/[Float.max] and the core's sequences use: MIN and MAX
+   over a tie of signed zeros then pick the same zero whatever the
+   input order. *)
+let compare_extremum a b =
+  let c = Value.compare a b in
+  if c <> 0 then c
+  else
+    match a, b with
+    | Value.Float x, Value.Float y when x = 0. -> Bool.compare (Float.sign_bit y) (Float.sign_bit x)
+    | Value.Float x, Value.Int _ when x = 0. -> if Float.sign_bit x then -1 else 0
+    | Value.Int _, Value.Float y when y = 0. -> if Float.sign_bit y then 1 else 0
+    | _ -> 0
+
 let add st (v : Value.t) =
   match v with
   | Value.Null -> ()
@@ -65,10 +79,10 @@ let add st (v : Value.t) =
           st.sum_f <- st.sum_f +. f
         | v -> Value.type_error "%s over non-numeric %s" (kind_name st.kind) (Value.to_string v))
      | Min ->
-       if Value.is_null st.extremum || Value.compare v st.extremum < 0 then
+       if Value.is_null st.extremum || compare_extremum v st.extremum < 0 then
          st.extremum <- v
      | Max ->
-       if Value.is_null st.extremum || Value.compare v st.extremum > 0 then
+       if Value.is_null st.extremum || compare_extremum v st.extremum > 0 then
          st.extremum <- v)
 
 let remove st (v : Value.t) =

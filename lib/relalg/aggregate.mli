@@ -22,6 +22,10 @@ val kind_of_name : string -> kind option
 
 val invertible : kind -> bool
 
+(** The order MIN and MAX pick by: [Value.compare], except that -0.0
+    lies below 0.0 and below an Int 0, as in [Float.min]/[Float.max]. *)
+val compare_extremum : Value.t -> Value.t -> int
+
 (** A mutable accumulator. *)
 type state
 

@@ -650,6 +650,30 @@ let conjoin = function
   | [] -> Const (Value.Bool true)
   | e :: rest -> List.fold_left (fun acc c -> Binop (And, acc, c)) e rest
 
+(* The Int ranges (column, lo, hi) that a row must meet for [e] to hold
+   (see [Relation.prune]): one per top-level conjunct [col op k] or
+   [col BETWEEN a AND b] with Int constants, op one of = < <= > >=.
+   Empty when [e] can raise: a skipped row must not skip an exception. *)
+let int_ranges e =
+  let range i op k =
+    match op with
+    | Eq -> Some (i, k, k)
+    | Lt -> Some (if k = min_int then (i, 1, 0) else (i, min_int, k - 1))
+    | Le -> Some (i, min_int, k)
+    | Gt -> Some (if k = max_int then (i, 1, 0) else (i, k + 1, max_int))
+    | Ge -> Some (i, k, max_int)
+    | _ -> None
+  in
+  if not (boolean e) then []
+  else
+    List.filter_map
+      (function
+        | Binop (op, Col i, Const (Value.Int k)) -> range i op k
+        | Binop (op, Const (Value.Int k), Col i) -> range i (flip op) k
+        | Between (Col i, Const (Value.Int a), Const (Value.Int b)) -> Some (i, a, b)
+        | _ -> None)
+      (conjuncts e)
+
 (* ---- Pretty-printing (for EXPLAIN output) ---- *)
 
 let binop_symbol = function

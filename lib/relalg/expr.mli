@@ -108,6 +108,14 @@ val conjuncts : t -> t list
 (** AND together a conjunct list ([TRUE] when empty). *)
 val conjoin : t list -> t
 
+(** The Int ranges [(col, lo, hi)] (inclusive) that every row on which
+    the predicate holds lies in, for {!Relation.prune}: one per
+    top-level conjunct [col op k] or [col BETWEEN a AND b] with Int
+    constants and op one of [= < <= > >=].  OR, NOT, NULL, Float and
+    mixed-type comparisons give none.  Empty when the predicate can
+    raise, so that skipping a row never skips its exception. *)
+val int_ranges : t -> (int * int * int) list
+
 (** {1 Pretty-printing} *)
 
 val binop_symbol : binop -> string

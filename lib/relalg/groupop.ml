@@ -45,26 +45,25 @@ let group_by ?(group : Expr.t list = []) ~(aggs : agg_spec list) (r : Relation.t
   let order = ref [] in
   let group_fns = Array.of_list (List.map Expr.compile group) in
   let arg_fns = Array.of_list (List.map (fun a -> Expr.compile a.arg) aggs) in
-  let rows = Relation.rows r in
-  for n = 0 to Array.length rows - 1 do
-    let row = rows.(n) in
-    let key = Array.make (Array.length group_fns) Value.Null in
-    for k = 0 to Array.length group_fns - 1 do
-      key.(k) <- group_fns.(k) row
-    done;
-    let states =
-      match Hashtbl.find_opt tbl key with
-      | Some st -> st
-      | None ->
-        let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
-        Hashtbl.add tbl key st;
-        order := key :: !order;
-        st
-    in
-    for i = 0 to Array.length arg_fns - 1 do
-      Aggregate.add states.(i) (arg_fns.(i) row)
-    done
-  done;
+  Relation.iter
+    (fun row ->
+      let key = Array.make (Array.length group_fns) Value.Null in
+      for k = 0 to Array.length group_fns - 1 do
+        key.(k) <- group_fns.(k) row
+      done;
+      let states =
+        match Hashtbl.find_opt tbl key with
+        | Some st -> st
+        | None ->
+          let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
+          Hashtbl.add tbl key st;
+          order := key :: !order;
+          st
+      in
+      for i = 0 to Array.length arg_fns - 1 do
+        Aggregate.add states.(i) (arg_fns.(i) row)
+      done)
+    r;
   (* Global aggregation over an empty input still yields one row. *)
   if !order = [] && group = [] then begin
     let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in

@@ -1,4 +1,4 @@
-(* Secondary indexes over a row array.
+(* Secondary indexes over a relation's rows, by row position.
 
    Two flavours, mirroring what the paper's evaluation needs (Table 1
    contrasts the self-join simulation with and without an index on the
@@ -26,35 +26,35 @@ let kind_name = function
 
 (* NULL keys are not indexed: SQL equality/range predicates never match
    NULL, so lookups could never return them anyway. *)
-let build kind (rows : Row.t array) ~key_col : t =
+let build kind (rel : Relation.t) ~key_col : t =
   match kind with
   | Hash ->
-    let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-    Array.iteri
+    let tbl = Hashtbl.create (max 16 (Relation.cardinality rel)) in
+    Relation.iteri
       (fun i row ->
         let k = Row.get row key_col in
         if not (Value.is_null k) then
           Hashtbl.replace tbl k
             (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
-      rows;
+      rel;
     Hash_index tbl
   | Ordered ->
-    let count =
-      Array.fold_left
-        (fun n row -> if Value.is_null (Row.get row key_col) then n else n + 1)
-        0 rows
-    in
+    let count = ref 0 in
+    Relation.iter
+      (fun row -> if not (Value.is_null (Row.get row key_col)) then incr count)
+      rel;
+    let count = !count in
     (* filled from a constant, not [Array.of_list]: see [Row.array_init] *)
     let entries = Array.make count (Value.Null, 0) in
     let next = ref 0 in
-    Array.iteri
+    Relation.iteri
       (fun i row ->
         let k = Row.get row key_col in
         if not (Value.is_null k) then begin
           entries.(!next) <- (k, i);
           incr next
         end)
-      rows;
+      rel;
     Array.sort
       (fun (a, i) (b, j) ->
         let c = Value.compare a b in

@@ -1,4 +1,4 @@
-(** Secondary indexes over a row array.
+(** Secondary indexes over a relation's rows, by row position.
 
     Two flavours, mirroring the paper's Table 1 setup (self join with and
     without an index on the sequence position):
@@ -18,8 +18,9 @@ type t
 val kind_of : t -> kind
 val kind_name : kind -> string
 
-(** Build an index over [rows] keyed by column [key_col]. *)
-val build : kind -> Row.t array -> key_col:int -> t
+(** Build an index over the rows of a relation, keyed by column
+    [key_col]; a row id is a position for {!Relation.get}. *)
+val build : kind -> Relation.t -> key_col:int -> t
 
 (** Row ids whose key equals the value ([] for NULL). *)
 val lookup_eq : t -> Value.t -> int list

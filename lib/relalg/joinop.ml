@@ -26,19 +26,18 @@ let pair_pred left cond =
 
 let nested_loop kind (left : Relation.t) (right : Relation.t) cond : Relation.t =
   let out = ref [] in
-  let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let holds = pair_pred left cond in
   Relation.iter
     (fun lrow ->
       let matched = ref false in
-      Array.iter
+      Relation.iter
         (fun rrow ->
           if holds lrow rrow then begin
             matched := true;
             out := Row.append lrow rrow :: !out
           end)
-        rrows;
+        right;
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;
@@ -96,7 +95,6 @@ type probe =
 
 let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t)
     ~probe ?residual () : Relation.t =
-  let rrows = Relation.rows right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let residual = Option.map (pair_pred left) residual in
   (* [matches lrow f]: [f] on each candidate inner row id, in index order *)
@@ -126,7 +124,7 @@ let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t
     (fun lrow ->
       let matched = ref false in
       matches lrow (fun rid ->
-          let rrow = rrows.(rid) in
+          let rrow = Relation.get right rid in
           let ok = match residual with None -> true | Some p -> p lrow rrow in
           if ok then begin
             matched := true;

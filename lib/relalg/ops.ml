@@ -1,12 +1,11 @@
 (* Basic relational operators not worth their own module. *)
 
+(* Chunks whose zones rule out a conjunct are skipped unread. *)
 let filter pred (r : Relation.t) : Relation.t =
   (* [compile_pred] minus its one-row wrapper: this loop is the hottest
      per-row path of the warehouse lookups *)
   let holds = Expr.compile_pred_pair ~left_arity:max_int pred in
-  let kept = ref [] in
-  Array.iter (fun row -> if holds row row then kept := row :: !kept) (Relation.rows r);
-  Relation.of_rev_list (Relation.schema r) !kept
+  Relation.filter (Expr.int_ranges pred) (fun row -> holds row row) r
 
 (* Project to a list of (expression, output column name).  Output types are
    inferred from the input schema. *)
@@ -26,7 +25,6 @@ let project (exprs : (Expr.t * string) list) (r : Relation.t) : Relation.t =
          exprs)
   in
   let fns = Array.of_list (List.map (fun (e, _) -> Expr.compile e) exprs) in
-  let rows = Relation.rows r in
   let project row =
     let out = Array.make (Array.length fns) Value.Null in
     for j = 0 to Array.length fns - 1 do
@@ -34,7 +32,7 @@ let project (exprs : (Expr.t * string) list) (r : Relation.t) : Relation.t =
     done;
     out
   in
-  Relation.of_array schema (Row.array_init (Array.length rows) (fun i -> project rows.(i)))
+  Relation.map schema project r
 
 let distinct (r : Relation.t) : Relation.t =
   let seen = Hashtbl.create 64 in
@@ -49,9 +47,8 @@ let distinct (r : Relation.t) : Relation.t =
   Relation.of_rev_list (Relation.schema r) !out
 
 let limit n (r : Relation.t) : Relation.t =
-  let rows = Relation.rows r in
-  let n = min n (Array.length rows) in
-  Relation.of_array (Relation.schema r) (Array.sub rows 0 (max 0 n))
+  let n = max 0 (min n (Relation.cardinality r)) in
+  Relation.init (Relation.schema r) n (Relation.get r)
 
 (* UNION ALL: schemas must be compatible (same arity and types); the left
    schema's names win. *)
@@ -60,6 +57,6 @@ let union_all (a : Relation.t) (b : Relation.t) : Relation.t =
   if Schema.arity sa <> Schema.arity sb then
     Value.type_error "UNION: arity mismatch (%d vs %d)" (Schema.arity sa)
       (Schema.arity sb);
-  Relation.of_array sa (Array.append (Relation.rows a) (Relation.rows b))
+  Relation.concat a b
 
 let union (a : Relation.t) (b : Relation.t) : Relation.t = distinct (union_all a b)

@@ -77,8 +77,7 @@ let sort_indices keys (rows : Row.t array) : int array =
 let sort keys (r : Relation.t) : Relation.t =
   let rows = Relation.rows r in
   let idx = sort_indices keys rows in
-  Relation.of_array (Relation.schema r)
-    (Row.array_init (Array.length idx) (fun k -> rows.(idx.(k))))
+  Relation.init (Relation.schema r) (Array.length idx) (fun k -> rows.(idx.(k)))
 
 type partitioned = {
   idx : int array;

@@ -239,8 +239,8 @@ let eval_deque agg ~bounds (vals : Value.t array) : Value.t array =
   let better a b =
     (* is a at least as good as b? *)
     match agg with
-    | Aggregate.Min -> Value.compare a b <= 0
-    | Aggregate.Max -> Value.compare a b >= 0
+    | Aggregate.Min -> Aggregate.compare_extremum a b <= 0
+    | Aggregate.Max -> Aggregate.compare_extremum a b >= 0
     | _ -> assert false
   in
   let dq = Array.make (m + 1) 0 in
@@ -280,8 +280,8 @@ let eval_running_extremum agg ~from_left ~bounds (vals : Value.t array) : Value.
     else if Value.is_null acc then v
     else
       match agg with
-      | Aggregate.Min -> if Value.compare v acc < 0 then v else acc
-      | Aggregate.Max -> if Value.compare v acc > 0 then v else acc
+      | Aggregate.Min -> if Aggregate.compare_extremum v acc < 0 then v else acc
+      | Aggregate.Max -> if Aggregate.compare_extremum v acc > 0 then v else acc
       | _ -> assert false
   in
   if from_left then begin
@@ -445,15 +445,12 @@ let extend ?(strategy = Incremental) (r : Relation.t) (fns : fn list) : Relation
   let rows = Relation.rows r in
   let columns = Array.of_list (List.map (compute_column strategy rows) fns) in
   let extra = Array.length columns in
-  let out_rows =
-    Row.array_init (Array.length rows) (fun i ->
-        let row = rows.(i) in
-        let arity = Array.length row in
-        let out = Array.make (arity + extra) Value.Null in
-        Array.blit row 0 out 0 arity;
-        for c = 0 to extra - 1 do
-          out.(arity + c) <- columns.(c).(i)
-        done;
-        out)
-  in
-  Relation.of_array (output_schema (Relation.schema r) fns) out_rows
+  Relation.init (output_schema (Relation.schema r) fns) (Array.length rows) (fun i ->
+      let row = rows.(i) in
+      let arity = Array.length row in
+      let out = Array.make (arity + extra) Value.Null in
+      Array.blit row 0 out 0 arity;
+      for c = 0 to extra - 1 do
+        out.(arity + c) <- columns.(c).(i)
+      done;
+      out)

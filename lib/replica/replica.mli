@@ -20,15 +20,6 @@ open Rfview_engine
 
 exception Replica_error of string
 
-(** Alias of the shared staleness vocabulary ({!Staleness.lag}) both
-    read tiers speak; kept for one release — new code should name
-    [Staleness.lag] (or [Rfview.Staleness.lag]) directly.
-    @deprecated use {!Staleness.lag} *)
-type lag = Staleness.lag = {
-  records : int;  (** LSNs behind the given primary tip *)
-  bytes : int;  (** feed bytes not yet consumed *)
-}
-
 type status =
   | Syncing  (** attached, nothing applied yet: the state is LSN 0 *)
   | Ready
@@ -66,7 +57,7 @@ val consumed : t -> int
 
 (** Lag relative to a primary tip LSN (the caller supplies it — the
     replica only knows its feed). *)
-val lag : t -> tip:int -> lag
+val lag : t -> tip:int -> Staleness.lag
 
 (** Snapshot read: evaluate [sql] against the applied state iff the
     staleness bound holds ([max_records] in LSNs behind [tip],

@@ -47,8 +47,6 @@ end
 module Session = struct
   type t = { db : Db.t; mutable report : Db.recovery_report option }
 
-  type lag = Staleness.lag = { records : int; bytes : int }
-
   type health = Db.health =
     | Healthy
     | Degraded of { reason : string; rejected_writes : int }

@@ -78,13 +78,6 @@ module Session : sig
   (** A handle on one open database (in-memory or durable). *)
   type t
 
-  (** Alias of {!Staleness.lag}, kept for one release.
-      @deprecated use {!Staleness.lag} *)
-  type lag = Staleness.lag = {
-    records : int;  (** LSNs behind the primary tip *)
-    bytes : int;  (** feed bytes not yet consumed *)
-  }
-
   (** Storage health of a durable session.  ENOSPC during a WAL commit
       or checkpoint never corrupts state: the session enters a
       read-only degraded mode (reads keep serving, writes fail with
@@ -249,7 +242,7 @@ module Session : sig
   val replica_applied_lsn : replica -> int
 
   (** Lag relative to a primary tip (see {!lsn}). *)
-  val replica_lag : replica -> tip:int -> lag
+  val replica_lag : replica -> tip:int -> Staleness.lag
 
   val replica_status :
     replica -> [ `Syncing | `Ready | `Quarantined of int * string ]

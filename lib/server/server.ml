@@ -103,16 +103,19 @@ let handle_conn srv fd =
       let sn = Snapshot.snapshot srv.session in
       Fun.protect ~finally:(fun () -> Snapshot.close sn) (fun () -> answer sn)
   in
+  (* the LSN a write reports is read under the writer lock: read after
+     it, another connection's commit may already have moved it *)
   let do_exec sql =
-    match with_writer (fun () -> Session.exec srv.session sql) with
-    | Ok r ->
+    match
+      with_writer (fun () ->
+          let r = Session.exec srv.session sql in
+          (r, Session.lsn srv.session))
+    with
+    | Ok r, lsn ->
       respond
         (Wire.ok_fields
-           [
-             ("result", Wire.jstr (render_result r));
-             ("lsn", Wire.jint (Session.lsn srv.session));
-           ])
-    | Error e -> respond (Wire.error (describe e))
+           [ ("result", Wire.jstr (render_result r)); ("lsn", Wire.jint lsn) ])
+    | Error e, _ -> respond (Wire.error (describe e))
   in
   let do_batch rest =
     match int_of_string_opt rest with
@@ -127,19 +130,19 @@ let handle_conn srv fd =
       (* read the statements first: the writer lock is never held while
          blocked on the client *)
       let stmts = List.init n (fun _ -> read_line ic) in
-      let results =
+      let results, lsn =
         with_writer (fun () ->
-            Session.with_batch srv.session (fun () ->
-                List.map (Session.exec srv.session) stmts))
+            let results =
+              Session.with_batch srv.session (fun () ->
+                  List.map (Session.exec srv.session) stmts)
+            in
+            (results, Session.lsn srv.session))
       in
       let failed =
         List.filter_map (function Error e -> Some e | Ok _ -> None) results
       in
       let fields =
-        [
-          ("executed", Wire.jint (n - List.length failed));
-          ("lsn", Wire.jint (Session.lsn srv.session));
-        ]
+        [ ("executed", Wire.jint (n - List.length failed)); ("lsn", Wire.jint lsn) ]
       in
       (match failed with
        | [] -> respond (Wire.ok_fields fields)

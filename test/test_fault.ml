@@ -419,6 +419,185 @@ let arb_fault_case =
 let qtest ?(count = 150) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
+(* ---- Chunked storage under DML (qcheck) ----
+
+   Tables are stored in chunks of at most 256 rows with per-chunk zones;
+   UPDATE and DELETE read only the chunks their WHERE's zones admit and
+   copy only the chunks they change, INSERT only the tail chunk.  Under
+   random statement streams over a table of several chunks — keys moved
+   across chunks, NULLs, OR/NOT predicates, and statements failed by an
+   injected fault after the change, so rolled back by the undo log —
+   the table stays row-for-row and bit-for-bit what a flat row array
+   gives under the same statements (evaluated on every row, unpruned),
+   its fingerprint is that of the oracle's rows loaded afresh, and a
+   snapshot taken before each statement still reads the rows before
+   it. *)
+
+type chunk_dml =
+  | C_insert of Row.t list
+  | C_update of (string * Expr.t) * (string * int * Expr.t) (* WHERE, SET column *)
+  | C_delete of string * Expr.t
+
+let chunk_table = "CREATE TABLE t (k INT, v FLOAT, w INT)"
+let chunk_floats = [ -1.25; 0.5; 2.; 3.75; 10.5 ]
+
+let gen_chunk_where =
+  let open QCheck.Gen in
+  let k = int_range (-30) 2_800 in
+  let cmp col name op sym c =
+    (Printf.sprintf "%s %s %d" name sym c, Expr.Binop (op, Expr.Col col, Expr.Const (Value.Int c)))
+  in
+  let atom =
+    oneof
+      [
+        map (cmp 0 "k" Expr.Eq "=") k;
+        map (cmp 0 "k" Expr.Lt "<") k;
+        map (cmp 0 "k" Expr.Ge ">=") k;
+        map (cmp 2 "w" Expr.Eq "=") (int_range 0 9);
+        map2
+          (fun a len ->
+            ( Printf.sprintf "k BETWEEN %d AND %d" a (a + len),
+              Expr.Between (Expr.Col 0, Expr.Const (Value.Int a), Expr.Const (Value.Int (a + len))) ))
+          k (int_range 0 60);
+        return ("w IS NULL", Expr.Is_null (Expr.Col 2));
+        map
+          (fun f ->
+            (Printf.sprintf "v > %s" (Value.to_sql (Value.Float f)),
+             Expr.Binop (Expr.Gt, Expr.Col 1, Expr.Const (Value.Float f))))
+          (oneofl chunk_floats);
+      ]
+  in
+  let combine name op (sa, ea) (sb, eb) =
+    (Printf.sprintf "(%s) %s (%s)" sa name sb, Expr.Binop (op, ea, eb))
+  in
+  frequency
+    [
+      (3, atom);
+      (3, map2 (combine "AND" Expr.And) atom atom);
+      (2, map2 (combine "OR" Expr.Or) atom atom);
+      (1, map (fun (sa, ea) -> (Printf.sprintf "NOT (%s)" sa, Expr.Unop (Expr.Not, ea))) atom);
+    ]
+
+let gen_chunk_row =
+  QCheck.Gen.(
+    map3
+      (fun k v w -> [| Value.Int k; Value.Float v; w |])
+      (int_range 0 2_800) (oneofl chunk_floats)
+      (frequency [ (1, return Value.Null); (5, map (fun w -> Value.Int w) (int_range 0 9)) ]))
+
+let gen_chunk_dml =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, map (fun rows -> C_insert rows) (list_size (int_range 1 40) gen_chunk_row));
+      ( 3,
+        map2
+          (fun where set -> C_update (where, set))
+          gen_chunk_where
+          (oneofl
+             [
+               ("v = v + 1.5", 1, Expr.Binop (Expr.Add, Expr.Col 1, Expr.Const (Value.Float 1.5)));
+               ("k = k + 700", 0, Expr.Binop (Expr.Add, Expr.Col 0, Expr.Const (Value.Int 700)));
+               ("k = k - 260", 0, Expr.Binop (Expr.Sub, Expr.Col 0, Expr.Const (Value.Int 260)));
+               ("w = NULL", 2, Expr.Const Value.Null);
+               ("w = 4", 2, Expr.Const (Value.Int 4));
+             ]) );
+      (2, map (fun (sql, e) -> C_delete (sql, e)) gen_chunk_where);
+    ]
+
+(* initial rows, then statements each paired with whether a fault fails it *)
+let arb_chunk_stream =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (n, stmts) ->
+      Printf.sprintf "%d rows; %s" n
+        (String.concat "; "
+           (List.map
+              (fun (d, fail) ->
+                (match d with
+                 | C_insert rows -> Printf.sprintf "INSERT %d rows" (List.length rows)
+                 | C_update ((w, _), (set, _, _)) -> Printf.sprintf "UPDATE SET %s WHERE %s" set w
+                 | C_delete (w, _) -> Printf.sprintf "DELETE WHERE %s" w)
+                ^ if fail then " (fault)" else "")
+              stmts)))
+    (pair (int_range 200 900)
+       (list_size (int_range 4 14) (pair gen_chunk_dml (frequency [ (4, return false); (1, return true) ]))))
+
+let chunk_values_sql rows =
+  String.concat ", "
+    (List.map
+       (fun row ->
+         "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_sql row)) ^ ")")
+       rows)
+
+let rows_same_bits a b =
+  let same x y =
+    match (x, y) with
+    | Value.Float f, Value.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+    | _ -> Value.equal x y
+  in
+  List.length a = List.length b
+  && List.for_all2 (fun r s -> Array.length r = Array.length s && Array.for_all2 same r s) a b
+
+let prop_chunked_dml (n, stmts) =
+  with_clean_faults (fun () ->
+      let db = Db.create () in
+      ignore (Db.exec db chunk_table);
+      (* a multi-chunk table in key order, so the zones are tight *)
+      let initial =
+        List.init n (fun i ->
+            [| Value.Int (i * 3); Value.Float (List.nth chunk_floats (i mod 5));
+               (if i mod 11 = 0 then Value.Null else Value.Int (i mod 10)) |])
+      in
+      ignore (Db.exec db (Printf.sprintf "INSERT INTO t VALUES %s" (chunk_values_sql initial)));
+      let table () =
+        match Db.exec db "SELECT * FROM t" with
+        | Db.Relation r -> Relation.to_list r
+        | Db.Done m -> QCheck.Test.fail_reportf "SELECT answered %s" m
+      in
+      let oracle = ref initial in
+      List.iteri
+        (fun i (dml, fail) ->
+          let sql, apply, site =
+            match dml with
+            | C_insert rows ->
+              ( Printf.sprintf "INSERT INTO t VALUES %s" (chunk_values_sql rows),
+                (fun old -> old @ rows),
+                "database.apply_insert" )
+            | C_update ((where, pred), (set, col, e)) ->
+              ( Printf.sprintf "UPDATE t SET %s WHERE %s" set where,
+                List.map (fun row ->
+                    if Expr.holds row pred then begin
+                      let fresh = Array.copy row in
+                      fresh.(col) <- Expr.eval row e;
+                      fresh
+                    end
+                    else row),
+                "database.apply_update" )
+            | C_delete (where, pred) ->
+              ( Printf.sprintf "DELETE FROM t WHERE %s" where,
+                List.filter (fun row -> not (Expr.holds row pred)),
+                "database.apply_delete" )
+          in
+          let before = Db.snapshot db and prior = !oracle in
+          if fail then Fault.arm site Fault.Always;
+          (match Db.exec db sql with
+           | _ -> if fail then QCheck.Test.fail_reportf "statement %d: the fault did not fire" i
+           | exception Fault.Injected _ when fail -> ());
+          Fault.disarm_all ();
+          if not fail then oracle := apply prior;
+          if not (rows_same_bits (table ()) !oracle) then
+            QCheck.Test.fail_reportf "statement %d (%s): the table differs from the flat oracle" i sql;
+          if not (rows_same_bits (Relation.to_list (Db.Snapshot.query before "SELECT * FROM t")) prior)
+          then QCheck.Test.fail_reportf "statement %d (%s): an earlier snapshot changed" i sql;
+          Db.Snapshot.close before)
+        stmts;
+      let fresh = Db.create () in
+      ignore (Db.exec fresh chunk_table);
+      if !oracle <> [] then
+        ignore (Db.exec fresh (Printf.sprintf "INSERT INTO t VALUES %s" (chunk_values_sql !oracle)));
+      String.equal (Db.fingerprint db) (Db.fingerprint fresh))
+
 (* ---- Chaos harness ---- *)
 
 let test_chaos_clean () =
@@ -697,6 +876,8 @@ let () =
           Alcotest.test_case "ddl rollback" `Quick test_ddl_rollback;
           Alcotest.test_case "script error context" `Quick test_script_error_context;
           qtest "rollback idempotence" arb_fault_case prop_rollback_idempotent;
+          qtest ~count:60 "chunked DML equals a flat-array oracle" arb_chunk_stream
+            prop_chunked_dml;
         ] );
       ( "undo",
         [

@@ -241,7 +241,9 @@ let test_schema_lookup () =
 (* ---- Index ---- *)
 
 let rows_of_ints ints =
-  Array.of_list (List.map (fun (p, v) -> [| Value.Int p; Value.Float v |]) ints)
+  Relation.of_array
+    (Schema.make [ Schema.column "p" Dtype.Int; Schema.column "v" Dtype.Float ])
+    (Array.of_list (List.map (fun (p, v) -> [| Value.Int p; Value.Float v |]) ints))
 
 let test_index_eq () =
   let rows = rows_of_ints [ (1, 10.); (2, 20.); (2, 21.); (5, 50.) ] in
@@ -289,7 +291,7 @@ let test_joins_agree () =
     Joinop.hash_join Joinop.Inner ~left:l ~right:r ~left_keys:[ Expr.Col 0 ]
       ~right_keys:[ Expr.Col 0 ] ()
   in
-  let idx = Index.build Index.Ordered (Relation.rows r) ~key_col:0 in
+  let idx = Index.build Index.Ordered r ~key_col:0 in
   let ij =
     Joinop.index_join Joinop.Inner ~left:l ~right:r ~index:idx
       ~probe:(Joinop.Probe_eq (Expr.Col 0)) ()
@@ -317,7 +319,7 @@ let test_left_outer () =
       ~right_keys:[ Expr.Col 0 ] ()
   in
   Alcotest.(check bool) "hash left outer" true (Relation.equal_bag nl hash);
-  let idx = Index.build Index.Hash (Relation.rows r) ~key_col:0 in
+  let idx = Index.build Index.Hash r ~key_col:0 in
   let ij =
     Joinop.index_join Joinop.Left_outer ~left:l ~right:r ~index:idx
       ~probe:(Joinop.Probe_eq (Expr.Col 0)) ()
@@ -334,7 +336,7 @@ let test_range_join () =
         Expr.Binop (Expr.Add, Expr.Col 0, Expr.Const (Value.Int 1)) )
   in
   let nl = Joinop.nested_loop Joinop.Inner s s cond in
-  let idx = Index.build Index.Ordered (Relation.rows s) ~key_col:0 in
+  let idx = Index.build Index.Ordered s ~key_col:0 in
   let ij =
     Joinop.index_join Joinop.Inner ~left:s ~right:s ~index:idx
       ~probe:
@@ -348,7 +350,7 @@ let test_range_join () =
 
 let test_probe_in_dedup () =
   let s = seq_rel "s" [ 1.; 2. ] in
-  let idx = Index.build Index.Hash (Relation.rows s) ~key_col:0 in
+  let idx = Index.build Index.Hash s ~key_col:0 in
   (* both IN items evaluate to the same key: must not double-count *)
   let ij =
     Joinop.index_join Joinop.Inner ~left:s ~right:s ~index:idx
@@ -394,6 +396,38 @@ let test_group_by () =
      check_value "count b" (Value.Int 1) (Row.get rb 2);
      check_value "star b" (Value.Int 2) (Row.get rb 3)
    | _ -> Alcotest.fail "expected two rows")
+
+(* MIN/MAX over a tie of signed zeros: -0.0 orders below 0.0, as in
+   [Float.min]/[Float.max], so the result's bits do not depend on the
+   input order. *)
+let test_group_signed_zeros () =
+  let schema =
+    Schema.make [ Schema.column "g" Dtype.Int; Schema.column "v" Dtype.Float ]
+  in
+  let bits = function
+    | Value.Float f -> Int64.bits_of_float f
+    | v -> Alcotest.failf "expected a float, got %s" (Value.to_string v)
+  in
+  let extremes values =
+    let r = rel schema (List.map (fun v -> [| Value.Int 1; Value.Float v |]) values) in
+    let out =
+      Groupop.group_by ~group:[ Expr.Col 0 ]
+        ~aggs:
+          [
+            { Groupop.kind = Aggregate.Min; arg = Expr.Col 1; name = "lo" };
+            { Groupop.kind = Aggregate.Max; arg = Expr.Col 1; name = "hi" };
+          ]
+        r
+    in
+    let row = List.hd (Relation.to_list out) in
+    (bits (Row.get row 1), bits (Row.get row 2))
+  in
+  List.iter
+    (fun values ->
+      let lo, hi = extremes values in
+      Alcotest.(check int64) "MIN is -0.0" (Int64.bits_of_float (-0.)) lo;
+      Alcotest.(check int64) "MAX is 0.0" (Int64.bits_of_float 0.) hi)
+    [ [ 0.; -0. ]; [ -0.; 0. ]; [ 0.; -0.; 0. ]; [ -0.; 0.; -0. ] ]
 
 let test_global_aggregate_empty () =
   let schema = Schema.make [ Schema.column "v" Dtype.Int ] in
@@ -478,8 +512,8 @@ let test_no_forced_minor () =
   let l = big_rel "s1" and r = big_rel "s2" in
   let int k = Expr.Const (Value.Int k) in
   let eq = Expr.Binop (Expr.Eq, Expr.Col 0, Expr.Col 2) in
-  let ordered = Index.build Index.Ordered (Relation.rows r) ~key_col:0 in
-  let hashed = Index.build Index.Hash (Relation.rows r) ~key_col:0 in
+  let ordered = Index.build Index.Ordered r ~key_col:0 in
+  let hashed = Index.build Index.Hash r ~key_col:0 in
   let range =
     Joinop.Probe_range
       ( Some (Expr.Binop (Expr.Sub, Expr.Col 0, int 1)),
@@ -758,12 +792,150 @@ let prop_index_range_join =
       in
       (* NULL keys are not indexed, so even an unbounded probe skips them *)
       let cond = Expr.Binop (Expr.And, Expr.Is_not_null (Expr.Col 2), cond) in
-      let index = Index.build Index.Ordered (Relation.rows r) ~key_col:0 in
+      let index = Index.build Index.Ordered r ~key_col:0 in
       let ij =
         Joinop.index_join kind ~left:l ~right:r ~index ~probe:(Joinop.Probe_range (lo, hi))
           ?residual ()
       in
       Relation.equal_bag ij (Joinop.nested_loop kind l r cond))
+
+(* ---- Chunked, zone-mapped storage (qcheck) ----
+
+   A filter over a stored relation skips the chunks whose zones rule out
+   a top-level Int conjunct.  Against the unpruned oracle — [Expr.holds]
+   on every row of the flat array — it must keep the same rows (the same
+   physical rows, so the same bits), in the same order, and raise where
+   the oracle raises.  The relations are cut into chunks at random,
+   their Int columns hold NULLs and, in column c, Floats too; the
+   predicates mix Int, Float and NULL constants under AND, OR and NOT,
+   plus a conjunct that raises on every row with a non-NULL a. *)
+
+let zone_schema =
+  Schema.make
+    [ Schema.column "a" Dtype.Int; Schema.column "b" Dtype.Float; Schema.column "c" Dtype.Int ]
+
+let gen_zone_row =
+  let open QCheck.Gen in
+  let or_null g = frequency [ (1, return Value.Null); (9, g) ] in
+  let a = or_null (map (fun i -> Value.Int i) (int_range (-20) 20)) in
+  let b =
+    or_null (map (fun f -> Value.Float f) (oneofl [ -2.5; -1.; -0.; 0.; 0.5; 3.; 7.25 ]))
+  in
+  let c =
+    or_null
+      (frequency
+         [
+           (6, map (fun i -> Value.Int i) (int_range (-5) 5));
+           (3, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range (-5) 5));
+           (1, map (fun i -> Value.Float (float_of_int i)) (int_range (-5) 5));
+         ])
+  in
+  map3 (fun a b c -> [| a; b; c |]) a b c
+
+let gen_zone_pred =
+  let open QCheck.Gen in
+  let const =
+    frequency
+      [
+        (6, map (fun i -> Value.Int i) (int_range (-6) 6));
+        (2, map (fun i -> Value.Int i) (int_range (-22) 22));
+        (2, map (fun i -> Value.Float (float_of_int i /. 2.)) (int_range (-12) 12));
+        (1, return Value.Null);
+        (1, oneofl [ Value.Int min_int; Value.Int max_int ]);
+      ]
+  in
+  let op = oneofl Expr.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let col = map (fun i -> Expr.Col i) (int_range 0 2) in
+  let atom =
+    frequency
+      [
+        (5, map3 (fun op c k -> Expr.Binop (op, c, Expr.Const k)) op col const);
+        (2, map3 (fun op k c -> Expr.Binop (op, Expr.Const k, c)) op const col);
+        (2, map3 (fun c lo hi -> Expr.Between (c, Expr.Const lo, Expr.Const hi)) col const const);
+        (1, map (fun c -> Expr.Is_null c) col);
+        ( 1,
+          return
+            Expr.(
+              Binop (Eq, Binop (Div, Col 0, Const (Value.Int 0)), Const (Value.Int 1))) );
+      ]
+  in
+  sized_size (int_range 0 3)
+    (fix (fun self n ->
+         if n = 0 then atom
+         else
+           frequency
+             [
+               (2, atom);
+               (4, map2 (fun a b -> Expr.Binop (Expr.And, a, b)) (self (n - 1)) (self (n - 1)));
+               (2, map2 (fun a b -> Expr.Binop (Expr.Or, a, b)) (self (n - 1)) (self (n - 1)));
+               (2, map (fun a -> Expr.Unop (Expr.Not, a)) (self (n - 1)));
+             ]))
+
+(* rows, the sizes to cut them into, and a predicate *)
+let arb_zone_scan =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (rows, cuts, pred) ->
+      Printf.sprintf "%d rows, cuts [%s], %s" (List.length rows)
+        (String.concat "; " (List.map string_of_int cuts))
+        (Expr.to_string pred))
+    (triple
+       (list_size (int_range 0 700) gen_zone_row)
+       (list_size (int_range 1 8) (frequency [ (3, int_range 1 16); (2, int_range 1 256) ]))
+       gen_zone_pred)
+
+(* [rows] stored in chunks of the sizes in [cuts], cycled *)
+let chunked rows cuts =
+  let rows = Array.of_list rows in
+  let cuts = Array.of_list cuts in
+  let rec go at k acc =
+    if at >= Array.length rows then List.rev acc
+    else
+      let n = min cuts.(k mod Array.length cuts) (Array.length rows - at) in
+      go (at + n) (k + 1) (Relation.chunk zone_schema (Array.sub rows at n) :: acc)
+  in
+  Relation.of_chunks zone_schema (Array.of_list (go 0 0 []))
+
+let prop_zone_pruned_scan (rows, cuts, pred) =
+  let outcome f = match f () with rows -> Ok rows | exception Value.Type_error m -> Error m in
+  let expected = outcome (fun () -> List.filter (fun row -> Expr.holds row pred) rows) in
+  let stored = chunked rows cuts in
+  let scan = Rfview_planner.Physical.Scan { table = "t"; schema = zone_schema } in
+  let cat =
+    {
+      Rfview_planner.Physical.table_contents = (fun _ -> stored);
+      table_index = (fun ~table:_ ~column:_ -> None);
+    }
+  in
+  let same = function
+    | Ok a, Ok b -> List.length a = List.length b && List.for_all2 ( == ) a b
+    | Error _, Error _ -> true
+    | _ -> false
+  in
+  same (expected, outcome (fun () -> Relation.to_list (Ops.filter pred stored)))
+  && same
+       ( expected,
+         outcome (fun () ->
+             Relation.to_list
+               (Rfview_planner.Physical.execute cat
+                  (Rfview_planner.Physical.Filter { input = scan; pred }))) )
+
+(* The zones prune at all: a point lookup over 2,000 rows in key order
+   reads one chunk, and NULL, Float and mixed-type conjuncts read all. *)
+let test_zone_pruning_reads () =
+  let rows = List.init 2000 (fun i -> [| Value.Int i; Value.Float 1.; Value.Int (i mod 7) |]) in
+  let stored = Relation.store (Relation.of_rev_list zone_schema (List.rev rows)) in
+  let admitted pred = Relation.cardinality (Relation.prune (Expr.int_ranges pred) stored) in
+  let cmp op c k = Expr.Binop (op, Expr.Col c, Expr.Const k) in
+  Alcotest.(check int) "a = 700" Relation.chunk_size (admitted (cmp Expr.Eq 0 (Value.Int 700)));
+  Alcotest.(check int) "a < 0" 0 (admitted (cmp Expr.Lt 0 (Value.Int 0)));
+  Alcotest.(check int) "a = 700 OR a = 5" 2000
+    (admitted (Expr.Binop (Expr.Or, cmp Expr.Eq 0 (Value.Int 700), cmp Expr.Eq 0 (Value.Int 5))));
+  Alcotest.(check int) "NOT a <> 700" 2000
+    (admitted (Expr.Unop (Expr.Not, cmp Expr.Neq 0 (Value.Int 700))));
+  Alcotest.(check int) "a = 700.0" 2000 (admitted (cmp Expr.Eq 0 (Value.Float 700.)));
+  Alcotest.(check int) "b = 1" 2000 (admitted (cmp Expr.Eq 1 (Value.Int 1)));
+  Alcotest.(check int) "a = NULL" 2000 (admitted (cmp Expr.Eq 0 Value.Null))
 
 let () =
   Alcotest.run "relalg"
@@ -802,6 +974,7 @@ let () =
         [
           Alcotest.test_case "group by" `Quick test_group_by;
           Alcotest.test_case "global empty" `Quick test_global_aggregate_empty;
+          Alcotest.test_case "MIN/MAX over signed zeros" `Quick test_group_signed_zeros;
         ] );
       ( "ops",
         [
@@ -816,5 +989,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_float_to_string;
           QCheck_alcotest.to_alcotest prop_render_oracle;
           QCheck_alcotest.to_alcotest prop_index_range_join;
+        ] );
+      ( "zones",
+        [
+          Alcotest.test_case "what prunes" `Quick test_zone_pruning_reads;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:2000 ~name:"zone-pruned scan equals the unpruned filter"
+               arb_zone_scan prop_zone_pruned_scan);
         ] );
     ]

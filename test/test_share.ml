@@ -818,6 +818,56 @@ let test_render_cache_signed_zeros () =
          [ Set (1, 1, 1) ]; [ Set (1, 2, 0) ]; [ Set (1, 3, 1) ]; [ Del (1, 2) ];
        ])
 
+(* A window holding both zeros: the maintained view (core sequences,
+   [Float.min]/[Float.max]) and the same SQL run through the relalg
+   window operator render the same bits, before and after maintenance.
+   Every frame below sees a tie of -0.0 and 0.0 somewhere. *)
+let test_signed_zeros_relalg_equals_matview () =
+  let db = Db.create () in
+  ignore (Db.exec db seq_ddl);
+  ignore
+    (Db.exec db
+       "INSERT INTO seq VALUES (1, 1, 0.0), (1, 2, -0.0), (1, 3, 0.0), (1, 4, -0.0), \
+        (1, 5, 1.0), (2, 1, -0.0), (2, 2, 0.0), (2, 3, -1.0), (2, 4, 0.0)");
+  let defs =
+    List.concat_map
+      (fun agg ->
+        List.map
+          (fun frame ->
+            Printf.sprintf
+              "SELECT grp, pos, val, %s(val) OVER (PARTITION BY grp ORDER BY pos ROWS %s) \
+               AS w FROM seq"
+              agg frame)
+          [
+            "UNBOUNDED PRECEDING";
+            "BETWEEN 1 PRECEDING AND CURRENT ROW";
+            "BETWEEN 2 PRECEDING AND 1 FOLLOWING";
+          ])
+      [ "MIN"; "MAX" ]
+  in
+  List.iteri
+    (fun i def -> ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW z%d AS %s" i def)))
+    defs;
+  let check step =
+    List.iteri
+      (fun i def ->
+        let view = match Db.exec db (Printf.sprintf "SELECT * FROM z%d" i) with
+          | Db.Relation r -> r
+          | Db.Done m -> Alcotest.failf "z%d: %s" i m
+        in
+        let query = Db.run_query db (Parser.query def) in
+        if not (bit_identical view query) then
+          Alcotest.failf "%s: z%d renders other bits than the relalg window" step i)
+      defs
+  in
+  check "initial";
+  ignore (Db.exec db "INSERT INTO seq VALUES (1, 6, 0.0), (2, 5, -0.0)");
+  check "after INSERT";
+  ignore (Db.exec db "UPDATE seq SET val = -0.0 WHERE grp = 1 AND pos = 3");
+  check "after UPDATE";
+  ignore (Db.exec db "DELETE FROM seq WHERE grp = 2 AND pos = 1");
+  check "after DELETE"
+
 (* ---- Rank maps compose across unrendered merges (qcheck) ----
 
    The engine renders after every commit, so its render caches follow
@@ -991,6 +1041,74 @@ let test_write_path_no_forced_minor () =
             Alcotest.failf "%s left incremental maintenance" name)
         write_path_views)
 
+(* A single-row statement costs what it touches, not what the table
+   holds (paper §2.3): with the four views above over [groups]
+   partitions of 2,500 rows, the words a single-row UPDATE, INSERT or
+   DELETE allocates — minor-heap words plus the words it allocates
+   directly on the major heap — stay within 1.25x between 8 and 32
+   partitions.  Allocation counts are deterministic, so the bound is
+   exact where a time bound would be noise. *)
+
+let statement_words ~groups =
+  let per_group = 2_500 and spacing = 16 and reps = 12 in
+  let db = Db.create () in
+  ignore (Db.exec db seq_ddl);
+  Db.load_table db ~table:"seq"
+    (Array.init (groups * per_group) (fun i ->
+         [|
+           Value.Int (i / per_group);
+           Value.Int (((i mod per_group) + 1) * spacing);
+           Value.Float (float_of_int ((i * 37 mod 101) - 50));
+         |]));
+  List.iter
+    (fun (name, fn, frame, col) ->
+      ignore
+        (Db.exec db
+           (Printf.sprintf
+              "CREATE MATERIALIZED VIEW %s AS SELECT grp, pos, val, %s(val) OVER \
+               (PARTITION BY grp ORDER BY pos %s) AS %s FROM seq"
+              name fn frame col)))
+    write_path_views;
+  let words = Array.make 3 0. in
+  for i = 0 to reps - 1 do
+    (* the same partitions and ranks at both sizes *)
+    let grp = i mod 8 and pos = ((i * 211 mod per_group) + 1) * spacing in
+    List.iteri
+      (fun k sql ->
+        (* from an empty minor heap: a collection inside the statement
+           would count the words it promotes as direct major words *)
+        Gc.minor ();
+        (* [Gc.counters] undercounts the words in the current minor heap
+           on OCaml 5.1: minor words come from [Gc.minor_words] *)
+        let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+        ignore (Db.exec db sql);
+        let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+        words.(k) <-
+          words.(k) +. (minor1 -. minor0) +. (major1 -. major0) -. (promoted1 -. promoted0))
+      [
+        Printf.sprintf "UPDATE seq SET val = %d WHERE grp = %d AND pos = %d" (i - 6) grp pos;
+        Printf.sprintf "INSERT INTO seq VALUES (%d, %d, 1.5)" grp (pos + (spacing / 2));
+        Printf.sprintf "DELETE FROM seq WHERE grp = %d AND pos = %d" grp (pos + (spacing / 2));
+      ]
+  done;
+  List.iter
+    (fun (name, _, _, _) ->
+      if Db.view_state db name = None then Alcotest.failf "%s left incremental maintenance" name)
+    write_path_views;
+  Array.map (fun w -> w /. float_of_int reps) words
+
+let test_write_cost_flat () =
+  Rfview_analysis.Verify.disable ();
+  Fun.protect ~finally:Rfview_analysis.Verify.enable (fun () ->
+      let small = statement_words ~groups:8 and large = statement_words ~groups:32 in
+      List.iteri
+        (fun k kind ->
+          let ratio = large.(k) /. small.(k) in
+          if ratio > 1.25 then
+            Alcotest.failf "%s: %.0f words at 32 partitions, %.0f at 8 (%.2fx > 1.25x)" kind
+              large.(k) small.(k) ratio)
+        [ "UPDATE"; "INSERT"; "DELETE" ])
+
 (* ---- Row arrays are never written in place (qcheck) ----
 
    Undo snapshots ([Matview.copy_state]) copy only the state and
@@ -1096,11 +1214,15 @@ let () =
             test_insert_rank_duplicates;
           Alcotest.test_case "signed zeros: render cache coherent" `Quick
             test_render_cache_signed_zeros;
+          Alcotest.test_case "signed zeros: relalg window equals the matview" `Quick
+            test_signed_zeros_relalg_equals_matview;
         ] );
       ( "write path",
         [
           Alcotest.test_case "no forced minor collection on the write path" `Quick
             test_write_path_no_forced_minor;
+          Alcotest.test_case "single-row cost flat in the table size" `Quick
+            test_write_cost_flat;
         ] );
       ( "cost",
         [
