@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke warebench-smoke check clean
+.PHONY: all build test loc lint analyze chaos crash-chaos replica-chaos storage-chaos scrub-smoke mvcc-chaos serve-smoke bench-smoke warebench-smoke check clean
 
 all: build
 
@@ -7,6 +7,11 @@ build:
 
 test:
 	dune runtest
+
+# Library size: the line count of lib/**/*.ml and lib/**/*.mli that
+# ROADMAP.md and CHANGES.md quote, so every change counts the same way.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 # Lint the example SQL corpus with the plan checker (`rfview lint`),
 # plus the SQL string literals embedded in the test/ and examples/

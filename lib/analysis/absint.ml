@@ -729,10 +729,6 @@ let analyze ?env plan =
   let abs, _, _ = run ?env plan in
   abs
 
-let eval_expr ~schema ra e =
-  let sink ~code:_ _ = () in
-  eval ~sink ~schema ra e
-
 let annotate ?env plan =
   (* a plan the well-formedness checker rejects has no trustworthy
      schema to analyze against *)

@@ -23,12 +23,6 @@ type env = string -> Rfview_relalg.Relation.t option
 (** The abstraction of the plan's output relation. *)
 val analyze : ?env:env -> Logical.t -> Domain.rel_abs
 
-(** Abstract evaluation of one expression against an input abstraction
-    (exposed for tests; [schema] is the input schema the expression is
-    typed against). *)
-val eval_expr :
-  schema:Rfview_relalg.Schema.t -> Domain.rel_abs -> Rfview_relalg.Expr.t -> Domain.aval
-
 (** Per-node abstract states in pre-order (root first), each with its
     root-first plan path (["Project/Filter/Scan(t)"]), plus the RF2xx
     diagnostics of the whole plan. *)

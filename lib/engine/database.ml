@@ -345,6 +345,17 @@ let config db = db.cfg
 
 let key = String.lowercase_ascii
 
+(* Install a view's incremental states, [None] removing one: the §2.3
+   sequence state and the derived delta plan. *)
+let set_states db name state derived =
+  let k = key name in
+  (match state with
+   | Some s -> Hashtbl.replace db.view_states k s
+   | None -> Hashtbl.remove db.view_states k);
+  match derived with
+  | Some d -> Hashtbl.replace db.derived_views k d
+  | None -> Hashtbl.remove db.derived_views k
+
 (* ---- The undo log ----
 
    Each mutation below first logs a restore action (an absolute snapshot
@@ -518,8 +529,115 @@ let flush_wal db =
        raise e)
   | _ -> db.wal_pending <- []
 
-(* Forward reference to [checkpoint] for the auto-checkpoint hook. *)
-let checkpoint_ref : (t -> unit) ref = ref (fun _ -> ())
+(* ---- Checkpoint ---- *)
+
+let checkpoint db =
+  if db.batch <> None then engine_error "checkpoint: a batch is open";
+  match db.durable with
+  | None -> engine_error "checkpoint: database has no directory (open it with open_durable)"
+  | Some d ->
+    check_degraded d;
+    let epoch' = d.epoch + 1 in
+    let by_name name_of a b = String.compare (key (name_of a)) (key (name_of b)) in
+    let tables =
+      Catalog.all_tables db.catalog
+      |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
+      |> List.map (fun (t : Catalog.table) ->
+             {
+               Checkpoint.t_name = t.Catalog.table_name;
+               t_schema = t.Catalog.schema;
+               t_rows = Relation.rows t.Catalog.rows;
+             })
+    in
+    let index_ddl =
+      let table_indexes =
+        Catalog.all_tables db.catalog
+        |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
+        |> List.concat_map (fun (t : Catalog.table) ->
+               t.Catalog.indexes
+               |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
+               |> List.map (fun (i : Catalog.index_def) ->
+                      Pretty.statement
+                        (Ast.St_create_index
+                           {
+                             name = i.Catalog.index_name;
+                             table = t.Catalog.table_name;
+                             column = i.Catalog.column;
+                             ordered = i.Catalog.kind = Index.Ordered;
+                           })))
+      in
+      let view_indexes =
+        Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.map (fun (name, vi) ->
+               Pretty.statement
+                 (Ast.St_create_index
+                    {
+                      name;
+                      table = vi.vi_view;
+                      column = vi.vi_column;
+                      ordered = vi.vi_kind = Index.Ordered;
+                    }))
+      in
+      table_indexes @ view_indexes
+    in
+    let views =
+      Catalog.all_views db.catalog
+      |> List.sort (by_name (fun (v : Catalog.view) -> v.Catalog.view_name))
+      |> List.map (fun (v : Catalog.view) ->
+             {
+               Checkpoint.v_name = v.Catalog.view_name;
+               v_materialized = v.Catalog.materialized;
+               v_sql = Pretty.query v.Catalog.definition;
+               v_state =
+                 (if not v.Catalog.materialized then `None
+                  else
+                    `Snap
+                      {
+                        Checkpoint.s_stale = v.Catalog.stale;
+                        s_contents = v.Catalog.contents;
+                        s_incremental =
+                          Hashtbl.mem db.view_states (key v.Catalog.view_name)
+                          || Hashtbl.mem db.derived_views
+                               (key v.Catalog.view_name);
+                      });
+             })
+    in
+    let lsn = d.base_lsn + d.appended in
+    (try Checkpoint.write ~dir:d.dir ~lsn ~epoch:epoch' ~tables ~index_ddl ~views
+     with e when is_enospc e ->
+       (* the tmp file is already removed; the old checkpoint + WAL are
+          intact, but the disk is full: stop taking writes *)
+       enter_degraded d "checkpoint failed: disk full";
+       raise (Degraded_error { reason = "checkpoint failed: disk full" }));
+    (* The snapshot is durable: install a fresh log for the new epoch.
+       From here on a failure is dangerous, not just inconvenient —
+       appending to the old-epoch log would be silently discarded at
+       recovery (its epoch is behind the new checkpoint's).  Any
+       failure therefore enters degraded mode carrying the pending
+       install, which the space probe finishes before lifting it. *)
+    (try
+       Fault.hit site_install;
+       let old = d.wal in
+       let wal = Wal.create (wal_path d.dir) ~epoch:epoch' in
+       (try Wal.close old with _ -> ());
+       d.wal <- wal;
+       d.epoch <- epoch';
+       d.base_lsn <- lsn;
+       d.appended <- 0
+     with
+     | Fault.Injected _ as e ->
+       (* a bare armed [checkpoint.install] simulates a crash here; the
+          harness closes and recovers, which handles the stale log *)
+       raise e
+     | e when recoverable_exn e ->
+       let reason =
+         Printf.sprintf "fresh WAL install failed after checkpoint: %s"
+           (Printexc.to_string e)
+       in
+       enter_degraded d reason;
+       d.pending_fresh <- Some (epoch', lsn);
+       raise (Degraded_error { reason }))
 
 (* A failed automatic checkpoint is degradation, not an error: the old
    checkpoint and the (longer) WAL still recover the same state. *)
@@ -537,8 +655,35 @@ let maybe_auto_checkpoint db =
       | None -> false
     in
     if by_count || by_bytes then
-      (try !checkpoint_ref db with e when recoverable_exn e -> ())
+      (try checkpoint db with e when recoverable_exn e -> ())
   | None -> ()
+
+(* The commit protocol of an outermost scope, a statement's or a
+   batch's: run [f] with [u] as the scope's undo log, make its queued
+   WAL records durable ([durable]), then close the scope ([leave]),
+   commit the undo log, publish a version and maybe checkpoint.  On any
+   exception nothing of the scope survives: its records are dropped and
+   the undo log rolls back. *)
+let commit_scope db u ~leave ~durable f =
+  db.wal_pending <- [];
+  match
+    let result = f () in
+    durable db;
+    result
+  with
+  | result ->
+    leave ();
+    Undo.commit u;
+    publish_version db;
+    maybe_auto_checkpoint db;
+    result
+  | exception e ->
+    leave ();
+    db.wal_pending <- [];
+    Undo.rollback u;
+    (* rollback restored the state the head version captured *)
+    db.mvcc.mv_dirty <- false;
+    raise e
 
 let with_undo db f =
   match db.undo, db.batch with
@@ -564,25 +709,7 @@ let with_undo db f =
   | None, None ->
     let u = Undo.create () in
     db.undo <- Some u;
-    db.wal_pending <- [];
-    (match
-       let result = f () in
-       flush_wal db;
-       result
-     with
-     | result ->
-       db.undo <- None;
-       Undo.commit u;
-       publish_version db;
-       maybe_auto_checkpoint db;
-       result
-     | exception e ->
-       db.undo <- None;
-       db.wal_pending <- [];
-       Undo.rollback u;
-       (* rollback restored the state the head version captured *)
-       db.mvcc.mv_dirty <- false;
-       raise e)
+    commit_scope db u ~leave:(fun () -> db.undo <- None) ~durable:flush_wal f
 
 (* Snapshot a table: its rows array plus the built caches of its
    secondary indexes. *)
@@ -623,12 +750,7 @@ let log_view db (v : Catalog.view) =
   log_undo db (fun () ->
       v.Catalog.contents <- contents;
       v.Catalog.stale <- stale;
-      (match state with
-       | Some s -> Hashtbl.replace db.view_states (key v.Catalog.view_name) s
-       | None -> Hashtbl.remove db.view_states (key v.Catalog.view_name));
-      match derived with
-      | Some d -> Hashtbl.replace db.derived_views (key v.Catalog.view_name) d
-      | None -> Hashtbl.remove db.derived_views (key v.Catalog.view_name));
+      set_states db v.Catalog.view_name state derived);
   log_view_index_caches db v.Catalog.view_name
 
 (* ---- The read path: one reader, two sources ----
@@ -639,8 +761,8 @@ let log_view db (v : Catalog.view) =
    execute) runs over either [live_source], the mutable catalog, or
    [version_source], one published version.  The two differ in exactly
    three deliberate ways:
-   - the live source flushes a pending batch delta and heals
-     quarantined views in place;
+   - the live source heals quarantined views in place, by the full
+     refresh its caller passes in ([refresh_view_full]);
    - the version source heals into the version's memo and never writes
      back, so every snapshot of one LSN shares heals and built indexes;
    - only the live source runs the differential sanitizer hook: it
@@ -719,28 +841,17 @@ let index_on kind r column =
     (fun ci -> Index.build kind r ~key_col:ci)
     (Schema.find_opt (Relation.schema r) column)
 
-(* Forward reference to [refresh_view_full], needed by the lazy
-   refresh-on-read of quarantined views below. *)
-let refresh_ref : (t -> Catalog.view -> unit) ref =
-  ref (fun _ _ -> assert false)
-
-(* Forward reference to [flush_delta] (defined after [propagate]):
-   reading view contents mid-batch must first propagate the pending
-   delta so no pre-batch result is ever served. *)
-let flush_delta_ref : (t -> unit) ref = ref (fun _ -> ())
-
-let view_contents db name =
-  !flush_delta_ref db;
+let view_contents db ~heal name =
   match Catalog.find_view db.catalog name with
   | Some v when v.Catalog.materialized ->
     (* quarantined views heal on first read *)
-    if v.Catalog.stale then !refresh_ref db v;
+    if v.Catalog.stale then heal v;
     (match v.Catalog.contents with
      | Some r -> Some r
      | None -> engine_error "materialized view %s has no contents" name)
   | _ -> None
 
-let view_index db ~view ~column =
+let view_index db ~heal ~view ~column =
   Hashtbl.fold
     (fun _ vi acc ->
       if acc <> None then acc
@@ -749,7 +860,7 @@ let view_index db ~view ~column =
         | Some b -> Some b
         | None ->
           let b =
-            Option.bind (view_contents db view) (fun r ->
+            Option.bind (view_contents db ~heal view) (fun r ->
                 index_on vi.vi_kind r column)
           in
           vi.vi_built <- b;
@@ -758,13 +869,13 @@ let view_index db ~view ~column =
       else None)
     db.view_indexes None
 
-let live_source db =
+let live_source db ~heal =
   {
     src_cfg = db.cfg;
     src_table =
       (fun name ->
         Option.map Catalog.table_relation (Catalog.find_table db.catalog name));
-    src_matview = view_contents db;
+    src_matview = view_contents db ~heal;
     src_view =
       (fun name ->
         match Catalog.find_view db.catalog name with
@@ -774,7 +885,7 @@ let live_source db =
       (fun ~table ~column ->
         match Catalog.table_index db.catalog ~table ~column with
         | Some idx -> Some idx
-        | None -> view_index db ~view:table ~column);
+        | None -> view_index db ~heal ~view:table ~column);
     src_sanitize = true;
   }
 
@@ -846,21 +957,10 @@ let rec version_source v =
     src_sanitize = false;
   }
 
-let binder_catalog db = binder_of (live_source db)
-let catalog_view db = catalog_of (live_source db)
-
 let invalidate_view_indexes db name =
   Hashtbl.iter
     (fun _ vi -> if key vi.vi_view = key name then vi.vi_built <- None)
     db.view_indexes
-
-(* ---- Query execution ---- *)
-
-let plan_query db (q : Ast.query) : P.Physical.t =
-  let _, _, physical = plan_source (live_source db) q in
-  physical
-
-let run_query db (q : Ast.query) : Relation.t = run_source (live_source db) q
 
 (* ---- View maintenance ---- *)
 
@@ -877,21 +977,37 @@ and tables_of_ref = function
   | Ast.Subquery { query; _ } -> tables_of_query query
   | Ast.Join { left; right; _ } -> tables_of_ref left @ tables_of_ref right
 
+(* The relations a query reads, resolved through the catalog: a plain
+   view stands for what its definition reads, so only base tables and
+   materialized views remain. *)
+let rec inputs db (q : Ast.query) : string list =
+  List.concat_map
+    (fun name ->
+      match Catalog.find_view db.catalog name with
+      | Some v when not v.Catalog.materialized -> inputs db v.Catalog.definition
+      | _ -> [ name ])
+    (tables_of_query q)
+
+let is_view db name = Catalog.find_view db.catalog name <> None
+
 (* Attempt to install a derived delta-plan maintenance state for a view
    the sequence machinery does not cover (generalized IVM).  The
    derivation must succeed AND its independent incrementality
    certificate (Ivmcert) must be valid — the engine never trusts one
    without the other.  Under the self-join window mode a windowed plan
    is not installed: the rewritten refresh path and the native
-   partition recompute could disagree bit-wise.  Returns whether a
-   state was installed. *)
-let try_derive db (v : Catalog.view) =
+   partition recompute could disagree bit-wise.  A plan that reads a
+   materialized view is not installed either: no delta names a view,
+   so the plan would never run ([refresh_view_readers] keeps such a
+   view fresh).  Returns whether a state was installed. *)
+let try_derive db src (v : Catalog.view) =
   match
-    let logical = P.Binder.bind_query (binder_catalog db) v.Catalog.definition in
+    let logical = P.Binder.bind_query (binder_of src) v.Catalog.definition in
     match P.Deriv.derive logical with
     | Error _ -> None
     | Ok rules ->
-      if
+      if List.exists (is_view db) (P.Deriv.sources rules) then None
+      else if
         not
           (Rfview_analysis.Ivmcert.valid
              (Rfview_analysis.Ivmcert.certify ~view:v.Catalog.view_name logical))
@@ -906,17 +1022,21 @@ let try_derive db (v : Catalog.view) =
   | None -> false
   | exception e when recoverable_exn e -> false
 
-let refresh_view_full db (v : Catalog.view) =
+(* Recompute a materialized view and (re)install its incremental
+   state.  The recomputation reads through the live source, whose heal
+   is this same refresh: a quarantined view the definition reads is
+   refreshed first. *)
+let rec refresh_view_full db (v : Catalog.view) =
   Fault.hit site_refresh;
   log_view db v;
-  let contents = Relation.store (run_query db v.Catalog.definition) in
+  let src = live db in
+  let contents = Relation.store (run_source src v.Catalog.definition) in
   v.Catalog.contents <- Some contents;
   v.Catalog.stale <- false;
   invalidate_view_indexes db v.Catalog.view_name;
   (* (re)try to establish an incremental state: the §2.3 sequence
      machinery first, the derived delta plans for everything else *)
-  Hashtbl.remove db.view_states (key v.Catalog.view_name);
-  Hashtbl.remove db.derived_views (key v.Catalog.view_name);
+  set_states db v.Catalog.view_name None None;
   let seq_installed =
     match Matview.recognize v.Catalog.definition with
     | None -> false
@@ -945,9 +1065,11 @@ let refresh_view_full db (v : Catalog.view) =
             true
           with Matview.Not_maintainable _ -> false))
   in
-  if not seq_installed then ignore (try_derive db v)
+  if not seq_installed then ignore (try_derive db src v)
 
-let () = refresh_ref := refresh_view_full
+(* The live source.  Maintenance reads through it directly; a public
+   read flushes the open batch's delta first ([run_query] below). *)
+and live db = live_source db ~heal:(refresh_view_full db)
 
 (* Quarantine a view whose maintenance faulted mid statement: drop the
    (possibly half-applied) incremental state and mark the contents
@@ -955,8 +1077,7 @@ let () = refresh_ref := refresh_view_full
    stands — a quarantined view is late, never wrong. *)
 let quarantine_view db (v : Catalog.view) =
   mark_dirty db;
-  Hashtbl.remove db.view_states (key v.Catalog.view_name);
-  Hashtbl.remove db.derived_views (key v.Catalog.view_name);
+  set_states db v.Catalog.view_name None None;
   v.Catalog.stale <- true;
   invalidate_view_indexes db v.Catalog.view_name
 
@@ -1022,6 +1143,18 @@ let maintenance_classes db ~table =
       if certified then [ members ] else List.map (fun m -> [ m ]) members)
     !classes
 
+(* Maintain one view: under [`Quarantine] a recoverable failure
+   quarantines the view instead of failing the change set. *)
+let maintain_view db (v : Catalog.view) step =
+  match
+    Fault.hit site_propagate;
+    log_view db v;
+    step ()
+  with
+  | () -> ()
+  | exception e when db.cfg.degradation = `Quarantine && recoverable_exn e ->
+    quarantine_view db v
+
 (* Propagate one table's consolidated delta to every materialized view
    that references the table.  Sequence views maintain incrementally,
    one share class at a time: the class's structural merge is computed
@@ -1036,16 +1169,6 @@ let maintenance_classes db ~table =
 let propagate db ~table (td : Delta.table_delta) =
   let wide =
     Delta.weight td >= Relation.cardinality (Catalog.table db.catalog table).Catalog.rows
-  in
-  let maintain (v : Catalog.view) step =
-    match
-      Fault.hit site_propagate;
-      log_view db v;
-      step ()
-    with
-    | () -> ()
-    | exception e when db.cfg.degradation = `Quarantine && recoverable_exn e ->
-      quarantine_view db v
   in
   let classes = maintenance_classes db ~table in
   List.iter
@@ -1062,7 +1185,7 @@ let propagate db ~table (td : Delta.table_delta) =
       in
       List.iter
         (fun ((v : Catalog.view), state) ->
-          maintain v (fun () ->
+          maintain_view db v (fun () ->
               match plan with
               | None -> refresh_view_full db v
               | Some plan ->
@@ -1090,7 +1213,7 @@ let propagate db ~table (td : Delta.table_delta) =
                      Verify.check_view_maintenance ~view:v.Catalog.view_name
                        ~context:"incremental sequence maintenance"
                        ~incremental:rendered
-                       ~recomputed:(run_query db v.Catalog.definition);
+                       ~recomputed:(run_source (live db) v.Catalog.definition);
                    v.Catalog.contents <- Some rendered;
                    invalidate_view_indexes db v.Catalog.view_name
                  with Matview.Not_maintainable _ -> refresh_view_full db v)))
@@ -1107,11 +1230,14 @@ let propagate db ~table (td : Delta.table_delta) =
         v.Catalog.materialized
         && (not v.Catalog.stale)
         && (not (in_class v))
-        && (not (Hashtbl.mem db.derived_views (key v.Catalog.view_name)))
-        && List.exists
-             (fun t -> key t = key table)
-             (tables_of_query v.Catalog.definition)
-      then maintain v (fun () -> refresh_view_full db v))
+        && not (Hashtbl.mem db.derived_views (key v.Catalog.view_name))
+      then
+        let read = inputs db v.Catalog.definition in
+        (* a view that reads a view waits for [refresh_view_readers] *)
+        if
+          List.exists (fun t -> key t = key table) read
+          && not (List.exists (is_view db) read)
+        then maintain_view db v (fun () -> refresh_view_full db v))
     (Catalog.all_views db.catalog)
 
 (* ---- Derived delta-plan maintenance ----
@@ -1138,7 +1264,7 @@ let deriv_env db (d : Delta.t) : P.Deriv.env =
         | Some td -> signed_of_td td);
     eval =
       (fun logical ->
-        let src = live_source db in
+        let src = live db in
         P.Physical.execute (catalog_of src)
           (plan_logical src ~context:"derived maintenance sub-plan" logical));
     window_strategy = db.cfg.window_strategy;
@@ -1156,58 +1282,94 @@ let maintain_derived db (d : Delta.t) =
             let touched =
               List.exists (fun t -> Delta.find d t <> None) sources
             in
-            if touched then begin
-              let maintain () =
-                Fault.hit site_propagate;
-                log_view db v;
-                (* a delta at least as wide as the sources gains nothing
-                   over recomputation: route it to the refresh path *)
-                let weight =
-                  List.fold_left
-                    (fun acc t ->
-                      match Delta.find d t with
-                      | Some td -> acc + Delta.weight td
-                      | None -> acc)
-                    0 sources
-                in
-                let size =
-                  List.fold_left
-                    (fun acc t ->
-                      match Catalog.find_table db.catalog t with
-                      | Some tbl -> acc + Relation.cardinality tbl.Catalog.rows
-                      | None -> acc)
-                    0 sources
-                in
-                match v.Catalog.contents with
-                | Some contents when weight < size ->
-                  (match
-                     Matview.Derived.apply_batch der ~env:(deriv_env db d)
-                       ~contents
-                   with
-                   | contents' ->
-                     (* translation validation: the derived delta plan
-                        must agree with recomputing the definition *)
-                     if Verify.enabled () then
-                       Verify.check_view_maintenance ~view:v.Catalog.view_name
-                         ~context:"derived delta maintenance"
-                         ~incremental:contents'
-                         ~recomputed:(run_query db v.Catalog.definition);
-                     v.Catalog.contents <- Some (Relation.store contents');
-                     invalidate_view_indexes db v.Catalog.view_name
-                   | exception P.Deriv.Divergence _ -> refresh_view_full db v)
-                | _ -> refresh_view_full db v
-              in
-              match maintain () with
-              | () -> ()
-              | exception e
-                when db.cfg.degradation = `Quarantine && recoverable_exn e ->
-                quarantine_view db v
-            end)
+            if touched then
+              maintain_view db v (fun () ->
+                  (* a delta at least as wide as the sources gains nothing
+                     over recomputation: route it to the refresh path *)
+                  let weight =
+                    List.fold_left
+                      (fun acc t ->
+                        match Delta.find d t with
+                        | Some td -> acc + Delta.weight td
+                        | None -> acc)
+                      0 sources
+                  in
+                  let size =
+                    List.fold_left
+                      (fun acc t ->
+                        match Catalog.find_table db.catalog t with
+                        | Some tbl -> acc + Relation.cardinality tbl.Catalog.rows
+                        | None -> acc)
+                      0 sources
+                  in
+                  match v.Catalog.contents with
+                  | Some contents when weight < size ->
+                    (match
+                       Matview.Derived.apply_batch der ~env:(deriv_env db d)
+                         ~contents
+                     with
+                     | contents' ->
+                       (* translation validation: the derived delta plan
+                          must agree with recomputing the definition *)
+                       if Verify.enabled () then
+                         Verify.check_view_maintenance ~view:v.Catalog.view_name
+                           ~context:"derived delta maintenance"
+                           ~incremental:contents'
+                           ~recomputed:(run_source (live db) v.Catalog.definition);
+                       v.Catalog.contents <- Some (Relation.store contents');
+                       invalidate_view_indexes db v.Catalog.view_name
+                     | exception P.Deriv.Divergence _ -> refresh_view_full db v)
+                  | _ -> refresh_view_full db v))
       (Catalog.all_views db.catalog)
+
+(* ---- Views over views ----
+
+   No delta names a view, so a materialized view that reads another
+   view has neither an incremental state ([try_derive] declines it) nor
+   a table-driven refresh ([propagate] skips it).  Once the change set
+   has maintained everything else, each such reader is refreshed in
+   full, inputs before readers, when anything it reads changed: a table
+   of the change set, or a view that reads one. *)
+let refresh_view_readers db (d : Delta.t) =
+  let matviews =
+    List.filter (fun (v : Catalog.view) -> v.Catalog.materialized)
+      (Catalog.all_views db.catalog)
+  in
+  let reads_view (v : Catalog.view) =
+    List.exists (is_view db) (inputs db v.Catalog.definition)
+  in
+  if List.exists reads_view matviews then begin
+    (* depth first over what each view reads, in name order, so the
+       order is deterministic *)
+    let order = ref [] and seen = Hashtbl.create 8 in
+    let rec visit (v : Catalog.view) =
+      if not (Hashtbl.mem seen (key v.Catalog.view_name)) then begin
+        Hashtbl.replace seen (key v.Catalog.view_name) ();
+        List.iter
+          (fun name -> Option.iter visit (Catalog.find_view db.catalog name))
+          (inputs db v.Catalog.definition);
+        order := v :: !order
+      end
+    in
+    let by_name (a : Catalog.view) (b : Catalog.view) =
+      compare (key a.Catalog.view_name) (key b.Catalog.view_name)
+    in
+    List.iter visit (List.sort by_name matviews);
+    let changed = ref (List.map key (Delta.tables d)) in
+    List.iter
+      (fun (v : Catalog.view) ->
+        let read = inputs db v.Catalog.definition in
+        if List.exists (fun t -> List.mem (key t) !changed) read then begin
+          changed := key v.Catalog.view_name :: !changed;
+          if (not v.Catalog.stale) && List.exists (is_view db) read then
+            maintain_view db v (fun () -> refresh_view_full db v)
+        end)
+      (List.rev !order)
+  end
 
 (* Maintain every dependent view under one consolidated delta: each
    table's sequence and refresh propagation, then the derived views
-   against the whole delta. *)
+   against the whole delta, then the views that read views. *)
 let propagate_delta db (d : Delta.t) =
   List.iter
     (fun table ->
@@ -1215,16 +1377,17 @@ let propagate_delta db (d : Delta.t) =
       | Some td -> propagate db ~table td
       | None -> ())
     (Delta.tables d);
-  maintain_derived db d
+  maintain_derived db d;
+  refresh_view_readers db d
 
 (* ---- Batch scopes ----
 
    Inside [with_batch] the DML apply functions record their change into
    the batch's delta instead of propagating immediately; [flush_delta]
    consolidates and propagates once per dependent view (and runs early
-   whenever a read or a DDL statement needs fresh views mid-batch).  The
-   batch's WAL records are framed as one [Wal.Batch] record and fsynced
-   once — the group commit. *)
+   whenever a public read or a DDL statement needs fresh views
+   mid-batch).  The batch's WAL records are framed as one [Wal.Batch]
+   record and fsynced once — the group commit. *)
 
 (* Record one statement's change ([record] adds it to a delta): into
    the open batch's delta, or as a delta of its own propagated at once.
@@ -1238,37 +1401,18 @@ let record_or_propagate db record =
     b.b_delta <- record d
   | None -> propagate_delta db (record Delta.empty)
 
+(* Propagate the open batch's delta.  Mid-statement it joins the
+   statement's scope; between statements it is a statement of its own
+   within the batch ([with_undo]), so a failure restores the delta. *)
 let flush_delta db =
   match db.batch with
-  | None -> ()
-  | Some b when Delta.is_empty b.b_delta -> ()
-  | Some b ->
-    let run () =
-      let d = b.b_delta in
-      log_undo db (fun () -> b.b_delta <- d);
-      (* clear before propagating: queries issued by the propagation
-         itself (view recomputation, verification) re-enter
-         [view_contents] and must not flush again *)
-      b.b_delta <- Delta.empty;
-      propagate_delta db d
-    in
-    (match db.undo with
-     | Some _ -> run () (* mid-statement: join its scope *)
-     | None ->
-       (* between statements (batch commit, or a bare read): give the
-          flush its own scope and fold it into the batch on success *)
-       let u = Undo.create () in
-       db.undo <- Some u;
-       (match run () with
-        | () ->
-          db.undo <- None;
-          Undo.absorb b.b_undo u
-        | exception e ->
-          db.undo <- None;
-          Undo.rollback u;
-          raise e))
-
-let () = flush_delta_ref := flush_delta
+  | Some b when not (Delta.is_empty b.b_delta) ->
+    with_undo db (fun () ->
+        let d = b.b_delta in
+        log_undo db (fun () -> b.b_delta <- d);
+        b.b_delta <- Delta.empty;
+        propagate_delta db d)
+  | _ -> ()
 
 let commit_batch db =
   flush_delta db;
@@ -1283,24 +1427,31 @@ let with_batch db f =
   | None, None ->
     let b = { b_delta = Delta.empty; b_undo = Undo.create () } in
     db.batch <- Some b;
-    db.wal_pending <- [];
-    (match
-       let result = f () in
-       commit_batch db;
-       result
-     with
-     | result ->
-       db.batch <- None;
-       Undo.commit b.b_undo;
-       publish_version db;
-       maybe_auto_checkpoint db;
-       result
-     | exception e ->
-       db.batch <- None;
-       db.wal_pending <- [];
-       Undo.rollback b.b_undo;
-       db.mvcc.mv_dirty <- false;
-       raise e)
+    commit_scope db b.b_undo ~leave:(fun () -> db.batch <- None) ~durable:commit_batch f
+
+(* ---- Public live reads ----
+
+   A public read flushes the open batch's delta first, so it sees every
+   write of the batch.  Maintenance never needs to: it reads through
+   [live] while it propagates a delta, and [flush_delta] empties the
+   batch's delta before propagating it. *)
+
+let run_query db (q : Ast.query) : Relation.t =
+  flush_delta db;
+  run_source (live db) q
+
+let plan_query db (q : Ast.query) : P.Physical.t =
+  flush_delta db;
+  let _, _, physical = plan_source (live db) q in
+  physical
+
+let binder_catalog db =
+  flush_delta db;
+  binder_of (live db)
+
+let catalog_view db =
+  flush_delta db;
+  catalog_of (live db)
 
 (* ---- DML ---- *)
 
@@ -1476,15 +1627,16 @@ let exec_delete db ~table ~where =
    [exec_statement] below brackets this with [with_undo], so every entry
    is all-or-nothing. *)
 let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
-  (* DDL that creates, refreshes or drops relations must observe views
-     consistent with every earlier statement of the batch *)
+  (* reads, and DDL that creates, refreshes or drops relations, must
+     observe views consistent with every earlier statement of the batch *)
   (match stmt with
+   | Ast.St_query _ | Ast.St_explain _ | Ast.St_explain_analyze _
    | Ast.St_create_view _ | Ast.St_refresh_view _ | Ast.St_drop_table _
    | Ast.St_drop_view _ -> flush_delta db
    | _ -> ());
   let result =
     match stmt with
-  | Ast.St_query q -> Relation (run_query db q)
+  | Ast.St_query q -> Relation (run_source (live db) q)
   | Ast.St_create_table { name; columns } ->
     let schema =
       Schema.make
@@ -1517,8 +1669,7 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
     mark_dirty db;
     log_undo db (fun () ->
         Catalog.forget_view db.catalog name;
-        Hashtbl.remove db.view_states (key name);
-        Hashtbl.remove db.derived_views (key name));
+        set_states db name None None);
     if materialized then refresh_view_full db v;
     Done (Printf.sprintf "CREATE %sVIEW %s" (if materialized then "MATERIALIZED " else "") name)
   | Ast.St_insert { table; columns; rows } -> exec_insert db ~table ~columns ~rows
@@ -1538,16 +1689,10 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
        let derived = Hashtbl.find_opt db.derived_views (key name) in
        log_undo db (fun () ->
            Catalog.restore_view db.catalog v;
-           (match state with
-            | Some s -> Hashtbl.replace db.view_states (key name) s
-            | None -> Hashtbl.remove db.view_states (key name));
-           match derived with
-           | Some d -> Hashtbl.replace db.derived_views (key name) d
-           | None -> Hashtbl.remove db.derived_views (key name))
+           set_states db name state derived)
      | None -> ());
     Catalog.drop_view db.catalog ~name ~if_exists;
-    Hashtbl.remove db.view_states (key name);
-    Hashtbl.remove db.derived_views (key name);
+    set_states db name None None;
     mark_dirty db;
     Done (Printf.sprintf "DROP VIEW %s" name)
   | Ast.St_refresh_view name ->
@@ -1556,7 +1701,7 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_explain inner ->
     (match inner with
      | Ast.St_query q ->
-       let bound, optimized, physical = plan_source (live_source db) q in
+       let bound, optimized, physical = plan_source (live db) q in
        Done
          (Printf.sprintf "== logical ==\n%s== optimized ==\n%s== physical ==\n%s"
             (P.Logical.to_string bound)
@@ -1566,8 +1711,9 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_explain_analyze inner ->
     (match inner with
      | Ast.St_query q ->
-       let physical = plan_query db q in
-       let _result, profile = P.Physical.execute_analyze (catalog_view db) physical in
+       let src = live db in
+       let _, _, physical = plan_source src q in
+       let _result, profile = P.Physical.execute_analyze (catalog_of src) physical in
        Done (P.Physical.render_profile profile)
      | other -> exec_statement_in_scope db other)
   in
@@ -1721,13 +1867,6 @@ let ensure_dir dir =
    carry exact rows; pre-images are matched by value (first match), which
    is multiset-correct: rows equal by value are interchangeable. *)
 
-let row_equal (a : Row.t) (b : Row.t) =
-  Array.length a = Array.length b
-  && (try
-        Array.iter2 (fun x y -> if not (Value.equal x y) then raise Exit) a b;
-        true
-      with Exit -> false)
-
 (* The chunks a pre-image can lie in: its Int columns, as ranges for
    [Relation.edit]. *)
 let pre_image_ranges (row : Row.t) =
@@ -1743,7 +1882,7 @@ let pre_image_ranges (row : Row.t) =
 let take_first image pending row =
   let rec go acc = function
     | [] -> None
-    | x :: rest when row_equal (image x) row -> Some (x, List.rev_append acc rest)
+    | x :: rest when Row.equal (image x) row -> Some (x, List.rev_append acc rest)
     | x :: rest -> go (x :: acc) rest
   in
   match go [] !pending with
@@ -1822,14 +1961,19 @@ let rebuild_state db (view : Catalog.view) =
           end
           else false
         with Matview.Not_maintainable _ -> false))
-  | None, Some _ -> try_derive db view
+  | None, Some _ -> try_derive db (live db) view
   | _ -> false
 
 (* Restore a checkpoint snapshot into a fresh database: tables, then
-   views with their materialized state, then index DDL.  [quarantine]
-   marks a view stale and records its name; shared by directory
+   views with their materialized state, then index DDL.  Returns the
+   names of the views restored stale, sorted; shared by directory
    recovery and replica bootstrap (which restores from feed bytes). *)
-let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
+let restore_snapshot_into db (snap : Checkpoint.snapshot) =
+  let quarantined = ref [] in
+  let quarantine ~already (v : Catalog.view) =
+    if not already then v.Catalog.stale <- true;
+    quarantined := v.Catalog.view_name :: !quarantined
+  in
   List.iter
     (fun (t : Checkpoint.table_snap) ->
       let tbl =
@@ -1878,18 +2022,14 @@ let restore_snapshot_into db ~quarantine (snap : Checkpoint.snapshot) =
       try ignore (exec db ddl)
       with e ->
         recovery_error "checkpoint: replaying %S: %s" ddl (Printexc.to_string e))
-    snap.Checkpoint.index_ddl
+    snap.Checkpoint.index_ddl;
+  List.sort_uniq String.compare !quarantined
 
 let restore_snapshot ?config (snap : Checkpoint.snapshot) =
   let db = create ?config () in
-  let quarantined = ref [] in
-  let quarantine ~already (v : Catalog.view) =
-    if not already then v.Catalog.stale <- true;
-    quarantined := v.Catalog.view_name :: !quarantined
-  in
-  restore_snapshot_into db ~quarantine snap;
+  let quarantined = restore_snapshot_into db snap in
   reset_versions db;
-  (db, List.sort_uniq String.compare !quarantined)
+  (db, quarantined)
 
 (* A crash between writing [foo.tmp] and renaming it over [foo] leaves
    the temp file behind; nothing ever reads one (installs are
@@ -1910,21 +2050,36 @@ let sweep_tmp dir =
            end)
   | exception Sys_error _ -> []
 
+(* Attach a healthy WAL writer for [dir]. *)
+let attach db ~dir ~wal ~epoch ~base_lsn ~appended =
+  db.durable <-
+    Some
+      {
+        dir;
+        wal;
+        epoch;
+        base_lsn;
+        appended;
+        checkpoint_every = None;
+        checkpoint_bytes = None;
+        degraded = None;
+        rejected = 0;
+        probe_backoff = 1;
+        probe_countdown = 1;
+        pending_fresh = None;
+        pending_truncate = None;
+      }
+
 let recover ?config dir =
   ensure_dir dir;
   let swept = sweep_tmp dir in
   let db = create ?config () in
-  let quarantined = ref [] in
-  let quarantine ~already (v : Catalog.view) =
-    if not already then v.Catalog.stale <- true;
-    quarantined := v.Catalog.view_name :: !quarantined
-  in
   let snap =
     try Checkpoint.read ~dir with Checkpoint.Corrupt m -> recovery_error "%s" m
   in
-  (match snap with
-   | None -> ()
-   | Some snap -> restore_snapshot_into db ~quarantine snap);
+  let quarantined =
+    match snap with None -> [] | Some snap -> restore_snapshot_into db snap
+  in
   let ckpt_epoch = match snap with None -> 0 | Some s -> s.Checkpoint.epoch in
   let ckpt_lsn = match snap with None -> 0 | Some s -> s.Checkpoint.lsn in
   let wpath = wal_path dir in
@@ -1963,29 +2118,13 @@ let recover ?config dir =
   let wal =
     if !need_fresh then Wal.create wpath ~epoch:ckpt_epoch else Wal.open_append wpath
   in
-  db.durable <-
-    Some
-      {
-        dir;
-        wal;
-        epoch = ckpt_epoch;
-        base_lsn = ckpt_lsn;
-        appended = !replayed;
-        checkpoint_every = None;
-        checkpoint_bytes = None;
-        degraded = None;
-        rejected = 0;
-        probe_backoff = 1;
-        probe_countdown = 1;
-        pending_fresh = None;
-        pending_truncate = None;
-      };
+  attach db ~dir ~wal ~epoch:ckpt_epoch ~base_lsn:ckpt_lsn ~appended:!replayed;
   let report =
     {
       checkpoint_epoch = Option.map (fun (s : Checkpoint.snapshot) -> s.Checkpoint.epoch) snap;
       replayed = !replayed;
       torn = !torn;
-      quarantined = List.sort_uniq String.compare (List.rev !quarantined);
+      quarantined;
       swept;
     }
   in
@@ -1995,118 +2134,6 @@ let recover ?config dir =
   (db, report)
 
 let open_durable ?config dir = fst (recover ?config dir)
-
-(* ---- Checkpoint ---- *)
-
-let checkpoint db =
-  if db.batch <> None then engine_error "checkpoint: a batch is open";
-  match db.durable with
-  | None -> engine_error "checkpoint: database has no directory (open it with open_durable)"
-  | Some d ->
-    check_degraded d;
-    let epoch' = d.epoch + 1 in
-    let by_name name_of a b = String.compare (key (name_of a)) (key (name_of b)) in
-    let tables =
-      Catalog.all_tables db.catalog
-      |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
-      |> List.map (fun (t : Catalog.table) ->
-             {
-               Checkpoint.t_name = t.Catalog.table_name;
-               t_schema = t.Catalog.schema;
-               t_rows = Relation.rows t.Catalog.rows;
-             })
-    in
-    let index_ddl =
-      let table_indexes =
-        Catalog.all_tables db.catalog
-        |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
-        |> List.concat_map (fun (t : Catalog.table) ->
-               t.Catalog.indexes
-               |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
-               |> List.map (fun (i : Catalog.index_def) ->
-                      Pretty.statement
-                        (Ast.St_create_index
-                           {
-                             name = i.Catalog.index_name;
-                             table = t.Catalog.table_name;
-                             column = i.Catalog.column;
-                             ordered = i.Catalog.kind = Index.Ordered;
-                           })))
-      in
-      let view_indexes =
-        Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (name, vi) ->
-               Pretty.statement
-                 (Ast.St_create_index
-                    {
-                      name;
-                      table = vi.vi_view;
-                      column = vi.vi_column;
-                      ordered = vi.vi_kind = Index.Ordered;
-                    }))
-      in
-      table_indexes @ view_indexes
-    in
-    let views =
-      Catalog.all_views db.catalog
-      |> List.sort (by_name (fun (v : Catalog.view) -> v.Catalog.view_name))
-      |> List.map (fun (v : Catalog.view) ->
-             {
-               Checkpoint.v_name = v.Catalog.view_name;
-               v_materialized = v.Catalog.materialized;
-               v_sql = Pretty.query v.Catalog.definition;
-               v_state =
-                 (if not v.Catalog.materialized then `None
-                  else
-                    `Snap
-                      {
-                        Checkpoint.s_stale = v.Catalog.stale;
-                        s_contents = v.Catalog.contents;
-                        s_incremental =
-                          Hashtbl.mem db.view_states (key v.Catalog.view_name)
-                          || Hashtbl.mem db.derived_views
-                               (key v.Catalog.view_name);
-                      });
-             })
-    in
-    let lsn = d.base_lsn + d.appended in
-    (try Checkpoint.write ~dir:d.dir ~lsn ~epoch:epoch' ~tables ~index_ddl ~views
-     with e when is_enospc e ->
-       (* the tmp file is already removed; the old checkpoint + WAL are
-          intact, but the disk is full: stop taking writes *)
-       enter_degraded d "checkpoint failed: disk full";
-       raise (Degraded_error { reason = "checkpoint failed: disk full" }));
-    (* The snapshot is durable: install a fresh log for the new epoch.
-       From here on a failure is dangerous, not just inconvenient —
-       appending to the old-epoch log would be silently discarded at
-       recovery (its epoch is behind the new checkpoint's).  Any
-       failure therefore enters degraded mode carrying the pending
-       install, which the space probe finishes before lifting it. *)
-    (try
-       Fault.hit site_install;
-       let old = d.wal in
-       let wal = Wal.create (wal_path d.dir) ~epoch:epoch' in
-       (try Wal.close old with _ -> ());
-       d.wal <- wal;
-       d.epoch <- epoch';
-       d.base_lsn <- lsn;
-       d.appended <- 0
-     with
-     | Fault.Injected _ as e ->
-       (* a bare armed [checkpoint.install] simulates a crash here; the
-          harness closes and recovers, which handles the stale log *)
-       raise e
-     | e when recoverable_exn e ->
-       let reason =
-         Printf.sprintf "fresh WAL install failed after checkpoint: %s"
-           (Printexc.to_string e)
-       in
-       enter_degraded d reason;
-       d.pending_fresh <- Some (epoch', lsn);
-       raise (Degraded_error { reason }))
-
-let () = checkpoint_ref := checkpoint
 
 let set_checkpoint_every db n =
   match db.durable with
@@ -2148,34 +2175,23 @@ let apply_record db record = replay_record db record
    where the primary maintained it incrementally — same bag of rows,
    different order.  Likewise excludes whether an *incremental
    maintenance state* is present at all. *)
-let fingerprint_parts ~(tables : (string * Relation.t) list)
-    ~(views : (string * bool * Relation.t option) list) : string =
+let version_fingerprint v : string =
   let buf = Buffer.create 1024 in
   let render r = Buffer.add_string buf (Relation.render (Relation.sorted_by_all r)) in
-  List.sort (fun (a, _) (b, _) -> compare a b) tables
-  |> List.iter (fun (name, r) ->
-         Buffer.add_string buf (Printf.sprintf "table %s\n" name);
-         render r);
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) views
-  |> List.iter (fun (name, stale, contents) ->
-         Buffer.add_string buf (Printf.sprintf "view %s stale=%b\n" name stale);
-         match contents with
+  List.sort (fun a b -> compare a.vt_name b.vt_name) v.v_tables
+  |> List.iter (fun vt ->
+         Buffer.add_string buf (Printf.sprintf "table %s\n" vt.vt_name);
+         render vt.vt_rows);
+  List.sort (fun a b -> compare a.vv_name b.vv_name) v.v_views
+  |> List.iter (fun vv ->
+         Buffer.add_string buf
+           (Printf.sprintf "view %s stale=%b\n" vv.vv_name vv.vv_stale);
+         match vv.vv_contents with
          | Some r -> render r
          | None -> ());
   Buffer.contents buf
 
-let fingerprint db : string =
-  fingerprint_parts
-    ~tables:
-      (List.map
-         (fun (tbl : Catalog.table) ->
-           (tbl.Catalog.table_name, Catalog.table_relation tbl))
-         (Catalog.all_tables db.catalog))
-    ~views:
-      (List.map
-         (fun (v : Catalog.view) ->
-           (v.Catalog.view_name, v.Catalog.stale, v.Catalog.contents))
-         (Catalog.all_views db.catalog))
+let fingerprint db = version_fingerprint (capture_version db ~lsn:0)
 
 (* ---- MVCC snapshots ----
 
@@ -2260,15 +2276,7 @@ module Snapshot = struct
 
   let fingerprint sn : string =
     check_open sn;
-    fingerprint_parts
-      ~tables:
-        (List.map
-           (fun vt -> (vt.vt_name, vt.vt_rows))
-           sn.sn_version.v_tables)
-      ~views:
-        (List.map
-           (fun vv -> (vv.vv_name, vv.vv_stale, vv.vv_contents))
-           sn.sn_version.v_views)
+    version_fingerprint sn.sn_version
 
   let close (sn : t) = release sn.sn_db sn
 end
@@ -2283,23 +2291,7 @@ let make_durable db ~dir ~lsn =
   if db.batch <> None then engine_error "make_durable: a batch is open";
   ensure_dir dir;
   let wal = Wal.create (wal_path dir) ~epoch:0 in
-  db.durable <-
-    Some
-      {
-        dir;
-        wal;
-        epoch = 0;
-        base_lsn = lsn;
-        appended = 0;
-        checkpoint_every = None;
-        checkpoint_bytes = None;
-        degraded = None;
-        rejected = 0;
-        probe_backoff = 1;
-        probe_countdown = 1;
-        pending_fresh = None;
-        pending_truncate = None;
-      };
+  attach db ~dir ~wal ~epoch:0 ~base_lsn:lsn ~appended:0;
   (* reuse the regular checkpoint path: bumps to epoch 1, snapshots the
      whole catalog with the carried lsn, installs the epoch-1 log *)
   (try checkpoint db

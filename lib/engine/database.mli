@@ -113,11 +113,13 @@ val exec_script : t -> string -> result list
     batch's WAL records are framed into a single record and fsynced
     once (group commit).  Statements inside the batch remain
     individually atomic; if [f] raises, the {e whole batch} is rolled
-    back (and nothing of it reaches the WAL).  Reads inside the batch
-    — view queries, {!view_state}, DDL on the touched tables — force an
-    early propagation of the pending delta, so results are never stale.
-    Nested calls (and calls inside a statement scope) are no-ops
-    joining the enclosing scope. *)
+    back (and nothing of it reaches the WAL).  A public read inside the
+    batch — {!query}, {!run_query}, {!plan_query}, EXPLAIN,
+    {!binder_catalog}, {!catalog_view}, {!view_state} — and DDL that
+    creates, refreshes or drops relations first propagate the pending
+    delta, so they see every write of the batch.  A public read
+    flushes; maintenance never needs to.  Nested calls (and calls
+    inside a statement scope) are no-ops joining the enclosing scope. *)
 val with_batch : t -> (unit -> 'a) -> 'a
 
 (** Execute a query statement.  @raise Engine_error if it is not one. *)
@@ -127,7 +129,13 @@ val query : t -> string -> Relation.t
 val explain : t -> string -> string
 
 val exec_statement : t -> Ast.statement -> result
+
+(** Run a query against the live database, healing any quarantined
+    view it reads.  Flushes an open batch's delta first. *)
 val run_query : t -> Ast.query -> Relation.t
+
+(** The physical plan {!run_query} would execute.  Flushes an open
+    batch's delta first. *)
 val plan_query : t -> Ast.query -> P.Physical.t
 
 (** Bulk-load rows, bypassing SQL parsing; materialized views on the
@@ -291,7 +299,9 @@ val view_state : t -> string -> Matview.state option
     batch delta first, like {!view_state}. *)
 val share_classes : t -> table:string -> string list list
 
-(** The binder/executor adapters (exposed for the advisor and tests). *)
+(** The binder/executor adapters over the live database (exposed for
+    the CLI and tests).  Each flushes an open batch's delta when it is
+    built, like {!run_query}. *)
 val binder_catalog : t -> P.Binder.catalog
 
 val catalog_view : t -> P.Physical.catalog_view

@@ -180,6 +180,13 @@ let compare_pkey a b =
   in
   go (a, b)
 
+let value_of vcol row =
+  match Row.get row vcol with
+  | Value.Null -> raise (Not_maintainable "NULL in the value column")
+  | v ->
+    (try Value.to_float v
+     with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
+
 (* Build the state from the current base-table contents.  Raises
    [Not_maintainable] when the value column contains NULLs or
    non-numerics. *)
@@ -194,13 +201,6 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
   let pcols = List.map find spec.partition in
   let ocol = find spec.order_col in
   let vcol = find spec.value_col in
-  let value_of row =
-    match Row.get row vcol with
-    | Value.Null -> raise (Not_maintainable "NULL in the value column")
-    | v ->
-      (try Value.to_float v
-       with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
-  in
   (* partition rows *)
   let tbl = Hashtbl.create 16 in
   let order = ref [] in
@@ -226,7 +226,7 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
             if c <> 0 then c else Int.compare i j)
           idx;
         let sorted = Array.map (fun i -> arr.(i)) idx in
-        let raw = Core.Seqdata.raw_of_array (Array.map value_of sorted) in
+        let raw = Core.Seqdata.raw_of_array (Array.map (value_of vcol) sorted) in
         let seq = Core.Compute.sequence ~agg:(core_agg spec.agg) spec.frame raw in
         { pkey = k; base_rows = sorted; raw; seq; rendered = None })
       (List.rev !order)
@@ -418,13 +418,6 @@ let drop_render_cache (st : state) =
    place: a merge builds fresh arrays, so states, their undo copies and
    the members of a class may share them. *)
 
-let value_of st row =
-  match Row.get row st.vcol with
-  | Value.Null -> raise (Not_maintainable "NULL in the value column")
-  | v ->
-    (try Value.to_float v
-     with Value.Type_error _ -> raise (Not_maintainable "non-numeric value column"))
-
 let pkey_of st row = List.map (fun i -> Row.get row i) st.pcols
 
 let find_partition st pkey = List.find_opt (fun p -> compare_pkey p.pkey pkey = 0) st.parts
@@ -551,7 +544,7 @@ let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
     List.iter
       (fun (dst, src, len) -> Core.Seqdata.raw_blit p.raw ~src values ~pos:(dst - 1) ~len)
       runs;
-    List.iter (fun k -> values.(k - 1) <- value_of st rows'.(k - 1)) touches;
+    List.iter (fun k -> values.(k - 1) <- value_of st.vcol rows'.(k - 1)) touches;
     Core.Seqdata.raw_of_array values
   in
   let lo', hi' = Core.Seqdata.complete_range frame ~n:n' in
@@ -741,7 +734,7 @@ let apply_shared (plan : shared_plan) st =
     (fun (pkey, pplan) ->
       match (pplan, find_partition st pkey) with
       | P_new rows, None ->
-        let raw = Core.Seqdata.raw_of_array (Array.map (value_of st) rows) in
+        let raw = Core.Seqdata.raw_of_array (Array.map (value_of st.vcol) rows) in
         let seq =
           Core.Compute.sequence ~agg:(core_agg st.spec.agg) st.spec.frame raw
         in

@@ -21,8 +21,6 @@ type catalog = {
   resolve_view : string -> Ast.query option;
 }
 
-let empty_catalog = { resolve_table = (fun _ -> None); resolve_view = (fun _ -> None) }
-
 (* ---- AST utilities ---- *)
 
 let ieq a b = String.lowercase_ascii a = String.lowercase_ascii b

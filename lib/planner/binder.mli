@@ -20,8 +20,6 @@ type catalog = {
   resolve_view : string -> Ast.query option;
 }
 
-val empty_catalog : catalog
-
 (** Bind a scalar expression against a schema: no aggregates, no window
     functions.  @raise Bind_error on unknown/ambiguous names. *)
 val bind_scalar : Schema.t -> Ast.expr -> Expr.t

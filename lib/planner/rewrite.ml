@@ -171,20 +171,3 @@ let window_to_self_join (plan : Logical.t) : Logical.t =
   let rewritten = rewrite_windows plan in
   Hooks.validate ~pass:"Rewrite.window_to_self_join" ~before:plan ~after:rewritten;
   rewritten
-
-let has_window_op plan =
-  let rec go = function
-    | Logical.Window_op _ -> true
-    | Logical.Scan _ -> false
-    | Logical.Filter { input; _ }
-    | Logical.Project { input; _ }
-    | Logical.Number { input; _ }
-    | Logical.Sort { input; _ }
-    | Logical.Distinct input
-    | Logical.Limit { input; _ }
-    | Logical.Alias { input; _ } -> go input
-    | Logical.Join { left; right; _ } | Logical.Union_all { left; right } ->
-      go left || go right
-    | Logical.Aggregate { input; _ } -> go input
-  in
-  go plan

@@ -17,5 +17,3 @@ val frame_contains_current : Rfview_relalg.Window.frame -> bool
 
 (** Rewrite all window operators.  @raise Not_rewritable per above. *)
 val window_to_self_join : Logical.t -> Logical.t
-
-val has_window_op : Logical.t -> bool

@@ -16,10 +16,6 @@ type t =
   | Hash_index of (Value.t, int list) Hashtbl.t
   | Ordered_index of (Value.t * int) array
 
-let kind_of = function
-  | Hash_index _ -> Hash
-  | Ordered_index _ -> Ordered
-
 let kind_name = function
   | Hash -> "HASH"
   | Ordered -> "ORDERED"

@@ -15,7 +15,6 @@ type kind =
 
 type t
 
-val kind_of : t -> kind
 val kind_name : kind -> string
 
 (** Build an index over the rows of a relation, keyed by column

@@ -180,7 +180,6 @@ let map schema (f : Row.t -> Row.t) r =
         r.chunks;
   }
 
-let map_rows f r = map r.schema f r
 let with_schema schema r = { r with schema }
 
 let column_values r i =

@@ -53,8 +53,6 @@ val get : t -> int -> Row.t
 (** [map schema f r]: [f] on every row in order, under a new schema. *)
 val map : Schema.t -> (Row.t -> Row.t) -> t -> t
 
-val map_rows : (Row.t -> Row.t) -> t -> t
-
 (** The same rows (and zones) under another schema of equal arity. *)
 val with_schema : Schema.t -> t -> t
 

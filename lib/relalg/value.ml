@@ -128,10 +128,6 @@ let to_int = function
   | Float f -> int_of_float f
   | v -> type_error "expected integer value, got %s" (to_string v)
 
-let to_bool = function
-  | Bool b -> b
-  | v -> type_error "expected boolean value, got %s" (to_string v)
-
 (* ---- Comparison ----
 
    [compare] is a total order used for sorting and grouping: NULL sorts

@@ -61,7 +61,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_float : t -> float
 val to_int : t -> int
-val to_bool : t -> bool
 
 (** {1 Comparison}
 

@@ -111,11 +111,6 @@ let reattach t ~name ~path =
   in
   t.feeds <- t.feeds @ [ { f_name = name; f_path = path; f_writer = writer; f_shipped = shipped } ]
 
-let detach t ~name =
-  let f = find t name in
-  (try Feed.close f.f_writer with _ -> ());
-  t.feeds <- List.filter (fun g -> g.f_name <> name) t.feeds
-
 let close t = List.iter (fun f -> try Feed.close f.f_writer with _ -> ()) t.feeds
 
 let pump t =

@@ -34,9 +34,6 @@ val attach : t -> name:string -> path:string -> unit
     @raise Ship_error on a duplicate name. *)
 val reattach : t -> name:string -> path:string -> unit
 
-(** Close and forget a feed (the file remains). *)
-val detach : t -> name:string -> unit
-
 (** Highest LSN the named feed holds. *)
 val shipped : t -> name:string -> int
 

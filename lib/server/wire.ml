@@ -74,7 +74,6 @@ let jobj fields =
 
 let jlist items = "[" ^ String.concat "," items ^ "]"
 let jint = string_of_int
-let jbool = string_of_bool
 
 let split line =
   let line = String.trim line in

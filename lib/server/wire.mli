@@ -20,7 +20,6 @@ val jobj : (string * string) list -> string
 val jlist : string list -> string
 
 val jint : int -> string
-val jbool : bool -> string
 
 (** {1 Request parsing} *)
 

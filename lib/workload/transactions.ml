@@ -22,23 +22,6 @@ let cities =
   [ "Erlangen"; "Nuremberg"; "Munich"; "Berlin"; "Hamburg"; "Dresden"; "Cologne";
     "Frankfurt"; "Stuttgart"; "Leipzig" ]
 
-let locations_schema =
-  Schema.make
-    [
-      Schema.column "l_locid" Dtype.Int;
-      Schema.column "l_city" Dtype.String;
-      Schema.column "l_region" Dtype.String;
-    ]
-
-let transactions_schema =
-  Schema.make
-    [
-      Schema.column "c_custid" Dtype.Int;
-      Schema.column "c_locid" Dtype.Int;
-      Schema.column "c_date" Dtype.Date;
-      Schema.column "c_transaction" Dtype.Float;
-    ]
-
 let generate_locations prng config : Row.t array =
   Array.init config.locations (fun i ->
       [|

@@ -2,7 +2,6 @@
     [c_transactions] and a dimension table [l_locations] mapping shops to
     cities and regions. *)
 
-open Rfview_relalg
 module Db := Rfview_engine.Database
 
 type config = {
@@ -14,9 +13,6 @@ type config = {
 }
 
 val default_config : config
-
-val locations_schema : Schema.t
-val transactions_schema : Schema.t
 
 (** Create and populate both tables. *)
 val load : ?config:config -> Db.t -> unit

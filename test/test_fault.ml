@@ -846,6 +846,169 @@ let test_batch_cache_freshness () =
       if Relation.equal_bag post pre_batch then
         Alcotest.fail "post-commit hit served the pre-batch answer")
 
+(* Every public live read inside a batch sees the batch's pending
+   writes.  Each read below follows an INSERT it has not seen
+   propagated yet, so a read that skipped its flush serves the
+   pre-insert view. *)
+let test_batch_reads_see_pending_writes () =
+  with_clean_faults (fun () ->
+      let db = db_with_view [ 1.; 2.; 3. ] in
+      ignore (Db.exec db "CREATE INDEX v_pos ON v (pos)");
+      ignore (Db.exec db "CREATE TABLE probe (pos INT)");
+      ignore
+        (Db.exec db
+           ("INSERT INTO probe VALUES "
+           ^ String.concat ", " (List.init 20 (fun i -> Printf.sprintf "(%d)" (i + 1)))));
+      let join_sql = "SELECT p.pos, v.s FROM probe p, v WHERE p.pos = v.pos" in
+      let contains hay needle =
+        let nl = String.length needle and hl = String.length hay in
+        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+        go 0
+      in
+      if not (contains (Db.explain db join_sql) "index(v.pos") then
+        Alcotest.fail "the probe join does not use the view index";
+      (* a quarantined view: healed by its first read inside the batch *)
+      Fault.arm "matview.apply_shared" Fault.Always;
+      ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
+      Fault.disarm "matview.apply_shared";
+      Alcotest.(check bool) "v quarantined before the batch" true (Db.is_stale db "v");
+      let cache = Cache.create ~capacity:4 db in
+      let cached_sql =
+        "SELECT pos, val, SUM(val) OVER (ORDER BY pos ROWS BETWEEN 1 PRECEDING \
+         AND 1 FOLLOWING) AS s FROM seq"
+      in
+      ignore (Cache.query cache cached_sql);
+      let v_sql = "SELECT * FROM v" in
+      let v_query = Rfview_sql.Parser.query v_sql in
+      let n = ref 4 in
+      let insert () =
+        incr n;
+        ignore
+          (Db.exec db (Printf.sprintf "INSERT INTO seq VALUES (%d, %d)" !n (10 * !n)))
+      in
+      let fresh what r = check_same_bag what r (recompute db) in
+      Db.with_batch db (fun () ->
+          insert ();
+          fresh "quarantined view healed mid-batch" (Db.query db v_sql);
+          Alcotest.(check bool) "healed" false (Db.is_stale db "v");
+          insert ();
+          fresh "query after the heal" (Db.query db v_sql);
+          insert ();
+          fresh "run_query" (Db.run_query db v_query);
+          insert ();
+          let plan = Db.plan_query db v_query in
+          fresh "plan_query + execute"
+            (Rfview_planner.Physical.execute (Db.catalog_view db) plan);
+          insert ();
+          (match Db.exec db ("EXPLAIN ANALYZE " ^ v_sql) with
+           | Db.Done profile ->
+             if not (contains profile (Printf.sprintf "%10d rows" !n)) then
+               Alcotest.failf "EXPLAIN ANALYZE missed the pending rows:@.%s" profile
+           | Db.Relation _ -> Alcotest.fail "expected profile text");
+          insert ();
+          let cached, _ = Cache.query cache cached_sql in
+          check_same_bag "Cache.query" cached
+            (Db.run_query db (Rfview_sql.Parser.query cached_sql));
+          insert ();
+          (match Db.view_state db "v" with
+           | Some st -> fresh "view_state" (Rfview_engine.Matview.render st)
+           | None -> Alcotest.fail "v lost its incremental state");
+          insert ();
+          Alcotest.(check int) "index join over the view index" !n
+            (Relation.cardinality (Db.query db join_sql)));
+      fresh "after the batch" (Db.query db v_sql))
+
+(* ---- Views of views ----
+
+   A materialized view that reads another view, directly ([w] over the
+   sequence view [v], [u] over [w]) or through a plain view ([m2] over
+   [pv]), stays equal to its definition: after a single statement,
+   inside a batch, after a statement a fault rolled back, and in a
+   snapshot.  [u] sorts before [w], so refreshing readers in name order
+   instead of dependency order would leave [u] behind. *)
+
+let views_of_views_db () =
+  let db = db_with_view [ 1.; 2.; 3. ] in
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [
+      "CREATE MATERIALIZED VIEW w AS SELECT pos, s FROM v WHERE pos > 1";
+      "CREATE MATERIALIZED VIEW u AS SELECT pos, s FROM w WHERE pos > 2";
+      "CREATE VIEW pv AS SELECT pos, val FROM seq";
+      "CREATE MATERIALIZED VIEW m2 AS SELECT a.pos, a.val FROM pv a LEFT OUTER \
+       JOIN pv b ON a.pos = b.pos";
+    ];
+  db
+
+let check_views_of_views what db ~u ~w ~m2 =
+  List.iter
+    (fun (name, expected) ->
+      let view = Catalog.view (Db.catalog db) name in
+      Alcotest.(check bool) (Printf.sprintf "%s: %s not stale" what name) false
+        view.Catalog.stale;
+      Alcotest.(check bool) (Printf.sprintf "%s: %s not derived-maintained" what name)
+        false (Db.is_derived_maintained db name);
+      match view.Catalog.contents with
+      | Some c ->
+        Alcotest.(check int) (Printf.sprintf "%s: %s rows" what name) expected
+          (Relation.cardinality c);
+        check_same_bag (Printf.sprintf "%s: %s equals its definition" what name) c
+          (Db.run_query db view.Catalog.definition)
+      | None -> Alcotest.failf "%s: %s has no contents" what name)
+    [ ("u", u); ("w", w); ("m2", m2) ]
+
+let test_views_of_views_statement () =
+  with_clean_faults (fun () ->
+      let db = views_of_views_db () in
+      ignore (Db.exec db "INSERT INTO seq VALUES (4, 10.0)");
+      check_views_of_views "after an INSERT" db ~u:2 ~w:3 ~m2:4;
+      ignore (Db.exec db "UPDATE seq SET val = 7.0 WHERE pos = 2");
+      ignore (Db.exec db "DELETE FROM seq WHERE pos = 1");
+      check_views_of_views "after UPDATE and DELETE" db ~u:2 ~w:3 ~m2:3)
+
+let test_views_of_views_batch () =
+  with_clean_faults (fun () ->
+      let db = views_of_views_db () in
+      Db.with_batch db (fun () ->
+          ignore (Db.exec db "INSERT INTO seq VALUES (4, 10.0)");
+          Alcotest.(check int) "mid-batch read of w" 3
+            (Relation.cardinality (Db.query db "SELECT * FROM w"));
+          ignore (Db.exec db "INSERT INTO seq VALUES (5, 20.0)"));
+      check_views_of_views "after the batch" db ~u:3 ~w:4 ~m2:5)
+
+let test_views_of_views_rollback () =
+  with_clean_faults (fun () ->
+      let db = views_of_views_db () in
+      Db.reconfigure db { (Db.config db) with Db.degradation = `Abort };
+      (* the refresh of a reader fails: the whole statement rolls back *)
+      Fault.arm "database.refresh_view" Fault.Always;
+      (match Db.exec db "INSERT INTO seq VALUES (4, 10.0)" with
+       | _ -> Alcotest.fail "the statement survived a failed view refresh"
+       | exception Fault.Injected _ -> ());
+      Fault.disarm "database.refresh_view";
+      Alcotest.(check int) "base row rolled back" 3
+        (Relation.cardinality (Db.query db "SELECT * FROM seq"));
+      check_views_of_views "after the rollback" db ~u:1 ~w:2 ~m2:3;
+      ignore (Db.exec db "INSERT INTO seq VALUES (4, 10.0)");
+      check_views_of_views "after the retry" db ~u:2 ~w:3 ~m2:4)
+
+let test_views_of_views_snapshot () =
+  with_clean_faults (fun () ->
+      let db = views_of_views_db () in
+      let before = Db.snapshot db in
+      ignore (Db.exec db "INSERT INTO seq VALUES (4, 10.0)");
+      let after = Db.snapshot db in
+      let count sn name =
+        Relation.cardinality (Db.Snapshot.query sn ("SELECT * FROM " ^ name))
+      in
+      let counts sn = List.map (count sn) [ "u"; "w"; "m2" ] in
+      Alcotest.(check (list int)) "snapshot before the INSERT" [ 1; 2; 3 ]
+        (counts before);
+      Alcotest.(check (list int)) "snapshot after the INSERT" [ 2; 3; 4 ]
+        (counts after);
+      Db.Snapshot.close before;
+      Db.Snapshot.close after)
+
 let test_chaos_batched_clean () =
   with_clean_faults (fun () ->
       let r = Chaos.run ~config:{ Chaos.default_config with Chaos.batch = 4 } () in
@@ -917,7 +1080,17 @@ let () =
             test_batch_propagates_once_per_view;
           Alcotest.test_case "cache fresh across a batch commit" `Quick
             test_batch_cache_freshness;
+          Alcotest.test_case "public reads see pending writes" `Quick
+            test_batch_reads_see_pending_writes;
           qtest ~count:100 "batch/per-row equivalence" arb_batch_case
             prop_batch_equivalence;
+        ] );
+      ( "views of views",
+        [
+          Alcotest.test_case "single statement" `Quick test_views_of_views_statement;
+          Alcotest.test_case "batch" `Quick test_views_of_views_batch;
+          Alcotest.test_case "fault-rolled-back statement" `Quick
+            test_views_of_views_rollback;
+          Alcotest.test_case "snapshot read" `Quick test_views_of_views_snapshot;
         ] );
     ]
