@@ -356,6 +356,11 @@ let set_states db name state derived =
   | Some d -> Hashtbl.replace db.derived_views k d
   | None -> Hashtbl.remove db.derived_views k
 
+(* Does a view currently have an incremental maintenance state?  Either
+   flavor counts: the §2.3 sequence machinery or a derived delta plan. *)
+let is_incrementally_maintained db name =
+  Hashtbl.mem db.view_states (key name) || Hashtbl.mem db.derived_views (key name)
+
 (* ---- The undo log ----
 
    Each mutation below first logs a restore action (an absolute snapshot
@@ -549,41 +554,25 @@ let checkpoint db =
                t_rows = Relation.rows t.Catalog.rows;
              })
     in
+    let index name table column kind =
+      Pretty.statement
+        (Ast.St_create_index { name; table; column; ordered = kind = Index.Ordered })
+    in
     let index_ddl =
-      let table_indexes =
-        Catalog.all_tables db.catalog
-        |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
-        |> List.concat_map (fun (t : Catalog.table) ->
-               t.Catalog.indexes
-               |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
-               |> List.map (fun (i : Catalog.index_def) ->
-                      Pretty.statement
-                        (Ast.St_create_index
-                           {
-                             name = i.Catalog.index_name;
-                             table = t.Catalog.table_name;
-                             column = i.Catalog.column;
-                             ordered = i.Catalog.kind = Index.Ordered;
-                           })))
-      in
-      let view_indexes =
-        Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
+      (Catalog.all_tables db.catalog
+      |> List.sort (by_name (fun (t : Catalog.table) -> t.Catalog.table_name))
+      |> List.concat_map (fun (t : Catalog.table) ->
+             t.Catalog.indexes
+             |> List.sort (by_name (fun (i : Catalog.index_def) -> i.Catalog.index_name))
+             |> List.map (fun (i : Catalog.index_def) ->
+                    index i.Catalog.index_name t.Catalog.table_name i.Catalog.column
+                      i.Catalog.kind)))
+      @ (Hashtbl.fold (fun name vi acc -> (name, vi) :: acc) db.view_indexes []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (name, vi) ->
-               Pretty.statement
-                 (Ast.St_create_index
-                    {
-                      name;
-                      table = vi.vi_view;
-                      column = vi.vi_column;
-                      ordered = vi.vi_kind = Index.Ordered;
-                    }))
-      in
-      table_indexes @ view_indexes
+        |> List.map (fun (name, vi) -> index name vi.vi_view vi.vi_column vi.vi_kind))
     in
     let views =
       Catalog.all_views db.catalog
-      |> List.sort (by_name (fun (v : Catalog.view) -> v.Catalog.view_name))
       |> List.map (fun (v : Catalog.view) ->
              {
                Checkpoint.v_name = v.Catalog.view_name;
@@ -597,9 +586,7 @@ let checkpoint db =
                         Checkpoint.s_stale = v.Catalog.stale;
                         s_contents = v.Catalog.contents;
                         s_incremental =
-                          Hashtbl.mem db.view_states (key v.Catalog.view_name)
-                          || Hashtbl.mem db.derived_views
-                               (key v.Catalog.view_name);
+                          is_incrementally_maintained db v.Catalog.view_name;
                       });
              })
     in
@@ -723,15 +710,11 @@ let log_table db (tbl : Catalog.table) =
       tbl.Catalog.indexes <- indexes;
       List.iter (fun ((i : Catalog.index_def), b) -> i.Catalog.built <- b) builts)
 
-(* Snapshot the built caches of every view index on [name]. *)
-let log_view_index_caches db name =
-  let saved =
-    Hashtbl.fold
-      (fun _ vi acc -> if key vi.vi_view = key name then (vi, vi.vi_built) :: acc else acc)
-      db.view_indexes []
-  in
-  if saved <> [] then
-    log_undo db (fun () -> List.iter (fun (vi, b) -> vi.vi_built <- b) saved)
+(* The indexes declared on view [name], with their names. *)
+let indexes_on db name =
+  Hashtbl.fold
+    (fun iname vi acc -> if key vi.vi_view = key name then (iname, vi) :: acc else acc)
+    db.view_indexes []
 
 (* Snapshot a materialized view: contents, quarantine flag, incremental
    maintenance state (its records copied: maintenance reassigns their
@@ -747,11 +730,14 @@ let log_view db (v : Catalog.view) =
       (Hashtbl.find_opt db.view_states (key v.Catalog.view_name))
   in
   let derived = Hashtbl.find_opt db.derived_views (key v.Catalog.view_name) in
+  let builts =
+    List.map (fun (_, vi) -> (vi, vi.vi_built)) (indexes_on db v.Catalog.view_name)
+  in
   log_undo db (fun () ->
       v.Catalog.contents <- contents;
       v.Catalog.stale <- stale;
-      set_states db v.Catalog.view_name state derived);
-  log_view_index_caches db v.Catalog.view_name
+      set_states db v.Catalog.view_name state derived;
+      List.iter (fun (vi, b) -> vi.vi_built <- b) builts)
 
 (* ---- The read path: one reader, two sources ----
 
@@ -852,22 +838,17 @@ let view_contents db ~heal name =
   | _ -> None
 
 let view_index db ~heal ~view ~column =
-  Hashtbl.fold
-    (fun _ vi acc ->
-      if acc <> None then acc
-      else if key vi.vi_view = key view && key vi.vi_column = key column then begin
-        match vi.vi_built with
-        | Some b -> Some b
-        | None ->
-          let b =
-            Option.bind (view_contents db ~heal view) (fun r ->
-                index_on vi.vi_kind r column)
-          in
-          vi.vi_built <- b;
-          b
-      end
-      else None)
-    db.view_indexes None
+  match
+    List.find_opt (fun (_, vi) -> key vi.vi_column = key column) (indexes_on db view)
+  with
+  | None -> None
+  | Some (_, { vi_built = Some b; _ }) -> Some b
+  | Some (_, vi) ->
+    let b =
+      Option.bind (view_contents db ~heal view) (fun r -> index_on vi.vi_kind r column)
+    in
+    vi.vi_built <- b;
+    b
 
 let live_source db ~heal =
   {
@@ -958,37 +939,9 @@ let rec version_source v =
   }
 
 let invalidate_view_indexes db name =
-  Hashtbl.iter
-    (fun _ vi -> if key vi.vi_view = key name then vi.vi_built <- None)
-    db.view_indexes
+  List.iter (fun (_, vi) -> vi.vi_built <- None) (indexes_on db name)
 
 (* ---- View maintenance ---- *)
-
-let rec tables_of_query (q : Ast.query) : string list =
-  tables_of_body q.Ast.body
-
-and tables_of_body = function
-  | Ast.Select s ->
-    List.concat_map tables_of_ref s.Ast.from
-  | Ast.Union { left; right; _ } -> tables_of_body left @ tables_of_body right
-
-and tables_of_ref = function
-  | Ast.Table { name; _ } -> [ name ]
-  | Ast.Subquery { query; _ } -> tables_of_query query
-  | Ast.Join { left; right; _ } -> tables_of_ref left @ tables_of_ref right
-
-(* The relations a query reads, resolved through the catalog: a plain
-   view stands for what its definition reads, so only base tables and
-   materialized views remain. *)
-let rec inputs db (q : Ast.query) : string list =
-  List.concat_map
-    (fun name ->
-      match Catalog.find_view db.catalog name with
-      | Some v when not v.Catalog.materialized -> inputs db v.Catalog.definition
-      | _ -> [ name ])
-    (tables_of_query q)
-
-let is_view db name = Catalog.find_view db.catalog name <> None
 
 (* Attempt to install a derived delta-plan maintenance state for a view
    the sequence machinery does not cover (generalized IVM).  The
@@ -998,22 +951,21 @@ let is_view db name = Catalog.find_view db.catalog name <> None
    is not installed: the rewritten refresh path and the native
    partition recompute could disagree bit-wise.  A plan that reads a
    materialized view is not installed either: no delta names a view,
-   so the plan would never run ([refresh_view_readers] keeps such a
-   view fresh).  Returns whether a state was installed. *)
+   so the plan would never run (the maintenance walk refreshes such a
+   view in full).  Returns whether a state was installed. *)
 let try_derive db src (v : Catalog.view) =
   match
     let logical = P.Binder.bind_query (binder_of src) v.Catalog.definition in
     match P.Deriv.derive logical with
     | Error _ -> None
     | Ok rules ->
-      if List.exists (is_view db) (P.Deriv.sources rules) then None
-      else if
-        not
-          (Rfview_analysis.Ivmcert.valid
-             (Rfview_analysis.Ivmcert.certify ~view:v.Catalog.view_name logical))
+      if
+        List.exists (fun s -> Catalog.find_view db.catalog s <> None) (P.Deriv.sources rules)
+        || (not
+              (Rfview_analysis.Ivmcert.valid
+                 (Rfview_analysis.Ivmcert.certify ~view:v.Catalog.view_name logical)))
+        || (P.Deriv.has_window rules && db.cfg.window_mode = `Self_join)
       then None
-      else if P.Deriv.has_window rules && db.cfg.window_mode = `Self_join then
-        None
       else Some (Matview.Derived.make rules)
   with
   | Some der ->
@@ -1021,6 +973,14 @@ let try_derive db src (v : Catalog.view) =
     true
   | None -> false
   | exception e when recoverable_exn e -> false
+
+(* A §2.3 sequence state over the current rows of a sequence view's
+   base table; [None] when the machinery cannot hold them. *)
+let seq_state db (v : Catalog.view) ~out_schema =
+  Option.bind v.Catalog.scan (fun { Catalog.sc_seq = spec; _ } ->
+      Option.bind (Catalog.find_table db.catalog spec.Matview.source) (fun tbl ->
+          try Some (Matview.init_state spec ~base:tbl.Catalog.rows ~out_schema)
+          with Matview.Not_maintainable _ -> None))
 
 (* Recompute a materialized view and (re)install its incremental
    state.  The recomputation reads through the live source, whose heal
@@ -1037,35 +997,21 @@ let rec refresh_view_full db (v : Catalog.view) =
   (* (re)try to establish an incremental state: the §2.3 sequence
      machinery first, the derived delta plans for everything else *)
   set_states db v.Catalog.view_name None None;
-  let seq_installed =
-    match Matview.recognize v.Catalog.definition with
-    | None -> false
-    | Some spec ->
-      (match Catalog.find_table db.catalog spec.Matview.source with
-       | None -> false
-       | Some tbl ->
-         (try
-            let state =
-              Matview.init_state spec
-                ~base:(Catalog.table_relation tbl)
-                ~out_schema:(Relation.schema contents)
-            in
-            let rendered = Matview.render state in
-            (* translation validation of the derivation rewrite: the
-               incremental core representation must reproduce the view
-               contents the full recomputation just produced *)
-            Verify.check_view_maintenance ~view:v.Catalog.view_name
-              ~context:"the incremental sequence state" ~incremental:rendered
-              ~recomputed:contents;
-            (* serve the state's rendering, so a refresh and incremental
-               maintenance leave the same physical row order behind —
-               wide deltas fall back to this path *)
-            v.Catalog.contents <- Some rendered;
-            Hashtbl.replace db.view_states (key v.Catalog.view_name) state;
-            true
-          with Matview.Not_maintainable _ -> false))
-  in
-  if not seq_installed then ignore (try_derive db src v)
+  match seq_state db v ~out_schema:(Relation.schema contents) with
+  | Some state ->
+    let rendered = Matview.render state in
+    (* translation validation of the derivation rewrite: the
+       incremental core representation must reproduce the view
+       contents the full recomputation just produced *)
+    Verify.check_view_maintenance ~view:v.Catalog.view_name
+      ~context:"the incremental sequence state" ~incremental:rendered
+      ~recomputed:contents;
+    (* serve the state's rendering, so a refresh and incremental
+       maintenance leave the same physical row order behind — wide
+       deltas fall back to this path *)
+    v.Catalog.contents <- Some rendered;
+    Hashtbl.replace db.view_states (key v.Catalog.view_name) state
+  | None -> ignore (try_derive db src v)
 
 (* The live source.  Maintenance reads through it directly; a public
    read flushes the open batch's delta first ([run_query] below). *)
@@ -1088,60 +1034,26 @@ let quarantine_view db (v : Catalog.view) =
    bit-identical ordered base structure, so one shared partition
    iterator can drive them all — the redundant re-scan that
    [Rfview_analysis.Share] flags as RF401.  Exactly like [try_derive],
-   the mechanism is certificate-gated: the runtime keys must match AND
-   the static sharing certificate over the view definitions must hold —
-   the engine never trusts one without the other.  Every other live
-   sequence view over the table, and every view when [share_scans] is
+   the mechanism is certificate-gated: the catalog groups the views by
+   scan key and numbers their static sharing certificates once, at DDL
+   time; a group's live members (fresh, not derived, with a state)
+   form one class when they all carry the same certificate class.
+   Every other live member, and every member when [share_scans] is
    off, is a class of one. *)
-let maintenance_classes db ~table =
-  let candidates =
+let live_classes db group =
+  let live =
     List.filter_map
-      (fun (v : Catalog.view) ->
-        if
-          v.Catalog.materialized
-          && (not v.Catalog.stale)
-          && not (Hashtbl.mem db.derived_views (key v.Catalog.view_name))
-        then
-          match Hashtbl.find_opt db.view_states (key v.Catalog.view_name) with
-          | Some st when key st.Matview.spec.Matview.source = key table ->
-            Some (v, st)
-          | _ -> None
-        else None)
-      (Catalog.all_views db.catalog)
-    (* the catalog is hashed: order by name so classes, their
-       representative and the maintenance order are deterministic *)
-    |> List.sort (fun ((a : Catalog.view), _) (b, _) ->
-           compare (key a.Catalog.view_name) (key b.Catalog.view_name))
+      (fun ((v : Catalog.view), cert) ->
+        let k = key v.Catalog.view_name in
+        if v.Catalog.stale || Hashtbl.mem db.derived_views k then None
+        else Option.map (fun st -> (cert, (v, st))) (Hashtbl.find_opt db.view_states k))
+      group
   in
-  (* group by the runtime scan key, preserving name order *)
-  let classes = ref [] in
-  List.iter
-    (fun ((_, st) as member) ->
-      let k = (st.Matview.pcols, st.Matview.ocol) in
-      match List.assoc_opt k !classes with
-      | Some members when db.cfg.share_scans -> members := member :: !members
-      | _ -> classes := !classes @ [ (k, ref [ member ]) ])
-    candidates;
-  List.concat_map
-    (fun (_, members) ->
-      let members = List.rev !members in
-      (* the static certificate over the view definitions *)
-      let specs =
-        List.map
-          (fun ((v : Catalog.view), _) ->
-            Rfview_analysis.Share.scan_spec ~view:v.Catalog.view_name
-              v.Catalog.definition)
-          members
-      in
-      let certified =
-        List.for_all Option.is_some specs
-        &&
-        match List.filter_map Fun.id specs with
-        | [] -> false
-        | rep :: rest -> List.for_all (Rfview_analysis.Share.compatible rep) rest
-      in
-      if certified then [ members ] else List.map (fun m -> [ m ]) members)
-    !classes
+  match live with
+  | (Some c, _) :: rest
+    when db.cfg.share_scans && List.for_all (fun (c', _) -> c' = Some c) rest ->
+    [ List.map snd live ]
+  | _ -> List.map (fun (_, m) -> [ m ]) live
 
 (* Maintain one view: under [`Quarantine] a recoverable failure
    quarantines the view instead of failing the change set. *)
@@ -1154,91 +1066,6 @@ let maintain_view db (v : Catalog.view) step =
   | () -> ()
   | exception e when db.cfg.degradation = `Quarantine && recoverable_exn e ->
     quarantine_view db v
-
-(* Propagate one table's consolidated delta to every materialized view
-   that references the table.  Sequence views maintain incrementally,
-   one share class at a time: the class's structural merge is computed
-   once and replayed into each member.  Other views, and every view
-   under a delta at least as wide as the (post-change) base table,
-   refresh in full.  Views under derived delta-plan maintenance are
-   skipped here — they are maintained once per change set with the
-   full consolidated delta ([maintain_derived] below), because
-   per-table propagation would double-count the dA |x| dB cross term of
-   multi-table join deltas.  Already-quarantined views are skipped —
-   they will catch up wholesale on their next read. *)
-let propagate db ~table (td : Delta.table_delta) =
-  let wide =
-    Delta.weight td >= Relation.cardinality (Catalog.table db.catalog table).Catalog.rows
-  in
-  let classes = maintenance_classes db ~table in
-  List.iter
-    (fun members ->
-      let plan =
-        if wide then None
-        else
-          try
-            Some
-              (Matview.shared_plan (List.map snd members)
-                 ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
-                 ~updates:td.Delta.updated)
-          with Matview.Not_maintainable _ -> None
-      in
-      List.iter
-        (fun ((v : Catalog.view), state) ->
-          maintain_view db v (fun () ->
-              match plan with
-              | None -> refresh_view_full db v
-              | Some plan ->
-                (try
-                   let solo =
-                     if Verify.enabled () && List.length members > 1 then
-                       Some (Matview.copy_state state)
-                     else None
-                   in
-                   Matview.apply_shared plan state;
-                   let rendered = Matview.render state in
-                   (match solo with
-                    | Some s ->
-                      (* differential validation: the shared scan must
-                         land bit-identically where the member's own
-                         scan lands *)
-                      Matview.apply_batch s ~inserts:td.Delta.inserted
-                        ~deletes:td.Delta.deleted ~updates:td.Delta.updated;
-                      P.Hooks.validate_shared_scan ~view:v.Catalog.view_name
-                        ~shared:rendered ~per_view:(Matview.render s)
-                    | None -> ());
-                   (* translation validation: incremental maintenance
-                      must agree with recomputing the view definition *)
-                   if Verify.enabled () then
-                     Verify.check_view_maintenance ~view:v.Catalog.view_name
-                       ~context:"incremental sequence maintenance"
-                       ~incremental:rendered
-                       ~recomputed:(run_source (live db) v.Catalog.definition);
-                   v.Catalog.contents <- Some rendered;
-                   invalidate_view_indexes db v.Catalog.view_name
-                 with Matview.Not_maintainable _ -> refresh_view_full db v)))
-        members)
-    classes;
-  let in_class (v : Catalog.view) =
-    List.exists
-      (List.exists (fun ((u : Catalog.view), _) -> u == v))
-      classes
-  in
-  List.iter
-    (fun (v : Catalog.view) ->
-      if
-        v.Catalog.materialized
-        && (not v.Catalog.stale)
-        && (not (in_class v))
-        && not (Hashtbl.mem db.derived_views (key v.Catalog.view_name))
-      then
-        let read = inputs db v.Catalog.definition in
-        (* a view that reads a view waits for [refresh_view_readers] *)
-        if
-          List.exists (fun t -> key t = key table) read
-          && not (List.exists (is_view db) read)
-        then maintain_view db v (fun () -> refresh_view_full db v))
-    (Catalog.all_views db.catalog)
 
 (* ---- Derived delta-plan maintenance ----
 
@@ -1270,115 +1097,135 @@ let deriv_env db (d : Delta.t) : P.Deriv.env =
     window_strategy = db.cfg.window_strategy;
   }
 
-let maintain_derived db (d : Delta.t) =
-  if not (Delta.is_empty d) then
-    List.iter
-      (fun (v : Catalog.view) ->
-        if v.Catalog.materialized && not v.Catalog.stale then
-          match Hashtbl.find_opt db.derived_views (key v.Catalog.view_name) with
-          | None -> ()
-          | Some der ->
-            let sources = Matview.Derived.sources der in
-            let touched =
-              List.exists (fun t -> Delta.find d t <> None) sources
-            in
-            if touched then
-              maintain_view db v (fun () ->
-                  (* a delta at least as wide as the sources gains nothing
-                     over recomputation: route it to the refresh path *)
-                  let weight =
-                    List.fold_left
-                      (fun acc t ->
-                        match Delta.find d t with
-                        | Some td -> acc + Delta.weight td
-                        | None -> acc)
-                      0 sources
-                  in
-                  let size =
-                    List.fold_left
-                      (fun acc t ->
-                        match Catalog.find_table db.catalog t with
-                        | Some tbl -> acc + Relation.cardinality tbl.Catalog.rows
-                        | None -> acc)
-                      0 sources
-                  in
-                  match v.Catalog.contents with
-                  | Some contents when weight < size ->
-                    (match
-                       Matview.Derived.apply_batch der ~env:(deriv_env db d)
-                         ~contents
-                     with
-                     | contents' ->
-                       (* translation validation: the derived delta plan
-                          must agree with recomputing the definition *)
-                       if Verify.enabled () then
-                         Verify.check_view_maintenance ~view:v.Catalog.view_name
-                           ~context:"derived delta maintenance"
-                           ~incremental:contents'
-                           ~recomputed:(run_source (live db) v.Catalog.definition);
-                       v.Catalog.contents <- Some (Relation.store contents');
-                       invalidate_view_indexes db v.Catalog.view_name
-                     | exception P.Deriv.Divergence _ -> refresh_view_full db v)
-                  | _ -> refresh_view_full db v))
-      (Catalog.all_views db.catalog)
-
-(* ---- Views over views ----
-
-   No delta names a view, so a materialized view that reads another
-   view has neither an incremental state ([try_derive] declines it) nor
-   a table-driven refresh ([propagate] skips it).  Once the change set
-   has maintained everything else, each such reader is refreshed in
-   full, inputs before readers, when anything it reads changed: a table
-   of the change set, or a view that reads one. *)
-let refresh_view_readers db (d : Delta.t) =
-  let matviews =
-    List.filter (fun (v : Catalog.view) -> v.Catalog.materialized)
-      (Catalog.all_views db.catalog)
+(* A derived view against the whole change set: a delta at least as
+   wide as its sources gains nothing over recomputation, so it takes the
+   refresh path. *)
+let apply_derived db (d : Delta.t) (v : Catalog.view) der =
+  let sum f = List.fold_left (fun acc t -> acc + Option.fold ~none:0 ~some:f t) 0 in
+  let sources = Matview.Derived.sources der in
+  let weight = sum Delta.weight (List.map (Delta.find d) sources) in
+  let size =
+    sum
+      (fun (tbl : Catalog.table) -> Relation.cardinality tbl.Catalog.rows)
+      (List.map (Catalog.find_table db.catalog) sources)
   in
-  let reads_view (v : Catalog.view) =
-    List.exists (is_view db) (inputs db v.Catalog.definition)
-  in
-  if List.exists reads_view matviews then begin
-    (* depth first over what each view reads, in name order, so the
-       order is deterministic *)
-    let order = ref [] and seen = Hashtbl.create 8 in
-    let rec visit (v : Catalog.view) =
-      if not (Hashtbl.mem seen (key v.Catalog.view_name)) then begin
-        Hashtbl.replace seen (key v.Catalog.view_name) ();
-        List.iter
-          (fun name -> Option.iter visit (Catalog.find_view db.catalog name))
-          (inputs db v.Catalog.definition);
-        order := v :: !order
-      end
-    in
-    let by_name (a : Catalog.view) (b : Catalog.view) =
-      compare (key a.Catalog.view_name) (key b.Catalog.view_name)
-    in
-    List.iter visit (List.sort by_name matviews);
-    let changed = ref (List.map key (Delta.tables d)) in
-    List.iter
-      (fun (v : Catalog.view) ->
-        let read = inputs db v.Catalog.definition in
-        if List.exists (fun t -> List.mem (key t) !changed) read then begin
-          changed := key v.Catalog.view_name :: !changed;
-          if (not v.Catalog.stale) && List.exists (is_view db) read then
-            maintain_view db v (fun () -> refresh_view_full db v)
-        end)
-      (List.rev !order)
-  end
+  match v.Catalog.contents with
+  | Some contents when weight < size ->
+    (match Matview.Derived.apply_batch der ~env:(deriv_env db d) ~contents with
+     | contents' ->
+       (* translation validation: the derived delta plan must agree with
+          recomputing the definition *)
+       if Verify.enabled () then
+         Verify.check_view_maintenance ~view:v.Catalog.view_name
+           ~context:"derived delta maintenance" ~incremental:contents'
+           ~recomputed:(run_source (live db) v.Catalog.definition);
+       v.Catalog.contents <- Some (Relation.store contents');
+       invalidate_view_indexes db v.Catalog.view_name
+     | exception P.Deriv.Divergence _ -> refresh_view_full db v)
+  | _ -> refresh_view_full db v
 
-(* Maintain every dependent view under one consolidated delta: each
-   table's sequence and refresh propagation, then the derived views
-   against the whole delta, then the views that read views. *)
-let propagate_delta db (d : Delta.t) =
-  List.iter
-    (fun table ->
+(* A sequence view's share class and the class's merge plan with its
+   table's delta, built once per class per change set and memoized
+   under every member: a member quarantined mid-walk leaves the plan of
+   the others alone.  [None]: a delta at least as wide as the
+   (post-change) base table, or a plan stage that cannot merge — each
+   member refreshes in full. *)
+let class_plan db plans (d : Delta.t) (v : Catalog.view) state =
+  match Hashtbl.find_opt plans (key v.Catalog.view_name) with
+  | Some cp -> cp
+  | None ->
+    let table = state.Matview.spec.Matview.source in
+    (* [v] is live, and a state implies a share candidate *)
+    let members =
+      Catalog.share_groups db.catalog ~table
+      |> List.concat_map (live_classes db)
+      |> List.find (List.exists (fun ((u : Catalog.view), _) -> u == v))
+    in
+    let plan =
       match Delta.find d table with
-      | Some td -> propagate db ~table td
-      | None -> ())
+      | Some td
+        when Delta.weight td
+             < Relation.cardinality (Catalog.table db.catalog table).Catalog.rows -> (
+        try
+          Some
+            ( Matview.shared_plan (List.map snd members) ~inserts:td.Delta.inserted
+                ~deletes:td.Delta.deleted ~updates:td.Delta.updated,
+              td )
+        with Matview.Not_maintainable _ -> None)
+      | _ -> None
+    in
+    List.iter
+      (fun ((u : Catalog.view), _) ->
+        Hashtbl.replace plans (key u.Catalog.view_name) (members, plan))
+      members;
+    (members, plan)
+
+(* Replay a class plan into one member; no plan, a full refresh. *)
+let apply_plan db (v : Catalog.view) state (members, plan) =
+  match plan with
+  | None -> refresh_view_full db v
+  | Some (plan, (td : Delta.table_delta)) -> (
+    try
+      let solo =
+        if Verify.enabled () && List.length members > 1 then
+          Some (Matview.copy_state state)
+        else None
+      in
+      Matview.apply_shared plan state;
+      let rendered = Matview.render state in
+      (match solo with
+       | Some s ->
+         (* differential validation: the shared scan must land
+            bit-identically where the member's own scan lands *)
+         Matview.apply_batch s ~inserts:td.Delta.inserted ~deletes:td.Delta.deleted
+           ~updates:td.Delta.updated;
+         P.Hooks.validate_shared_scan ~view:v.Catalog.view_name ~shared:rendered
+           ~per_view:(Matview.render s)
+       | None -> ());
+      (* translation validation: incremental maintenance must agree with
+         recomputing the view definition *)
+      if Verify.enabled () then
+        Verify.check_view_maintenance ~view:v.Catalog.view_name
+          ~context:"incremental sequence maintenance" ~incremental:rendered
+          ~recomputed:(run_source (live db) v.Catalog.definition);
+      v.Catalog.contents <- Some rendered;
+      invalidate_view_indexes db v.Catalog.view_name
+    with Matview.Not_maintainable _ -> refresh_view_full db v)
+
+(* ---- The maintenance walk ----
+
+   One change set maintains its views in one walk over the catalog's
+   maintenance order (inputs before readers).  A view is due when one
+   of its resolved inputs changed: a table the delta names, or a view
+   due earlier in the walk.  A due view maintains by its share class's
+   plan (a sequence view), by its derived delta plan against the whole
+   consolidated delta (per-table propagation would double-count the
+   dA |x| dB cross term of a join), or else by a full refresh — the
+   path of every view that reads a view, since no delta names one.  A
+   quarantined view is skipped but still counts as changed: its
+   readers refresh, and reading it heals it first. *)
+let propagate_delta db (d : Delta.t) =
+  let changed = Hashtbl.create 8 in
+  List.iter
+    (fun t -> if Delta.find d t <> None then Hashtbl.replace changed t ())
     (Delta.tables d);
-  maintain_derived db d;
-  refresh_view_readers db d
+  let plans = Hashtbl.create 4 in
+  List.iter
+    (fun ((v : Catalog.view), upstream) ->
+      let k = key v.Catalog.view_name in
+      if List.exists (Hashtbl.mem changed) upstream then begin
+        Hashtbl.replace changed k ();
+        if not v.Catalog.stale then
+          match
+            Hashtbl.find_opt db.derived_views k, Hashtbl.find_opt db.view_states k
+          with
+          | Some der, _ -> maintain_view db v (fun () -> apply_derived db d v der)
+          | None, Some state ->
+            let cp = class_plan db plans d v state in
+            maintain_view db v (fun () -> apply_plan db v state cp)
+          | None, None -> maintain_view db v (fun () -> refresh_view_full db v)
+      end)
+    (Catalog.maintenance_order db.catalog)
 
 (* ---- Batch scopes ----
 
@@ -1651,20 +1498,21 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
     (match Catalog.find_table db.catalog table with
      | Some tbl ->
        log_table db tbl;
-       Catalog.create_index db.catalog ~name ~table ~column ~kind;
-       Done (Printf.sprintf "CREATE INDEX %s" name)
-     | None ->
-       if Catalog.find_view db.catalog table <> None then begin
-         if Hashtbl.mem db.view_indexes (key name) then
-           engine_error "index %s already exists" name;
-         Hashtbl.replace db.view_indexes (key name)
-           { vi_view = table; vi_column = column; vi_kind = kind; vi_built = None };
-         mark_dirty db;
-         log_undo db (fun () -> Hashtbl.remove db.view_indexes (key name));
-         Done (Printf.sprintf "CREATE INDEX %s" name)
-       end
-       else engine_error "unknown relation %s" table)
+       Catalog.create_index db.catalog ~name ~table ~column ~kind
+     | None when Catalog.find_view db.catalog table <> None ->
+       if Hashtbl.mem db.view_indexes (key name) then
+         engine_error "index %s already exists" name;
+       Hashtbl.replace db.view_indexes (key name)
+         { vi_view = table; vi_column = column; vi_kind = kind; vi_built = None };
+       mark_dirty db;
+       log_undo db (fun () -> Hashtbl.remove db.view_indexes (key name))
+     | None -> engine_error "unknown relation %s" table);
+    Done (Printf.sprintf "CREATE INDEX %s" name)
   | Ast.St_create_view { name; materialized; query } ->
+    (* a plain view binds here, a materialized one in its refresh below:
+       no view can name a relation that does not exist *)
+    if not materialized then
+      ignore (P.Binder.bind_query (binder_of (live db)) query);
     let v = Catalog.create_view db.catalog ~name ~materialized ~definition:query in
     mark_dirty db;
     log_undo db (fun () ->
@@ -1676,23 +1524,26 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_update { table; assignments; where } -> exec_update db ~table ~assignments ~where
   | Ast.St_delete { table; where } -> exec_delete db ~table ~where
   | Ast.St_drop_table { name; if_exists } ->
-    (match Catalog.find_table db.catalog name with
-     | Some tbl -> log_undo db (fun () -> Catalog.restore_table db.catalog tbl)
-     | None -> ());
+    let dropped = Catalog.find_table db.catalog name in
     Catalog.drop_table db.catalog ~name ~if_exists;
+    Option.iter (fun t -> log_undo db (fun () -> Catalog.restore_table db.catalog t)) dropped;
     mark_dirty db;
     Done (Printf.sprintf "DROP TABLE %s" name)
   | Ast.St_drop_view { name; if_exists } ->
-    (match Catalog.find_view db.catalog name with
-     | Some v ->
-       let state = Hashtbl.find_opt db.view_states (key name) in
-       let derived = Hashtbl.find_opt db.derived_views (key name) in
-       log_undo db (fun () ->
-           Catalog.restore_view db.catalog v;
-           set_states db name state derived)
-     | None -> ());
+    let dropped = Catalog.find_view db.catalog name in
     Catalog.drop_view db.catalog ~name ~if_exists;
-    set_states db name None None;
+    Option.iter
+      (fun v ->
+        let state = Hashtbl.find_opt db.view_states (key name) in
+        let derived = Hashtbl.find_opt db.derived_views (key name) in
+        let indexes = indexes_on db name in
+        set_states db name None None;
+        List.iter (fun (iname, _) -> Hashtbl.remove db.view_indexes iname) indexes;
+        log_undo db (fun () ->
+            Catalog.restore_view db.catalog v;
+            set_states db name state derived;
+            List.iter (fun (i, vi) -> Hashtbl.replace db.view_indexes i vi) indexes))
+      dropped;
     mark_dirty db;
     Done (Printf.sprintf "DROP VIEW %s" name)
   | Ast.St_refresh_view name ->
@@ -1782,12 +1633,6 @@ let explain db (sql : string) : string =
   | Done s -> s
   | Relation _ -> assert false
 
-(* Does a view currently have an incremental maintenance state?  Either
-   flavor counts: the §2.3 sequence machinery or a derived delta plan. *)
-let is_incrementally_maintained db name =
-  Hashtbl.mem db.view_states (key name)
-  || Hashtbl.mem db.derived_views (key name)
-
 (* Is the view maintained by a derived delta plan (generalized IVM)? *)
 let is_derived_maintained db name = Hashtbl.mem db.derived_views (key name)
 
@@ -1802,17 +1647,11 @@ let is_stale db name =
   | Some v -> v.Catalog.stale
   | None -> false
 
-(* Deterministic order: the catalog hashtable iterates in an arbitrary
-   order, and names are case-insensitive, so sort by folded name (exact
-   name breaking ties). *)
+(* In the catalog's (case-insensitive) name order. *)
 let stale_views db =
-  Catalog.all_views db.catalog
-  |> List.filter_map (fun (v : Catalog.view) ->
-         if v.Catalog.stale then Some v.Catalog.view_name else None)
-  |> List.sort (fun a b ->
-         match String.compare (key a) (key b) with
-         | 0 -> String.compare a b
-         | c -> c)
+  List.filter_map
+    (fun (v : Catalog.view) -> if v.Catalog.stale then Some v.Catalog.view_name else None)
+    (Catalog.all_views db.catalog)
 
 let catalog db = db.catalog
 
@@ -1827,11 +1666,11 @@ let view_state db name =
    introspection surface for the CLI and the test matrix. *)
 let share_classes db ~table =
   flush_delta db;
-  List.map
-    (fun members ->
-      List.map (fun ((v : Catalog.view), _) -> v.Catalog.view_name) members)
-    (List.filter (fun members -> List.length members > 1)
-       (maintenance_classes db ~table))
+  Catalog.share_groups db.catalog ~table
+  |> List.concat_map (live_classes db)
+  |> List.filter (fun members -> List.length members > 1)
+  |> List.map (List.map (fun ((v : Catalog.view), _) -> v.Catalog.view_name))
+  |> List.sort (fun a b -> compare (key (List.hd a)) (key (List.hd b)))
 
 (* ---- Durability: checkpoint, recovery, the database directory ----
 
@@ -1941,26 +1780,16 @@ let rec replay_record db (record : Wal.record) =
    (the CRC-validated contents stay authoritative either way).
    Returns false when no state could be established. *)
 let rebuild_state db (view : Catalog.view) =
-  match Matview.recognize view.Catalog.definition, view.Catalog.contents with
-  | Some spec, Some contents ->
-    (match Catalog.find_table db.catalog spec.Matview.source with
-     | None -> false
-     | Some tbl ->
-       (try
-          let state =
-            Matview.init_state spec
-              ~base:(Catalog.table_relation tbl)
-              ~out_schema:(Relation.schema contents)
-          in
-          if Relation.equal_bag contents (Matview.render state) then begin
-            (* the restored contents stay what queries see: do not keep
-               the cross-check rendering resident beside them *)
-            Matview.drop_render_cache state;
-            Hashtbl.replace db.view_states (key view.Catalog.view_name) state;
-            true
-          end
-          else false
-        with Matview.Not_maintainable _ -> false))
+  match view.Catalog.scan, view.Catalog.contents with
+  | Some _, Some contents ->
+    (match seq_state db view ~out_schema:(Relation.schema contents) with
+     | Some state when Relation.equal_bag contents (Matview.render state) ->
+       (* the restored contents stay what queries see: do not keep the
+          cross-check rendering resident beside them *)
+       Matview.drop_render_cache state;
+       Hashtbl.replace db.view_states (key view.Catalog.view_name) state;
+       true
+     | _ -> false)
   | None, Some _ -> try_derive db (live db) view
   | _ -> false
 

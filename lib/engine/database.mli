@@ -94,6 +94,12 @@ val config : t -> config
     pre-statement snapshot before the exception re-raises. *)
 
 (** Execute one statement.
+
+    DDL keeps the view-dependency graph ({!Catalog}) total: [DROP TABLE]
+    and [DROP VIEW] are RESTRICT (they raise [Catalog.Catalog_error]
+    while any view reads the object; [DROP VIEW] drops its indexes too),
+    and [CREATE VIEW] binds its definition.
+
     @raise Engine_error / Binder.Bind_error / Parser.Parse_error /
            Catalog.Catalog_error on failure. *)
 val exec : t -> string -> result
@@ -291,8 +297,10 @@ val view_state : t -> string -> Matview.state option
 
 (** The certified scan-share classes (view names, ≥ 2 members each) a
     batch delta against [table] would drive through one shared partition
-    iterator.  Non-empty only when [share_scans] is on, the views have
-    live sequence states agreeing on the runtime scan key, {e and} the
+    iterator.  A lookup of the catalog's scan-key groups
+    ({!Catalog.share_groups}, built at DDL time) filtered by live state:
+    non-empty only when [share_scans] is on, the views have live
+    sequence states (materialized, fresh, not derived), {e and} the
     static {!Rfview_analysis.Share} certificate over their definitions
     holds — the same both-or-neither gate the engine applies, so tests
     can pair this verdict with the analysis verdict.  Flushes any open

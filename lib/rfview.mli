@@ -310,8 +310,10 @@ module Session : sig
       {!Rfview_engine.Database.is_derived_maintained}. *)
   val is_derived_maintained : t -> string -> bool
 
-  (** Certified scan-share classes over [table]'s sequence views; see
-      {!Rfview_engine.Database.share_classes}. *)
+  (** Certified scan-share classes over [table]'s sequence views: the
+      catalog's scan-key groups, built by view DDL (RESTRICT [DROP],
+      binding [CREATE VIEW]: {!Rfview_engine.Database.exec}), filtered by
+      live state; see {!Rfview_engine.Database.share_classes}. *)
   val share_classes : t -> table:string -> string list list
 
   (** Per matching materialized view, the derivability certificate of

@@ -425,6 +425,73 @@ let test_crash_chaos_matrix () =
         (fun site -> positive ("site " ^ site) (Fault.fired site))
         [ "wal.append"; "wal.fsync"; "checkpoint.write"; "recover.replay" ])
 
+(* ---- View dependencies across recovery ---- *)
+
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Catalog.Catalog_error _ -> ()
+
+(* DROP VIEW takes the view's indexes with it (and a rolled-back DROP
+   brings them back), so a checkpoint never replays an index on a
+   relation that no longer exists. *)
+let test_dropped_view_index () =
+  let dir = fresh_dir "dropidx" in
+  let db = build dir in
+  ignore (Db.exec db "CREATE INDEX vi ON v (pos)");
+  (match
+     Db.with_batch db (fun () ->
+         ignore (Db.exec db "DROP VIEW v");
+         failwith "abort the batch")
+   with
+   | () -> Alcotest.fail "batch survived"
+   | exception Failure _ -> ());
+  (match Db.exec db "CREATE INDEX vi ON v (pos)" with
+   | _ -> Alcotest.fail "the rolled-back DROP lost the view's index"
+   | exception Db.Engine_error _ -> ());
+  ignore (Db.exec db "DROP VIEW v");
+  let fp = Db.fingerprint db in
+  Db.checkpoint db;
+  Db.close db;
+  let db', _ = Db.recover dir in
+  Alcotest.(check string) "recovered state" fp (Db.fingerprint db');
+  (* the index name is free again *)
+  ignore (Db.exec db' "CREATE MATERIALIZED VIEW v AS SELECT pos FROM seq");
+  ignore (Db.exec db' "CREATE INDEX vi ON v (pos)");
+  Db.close db'
+
+(* Checkpoint restore creates views in name order, so [a_w] exists
+   before the view it reads.  After recovery, from the WAL alone and
+   from a checkpoint, the reader still blocks a DROP of its input and
+   DML still maintains it. *)
+let test_reader_sorts_first () =
+  List.iter
+    (fun checkpoint ->
+      let what = if checkpoint then "checkpoint" else "WAL" in
+      let dir = fresh_dir ("reader_" ^ what) in
+      let db = build dir in
+      List.iter
+        (fun sql -> ignore (Db.exec db sql))
+        [
+          "CREATE MATERIALIZED VIEW z_v AS SELECT pos, val, SUM(val) OVER (ORDER \
+           BY pos ROWS UNBOUNDED PRECEDING) AS s FROM seq";
+          "CREATE MATERIALIZED VIEW a_w AS SELECT pos, s FROM z_v WHERE pos > 1";
+        ];
+      if checkpoint then Db.checkpoint db;
+      let fp = Db.fingerprint db in
+      Db.close db;
+      let db = Db.open_durable dir in
+      Alcotest.(check string) (what ^ ": recovered state") fp (Db.fingerprint db);
+      refused (what ^ ": DROP VIEW z_v under a_w") (fun () -> Db.exec db "DROP VIEW z_v");
+      ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
+      Alcotest.(check bool) (what ^ ": a_w fresh") false (Db.is_stale db "a_w");
+      let a_w = Db.query db "SELECT * FROM a_w" in
+      Alcotest.(check int) (what ^ ": a_w rows") 3 (Relation.cardinality a_w);
+      check_same_bag (what ^ ": a_w equals its definition") a_w
+        (Db.query db "SELECT pos, s FROM z_v WHERE pos > 1");
+      Db.close db)
+    [ false; true ]
+
 let () =
   Alcotest.run "crash"
     [
@@ -462,6 +529,12 @@ let () =
             test_batch_group_commit_replay;
           Alcotest.test_case "commit fault leaves no prefix" `Quick
             test_batch_commit_fault_no_prefix;
+        ] );
+      ( "view dependencies",
+        [
+          Alcotest.test_case "dropped view's index" `Quick test_dropped_view_index;
+          Alcotest.test_case "reader sorts before its input" `Quick
+            test_reader_sorts_first;
         ] );
       ( "chaos",
         [

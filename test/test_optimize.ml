@@ -214,18 +214,91 @@ let test_runtime_type_errors () =
      | exception P.Binder.Bind_error _ -> true
      | _ -> false)
 
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Rfview_engine.Catalog.Catalog_error _ -> ()
+
 let test_view_dependency_behaviour () =
-  (* dropping a base table leaves a materialized view answering from its
-     last contents; refresh then fails *)
+  (* DROP is RESTRICT: a base table cannot go while a materialized view
+     reads it, and the view keeps serving and refreshing *)
   let db = db3 () in
   ignore (Db.exec db "CREATE MATERIALIZED VIEW mv AS SELECT x FROM a");
-  ignore (Db.exec db "DROP TABLE a");
-  Alcotest.(check int) "stale contents still served" 3
+  refused "DROP TABLE a under mv" (fun () -> Db.exec db "DROP TABLE a");
+  Alcotest.(check int) "mv still served" 3
     (Relation.cardinality (Db.query db "SELECT * FROM mv"));
-  Alcotest.(check bool) "refresh now fails" true
-    (match Db.exec db "REFRESH MATERIALIZED VIEW mv" with
-     | exception Rfview_planner.Binder.Bind_error _ -> true
-     | _ -> false)
+  ignore (Db.exec db "INSERT INTO a VALUES (4, 40)");
+  ignore (Db.exec db "REFRESH MATERIALIZED VIEW mv");
+  Alcotest.(check int) "mv maintained and refreshed" 4
+    (Relation.cardinality (Db.query db "SELECT * FROM mv"));
+  (* once the reader is gone, so can the table be *)
+  ignore (Db.exec db "DROP VIEW mv");
+  ignore (Db.exec db "DROP TABLE a")
+
+(* A view over a view: w reads v reads seq.  Neither input may be
+   dropped under its reader, as a statement or inside a batch, and a
+   refusal inside a batch rolls the whole batch back. *)
+let vv_db () =
+  let db = Db.create () in
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [
+      "CREATE TABLE seq (pos INT, val FLOAT)";
+      "INSERT INTO seq VALUES (1, 1.0), (2, 2.0), (3, 3.0)";
+      "CREATE MATERIALIZED VIEW v AS SELECT pos, val, SUM(val) OVER (ORDER BY pos \
+       ROWS UNBOUNDED PRECEDING) AS s FROM seq";
+      "CREATE MATERIALIZED VIEW w AS SELECT pos, s FROM v";
+    ];
+  db
+
+let count db sql = Relation.cardinality (Db.query db sql)
+
+let test_drop_restrict () =
+  let db = vv_db () in
+  refused "DROP VIEW v under w" (fun () -> Db.exec db "DROP VIEW v");
+  refused "DROP TABLE seq under v" (fun () -> Db.exec db "DROP TABLE seq");
+  (* w is still maintained through v *)
+  ignore (Db.exec db "INSERT INTO seq VALUES (4, 10.0)");
+  Alcotest.(check int) "w follows the insert" 4 (count db "SELECT * FROM w");
+  Alcotest.(check bool) "w not stale" false (Db.is_stale db "w");
+  ignore (Db.exec db "REFRESH MATERIALIZED VIEW w");
+  (* a refusal inside a batch rolls the whole batch back *)
+  (match
+     Db.with_batch db (fun () ->
+         ignore (Db.exec db "INSERT INTO seq VALUES (5, 20.0)");
+         ignore (Db.exec db "DROP VIEW v"))
+   with
+   | () -> Alcotest.fail "batch survived a refused DROP"
+   | exception Rfview_engine.Catalog.Catalog_error _ -> ());
+  Alcotest.(check int) "batch insert rolled back" 4 (count db "SELECT * FROM seq");
+  Alcotest.(check int) "w rolled back" 4 (count db "SELECT * FROM w");
+  (* readers go first, then their inputs *)
+  ignore (Db.exec db "DROP VIEW w");
+  ignore (Db.exec db "DROP VIEW v");
+  ignore (Db.exec db "DROP TABLE seq")
+
+(* A plain view binds at creation: an unknown relation is refused and
+   leaves the catalog as it was. *)
+let test_plain_view_binds () =
+  let db = db3 () in
+  let names () =
+    List.sort compare
+      (List.map
+         (fun (v : Rfview_engine.Catalog.view) -> v.Rfview_engine.Catalog.view_name)
+         (Rfview_engine.Catalog.all_views (Db.catalog db)))
+  in
+  let before = names () in
+  (match Db.exec db "CREATE VIEW pv AS SELECT pos FROM nosuch" with
+   | _ -> Alcotest.fail "a plain view over a missing table was accepted"
+   | exception P.Binder.Bind_error _ -> ());
+  Alcotest.(check (list string)) "catalog unchanged" before (names ());
+  Alcotest.(check (list string)) "no reader recorded" []
+    (List.map
+       (fun (v : Rfview_engine.Catalog.view) -> v.Rfview_engine.Catalog.view_name)
+       (Rfview_engine.Catalog.readers (Db.catalog db) "nosuch"));
+  (* a plain view over a table reads it: DROP is refused through it *)
+  ignore (Db.exec db "CREATE VIEW pa AS SELECT x FROM a");
+  refused "DROP TABLE a under pa" (fun () -> Db.exec db "DROP TABLE a")
 
 let () =
   Alcotest.run "optimize"
@@ -244,5 +317,7 @@ let () =
           Alcotest.test_case "engine errors" `Quick test_engine_errors;
           Alcotest.test_case "runtime type errors" `Quick test_runtime_type_errors;
           Alcotest.test_case "view dependencies" `Quick test_view_dependency_behaviour;
+          Alcotest.test_case "DROP is RESTRICT" `Quick test_drop_restrict;
+          Alcotest.test_case "plain view binds" `Quick test_plain_view_binds;
         ] );
     ]

@@ -341,6 +341,35 @@ let test_ship_and_poll () =
   Ship.close ship;
   Db.close db
 
+(* A DROP refused under a reader (RESTRICT) reaches no WAL record:
+   the replica stays equal to the primary across it. *)
+let test_refused_drop_ships_nothing () =
+  let dir = fresh_dir "restrict" in
+  let db = Db.open_durable dir in
+  setup db;
+  ignore (Db.exec db "CREATE MATERIALIZED VIEW w AS SELECT pos, s FROM v_cum");
+  let ship = Ship.create db in
+  Ship.attach ship ~name:"r0" ~path:(Filename.concat dir "feed0");
+  let rep = Replica.attach ~name:"r0" ~feed:(Filename.concat dir "feed0") () in
+  ignore (Ship.pump ship);
+  ignore (Replica.poll rep);
+  check_same_state "before the refused DROP" db (Replica.database rep);
+  let lsn = Db.lsn db in
+  List.iter
+    (fun sql ->
+      match Db.exec db sql with
+      | _ -> Alcotest.failf "%s: accepted under a reader" sql
+      | exception Rfview_engine.Catalog.Catalog_error _ -> ())
+    [ "DROP VIEW v_cum"; "DROP TABLE seq" ];
+  Alcotest.(check int) "nothing logged" lsn (Db.lsn db);
+  ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
+  ignore (Ship.pump ship);
+  ignore (Replica.poll rep);
+  check_same_state "after the refused DROP" db (Replica.database rep);
+  Alcotest.(check int) "replica at the tip" (Db.lsn db) (Replica.applied_lsn rep);
+  Ship.close ship;
+  Db.close db
+
 let test_bootstrap_from_artifact () =
   let dir = fresh_dir "ship_bootstrap" in
   let db = Db.open_durable dir in
@@ -624,6 +653,8 @@ let () =
       ( "replica",
         [
           Alcotest.test_case "ship and poll" `Quick test_ship_and_poll;
+          Alcotest.test_case "refused DROP ships nothing" `Quick
+            test_refused_drop_ships_nothing;
           Alcotest.test_case "bootstrap from artifact" `Quick
             test_bootstrap_from_artifact;
           Alcotest.test_case "stale-bounded reads" `Quick test_stale_bounded_reads;

@@ -245,6 +245,28 @@ let test_stale_member_leaves_class () =
     "singleton is not a class" []
     (Db.share_classes db ~table:"seq")
 
+(* A member quarantined by a fault in its shared apply leaves the class,
+   and the read that heals it brings it back. *)
+let test_quarantined_member_heals_back () =
+  let db = fixture_db () in
+  create_views db;
+  Fun.protect ~finally:Fault.reset (fun () ->
+      Fault.arm "matview.apply_shared" (Fault.Nth 1);
+      ignore (Db.exec db "INSERT INTO seq VALUES (1, 4, 30.5)"));
+  let stale = Db.stale_views db in
+  Alcotest.(check int) "one member quarantined" 1 (List.length stale);
+  Alcotest.(check (list (list string)))
+    "class shrinks"
+    [ List.filter (fun v -> not (List.mem v stale)) [ "v_cum"; "v_low"; "v_mvg" ] ]
+    (Db.share_classes db ~table:"seq");
+  List.iter (fun v -> ignore (Db.query db ("SELECT * FROM " ^ v))) stale;
+  Alcotest.(check (list string)) "healed" [] (Db.stale_views db);
+  Alcotest.(check (list (list string)))
+    "class whole again" [ [ "v_cum"; "v_low"; "v_mvg" ] ]
+    (Db.share_classes db ~table:"seq");
+  ignore (Db.exec db "INSERT INTO seq VALUES (2, 3, 12.25)");
+  List.iter (fun (name, def, _) -> check_view db name def) views
+
 (* ---- Shared maintenance correctness (directed) ---- *)
 
 let batch_steps =
@@ -1201,6 +1223,8 @@ let () =
             test_cert_iff_runtime;
           Alcotest.test_case "dropped member leaves class" `Quick
             test_stale_member_leaves_class;
+          Alcotest.test_case "quarantined member heals back" `Quick
+            test_quarantined_member_heals_back;
         ] );
       ( "shared maintenance",
         [
