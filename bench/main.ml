@@ -1710,12 +1710,23 @@ let run_expr_bench ~smoke =
    measured read begins from an empty minor heap ([Gc.minor ()] first),
    so a read that allocates less than the minor heap and still
    collects forced that collection.  The run fails unless the serve
-   query alone allocates at most 100k words per read and the Table 1
-   window averages at most 0.1 minor collections per read (writes
-   BENCH_reads.json). *)
+   query alone allocates at most 100k words per read, the Table 1
+   window averages at most 0.1 minor collections per read, and every
+   shape's first answer has its pinned md5 (writes BENCH_reads.json). *)
 
 let reads_words_bar = 100_000.
 let reads_gcs_bar = 0.1
+
+(* The md5 of each shape's first answer, unchanged since the chunked
+   relations: a read-path change that alters a single byte of an
+   answer fails the run. *)
+let reads_pinned_md5 =
+  [
+    ("serve", "eba3a280a448f4c8065b7f126d82cd34");
+    ("lookup", "0016392aa58aa03f7d0dae5d88513758");
+    ("window", "bcc8d0e5921470aace7f704e66c46667");
+    ("derive", "0a7960db4da1b0c55827b1e433979b59");
+  ]
 
 let run_reads_bench ~smoke =
   header "Read path: minor-heap words and forced minor collections per read";
@@ -1827,7 +1838,15 @@ let run_reads_bench ~smoke =
   let find name = List.find (fun (n, _, _, _, _, _, _, _) -> n = name) runs in
   let _, _, _, _, serve_words, _, _, _ = find "serve" in
   let _, _, _, _, _, window_gcs, _, _ = find "window" in
-  let pass = serve_words <= reads_words_bar && window_gcs <= reads_gcs_bar in
+  let changed =
+    List.filter_map
+      (fun (name, _, _, _, _, _, _, digest) ->
+        match List.assoc_opt name reads_pinned_md5 with
+        | Some pinned when pinned <> digest -> Some name
+        | _ -> None)
+      runs
+  in
+  let pass = serve_words <= reads_words_bar && window_gcs <= reads_gcs_bar && changed = [] in
   let buf = Buffer.create 2048 in
   report_header buf ~experiment:"reads" ~smoke;
   Buffer.add_string buf (Printf.sprintf "  \"reads_per_shape\": %d,\n" reps);
@@ -1846,8 +1865,11 @@ let run_reads_bench ~smoke =
   Buffer.add_string buf
     (Printf.sprintf
        "  \"acceptance\": {\"serve_query_words_per_read\": %.0f, \"required_words_at_most\": %.0f, \
-        \"window_minor_gcs_per_read\": %.3f, \"required_gcs_at_most\": %.1f, \"pass\": %b}\n"
-       serve_words reads_words_bar window_gcs reads_gcs_bar pass);
+        \"window_minor_gcs_per_read\": %.3f, \"required_gcs_at_most\": %.1f, \
+        \"answers_changed\": [%s], \"pass\": %b}\n"
+       serve_words reads_words_bar window_gcs reads_gcs_bar
+       (String.concat ", " (List.map (Printf.sprintf "\"%s\"") changed))
+       pass);
   Buffer.add_string buf "}\n";
   let out = "BENCH_reads.json" in
   write_report out buf ~keys:[ "acceptance"; "runs"; "words_per_read"; "minor_gcs_per_read" ];
@@ -1856,8 +1878,8 @@ let run_reads_bench ~smoke =
   if not pass then begin
     Printf.eprintf
       "reads acceptance FAILED: serve query %.0f words/read (bar %.0f), window %.3f minor \
-       GCs/read (bar %.1f)\n%!"
-      serve_words reads_words_bar window_gcs reads_gcs_bar;
+       GCs/read (bar %.1f), answers differing from their pinned md5: [%s]\n%!"
+      serve_words reads_words_bar window_gcs reads_gcs_bar (String.concat ", " changed);
     exit 1
   end
 

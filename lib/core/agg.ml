@@ -33,21 +33,15 @@ let combine t a b =
     | Min -> Float.min a b
     | Max -> Float.max a b
 
-(* Fold a window of raw values: for SUM, [span] is taken as-is (raw data
-   is zero-extended by the caller); for MIN/MAX an empty span is absent. *)
+(* Fold a window of raw values from the empty window's value: for SUM,
+   [span] is taken as-is (raw data is zero-extended by the caller), so
+   -0. values sum to 0.; for MIN/MAX an empty span is absent. *)
 let of_span t (get : int -> float) ~lo ~hi =
-  if hi < lo then (match t with Sum -> 0. | Min | Max -> absent)
-  else begin
-    let acc = ref (get lo) in
-    for i = lo + 1 to hi do
-      acc :=
-        (match t with
-         | Sum -> !acc +. get i
-         | Min -> Float.min !acc (get i)
-         | Max -> Float.max !acc (get i))
-    done;
-    !acc
-  end
+  let acc = ref (match t with Sum -> 0. | Min | Max -> absent) in
+  for i = lo to hi do
+    acc := combine t !acc (get i)
+  done;
+  !acc
 
 (* COUNT has a closed form: the number of raw positions inside the window
    clamped to [1, n] (paper §2.1: "COUNT is trivial"). *)

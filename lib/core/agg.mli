@@ -32,8 +32,8 @@ val is_absent : float -> bool
 val combine : t -> float -> float -> float
 
 (** [of_span t get ~lo ~hi] folds the aggregate over the raw values at
-    positions [lo..hi]; an empty span yields [0.] for SUM and {!absent}
-    for MIN/MAX. *)
+    positions [lo..hi], from the empty span's value: [0.] for SUM (so
+    [-0.] values sum to [0.]) and {!absent} for MIN/MAX. *)
 val of_span : t -> (int -> float) -> lo:int -> hi:int -> float
 
 (** [count_at frame ~n ~k] is the closed form of COUNT: the number of raw

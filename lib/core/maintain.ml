@@ -163,53 +163,6 @@ let update_in_place seq raw ~k ~value =
   apply_update_delta seq ~k ~delta:(value -. Seqdata.raw_get raw k);
   Seqdata.raw_update raw ~k ~value
 
-(* ---- Batched spans (multi-row generalization of the rules) ----
-
-   When a batch of edits lands in one partition, the dirty sequence
-   positions form contiguous runs; each run [lo, hi] is recomputed with
-   one pipelined scan of the new raw data instead of per-edit rule
-   applications.  SUM slides the window sum across the run — O(w) to
-   seed plus O(1) per position; MIN/MAX evaluate each window directly
-   (the extremum has no subtraction rule). *)
-
-let recompute_span ~agg ~l ~h (raw' : Seqdata.raw) ~lo ~hi : float array =
-  if hi < lo then [||]
-  else
-    match agg with
-    | Agg.Sum ->
-      let out = Array.make (hi - lo + 1) 0. in
-      let s = ref 0. in
-      (* raw_get is zero outside [1, n], so clamping is free *)
-      for j = lo - l to lo + h do
-        s := !s +. Seqdata.raw_get raw' j
-      done;
-      out.(0) <- !s;
-      for i = lo + 1 to hi do
-        s := !s +. Seqdata.raw_get raw' (i + h) -. Seqdata.raw_get raw' (i - l - 1);
-        out.(i - lo) <- !s
-      done;
-      out
-    | Agg.Min | Agg.Max ->
-      let n' = Seqdata.raw_length raw' in
-      Array.init (hi - lo + 1) (fun idx ->
-          let k = lo + idx in
-          Agg.of_span agg (Seqdata.raw_get raw') ~lo:(max 1 (k - l))
-            ~hi:(min n' (k + h)))
-
-(* Cumulative tail: fold the raw values from [lo] forward, seeded with
-   the (clean) aggregate just before the span. *)
-let recompute_cumulative_span ~agg (raw' : Seqdata.raw) ~seed ~lo ~hi : float array =
-  if hi < lo then [||]
-  else begin
-    let out = Array.make (hi - lo + 1) 0. in
-    let acc = ref seed in
-    for i = lo to hi do
-      acc := Agg.combine agg !acc (Seqdata.raw_get raw' i);
-      out.(i - lo) <- !acc
-    done;
-    out
-  end
-
 (* ---- Dispatcher ---- *)
 
 let apply seq raw edit =

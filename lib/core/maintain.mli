@@ -32,23 +32,3 @@ val apply_update_delta : Seqdata.t -> k:int -> delta:float -> unit
 (** [update_in_place seq raw ~k ~value] mutates [seq] via
     {!apply_update_delta} and returns the updated raw data. *)
 val update_in_place : Seqdata.t -> Seqdata.raw -> k:int -> value:float -> Seqdata.raw
-
-(** {1 Batched spans}
-
-    Multi-row generalization of the rules: a batch of edits dirties
-    contiguous runs of sequence positions, and each run is recomputed
-    with a single pipelined scan of the {e new} raw data. *)
-
-(** [recompute_span ~agg ~l ~h raw' ~lo ~hi] computes the sliding
-    aggregate for positions [lo..hi] over [raw'].  SUM slides the
-    window sum across the run (O(w) to seed, O(1) per position);
-    MIN/MAX evaluate each window directly.  Empty when [hi < lo]. *)
-val recompute_span :
-  agg:Agg.t -> l:int -> h:int -> Seqdata.raw -> lo:int -> hi:int -> float array
-
-(** [recompute_cumulative_span ~agg raw' ~seed ~lo ~hi] computes the
-    cumulative aggregate for positions [lo..hi], folding forward from
-    [seed] (the clean aggregate just before [lo]; use [0.] for SUM at
-    [lo = 1] and {!Agg.absent} for MIN/MAX at [lo = 1]). *)
-val recompute_cumulative_span :
-  agg:Agg.t -> Seqdata.raw -> seed:float -> lo:int -> hi:int -> float array

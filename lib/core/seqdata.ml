@@ -25,6 +25,7 @@ let raw_length r = r.n
 
 let raw_get r i = if i < 1 || i > r.n then 0. else r.data.(i - 1)
 
+let raw_data r = r.data
 let raw_to_array r = Array.copy r.data
 let raw_blit r ~src dst ~pos ~len = Array.blit r.data (src - 1) dst pos len
 

@@ -26,6 +26,10 @@ val raw_length : raw -> int
 (** [raw_get r i] is [x_i], zero outside [1, n]. *)
 val raw_get : raw -> int -> float
 
+(** The values [x_1 .. x_n] as they are stored, not copied: never
+    write into the array. *)
+val raw_data : raw -> float array
+
 val raw_to_array : raw -> float array
 
 (** [raw_blit r ~src dst ~pos ~len] copies [x_src .. x_(src+len-1)] into

@@ -37,9 +37,12 @@ exception Recovery_error of string
 
 let recovery_error fmt = Format.kasprintf (fun s -> raise (Recovery_error s)) fmt
 
+(* Refusals print as their message, so a [Script_error] or
+   [Recovery_error] wrapping one reads plainly. *)
 let () =
   Printexc.register_printer (function
     | Recovery_error m -> Some (Printf.sprintf "recovery error: %s" m)
+    | Engine_error m | Catalog.Catalog_error m -> Some m
     | _ -> None)
 
 (* ---- Fault-injection sites (see Fault) ---- *)

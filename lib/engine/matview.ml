@@ -404,12 +404,10 @@ let drop_render_cache (st : state) =
    (the rank map) plus the edit events.  Each event dirties the window
    span it touches — [k-h, k+l] for an insert/update landing at new
    rank k, [g-h, g+l-1] for a deletion gap at g — and the dirty
-   positions are recomputed with one pipelined span scan per contiguous
-   run (Maintain.recompute_span).  Clean positions copy the old
-   sequence value under their block's rank shift: a clean position's
-   window contains no edit, so every raw value in it moved by the same
-   offset.  When at least half the sequence is dirty the partition is
-   recomputed outright.
+   positions are recomputed with one kernel scan per contiguous run
+   (Compute.fill).  Clean positions copy the old sequence value under
+   their block's rank shift: a clean position's window contains no
+   edit, so every raw value in it moved by the same offset.
 
    The structural half of the merge depends only on the ordered base
    rows and the order column, so it is computed once per scan-share
@@ -531,9 +529,10 @@ let merge_structure ~ocol (base_rows : Row.t array) ~sorted_inserts ~deletes
 (* Per-view half.  Kept rows copy their raw values under the rank map;
    only inserted and updated rows extract theirs.  Each event dirties
    the window span it touches; the spans merge into maximal dirty runs,
-   each recomputed with one pipelined span scan, while every clean
-   position copies its old value under its block's rank shift.  A
-   partition at least half-dirty is recomputed outright. *)
+   each recomputed by [Compute.fill] on the window kernel, while every
+   clean position copies its old value under its block's rank shift.
+   Every aggregate costs O(1) per dirty position, so recomputing the
+   dirty runs never costs more than recomputing the partition. *)
 let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
   let agg = core_agg st.spec.agg in
   let frame = st.spec.frame in
@@ -553,7 +552,6 @@ let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
     | Core.Frame.Sliding { l; h } -> (l, h)
     | Core.Frame.Cumulative -> (max n' n, 0)
   in
-  let size = hi' - lo' + 1 in
   let rec merge_spans = function
     | (a, b) :: (c, d) :: rest when c <= b + 1 -> merge_spans ((a, max b d) :: rest)
     | span :: rest -> span :: merge_spans rest
@@ -567,49 +565,31 @@ let apply_merge st (p : partition_state) ~rows' ~runs ~touches ~gaps =
            if lo <= hi then Some (lo, hi) else None)
     |> List.sort compare |> merge_spans
   in
-  let dirty_count = List.fold_left (fun acc (lo, hi) -> acc + hi - lo + 1) 0 dirty in
-  let seq' =
-    if 2 * dirty_count >= size then
-      (* the delta is wider than the view: recompute the partition *)
-      Core.Compute.sequence ~agg frame raw'
-    else begin
-      (* copy every position under its rank shift; the dirty ones are
-         overwritten below *)
-      let out = Array.create_float size in
-      List.iter
-        (fun (dst, src, len) ->
-          Core.Seqdata.blit p.seq ~src out ~pos:(dst - lo') ~len;
-          (* the header and trailer shift with the first and last rank *)
-          if dst = 1 then
-            for i = lo' to 0 do
-              out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
-            done;
-          if dst + len - 1 = n' then
-            for i = n' + 1 to hi' do
-              out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
-            done)
-        runs;
-      List.iter
-        (fun (rlo, rhi) ->
-          let span =
-            match frame with
-            | Core.Frame.Sliding _ ->
-              Core.Maintain.recompute_span ~agg ~l ~h raw' ~lo:rlo ~hi:rhi
-            | Core.Frame.Cumulative ->
-              let seed =
-                if rlo = 1 then
-                  match agg with
-                  | Core.Agg.Sum -> 0.
-                  | Core.Agg.Min | Core.Agg.Max -> Core.Agg.absent
-                else out.(rlo - 1 - lo')
-              in
-              Core.Maintain.recompute_cumulative_span ~agg raw' ~seed ~lo:rlo ~hi:rhi
-          in
-          Array.blit span 0 out (rlo - lo') (Array.length span))
-        dirty;
-      Core.Seqdata.make frame agg ~n:n' ~lo:lo' out
-    end
-  in
+  (* copy every position under its rank shift; the dirty ones are
+     overwritten below *)
+  let out = Array.create_float (hi' - lo' + 1) in
+  List.iter
+    (fun (dst, src, len) ->
+      Core.Seqdata.blit p.seq ~src out ~pos:(dst - lo') ~len;
+      (* the header and trailer shift with the first and last rank *)
+      if dst = 1 then
+        for i = lo' to 0 do
+          out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
+        done;
+      if dst + len - 1 = n' then
+        for i = n' + 1 to hi' do
+          out.(i - lo') <- Core.Seqdata.get p.seq (i + src - dst)
+        done)
+    runs;
+  (* a cumulative run folds on from its clean left neighbour *)
+  List.iter
+    (fun (rlo, rhi) ->
+      let seed =
+        if Core.Frame.is_cumulative frame && rlo > 1 then Some out.(rlo - 2) else None
+      in
+      Core.Compute.fill ?seed ~agg frame raw' ~first:rlo ~last:rhi out ~pos:(rlo - lo'))
+    dirty;
+  let seq' = Core.Seqdata.make frame agg ~n:n' ~lo:lo' out in
   (* carry the render cache across the merge (see [render]) *)
   p.rendered <-
     (match p.rendered with

@@ -109,10 +109,10 @@ val drop_render_cache : state -> unit
     {!insert_rank}, and the new row array is blitted between those
     event points.  Per member, kept rows copy their raw and sequence
     values under the rank map; each contiguous run of dirty sequence
-    positions is recomputed with one pipelined span scan.  A partition
-    at least half-dirty is recomputed outright.  An update of the
-    ordering or partition column is a delete + insert.  No step writes
-    into an existing row array, raw data or sequence. *)
+    positions is recomputed with one pipelined scan on the window
+    kernel, a cumulative run folding on from its clean left neighbour.
+    An update of the ordering or partition column is a delete + insert.
+    No step writes into an existing row array, raw data or sequence. *)
 
 type shared_plan
 

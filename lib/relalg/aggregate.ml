@@ -39,14 +39,14 @@ let invertible = function
 type state = {
   kind : kind;
   mutable count : int;          (* non-NULL inputs seen *)
-  mutable sum_i : int;          (* integer sum while all inputs are Int *)
+  mutable sum_i : int;          (* integer sum, the result while [floats = 0] *)
   mutable sum_f : float;
-  mutable all_int : bool;
+  mutable floats : int;         (* Float inputs in the state *)
   mutable extremum : Value.t;   (* Null until the first non-NULL input *)
 }
 
 let create kind =
-  { kind; count = 0; sum_i = 0; sum_f = 0.; all_int = true; extremum = Value.Null }
+  { kind; count = 0; sum_i = 0; sum_f = 0.; floats = 0; extremum = Value.Null }
 
 (* [Value.compare] with -0.0 below 0.0 (and below an Int 0), the order
    [Float.min]/[Float.max] and the core's sequences use: MIN and MAX
@@ -75,7 +75,7 @@ let add st (v : Value.t) =
           st.sum_i <- st.sum_i + i;
           st.sum_f <- st.sum_f +. float_of_int i
         | Value.Float f ->
-          st.all_int <- false;
+          st.floats <- st.floats + 1;
           st.sum_f <- st.sum_f +. f
         | v -> Value.type_error "%s over non-numeric %s" (kind_name st.kind) (Value.to_string v))
      | Min ->
@@ -98,7 +98,9 @@ let remove st (v : Value.t) =
         | Value.Int i ->
           st.sum_i <- st.sum_i - i;
           st.sum_f <- st.sum_f -. float_of_int i
-        | Value.Float f -> st.sum_f <- st.sum_f -. f
+        | Value.Float f ->
+          st.floats <- st.floats - 1;
+          st.sum_f <- st.sum_f -. f
         | v -> Value.type_error "%s over non-numeric %s" (kind_name st.kind) (Value.to_string v)))
 
 let result st : Value.t =
@@ -106,7 +108,7 @@ let result st : Value.t =
   | Count -> Value.Int st.count
   | Sum ->
     if st.count = 0 then Value.Null
-    else if st.all_int then Value.Int st.sum_i
+    else if st.floats = 0 then Value.Int st.sum_i
     else Value.Float st.sum_f
   | Avg -> if st.count = 0 then Value.Null else Value.Float (st.sum_f /. float_of_int st.count)
   | Min | Max -> st.extremum

@@ -8,12 +8,16 @@
    One output value per input tuple — reporting functions do not shrink
    the data volume.
 
-   Execution strategies per partition of size m and frame width w:
-   - [Naive]: explicit form, O(m·w) — the baseline of §2.2;
-   - [Incremental]: two-pointer accumulate/retire for invertible
-     aggregates (SUM/COUNT/AVG), the paper's pipelined computation with a
-     cache of w+2 values, O(m); for MIN/MAX a monotonic deque (sliding
-     frames), prefix/suffix scans (cumulative frames), O(m). *)
+   Framed aggregates run on the core's window kernel ([Kernel]), with
+   [Aggregate]'s state over SQL values as its element operations.  Per
+   partition of size m and frame width w:
+   - [Naive]: the kernel's explicit form, O(m·w) — the baseline of §2.2;
+   - [Incremental]: the two pointers for invertible aggregates
+     (SUM/COUNT/AVG), the paper's pipelined computation with a cache of
+     w+2 values, and for MIN/MAX under frames unbounded below; the
+     monotonic deque for the other MIN/MAX frames; O(m). *)
+
+module Kernel = Rfview_core.Kernel
 
 type bound =
   | Unbounded_preceding
@@ -94,78 +98,48 @@ type strategy =
 
 exception Invalid_frame of string
 
+(* We accept the general SQL form; only negative offsets are rejected. *)
 let validate_frame f =
-  let ok_lo = match f.lo with Following _ -> false | _ -> true in
-  let ok_hi = match f.hi with Preceding _ -> false | _ -> true in
-  (* We accept the general SQL form; only negative offsets are rejected. *)
   let nonneg = function
     | Preceding n | Following n -> n >= 0
     | _ -> true
   in
-  ignore ok_lo;
-  ignore ok_hi;
   if not (nonneg f.lo && nonneg f.hi) then
     raise (Invalid_frame "frame offsets must be non-negative")
 
-(* ROWS frame bounds for row [i] in a partition of [m] rows, before
-   clamping; (lo, hi) may be out of range. *)
-let frame_bounds f ~m ~i =
-  let lo =
-    match f.lo with
-    | Unbounded_preceding -> 0
-    | Preceding n -> i - n
-    | Current_row -> i
-    | Following n -> i + n
-    | Unbounded_following -> m - 1
-  in
-  let hi =
-    match f.hi with
-    | Unbounded_preceding -> 0
-    | Preceding n -> i - n
-    | Current_row -> i
-    | Following n -> i + n
-    | Unbounded_following -> m - 1
-  in
-  (lo, hi)
+(* A ROWS frame bound in a partition of [m] rows. *)
+let rows_bound b ~m =
+  match b with
+  | Unbounded_preceding -> Kernel.Fixed 0
+  | Preceding n -> Kernel.Offset (-n)
+  | Current_row -> Kernel.Offset 0
+  | Following n -> Kernel.Offset n
+  | Unbounded_following -> Kernel.Fixed (m - 1)
 
-(* RANGE frames: bounds from the (sorted ascending) numeric projections
-   of the order key.  Peers of the current row are always included, per
+(* A RANGE frame bound, from the (sorted ascending) numeric projections
+   [t] of the order key: row [i]'s bound is the first row whose key
+   reaches the bound's value, or with [~upper] the last row whose key
+   does not pass it.  Peers of the current row are always included, per
    SQL. *)
-let range_bounds f (t : float array) ~i =
+let range_bound b (t : float array) ~upper =
   let m = Array.length t in
-  (* first index with t.(j) >= x *)
-  let lower x =
-    let rec go lo hi = if lo >= hi then lo
-      else let mid = (lo + hi) / 2 in
-        if t.(mid) < x then go (mid + 1) hi else go lo mid
+  (* the first index whose key passes [x] ([~upper]) or reaches it *)
+  let search x =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if (if upper then t.(mid) <= x else t.(mid) < x) then go (mid + 1) hi
+        else go lo mid
     in
-    go 0 m
+    if upper then go 0 m - 1 else go 0 m
   in
-  (* last index with t.(j) <= x *)
-  let upper x =
-    let rec go lo hi = if lo >= hi then lo
-      else let mid = (lo + hi) / 2 in
-        if t.(mid) <= x then go (mid + 1) hi else go lo mid
-    in
-    go 0 m - 1
-  in
-  let lo =
-    match f.lo with
-    | Unbounded_preceding -> 0
-    | Preceding n -> lower (t.(i) -. float_of_int n)
-    | Current_row -> lower t.(i)
-    | Following n -> lower (t.(i) +. float_of_int n)
-    | Unbounded_following -> m - 1
-  in
-  let hi =
-    match f.hi with
-    | Unbounded_preceding -> 0
-    | Preceding n -> upper (t.(i) -. float_of_int n)
-    | Current_row -> upper t.(i)
-    | Following n -> upper (t.(i) +. float_of_int n)
-    | Unbounded_following -> m - 1
-  in
-  (lo, hi)
+  match b with
+  | Unbounded_preceding -> Kernel.Fixed 0
+  | Preceding n -> Kernel.Fn (fun i -> search (t.(i) -. float_of_int n))
+  | Current_row -> Kernel.Fn (fun i -> search t.(i))
+  | Following n -> Kernel.Fn (fun i -> search (t.(i) +. float_of_int n))
+  | Unbounded_following -> Kernel.Fixed (m - 1)
 
 (* Numeric projection of an order-key value for RANGE evaluation; the
    sign flips for descending keys so projections stay ascending. *)
@@ -183,143 +157,37 @@ let range_key_projection ~asc (v : Value.t) : float =
   else if f = Float.neg_infinity then Float.infinity
   else -.f
 
-(* ---- Per-partition evaluation ---- *)
+(* ---- Per-partition evaluation, on the window kernel ----
 
-let eval_naive agg ~bounds (vals : Value.t array) : Value.t array =
+   One framed aggregate over a partition's argument values, in
+   partition order, with [Aggregate]'s state as the kernel's element
+   operations.  [Naive] is the explicit form.  [Incremental] runs the
+   two pointers for SUM/COUNT/AVG, and for MIN/MAX under a [Fixed]
+   lower bound, which never retires a row; other MIN/MAX frames slide
+   the monotonic deque.  Among equal values every path keeps the
+   first-best row, as a GROUP BY fold does. *)
+let eval_partition strategy agg ~lo ~hi (vals : Value.t array) : Value.t array =
   let m = Array.length vals in
-  Value.array_init m (fun i ->
-      let lo, hi = bounds ~i in
-      let lo = max 0 lo and hi = min (m - 1) hi in
-      let st = Aggregate.create agg in
-      for j = lo to hi do
-        Aggregate.add st vals.(j)
-      done;
-      Aggregate.result st)
-
-(* Invertible aggregates: advance two pointers monotonically, adding rows
-   entering the frame and removing rows leaving it.  Both frame bounds are
-   non-decreasing functions of the row position, so each value is added
-   and removed exactly once. *)
-let eval_two_pointer agg ~bounds (vals : Value.t array) : Value.t array =
-  let m = Array.length vals in
-  let st = Aggregate.create agg in
-  let a = ref 0 (* first position currently in the frame *)
-  and b = ref (-1) (* last position currently in the frame *) in
-  Value.array_init m (fun i ->
-      let lo, hi = bounds ~i in
-      let lo = max 0 lo and hi = min (m - 1) hi in
-      if hi < lo then begin
-        (* Empty frame: drain the accumulator so later rows restart clean. *)
-        while !b >= !a do
-          Aggregate.remove st vals.(!a);
-          incr a
-        done;
-        a := max !a (max lo 0);
-        b := !a - 1;
-        Aggregate.result (Aggregate.create agg)
-      end
-      else begin
-        while !b < hi do
-          incr b;
-          if !b >= !a then Aggregate.add st vals.(!b)
-        done;
-        while !a < lo do
-          if !a <= !b then Aggregate.remove st vals.(!a);
-          incr a
-        done;
-        if !b < !a then b := !a - 1;
-        Aggregate.result st
-      end)
-
-(* Sliding-window MIN/MAX via a monotonic deque of candidate positions.
-   Requires both frame bounds to advance by one per row, which holds for
-   any combination of Preceding/Current/Following bounds. *)
-let eval_deque agg ~bounds (vals : Value.t array) : Value.t array =
-  let m = Array.length vals in
-  let better a b =
-    (* is a at least as good as b? *)
-    match agg with
-    | Aggregate.Min -> Aggregate.compare_extremum a b <= 0
-    | Aggregate.Max -> Aggregate.compare_extremum a b >= 0
-    | _ -> assert false
-  in
-  let dq = Array.make (m + 1) 0 in
-  let front = ref 0 and back = ref 0 (* deque in dq.(front..back-1) *) in
-  let pushed = ref 0 (* next position to feed to the deque *) in
-  Value.array_init m (fun i ->
-      let lo, hi = bounds ~i in
-      let lo = max 0 lo and hi = min (m - 1) hi in
-      if hi < lo then Value.Null
-      else begin
-        (* Feed new positions up to hi. *)
-        while !pushed <= hi do
-          let v = vals.(!pushed) in
-          if not (Value.is_null v) then begin
-            while !back > !front && better v vals.(dq.(!back - 1)) do
-              decr back
-            done;
-            dq.(!back) <- !pushed;
-            incr back
-          end;
-          incr pushed
-        done;
-        (* Expire positions before lo. *)
-        while !back > !front && dq.(!front) < lo do
-          incr front
-        done;
-        if !back = !front then Value.Null else vals.(dq.(!front))
-      end)
-
-(* Cumulative MIN/MAX: running extremum (forward for lo-unbounded frames,
-   backward for hi-unbounded frames). *)
-let eval_running_extremum agg ~from_left ~bounds (vals : Value.t array) : Value.t array =
-  let m = Array.length vals in
-  let running = Array.make (max m 1) Value.Null in
-  let fold acc v =
-    if Value.is_null v then acc
-    else if Value.is_null acc then v
-    else
-      match agg with
-      | Aggregate.Min -> if Aggregate.compare_extremum v acc < 0 then v else acc
-      | Aggregate.Max -> if Aggregate.compare_extremum v acc > 0 then v else acc
-      | _ -> assert false
-  in
-  if from_left then begin
-    let acc = ref Value.Null in
-    for j = 0 to m - 1 do
-      acc := fold !acc vals.(j);
-      running.(j) <- !acc
-    done
-  end
-  else begin
-    let acc = ref Value.Null in
-    for j = m - 1 downto 0 do
-      acc := fold !acc vals.(j);
-      running.(j) <- !acc
-    done
-  end;
-  Value.array_init m (fun i ->
-      let lo, hi = bounds ~i in
-      let lo = max 0 lo and hi = min (m - 1) hi in
-      if hi < lo then Value.Null
-      else if from_left then running.(hi)
-      else running.(lo))
-
-let eval_partition strategy agg frame ~bounds (vals : Value.t array) : Value.t array =
-  match strategy with
-  | Naive -> eval_naive agg ~bounds vals
-  | Incremental ->
-    (match agg with
-     | Aggregate.Sum | Aggregate.Count | Aggregate.Avg ->
-       eval_two_pointer agg ~bounds vals
-     | Aggregate.Min | Aggregate.Max ->
-       (match frame.lo, frame.hi with
-        | Unbounded_preceding, Unbounded_following ->
-          let total = Aggregate.of_seq agg (Array.to_seq vals) in
-          Value.array_init (Array.length vals) (fun _ -> total)
-        | Unbounded_preceding, _ -> eval_running_extremum agg ~from_left:true ~bounds vals
-        | _, Unbounded_following -> eval_running_extremum agg ~from_left:false ~bounds vals
-        | _ -> eval_deque agg ~bounds vals))
+  let out = Array.make m Value.Null in
+  let st = ref (Aggregate.create agg) in
+  let add j = Aggregate.add !st vals.(j) and emit i = out.(i) <- Aggregate.result !st in
+  (match strategy, agg, lo with
+   | Naive, _, _ ->
+     Kernel.explicit ~m ~first:0 ~last:(m - 1) ~lo ~hi
+       ~reset:(fun () -> st := Aggregate.create agg)
+       ~add ~emit
+   | Incremental, (Aggregate.Min | Aggregate.Max), (Kernel.Offset _ | Kernel.Fn _) ->
+     let sign = if agg = Aggregate.Min then 1 else -1 in
+     Kernel.deque ~m ~first:0 ~last:(m - 1) ~lo ~hi
+       ~beats:(fun j k ->
+         (not (Value.is_null vals.(j)))
+         && (Value.is_null vals.(k) || sign * Aggregate.compare_extremum vals.(j) vals.(k) < 0))
+       ~emit:(fun i j -> if j >= 0 then out.(i) <- vals.(j))
+   | Incremental, _, _ ->
+     Kernel.two_pointer ~m ~first:0 ~last:(m - 1) ~lo ~hi ~add
+       ~retire:(fun j -> Aggregate.remove !st vals.(j))
+       ~emit);
+  out
 
 (* ---- The operator ---- *)
 
@@ -372,15 +240,14 @@ let eval_ranks func order_keys (idx : int array) ~start ~stop : Value.t array =
 
 (* Navigation functions over one ordered partition: the argument values
    [vals] are in partition order. *)
-let eval_navigation func ~bounds (vals : Value.t array) : Value.t array =
+let eval_navigation func ~lo ~hi (vals : Value.t array) : Value.t array =
   let m = Array.length vals in
   Value.array_init m (fun i ->
       match func with
       | Lag off -> if i - off >= 0 then vals.(i - off) else Value.Null
       | Lead off -> if i + off < m then vals.(i + off) else Value.Null
       | First_value | Last_value ->
-        let lo, hi = bounds ~i in
-        let lo = max 0 lo and hi = min (m - 1) hi in
+        let lo = max 0 (Kernel.at lo i) and hi = min (m - 1) (Kernel.at hi i) in
         if hi < lo then Value.Null
         else if func = First_value then vals.(lo)
         else vals.(hi)
@@ -400,13 +267,11 @@ let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
   List.iter
     (fun (start, stop) ->
       let m = stop - start in
-      (* bounds function for framed evaluation: positional for ROWS,
-         key-value based for RANGE *)
-      let make_bounds () =
-        match fn.spec.frame.mode with
-        | Rows ->
-          let frame = fn.spec.frame in
-          fun ~i -> frame_bounds frame ~m ~i
+      (* frame bounds: positional for ROWS, key-value based for RANGE *)
+      let bounds () =
+        let frame = fn.spec.frame in
+        match frame.mode with
+        | Rows -> (rows_bound frame.lo ~m, rows_bound frame.hi ~m)
         | Range ->
           let key =
             match fn.spec.order with
@@ -419,19 +284,20 @@ let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
                 range_key_projection ~asc:key.Sortop.asc
                   (Sortop.key_value order_keys 0 idx.(start + k)))
           in
-          let frame = fn.spec.frame in
-          fun ~i -> range_bounds frame t ~i
+          (range_bound frame.lo t ~upper:false, range_bound frame.hi t ~upper:true)
       in
       let results =
         match fn.func with
         | Agg agg ->
           let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
-          eval_partition strategy agg fn.spec.frame ~bounds:(make_bounds ()) vals
+          let lo, hi = bounds () in
+          eval_partition strategy agg ~lo ~hi vals
         | (Row_number | Rank | Dense_rank) as func ->
           eval_ranks func order_keys idx ~start ~stop
         | (Lag _ | Lead _ | First_value | Last_value) as func ->
           let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
-          eval_navigation func ~bounds:(make_bounds ()) vals
+          let lo, hi = bounds () in
+          eval_navigation func ~lo ~hi vals
       in
       for k = 0 to m - 1 do
         out.(idx.(start + k)) <- results.(k)

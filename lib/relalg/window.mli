@@ -71,11 +71,14 @@ type fn = {
   name : string; (** output column name *)
 }
 
-(** Execution strategy per partition of size m and frame width w:
+(** Execution strategy per partition of size m and frame width w, on
+    the core's window kernel ({!Rfview_core.Kernel}):
     - [Naive]: the explicit form, O(m·w) — the §2.2 baseline;
     - [Incremental]: two-pointer accumulate/retire for invertible
-      aggregates (the paper's pipelined computation, O(m)); monotonic
-      deque / running extrema for MIN/MAX, O(m). *)
+      aggregates (the paper's pipelined computation, O(m)) and for
+      MIN/MAX under frames unbounded below; the monotonic deque for the
+      other MIN/MAX frames, O(m).
+    Both keep the first-best row among equal MIN/MAX values. *)
 type strategy =
   | Naive
   | Incremental
@@ -84,9 +87,6 @@ exception Invalid_frame of string
 
 (** @raise Invalid_frame on negative frame offsets. *)
 val validate_frame : frame -> unit
-
-(** Unclamped ROWS-frame bounds of row [i] in a partition of [m] rows. *)
-val frame_bounds : frame -> m:int -> i:int -> int * int
 
 val output_schema : Schema.t -> fn list -> Schema.t
 

@@ -2,7 +2,6 @@
 
 module Relation = Rfview_relalg.Relation
 module Db = Rfview_engine.Database
-module Catalog = Rfview_engine.Catalog
 module Fault = Rfview_engine.Fault
 module Lexer = Rfview_sql.Lexer
 module Parser = Rfview_sql.Parser
@@ -87,8 +86,6 @@ module Session = struct
       Printf.sprintf "write rejected, session is degraded (read-only): %s" reason
 
   let describe_exn = function
-    | Db.Engine_error m -> m
-    | Catalog.Catalog_error m -> m
     | Rfview_relalg.Value.Type_error m -> "type error: " ^ m
     | Fault.Injected site -> "injected fault at " ^ site
     | e -> Printexc.to_string e

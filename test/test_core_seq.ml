@@ -115,6 +115,31 @@ let prop_count_closed_form (raw, frame) =
       Agg.count_at frame ~n ~k = expected)
     (List.init (hi - lo + 1) (fun i -> lo + i))
 
+(* Every fold starts from the empty window's value, so the explicit form
+   and the pipelined scan give the same bits on signed zeros: -0. values
+   sum to 0. under both. *)
+let test_signed_zeros_bit_identical () =
+  let bits seq = List.map Int64.bits_of_float (Array.to_list (Seqdata.to_array seq)) in
+  List.iter
+    (fun data ->
+      let raw = Seqdata.raw_of_list data in
+      List.iter
+        (fun frame ->
+          List.iter
+            (fun agg ->
+              if bits (Compute.naive ~agg frame raw) <> bits (Compute.pipelined ~agg frame raw)
+              then
+                Alcotest.failf "%s %s over [%s]: naive and pipelined differ" (Agg.name agg)
+                  (Frame.to_string frame)
+                  (String.concat "; " (List.map string_of_float data)))
+            [ Agg.Sum; Agg.Min; Agg.Max ])
+        [ Frame.Cumulative; Frame.sliding ~l:0 ~h:0; Frame.sliding ~l:1 ~h:0;
+          Frame.sliding ~l:1 ~h:1; Frame.sliding ~l:2 ~h:1 ])
+    [ [ -0.; -0.; -0. ]; [ 0.; -0.; -0.; 0.; -0. ]; [ -0.; 1.; -1.; -0. ] ];
+  Alcotest.(check bool) "SUM of -0. values is 0." false
+    (Float.sign_bit
+       (Seqdata.get (Compute.naive Frame.Cumulative (Seqdata.raw_of_list [ -0.; -0.; -0. ])) 3))
+
 let test_prefix_sums () =
   let raw = raw_of_ints [ 1; 2; 3 ] in
   let c = Compute.prefix_sums raw in
@@ -283,6 +308,8 @@ let () =
           Alcotest.test_case "worked example" `Quick test_compute_example;
           Alcotest.test_case "cumulative" `Quick test_compute_cumulative;
           Alcotest.test_case "prefix sums" `Quick test_prefix_sums;
+          Alcotest.test_case "signed zeros bit-identical" `Quick
+            test_signed_zeros_bit_identical;
           qtest "pipelined = naive (SUM)" arb_raw_frame prop_pipelined_eq_naive;
           qtest "pipelined = naive (MIN/MAX)" arb_raw_frame prop_minmax_pipelined_eq_naive;
           qtest "COUNT closed form" arb_raw_frame prop_count_closed_form;

@@ -492,6 +492,31 @@ let test_reader_sorts_first () =
       Db.close db)
     [ false; true ]
 
+(* A WAL statement that the catalog refuses on replay (here a DROP of a
+   table a view reads, appended behind the engine's back) fails
+   recovery with a message that names the cause in plain words. *)
+let test_refused_replay_readable () =
+  let dir = fresh_dir "refused" in
+  Db.close (build dir);
+  let w = Wal.open_append (wal_path dir) in
+  Wal.append w (Wal.Statement "DROP TABLE seq");
+  Wal.sync w;
+  Wal.close w;
+  match Db.recover dir with
+  | _ -> Alcotest.fail "a refused statement must not recover"
+  | exception e ->
+    let msg = Printexc.to_string e in
+    let has sub =
+      let n = String.length msg and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+      go 0
+    in
+    if not (has "cannot drop table seq: read by v") then
+      Alcotest.failf "the cause is missing: %s" msg;
+    List.iter
+      (fun raw -> if has raw then Alcotest.failf "raw constructor in %s" msg)
+      [ "Catalog_error("; "Engine_error(" ]
+
 let () =
   Alcotest.run "crash"
     [
@@ -533,6 +558,8 @@ let () =
       ( "view dependencies",
         [
           Alcotest.test_case "dropped view's index" `Quick test_dropped_view_index;
+          Alcotest.test_case "refused replay reads plainly" `Quick
+            test_refused_replay_readable;
           Alcotest.test_case "reader sorts before its input" `Quick
             test_reader_sorts_first;
         ] );

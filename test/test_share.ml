@@ -843,7 +843,8 @@ let test_render_cache_signed_zeros () =
 (* A window holding both zeros: the maintained view (core sequences,
    [Float.min]/[Float.max]) and the same SQL run through the relalg
    window operator render the same bits, before and after maintenance.
-   Every frame below sees a tie of -0.0 and 0.0 somewhere. *)
+   Every frame below sees a tie of -0.0 and 0.0 somewhere; SUM and AVG
+   fold from 0., so a window of -0.0 values gives 0.0 on both sides. *)
 let test_signed_zeros_relalg_equals_matview () =
   let db = Db.create () in
   ignore (Db.exec db seq_ddl);
@@ -865,7 +866,7 @@ let test_signed_zeros_relalg_equals_matview () =
             "BETWEEN 1 PRECEDING AND CURRENT ROW";
             "BETWEEN 2 PRECEDING AND 1 FOLLOWING";
           ])
-      [ "MIN"; "MAX" ]
+      [ "MIN"; "MAX"; "SUM"; "AVG" ]
   in
   List.iteri
     (fun i def -> ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW z%d AS %s" i def)))

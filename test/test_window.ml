@@ -405,6 +405,159 @@ let prop_naive_eq_incremental (rows, agg, frame, partitioned) =
   let b = Window.extend ~strategy:Window.Incremental r [ fn ] in
   Relation.equal_ordered a b
 
+(* ---- One tie rule: the first-best row of the frame ---- *)
+
+(* Rows a, 1.., with the given argument values. *)
+let mk_values vals =
+  Relation.of_array schema
+    (Array.of_list (List.mapi (fun i v -> [| Value.String "a"; Value.Int (i + 1); v |]) vals))
+
+(* MIN and MAX over [Int 1; Float 1.0; Int 1]: on a tie between an Int
+   and an equal Float every frame keeps its first row's constructor,
+   under both strategies. *)
+let test_int_float_ties () =
+  let exactly = Alcotest.testable Value.pp ( = ) in
+  let r = mk_values [ vi 1; vf 1.; vi 1 ] in
+  List.iter
+    (fun (frame, what, expected) ->
+      List.iter
+        (fun (strategy, sname) ->
+          List.iter
+            (fun agg ->
+              Alcotest.(check (list exactly))
+                (Printf.sprintf "%s %s, %s" (Aggregate.kind_name agg) what sname)
+                expected
+                (column (Window.extend ~strategy r [ window_fn agg frame "c" ]) 3))
+            [ Aggregate.Min; Aggregate.Max ])
+        [ (Window.Naive, "naive"); (Window.Incremental, "incremental") ])
+    [
+      (Window.sliding_frame ~l:1 ~h:0, "sliding", [ vi 1; vi 1; vf 1. ]);
+      (Window.cumulative_frame, "cumulative", [ vi 1; vi 1; vi 1 ]);
+      ( { Window.lo = Window.Current_row; hi = Window.Unbounded_following; mode = Window.Rows },
+        "current .. unbounded following",
+        [ vi 1; vf 1.; vi 1 ] );
+    ]
+
+(* ---- Strategy equivalence (property) ----
+
+   Random partitions, orders and frames — every pair of ROWS bounds,
+   RANGE, empty frames and whole partitions — over NULLs, signed zeros,
+   and Int and Float arguments.  Values are integer-valued in [-50, 50],
+   so every answer is exact and the strategies must agree bit for bit,
+   constructors included. *)
+
+let bits = function
+  | Value.Float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
+  | v -> Value.to_string v
+
+let gen_bound =
+  QCheck.Gen.(
+    let* n = int_range 0 4 in
+    oneofl
+      [ Window.Unbounded_preceding; Window.Preceding n; Window.Current_row;
+        Window.Following n; Window.Unbounded_following ])
+
+let gen_arg =
+  QCheck.Gen.(
+    let* i = int_range (-50) 50 in
+    frequency
+      [ (1, return Value.Null); (1, return (vf (-0.))); (1, return (vf 0.));
+        (3, return (vi i)); (3, return (vf (float_of_int i))) ])
+
+let arb_strategy_case =
+  let gen =
+    QCheck.Gen.(
+      let* rows =
+        list_size (int_range 0 30) (triple (oneofl [ "a"; "b" ]) (int_range 0 10) gen_arg)
+      in
+      let* agg =
+        oneofl [ Aggregate.Sum; Aggregate.Count; Aggregate.Avg; Aggregate.Min; Aggregate.Max ]
+      in
+      let* lo = gen_bound in
+      let* hi = gen_bound in
+      let* mode = oneofl [ Window.Rows; Window.Range ] in
+      let* asc = bool in
+      let* partitioned = bool in
+      return (rows, agg, { Window.lo; hi; mode }, asc, partitioned))
+  in
+  let bound = function
+    | Window.Unbounded_preceding -> "UNBOUNDED PRECEDING"
+    | Window.Preceding n -> Printf.sprintf "%d PRECEDING" n
+    | Window.Current_row -> "CURRENT ROW"
+    | Window.Following n -> Printf.sprintf "%d FOLLOWING" n
+    | Window.Unbounded_following -> "UNBOUNDED FOLLOWING"
+  in
+  QCheck.make gen ~print:(fun (rows, agg, frame, asc, partitioned) ->
+      Printf.sprintf "%s %s BETWEEN %s AND %s, asc=%b, partitioned=%b, rows=[%s]"
+        (Aggregate.kind_name agg)
+        (match frame.Window.mode with Window.Rows -> "ROWS" | Window.Range -> "RANGE")
+        (bound frame.Window.lo) (bound frame.Window.hi) asc partitioned
+        (String.concat "; "
+           (List.map (fun (g, p, v) -> Printf.sprintf "%s,%d,%s" g p (bits v)) rows)))
+
+let prop_strategies_agree (rows, agg, frame, asc, partitioned) =
+  let r =
+    Relation.of_array schema
+      (Array.of_list (List.map (fun (g, p, v) -> [| Value.String g; Value.Int p; v |]) rows))
+  in
+  let fn =
+    window_fn
+      ~partition:(if partitioned then [ Expr.Col 0 ] else [])
+      ~order:[ Sortop.key ~asc (Expr.Col 1) ]
+      agg frame "c"
+  in
+  let answer strategy = List.map bits (column (Window.extend ~strategy r [ fn ]) 3) in
+  answer Window.Naive = answer Window.Incremental
+
+(* For non-NULL floats the core's sequences and the relalg window run
+   the same kernel: core naive, core pipelined and both relalg
+   strategies agree bit for bit on every body position. *)
+let arb_core_case =
+  QCheck.make
+    QCheck.Gen.(
+      let* values =
+        list_size (int_range 0 30)
+          (frequency
+             [ (1, return (-0.)); (1, return 0.); (4, map float_of_int (int_range (-50) 50)) ])
+      in
+      let* agg = oneofl [ Rfview_core.Agg.Sum; Rfview_core.Agg.Min; Rfview_core.Agg.Max ] in
+      let* frame =
+        frequency
+          [ (1, return Rfview_core.Frame.Cumulative);
+            (3,
+             let* l = int_range 0 4 in
+             let* h = int_range 0 4 in
+             return (Rfview_core.Frame.sliding ~l ~h)) ]
+      in
+      return (values, agg, frame))
+    ~print:(fun (values, agg, frame) ->
+      Printf.sprintf "%s %s [%s]" (Rfview_core.Agg.name agg)
+        (Rfview_core.Frame.to_string frame)
+        (String.concat "; " (List.map (fun v -> bits (vf v)) values)))
+
+let prop_core_equals_relalg (values, agg, frame) =
+  let module Core = Rfview_core in
+  let raw = Core.Seqdata.raw_of_list values in
+  let core seq = List.init (List.length values) (fun k -> bits (vf (Core.Seqdata.get seq (k + 1)))) in
+  let fn =
+    window_fn
+      (match agg with
+       | Core.Agg.Sum -> Aggregate.Sum
+       | Core.Agg.Min -> Aggregate.Min
+       | Core.Agg.Max -> Aggregate.Max)
+      (match frame with
+       | Core.Frame.Cumulative -> Window.cumulative_frame
+       | Core.Frame.Sliding { l; h } -> Window.sliding_frame ~l ~h)
+      "c"
+  in
+  let relalg strategy =
+    List.map bits (column (Window.extend ~strategy (mk_values (List.map vf values)) [ fn ]) 3)
+  in
+  let expected = core (Core.Compute.naive ~agg frame raw) in
+  expected = core (Core.Compute.pipelined ~agg frame raw)
+  && expected = relalg Window.Naive
+  && expected = relalg Window.Incremental
+
 let () =
   Alcotest.run "window"
     [
@@ -443,5 +596,12 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:500 ~name:"naive = incremental" arb_case
                prop_naive_eq_incremental);
+          Alcotest.test_case "Int/Float ties keep the first row" `Quick test_int_float_ties;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:1000 ~name:"strategies agree bit for bit"
+               arb_strategy_case prop_strategies_agree);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:500 ~name:"core sequences equal the relalg window"
+               arb_core_case prop_core_equals_relalg);
         ] );
     ]
