@@ -433,14 +433,14 @@ let delta_time ~repeat setup f =
    Reports minor-heap words, words allocated directly on the major heap
    (major minus promoted words: arrays of more than 256 words), minor
    collections and p50 per statement kind; the run fails unless every
-   kind allocates at most 150k minor words and 40k direct major words,
+   kind allocates at most 150k minor words and 14k direct major words,
    and all statements together average at most 0.1 minor collections
    per statement.  The same run at 64 partitions checks that a
    single-row statement's cost does not grow with the table: its p50
    must stay within 2x of the 8-partition p50 for every kind. *)
 
 let writes_words_bar = 150_000.
-let writes_major_bar = 40_000.
+let writes_major_bar = 14_000.
 let writes_gcs_bar = 0.1
 let writes_scaling_bar = 2.0
 
@@ -545,6 +545,133 @@ let write_path ~smoke ~sizes =
       sizes
   in
   (reps, runs)
+
+(* Partition-size sweep on the write path (§2.3 inside one partition):
+   one partition of n rows under one view — a sliding SUM(2,1) or the
+   cumulative SUM — and single-row UPDATE, INSERT and DELETE statements
+   at the same relative ranks at every size, the sizes interleaved.
+   Reports words (minor-heap plus direct major) and p50 per statement
+   kind.  A sliding edit changes l+h+1 window values, so the run fails
+   unless the sliding view's words and p50 at 10^4 rows stay within 2x
+   of 10^3 for every kind.  Full mode adds 10^5 rows, reported with its
+   ratios but not gated: there the arrays of n/256 chunk and segment
+   entries that every edit copies (table, view, partition) are a
+   visible share of a statement.  A cumulative edit rewrites the suffix
+   after it (§2.3), so its cost grows with n and is only reported. *)
+
+let sweep_sliding_bar = 2.0
+
+let partition_sweep ~smoke =
+  let sizes = if smoke then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
+  let reps = if smoke then 60 else 200 in
+  let spacing = 16 in
+  let rng = Prng.create ~seed:43 in
+  let views =
+    [ ("sliding", Core.Frame.sliding ~l:2 ~h:1); ("cumulative", Core.Frame.cumulative) ]
+  in
+  let open_session n frame =
+    let s = Session.open_in_memory () in
+    sexec s "CREATE TABLE seq (grp INT, pos INT, val FLOAT)";
+    Session.load_table s ~table:"seq"
+      (Array.init n (fun i ->
+           [|
+             Value.Int 0;
+             Value.Int ((i + 1) * spacing);
+             Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+           |]));
+    sexec s
+      (Printf.sprintf
+         "CREATE MATERIALIZED VIEW v AS SELECT grp, pos, val, SUM(val) OVER (PARTITION BY \
+          grp ORDER BY pos %s) AS s FROM seq"
+         (Core.Frame.to_sql frame));
+    s
+  in
+  let cells =
+    Array.of_list
+      (List.concat_map (fun (_, frame) -> List.map (fun n -> open_session n frame) sizes) views)
+  in
+  Gc.full_major ();
+  let kinds =
+    [
+      ("UPDATE", fun ~pos ~v ->
+         Printf.sprintf "UPDATE seq SET val = %d WHERE grp = 0 AND pos = %d" v pos);
+      ("INSERT", fun ~pos ~v ->
+         Printf.sprintf "INSERT INTO seq VALUES (0, %d, %d)" (pos + (spacing / 2)) v);
+      ("DELETE", fun ~pos ~v:_ ->
+         Printf.sprintf "DELETE FROM seq WHERE grp = 0 AND pos = %d" (pos + (spacing / 2)));
+    ]
+  in
+  let nsizes = List.length sizes in
+  let words = Array.make_matrix (Array.length cells) 3 0. in
+  let times = Array.init (Array.length cells) (fun _ -> Array.make_matrix 3 reps 0.) in
+  for i = 0 to reps - 1 do
+    (* the same relative rank at every size *)
+    let frac = float_of_int (i * 7919 mod 1000) /. 1000. in
+    let v = Prng.int_range rng ~lo:(-50) ~hi:50 in
+    Array.iteri
+      (fun c s ->
+        let n = List.nth sizes (c mod nsizes) in
+        let pos = (int_of_float (frac *. float_of_int n) + 1) * spacing in
+        List.iteri
+          (fun j (_, sql) ->
+            let sql = sql ~pos ~v in
+            Gc.minor ();
+            let w0 = Gc.minor_words () and _, p0, m0 = Gc.counters () in
+            let t0 = Unix.gettimeofday () in
+            sexec s sql;
+            times.(c).(j).(i) <- Unix.gettimeofday () -. t0;
+            let w1 = Gc.minor_words () and _, p1, m1 = Gc.counters () in
+            words.(c).(j) <- words.(c).(j) +. (w1 -. w0) +. (m1 -. m0) -. (p1 -. p0))
+          kinds)
+      cells
+  done;
+  Array.iter Session.close cells;
+  (* per view, per size: (kind, words, p50) per statement kind *)
+  let results =
+    List.mapi
+      (fun vi (view, _) ->
+        ( view,
+          List.mapi
+            (fun si n ->
+              let c = (vi * nsizes) + si in
+              ( n,
+                List.mapi
+                  (fun j (kind, _) ->
+                    Array.sort Float.compare times.(c).(j);
+                    (kind, words.(c).(j) /. float_of_int reps, times.(c).(j).(reps / 2)))
+                  kinds ))
+            sizes ))
+      views
+  in
+  Printf.printf "\npartition-size sweep (one partition, one view):\n";
+  row_line [ "view      "; "   rows"; "statement"; "words/statement"; "   p50" ];
+  List.iter
+    (fun (view, per_size) ->
+      List.iter
+        (fun (n, runs) ->
+          List.iter
+            (fun (kind, w, p50) ->
+              row_line
+                [ Printf.sprintf "%-10s" view; Printf.sprintf "%7d" n; Printf.sprintf "%-9s" kind;
+                  Printf.sprintf "%15.0f" w; fmt_time p50 ])
+            runs)
+        per_size)
+    results;
+  (* the sliding view's worst kind at each larger size over the
+     smallest: (rows, words ratio, p50 ratio) *)
+  let ratios =
+    match List.assoc "sliding" results with
+    | (_, small) :: larger ->
+      List.map
+        (fun (n, large) ->
+          let worst f =
+            List.fold_left2 (fun acc a b -> Float.max acc (f b /. f a)) 0. small large
+          in
+          (n, worst (fun (_, w, _) -> w), worst (fun (_, _, p) -> p)))
+        larger
+    | [] -> []
+  in
+  (reps, results, ratios)
 
 let run_delta ~smoke =
   header "Delta maintenance: per-row vs batched vs full refresh";
@@ -667,6 +794,9 @@ let run_delta ~smoke =
     write_words <= writes_words_bar && write_major <= writes_major_bar
     && write_gcs <= writes_gcs_bar && scaling <= writes_scaling_bar
   in
+  let sweep_reps, sweep, sweep_ratios = partition_sweep ~smoke in
+  let _, sweep_words, sweep_p50 = List.find (fun (n, _, _) -> n = 10_000) sweep_ratios in
+  let sweep_pass = sweep_words <= sweep_sliding_bar && sweep_p50 <= sweep_sliding_bar in
   let buf = Buffer.create 1024 in
   report_header buf ~experiment:"delta-maintenance" ~smoke;
   Buffer.add_string buf (Printf.sprintf "  \"base_rows\": %d,\n" n0);
@@ -715,6 +845,41 @@ let run_delta ~smoke =
        write_pass);
   Buffer.add_string buf
     (Printf.sprintf
+       "  \"partition_sweep\": {\"partitions\": 1, \"statements_per_kind\": %d, \"views\": [\n"
+       sweep_reps);
+  List.iteri
+    (fun vi (view, per_size) ->
+      Buffer.add_string buf
+        (Printf.sprintf "    {\"view\": \"%s\", \"sizes\": [\n" view);
+      List.iteri
+        (fun si (n, runs) ->
+          Buffer.add_string buf
+            (Printf.sprintf "      {\"rows\": %d, \"runs\": [%s]}%s\n" n
+               (String.concat ", "
+                  (List.map
+                     (fun (kind, w, p50) ->
+                       Printf.sprintf
+                         "{\"statement\": \"%s\", \"words_per_statement\": %.0f, \"p50_us\": %.1f}"
+                         kind w (p50 *. 1e6))
+                     runs))
+               (if si = List.length per_size - 1 then "" else ",")))
+        per_size;
+      Buffer.add_string buf
+        (Printf.sprintf "    ]}%s\n" (if vi = List.length sweep - 1 then "" else ",")))
+    sweep;
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  ], \"sliding_over_1000_rows\": [%s],\n    \"sliding_words_ratio\": %.2f, \
+        \"sliding_p50_ratio\": %.2f, \"gated_at_rows\": 10000, \"required_ratio_at_most\": %.1f, \
+        \"pass\": %b},\n"
+       (String.concat ", "
+          (List.map
+             (fun (n, w, p) ->
+               Printf.sprintf "{\"rows\": %d, \"words_ratio\": %.2f, \"p50_ratio\": %.2f}" n w p)
+             sweep_ratios))
+       sweep_words sweep_p50 sweep_sliding_bar sweep_pass);
+  Buffer.add_string buf
+    (Printf.sprintf
        "  \"acceptance\": {\"batch\": %d, \"views\": 4, \"speedup\": %.2f, \
         \"required\": %.1f, \"pass\": %b}\n"
        accept_batch accept_speedup required pass);
@@ -723,12 +888,14 @@ let run_delta ~smoke =
   write_report out buf
     ~keys:
       [ "acceptance"; "runs"; "speedup"; "words_per_statement"; "major_words_per_statement";
-        "minor_gcs_per_statement"; "p50_ratio_64_over_8" ];
+        "minor_gcs_per_statement"; "p50_ratio_64_over_8"; "partition_sweep" ];
   Printf.printf
     "\nwrote %s (acceptance speedup at B=%d, 4 views: %.1fx; write path: %.0f \
      words, %.0f direct major words, %.3f minor GCs per statement, p50 %.2fx \
-     at 64 partitions)\n%!"
-    out accept_batch accept_speedup write_words write_major write_gcs scaling;
+     at 64 partitions; sliding view from 10^3 to 10^4 rows in a \
+     partition: words %.2fx, p50 %.2fx)\n%!"
+    out accept_batch accept_speedup write_words write_major write_gcs scaling sweep_words
+    sweep_p50;
   if not write_pass then begin
     Printf.eprintf
       "delta write path FAILED: %.0f words/statement (bar %.0f), %.0f direct \
@@ -736,6 +903,13 @@ let run_delta ~smoke =
        p50 %.2fx at 64 partitions (bar %.1fx)\n%!"
       write_words writes_words_bar write_major writes_major_bar write_gcs writes_gcs_bar
       scaling writes_scaling_bar;
+    exit 1
+  end;
+  if not sweep_pass then begin
+    Printf.eprintf
+      "delta partition sweep FAILED: the sliding view's words grew %.2fx and its p50 \
+       %.2fx from 10^3 to 10^4 rows in a partition (bar %.1fx)\n%!"
+      sweep_words sweep_p50 sweep_sliding_bar;
     exit 1
   end;
   if (not smoke) && not pass then begin

@@ -80,18 +80,15 @@ let match_view (qspec : Matview.seq_spec) (vspec : Matview.seq_spec) :
    order-column ranges of consecutive partitions do not interleave. *)
 let concat_order_sound (state : Matview.state) =
   let rec go = function
-    | a :: (b :: _ as rest) ->
-      let la = a.Matview.base_rows in
-      let lb = b.Matview.base_rows in
-      (Array.length la = 0 || Array.length lb = 0
-      || Value.compare
-           (Row.get la.(Array.length la - 1) state.Matview.ocol)
-           (Row.get lb.(0) state.Matview.ocol)
-         <= 0)
+    | la :: (lb :: _ as rest) ->
+      Value.compare
+        (Row.get la.(Array.length la - 1) state.Matview.ocol)
+        (Row.get lb.(0) state.Matview.ocol)
+      <= 0
       && go rest
     | _ -> true
   in
-  go state.Matview.parts
+  go (List.map Matview.partition_rows (Matview.partitions state))
 
 (* ---- Proposal search ---- *)
 
@@ -123,10 +120,11 @@ let proposals (db : Database.t) (q : Ast.query) : (proposal * Matview.state * Ma
                      materialized data (completeness facts included) and
                      keep the first that is proven derivable *)
                   let fact =
-                    match state.Matview.parts with
+                    match Matview.partitions state with
                     | part :: _ ->
                       Some
-                        (Rfview_analysis.Domain.Seqfact.of_seq part.Matview.seq)
+                        (Rfview_analysis.Domain.Seqfact.of_seq
+                           (Matview.partition_seq state part))
                     | [] -> None
                   in
                   let certified =
@@ -180,10 +178,11 @@ let certificates (db : Database.t) (q : Ast.query) : (string * Cert.t list) list
                 | None -> None
                 | Some _ ->
                   let fact =
-                    match state.Matview.parts with
+                    match Matview.partitions state with
                     | part :: _ ->
                       Some
-                        (Rfview_analysis.Domain.Seqfact.of_seq part.Matview.seq)
+                        (Rfview_analysis.Domain.Seqfact.of_seq
+                           (Matview.partition_seq state part))
                     | [] -> None
                   in
                   Some
@@ -206,7 +205,7 @@ let window_value_for (qspec : Matview.seq_spec) (seq : Core.Seqdata.t) ~n ~k : V
 (* Render the query result from derived per-partition sequences, laid out
    by the query's select items. *)
 let render_answer (state : Matview.state) (qspec : Matview.seq_spec)
-    (derived : (Matview.partition_state * Core.Seqdata.t) list) : Relation.t =
+    (derived : (Row.t array * Core.Seqdata.t) list) : Relation.t =
   let base_schema = state.Matview.base_schema in
   let item_cols =
     List.map
@@ -231,8 +230,8 @@ let render_answer (state : Matview.state) (qspec : Matview.seq_spec)
   in
   let rows = ref [] in
   List.iter
-    (fun ((p : Matview.partition_state), seq) ->
-      let n = Array.length p.Matview.base_rows in
+    (fun (base_rows, seq) ->
+      let n = Array.length base_rows in
       Array.iteri
         (fun i row ->
           let k = i + 1 in
@@ -245,7 +244,7 @@ let render_answer (state : Matview.state) (qspec : Matview.seq_spec)
               item_cols
           in
           rows := Array.of_list values :: !rows)
-        p.Matview.base_rows)
+        base_rows)
     derived;
   Relation.of_array schema (Array.of_list (List.rev !rows))
 
@@ -256,9 +255,10 @@ let answer_with (state : Matview.state) (qspec : Matview.seq_spec) (p : proposal
   if not p.partition_reduced then begin
     let derived =
       List.map
-        (fun (part : Matview.partition_state) ->
-          (part, Core.Derive.run p.strategy part.Matview.seq qframe))
-        state.Matview.parts
+        (fun part ->
+          ( Matview.partition_rows part,
+            Core.Derive.run p.strategy (Matview.partition_seq state part) qframe ))
+        (Matview.partitions state)
     in
     render_answer state qspec derived
   end
@@ -267,17 +267,17 @@ let answer_with (state : Matview.state) (qspec : Matview.seq_spec) (p : proposal
        derive the frame on the merged sequence *)
     let space = Core.Position.create [ 1 ] in
     ignore space;
+    let parts = Matview.partitions state in
+    let seqs = List.map (Matview.partition_seq state) parts in
     let reporting =
       {
-        Core.Reporting.agg = Core.Seqdata.agg (List.hd state.Matview.parts).Matview.seq;
-        frame = Core.Seqdata.frame (List.hd state.Matview.parts).Matview.seq;
+        Core.Reporting.agg = Core.Seqdata.agg (List.hd seqs);
+        frame = Core.Seqdata.frame (List.hd seqs);
         space = Core.Position.create [ 1 ];
         partitions =
-          List.map
-            (fun (part : Matview.partition_state) ->
-              ( List.map Value.to_string part.Matview.pkey,
-                part.Matview.seq ))
-            state.Matview.parts;
+          List.map2
+            (fun part seq -> (List.map Value.to_string (Matview.partition_key part), seq))
+            parts seqs;
       }
     in
     let merged = Core.Reporting.partitioning_reduction reporting ~group:(fun _ -> []) in
@@ -288,21 +288,8 @@ let answer_with (state : Matview.state) (qspec : Matview.seq_spec) (p : proposal
     in
     let derived_seq = Core.Derive.derive merged_seq qframe in
     (* merged base rows in concatenation order *)
-    let all_rows =
-      Array.concat (List.map (fun p -> p.Matview.base_rows) state.Matview.parts)
-    in
-    let merged_part =
-      {
-        Matview.pkey = [];
-        base_rows = all_rows;
-        raw =
-          Core.Seqdata.raw_of_array
-            (Array.map (fun row -> Value.to_float (Row.get row state.Matview.vcol)) all_rows);
-        seq = derived_seq;
-        rendered = None;
-      }
-    in
-    render_answer state qspec [ (merged_part, derived_seq) ]
+    let all_rows = Array.concat (List.map Matview.partition_rows parts) in
+    render_answer state qspec [ (all_rows, derived_seq) ]
   end
 
 (* Try to answer the query from a materialized view; [None] when no view

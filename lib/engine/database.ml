@@ -171,10 +171,9 @@ type result =
    sequence of row chunks, and no chunk is written after it is built:
    DML ([Relation.edit], [Relation.append_rows]) copies the chunks it
    changes into fresh ones and shares the rest, and [Matview.render]
-   shares the cached chunks of every partition a commit did not touch
-   and, in a touched one, of every chunk whose rows are unchanged.
-   So every version, the undo log and the render cache may hold the
-   same chunks and rows.  Readers acquire
+   returns the chunks of the view state's segments, of which an edit
+   rebuilds only those it reaches.  So every version, the undo log and
+   the view states may hold the same chunks and rows.  Readers acquire
    versions under [mv_mu] from any domain; the single writer publishes
    under the same mutex.  The retained window keeps the last
    [mv_retain] versions acquirable; older versions survive exactly as
@@ -1786,12 +1785,18 @@ let rebuild_state db (view : Catalog.view) =
   match view.Catalog.scan, view.Catalog.contents with
   | Some _, Some contents ->
     (match seq_state db view ~out_schema:(Relation.schema contents) with
-     | Some state when Relation.equal_bag contents (Matview.render state) ->
-       (* the restored contents stay what queries see: do not keep the
-          cross-check rendering resident beside them *)
-       Matview.drop_render_cache state;
-       Hashtbl.replace db.view_states (key view.Catalog.view_name) state;
-       true
+     | Some state ->
+       let rendered = Matview.render state in
+       Relation.equal_bag contents rendered
+       && begin
+         (* the state holds its rendering: when it is the restored
+            contents row for row, serve it, so the two are not both
+            resident *)
+         if Relation.equal_ordered contents rendered then
+           view.Catalog.contents <- Some rendered;
+         Hashtbl.replace db.view_states (key view.Catalog.view_name) state;
+         true
+       end
      | _ -> false)
   | None, Some _ -> try_derive db (live db) view
   | _ -> false

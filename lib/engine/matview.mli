@@ -9,7 +9,7 @@
 
     with simple column references, one ordering column and a cumulative
     or sliding ROWS frame.  The engine then keeps a per-partition core
-    representation (raw data + complete sequence) and maintains it
+    representation (base rows + complete sequence) and maintains it
     incrementally under base-table DML; other views get full refreshes.
 
     The value column must be numeric and NULL-free for the incremental
@@ -38,19 +38,19 @@ val recognize : Ast.query -> seq_spec option
     on the SUM sequence). *)
 val core_agg : Aggregate.kind -> Core.Agg.t
 
-(** A partition's render cache: its output rows as last rendered, in
-    chunks, the [seq] they were rendered from, and the rank map of the
-    rows kept since (see {!render}). *)
-type render_cache
+(** One partition's state: its base rows, complete sequence and
+    rendered output rows, cut into segments of 1 to
+    {!Relation.chunk_size} rows (at least a quarter of that when the
+    partition has more than one), with the sequence's header and
+    trailer.  Immutable: maintenance builds fresh segments where an
+    edit reaches and shares the others (see {!apply_shared}). *)
+type partition_state
 
-type partition_state = {
-  pkey : Value.t list;
-  mutable base_rows : Row.t array;  (** base rows of the partition, ordered *)
-  mutable raw : Core.Seqdata.raw;
-  mutable seq : Core.Seqdata.t;
-  mutable rendered : render_cache option;
-      (** Build new records with [None]. *)
-}
+(** The partitions of a state, keyed by partition key. *)
+type partitions
+
+(** The output layout, fixed when the state is built. *)
+type layout
 
 type state = {
   spec : seq_spec;
@@ -59,7 +59,8 @@ type state = {
   pcols : int list;
   ocol : int;
   vcol : int;
-  mutable parts : partition_state list;  (** sorted by partition key *)
+  layout : layout;
+  mutable parts : partitions;
 }
 
 exception Not_maintainable of string
@@ -69,33 +70,42 @@ exception Not_maintainable of string
     own. *)
 val insert_rank : state -> partition_state -> Row.t -> int
 
-(** Build the maintenance state from the base table's current contents.
+(** Build the maintenance state from the base table's current contents,
+    its output rows rendered.
     @raise Not_maintainable per the restrictions above. *)
 val init_state : seq_spec -> base:Relation.t -> out_schema:Schema.t -> state
 
-(** Copy of the mutable layers (for undo-log snapshots): the state and
-    partition records.  Row arrays, raw data and sequences are shared —
-    no maintenance path writes into them. *)
+(** Copy for undo-log snapshots, in O(1): partitions are immutable and
+    kept in a persistent map, so the copy shares them all. *)
 val copy_state : state -> state
 
-(** Render the view contents from the state, at a cost in what changed
-    since the last render rather than in what the view holds.  Each
-    partition's rendered rows are cached as chunks of
-    {!Relation.chunk_size} rows (the last one shorter), with their
-    zones.  A partition whose [seq] is unchanged returns its cached
-    chunks.  In a changed partition, a row the maintenance merges kept
-    (same base row) whose window cell is bit-identical keeps its
-    previously rendered row, every other row is rendered fresh, and a
-    chunk whose rows all come out physically the same as the cached
-    chunk at its place is that chunk.  The result is the partitions'
-    chunks in order, with no row array copied: row-for-row, bit for bit
-    and in physical order what a from-scratch render gives.  Chunks and
-    rows are shared with earlier results (neither is ever written). *)
+(** The view contents: the partitions' output chunks in key order, one
+    chunk per segment, with no row rendered and no row array copied —
+    maintenance renders the segments it rebuilds (a kept row whose
+    window cell is bit-identical keeps its previously rendered row) and
+    shares every other segment's chunk.  Row-for-row, bit for bit and
+    in physical order what a from-scratch render gives.  Chunks and
+    rows are shared with earlier results and never written. *)
 val render : state -> Relation.t
 
-(** Forget every partition's cached rendering, e.g. after a cross-check
-    render whose rows should not stay resident. *)
-val drop_render_cache : state -> unit
+(** {2 Reading partitions} — flattening accessors, O(partition). *)
+
+(** In partition-key order. *)
+val partitions : state -> partition_state list
+
+val partition_key : partition_state -> Value.t list
+
+(** The base rows, ordered. *)
+val partition_rows : partition_state -> Row.t array
+
+(** The raw values, read off the base rows. *)
+val partition_raw : state -> partition_state -> Core.Seqdata.raw
+
+(** The complete sequence, header and trailer included. *)
+val partition_seq : state -> partition_state -> Core.Seqdata.t
+
+(** Each segment's output chunk, in order (shared, not copied). *)
+val partition_chunks : partition_state -> Relation.chunk array
 
 (** Incremental maintenance (multi-row §2.3).  Every change — one
     statement's rows or a batch's consolidated delta — takes one path:
@@ -105,14 +115,18 @@ val drop_render_cache : state -> unit
     runtime; a lone view is a class of one), and {!apply_shared}
     replays it into each member.  Per partition, each delete or
     in-place update claims the first unclaimed equal row (binary search
-    to its run of equal order values), each insert lands at its
-    {!insert_rank}, and the new row array is blitted between those
-    event points.  Per member, kept rows copy their raw and sequence
-    values under the rank map; each contiguous run of dirty sequence
-    positions is recomputed with one pipelined scan on the window
-    kernel, a cumulative run folding on from its clean left neighbour.
-    An update of the ordering or partition column is a delete + insert.
-    No step writes into an existing row array, raw data or sequence. *)
+    over the segments, then within one, to its run of equal order
+    values), and each insert lands at its {!insert_rank}.  Only the
+    segments an edit lands in are rebuilt: one that grows past
+    {!Relation.chunk_size} rows splits, one that shrinks below a
+    quarter of that absorbs a neighbour.  Per member, kept rows copy
+    their raw and sequence values; each contiguous run of dirty
+    sequence positions is recomputed with one pipelined scan on the
+    window kernel over a gathered raw slice, a cumulative run folding
+    on from its clean left neighbour (so it still rewrites the suffix
+    after its edit).  Every other segment is shared, rendered chunk
+    included.  An update of the ordering or partition column is a
+    delete + insert.  No step writes into an existing segment. *)
 
 type shared_plan
 
@@ -128,8 +142,10 @@ val shared_plan :
   updates:(Row.t * Row.t) list ->
   shared_plan
 
-(** Replay the shared merge into one member state.  Members install the
-    same merged row arrays.
+(** Replay the shared merge into one member state.  Members cut into
+    the same segments install the same merged row arrays; a member cut
+    otherwise (refreshed since) replays the plan's events against its
+    own segments.
     @raise Not_maintainable when this member's partitions diverge
     structurally from the plan (broken class invariant), or a new value
     is NULL or non-numeric; the engine then falls back to a full

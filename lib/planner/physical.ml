@@ -204,15 +204,15 @@ let choose_join_algo (opts : options) (cat : catalog_view) ~(left : Logical.t)
     else begin
       let c = classify_conjuncts ~bound conjuncts in
       (* index join on the base table under the right side *)
-      let index_candidate =
-        if not opts.enable_index_join then None
+      let usable =
+        if not opts.enable_index_join then []
         else
           match scan_of_plan right with
-          | None -> None
+          | None -> []
           | Some (table, scan_schema) ->
             let right_schema = Logical.schema right in
             merge_probes c.probes
-            |> List.find_map (fun (col, probe) ->
+            |> List.filter_map (fun (col, probe) ->
                    (* map right-plan column position to the scan column name;
                       Alias keeps positions, so the index lines up *)
                    if col < Schema.arity right_schema then begin
@@ -229,6 +229,22 @@ let choose_join_algo (opts : options) (cat : catalog_view) ~(left : Logical.t)
                      | None -> None
                    end
                    else None)
+      in
+      (* A one-sided range probes a fixed fraction of the inner table per
+         outer row (the MaxOA/MinOA union branches, s2.pos <= s1.pos - k,
+         read half of it), while an equi-key hash bucket holds only the
+         rows that can match: with an equality pair at hand, hash.  An
+         equality, IN or two-sided range probe (the Fig. 2 self-join's
+         BETWEEN) reads a window-sized slice and keeps the index. *)
+      let one_sided = function
+        | P_range (Some _, None) | P_range (None, Some _) -> true
+        | _ -> false
+      in
+      let index_candidate =
+        match List.find_opt (fun (_, _, probe) -> not (one_sided probe)) usable with
+        | Some _ as candidate -> candidate
+        | None when opts.enable_hash_join && c.eq_pairs <> [] -> None
+        | None -> (match usable with candidate :: _ -> Some candidate | [] -> None)
       in
       let residual_of exclude_probe =
         (* conjuncts not covered by the chosen access path *)

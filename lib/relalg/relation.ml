@@ -197,13 +197,20 @@ let concat a b =
 
 (* Whether a chunk may hold a row whose column c is an Int in [lo, hi]
    for each (c, lo, hi) of [ranges]. *)
-let admits zone ranges =
-  Array.length zone = 0
-  || List.for_all
-       (fun (c, lo, hi) ->
-         let zlo = zone.(2 * c) and zhi = zone.((2 * c) + 1) in
-         (zlo = min_int && zhi = max_int) || (lo <= hi && lo <= zhi && zlo <= hi))
-       ranges
+(* No closure is built, so a scan or an edit allocates nothing per
+   chunk to test its zone. *)
+let rec admits_all zone = function
+  | [] -> true
+  | (c, lo, hi) :: ranges ->
+    let zlo = zone.(2 * c) and zhi = zone.((2 * c) + 1) in
+    ((zlo = min_int && zhi = max_int) || (lo <= hi && lo <= zhi && zlo <= hi))
+    && admits_all zone ranges
+
+let admits zone ranges = Array.length zone = 0 || admits_all zone ranges
+
+let rec admits_any zone = function
+  | [] -> false
+  | ranges :: rest -> admits zone ranges || admits_any zone rest
 
 let prune ranges r =
   if ranges = [] then r
@@ -278,32 +285,36 @@ let append_rows r (rows : Row.t array) =
   end
 
 let edit r ~admit f =
-  let out = ref [] and changed = ref false in
-  Array.iter
-    (fun c ->
-      match if List.exists (admits c.zone) admit then f c.rows else None with
-      | None -> out := c :: !out
-      | Some rows ->
-        changed := true;
-        if Array.length rows > 0 then
-          out :=
-            (match !out with
-             (* a shortened chunk folds into its predecessor if both fit *)
-             | prev :: rest when Array.length prev.rows + Array.length rows <= chunk_size ->
-               zoned r.schema (Array.append prev.rows rows) :: rest
-             | acc -> zoned r.schema rows :: acc))
-    r.chunks;
-  if not !changed then r else of_chunks r.schema (chunks_of_rev_list !out)
+  let n = Array.length r.chunks in
+  let out = Array.make n empty_chunk and len = ref 0 and changed = ref false in
+  (* while every replaced chunk keeps its length, so do the offsets *)
+  let same_starts = ref true in
+  for i = 0 to n - 1 do
+    let c = r.chunks.(i) in
+    match if admits_any c.zone admit then f c.rows else None with
+    | None ->
+      out.(!len) <- c;
+      incr len
+    | Some rows ->
+      changed := true;
+      if Array.length rows <> Array.length c.rows then same_starts := false;
+      if Array.length rows > 0 then
+        (* a shortened chunk folds into its predecessor if both fit *)
+        if !len > 0 && Array.length out.(!len - 1).rows + Array.length rows <= chunk_size then
+          out.(!len - 1) <- zoned r.schema (Array.append out.(!len - 1).rows rows)
+        else begin
+          out.(!len) <- zoned r.schema rows;
+          incr len
+        end
+  done;
+  if not !changed then r
+  else if !same_starts && !len = n then { r with chunks = out }
+  else of_chunks r.schema (if !len = n then out else Array.sub out 0 !len)
 
 let chunk = zoned
 let chunk_rows c = c.rows
 
-let chunks_init n f =
-  let chunks = Array.make n empty_chunk in
-  for j = 0 to n - 1 do
-    chunks.(j) <- f j
-  done;
-  chunks
+let of_chunks_at schema chunks ~starts = { schema; chunks; starts }
 
 (* Order-insensitive multiset equality, used heavily in tests: two query
    results are the same if they contain the same rows the same number of

@@ -108,12 +108,13 @@ val chunk : Schema.t -> Row.t array -> chunk
 
 val chunk_rows : chunk -> Row.t array
 
-(** [Array.init n f] for chunks: [f 0 .. f (n-1)] in order, filled
-    from a constant, so it never forces a minor collection. *)
-val chunks_init : int -> (int -> chunk) -> chunk array
-
 (** The relation made of [chunks], shared, in order. *)
 val of_chunks : Schema.t -> chunk array -> t
+
+(** {!of_chunks} when the row offsets are known: [starts.(c)] rows
+    precede chunk [c], and the last entry is the cardinality.  Reads
+    no chunk, so it costs the array, not a visit to every chunk. *)
+val of_chunks_at : Schema.t -> chunk array -> starts:int array -> t
 
 (** Order-insensitive multiset equality: same rows, same multiplicities
     (SQL bag semantics).  The primary comparison in the test suite. *)

@@ -34,6 +34,36 @@ let test_pushdown_into_join () =
   Alcotest.(check bool) "filter below join" true
     (contains e "Filter (($1 > 15))" || contains e "Filter ($1 > 15)")
 
+(* A one-sided range probe reads a fixed fraction of the inner table per
+   outer row: each MaxOA union branch (s2.pos <= s1.pos - 4 AND
+   MOD(s1.pos, 4) = MOD(s2.pos, 4)) hashes on its MOD key instead of
+   probing the ordered pos index.  The Fig. 2 self-join's BETWEEN is a
+   two-sided range and keeps the index. *)
+let test_one_sided_range_hashes () =
+  let db = Db.create () in
+  let module Core = Rfview_core in
+  let raw =
+    Core.Seqdata.raw_of_array (Array.init 300 (fun i -> float_of_int ((i * 7 mod 11) - 5)))
+  in
+  Rfview_workload.Seqgen.create_matseq_table ~indexed:true db
+    (Core.Compute.sequence (Core.Frame.sliding ~l:2 ~h:1) raw);
+  let count hay needle =
+    let nl = String.length needle in
+    let rec go i acc =
+      if i + nl > String.length hay then acc
+      else go (i + 1) (if String.sub hay i nl = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  let maxoa = Db.explain db (Core.Sqlgen.maxoa ~table:"matseq" ~lx:2 ~h:1 ~ly:4 `Union) in
+  Alcotest.(check int) "MaxOA union branches hash" 2 (count maxoa " Join [hash]");
+  Alcotest.(check int) "no index probe" 0 (count maxoa "[index(");
+  let fig2 =
+    Db.explain db (Core.Sqlgen.fig2_self_join ~table:"matseq" (Core.Frame.sliding ~l:2 ~h:1))
+  in
+  Alcotest.(check bool) "Fig. 2 keeps the index" true
+    (contains fig2 "Join [index(matseq.pos range)]")
+
 let test_pushdown_three_way () =
   let db = db3 () in
   let r =
@@ -307,6 +337,7 @@ let () =
         [
           Alcotest.test_case "into join" `Quick test_pushdown_into_join;
           Alcotest.test_case "three-way" `Quick test_pushdown_three_way;
+          Alcotest.test_case "one-sided range joins hash" `Quick test_one_sided_range_hashes;
           Alcotest.test_case "left join semantics" `Quick test_left_join_where_not_pushed;
           Alcotest.test_case "left outer pushdown shapes" `Quick
             test_left_outer_pushdown_shapes;

@@ -617,11 +617,16 @@ let test_insert_rank_duplicates () =
   let name, def, _ = List.find (fun (n, _, _) -> n = "v_byval") views in
   ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW %s AS %s" name def));
   let st = Option.get (Db.view_state db name) in
-  let p = List.find (fun p -> p.Matview.pkey = [ Value.Int 1 ]) st.Matview.parts in
-  let linear (p : Matview.partition_state) v =
+  let p =
+    List.find
+      (fun p -> Matview.partition_key p = [ Value.Int 1 ])
+      (Matview.partitions st)
+  in
+  let linear p v =
+    let rows = Matview.partition_rows p in
     let rec go k =
-      if k >= Array.length p.Matview.base_rows then k + 1
-      else if Value.compare (Row.get p.Matview.base_rows.(k) st.Matview.ocol) v <= 0
+      if k >= Array.length rows then k + 1
+      else if Value.compare (Row.get rows.(k) st.Matview.ocol) v <= 0
       then go (k + 1)
       else k + 1
     in
@@ -632,9 +637,7 @@ let test_insert_rank_duplicates () =
     (fun (v, expected) ->
       let label = Value.to_string v in
       Alcotest.(check int) ("linear " ^ label) expected (linear p v);
-      Alcotest.(check int) ("binary " ^ label) expected (Matview.insert_rank st p (row v));
-      Alcotest.(check int) ("empty " ^ label) 1
-        (Matview.insert_rank st { p with Matview.base_rows = [||] } (row v)))
+      Alcotest.(check int) ("binary " ^ label) expected (Matview.insert_rank st p (row v)))
     [ (Value.Float 0.5, 1); (Value.Float 1.0, 2); (Value.Float 2.0, 5);
       (Value.Float 2.5, 5); (Value.Float 3.0, 7); (Value.Float 9.0, 7);
       (Value.Null, 1) ];
@@ -733,12 +736,13 @@ let render_cache_run ~faults steps =
         let off = ref 0 in
         let slices =
           List.map
-            (fun (p : Matview.partition_state) ->
-              let n = Array.length p.Matview.base_rows in
+            (fun p ->
+              let base_rows = Matview.partition_rows p in
+              let n = Array.length base_rows in
               let slice = Array.sub rows !off n in
               off := !off + n;
-              (p.Matview.pkey, p.Matview.base_rows, slice))
-            st.Matview.parts
+              (Matview.partition_key p, base_rows, slice))
+            (Matview.partitions st)
         in
         (match Hashtbl.find_opt previous name with
          | None -> ()
@@ -891,14 +895,16 @@ let test_signed_zeros_relalg_equals_matview () =
   ignore (Db.exec db "DELETE FROM seq WHERE grp = 2 AND pos = 1");
   check "after DELETE"
 
-(* ---- Rank maps compose across unrendered merges (qcheck) ----
+(* ---- Segment caches carry across merges (qcheck) ----
 
-   The engine renders after every commit, so its render caches follow
-   one merge at a time.  A state maintained through several merges
-   before its next render composes their rank maps: that render must
-   still equal a fresh one bit for bit, and keep every row whose base
-   row is physically the same and whose output is bit-identical.
-   Values include -0.0 and 0.0. *)
+   The engine renders after every commit; a state maintained through
+   several merges renders each segment it rebuilds as it goes.  Under
+   random per-row edits, after every merge each row whose base row is
+   physically the one before and whose output is bit-identical keeps
+   its rendered row, and every output chunk whose rows all stayed is
+   physically the chunk before; and at random points, and at the end,
+   the render equals a fresh one bit for bit.  Values include -0.0 and
+   0.0. *)
 
 type edit = E_ins of int * int | E_del of int | E_upd of int * int
 
@@ -936,7 +942,34 @@ let arb_edits =
 (* value [v]: 0 is -0.0, anything else the float *)
 let edit_value v = Value.Float (if v = 0 then -0.0 else float_of_int v)
 
-let prop_ranks_compose (edits, renders) =
+(* [st]'s base rows, partition by partition *)
+let state_rows st = Array.concat (List.map Matview.partition_rows (Matview.partitions st))
+
+(* A state built afresh over [st]'s own rows, ties in their order. *)
+let fresh_state (st : Matview.state) =
+  Matview.init_state st.Matview.spec
+    ~base:(Relation.of_array st.Matview.base_schema (state_rows st))
+    ~out_schema:st.Matview.out_schema
+
+let floats_same a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let renders_fresh st =
+  let rows = Relation.rows (Matview.render st)
+  and fresh = Relation.rows (Matview.render (fresh_state st)) in
+  Array.length rows = Array.length fresh && Array.for_all2 row_same_bits rows fresh
+
+(* the complete sequences, header and trailer included, bit for bit *)
+let same_sequences st =
+  let seqs s =
+    List.map
+      (fun p -> Rfview_core.Seqdata.to_array (Matview.partition_seq s p))
+      (Matview.partitions s)
+  in
+  List.equal floats_same (seqs st) (seqs (fresh_state st))
+
+let prop_segments_carry (edits, renders) =
   let db = Db.create () in
   ignore (Db.exec db seq_ddl);
   ignore
@@ -952,23 +985,16 @@ let prop_ranks_compose (edits, renders) =
     (fun i _ ->
       let name = Printf.sprintf "vc%d" i in
       let st = Matview.copy_state (Option.get (Db.view_state db name)) in
-      let base_rows () =
-        Array.concat (List.map (fun p -> p.Matview.base_rows) st.Matview.parts)
+      let base_rows () = state_rows st in
+      let chunks () =
+        List.concat_map
+          (fun p -> Array.to_list (Matview.partition_chunks p))
+          (Matview.partitions st)
       in
-      let previous = ref (base_rows (), Relation.rows (Matview.render st)) in
-      let check () =
-        let base = base_rows () in
-        let rows = Relation.rows (Matview.render st) in
-        let fresh =
-          Relation.rows
-            (Matview.render
-               (Matview.init_state st.Matview.spec
-                  ~base:(Relation.of_array st.Matview.base_schema base)
-                  ~out_schema:st.Matview.out_schema))
-        in
-        if not (Array.length rows = Array.length fresh && Array.for_all2 row_same_bits rows fresh)
-        then Alcotest.failf "%s: render after unrendered merges differs from a fresh one" name;
-        let old_base, old_rows = !previous in
+      let previous = ref (base_rows (), Relation.rows (Matview.render st), chunks ()) in
+      let check_merge () =
+        let base = base_rows () and rows = Relation.rows (Matview.render st) in
+        let old_base, old_rows, old_chunks = !previous in
         Array.iteri
           (fun k row ->
             match Array.find_index (fun b -> b == base.(k)) old_base with
@@ -976,7 +1002,23 @@ let prop_ranks_compose (edits, renders) =
               Alcotest.failf "%s: an unchanged kept row was re-rendered" name
             | _ -> ())
           rows;
-        previous := (base, rows)
+        List.iter
+          (fun c ->
+            let crows = Relation.chunk_rows c in
+            if
+              (not (List.memq c old_chunks))
+              && List.exists
+                   (fun o ->
+                     let orows = Relation.chunk_rows o in
+                     Array.length orows = Array.length crows && Array.for_all2 ( == ) orows crows)
+                   old_chunks
+            then Alcotest.failf "%s: a chunk of unchanged rows was rebuilt" name)
+          (chunks ());
+        previous := (base, rows, chunks ())
+      in
+      let check_fresh () =
+        if not (renders_fresh st) then
+          Alcotest.failf "%s: render after merges differs from a fresh one" name
       in
       List.iteri
         (fun j edit ->
@@ -989,10 +1031,304 @@ let prop_ranks_compose (edits, renders) =
              let old_row = base.(i mod n) in
              Matview.apply_update st ~old_row
                ~new_row:[| Row.get old_row 0; Row.get old_row 1; edit_value v |]);
-          if List.nth_opt renders j = Some true then check ())
+          check_merge ();
+          if List.nth_opt renders j = Some true then check_fresh ())
         edits;
-      check ())
+      check_fresh ())
     compose_views;
+  true
+
+(* ---- Segmented partition state under random edit sequences (qcheck) ----
+
+   Ten views — SUM, COUNT, AVG, MIN and MAX over a sliding frame and a
+   cumulative one — share one scan, driven through [shared_plan] and
+   [apply_shared] over three partitions: one full segment (256 rows),
+   two segments (300 rows) and one short one (70 rows).  Steps insert
+   runs of rows (many at one order key, so equal keys), delete runs
+   (emptying segments and, at times, a whole partition, which a later
+   insert re-creates), update values, move order and partition keys,
+   and pick rows within h of a partition's start and within l of its
+   end; some steps rebuild one view's state from scratch, so its
+   segments are cut otherwise than its class's.  After each step, for
+   every view:
+   - its rows are the table's, as a bag;
+   - its render is bit-identical to [init_state] over the same rows;
+   - every segment holds 1..256 rows, and at least 64 when its
+     partition has several;
+   - every segment two or more away from each one the step touched
+     (and, for a cumulative view, before it) keeps its output chunk
+     physically. *)
+
+type seg_op =
+  | S_ins of int * int * int * int  (* grp, at (row index), count, value *)
+  | S_del of int * int * int        (* grp, from (row index), count *)
+  | S_upd of int * int * int        (* grp, row index, value *)
+  | S_move_pos of int * int * int   (* grp, row index, new pos *)
+  | S_move_grp of int * int * int   (* grp, row index, new grp *)
+  | S_refresh of int                (* rebuild view i's state *)
+
+let seg_op_to_string = function
+  | S_ins (g, at, m, v) -> Printf.sprintf "ins g%d @%d x%d v%d" g at m v
+  | S_del (g, at, m) -> Printf.sprintf "del g%d @%d x%d" g at m
+  | S_upd (g, i, v) -> Printf.sprintf "upd g%d @%d v%d" g i v
+  | S_move_pos (g, i, p) -> Printf.sprintf "movepos g%d @%d ->%d" g i p
+  | S_move_grp (g, i, g') -> Printf.sprintf "movegrp g%d @%d ->g%d" g i g'
+  | S_refresh i -> Printf.sprintf "refresh %d" i
+
+let seg_views =
+  List.concat_map
+    (fun agg ->
+      List.map
+        (fun frame ->
+          Printf.sprintf
+            "SELECT grp, pos, val, %s(val) OVER (PARTITION BY grp ORDER BY pos ROWS %s) AS w \
+             FROM seq"
+            agg frame)
+        [ "BETWEEN 2 PRECEDING AND 1 FOLLOWING"; "UNBOUNDED PRECEDING" ])
+    [ "SUM"; "COUNT"; "AVG"; "MIN"; "MAX" ]
+
+let arb_seg_steps =
+  let open QCheck.Gen in
+  let grp = int_range 1 3 and value = int_range (-2) 2 in
+  (* a row index: near either end of the partition, or anywhere *)
+  let index =
+    frequency
+      [ (2, int_range 0 2); (2, map (fun d -> -1 - d) (int_range 0 2)); (3, int_range 0 400) ]
+  in
+  let count = frequency [ (3, int_range 1 40); (1, int_range 100 320) ] in
+  let op =
+    frequency
+      [
+        (3, map (fun (g, at, m, v) -> S_ins (g, at, m, v)) (quad grp index (int_range 1 40) value));
+        (2, map (fun (g, at, m) -> S_del (g, at, m)) (triple grp index count));
+        (3, map (fun (g, i, v) -> S_upd (g, i, v)) (triple grp index value));
+        (1, map (fun (g, i, p) -> S_move_pos (g, i, p)) (triple grp index (int_range 0 1300)));
+        (1, map (fun (g, i, g') -> S_move_grp (g, i, g')) (triple grp index grp));
+        (1, map (fun i -> S_refresh i) (int_range 0 9));
+      ]
+  in
+  QCheck.make
+    ~print:(fun steps ->
+      String.concat " | "
+        (List.map (fun ops -> String.concat "; " (List.map seg_op_to_string ops)) steps))
+    (list_size (int_range 1 8) (list_size (int_range 1 3) op))
+
+(* A bag of rows under [Row.equal], the equality a claim uses: -0.0 is
+   0.0, so a delete may claim either (the render check holds the
+   bits). *)
+let row_bag rows =
+  List.sort String.compare
+    (List.map
+       (fun r ->
+         String.concat ","
+           (List.map
+              (function
+                | Value.Float f when f = 0. -> "0"
+                | Value.Float f -> Int64.to_string (Int64.bits_of_float f)
+                | v -> Value.to_string v)
+              (Array.to_list r)))
+       rows)
+
+let part_of st g =
+  List.find_opt (fun p -> Matview.partition_key p = [ Value.Int g ]) (Matview.partitions st)
+
+(* The checks after one step of [prop_segments] on view [name], whose
+   partitions' chunks were [before] ((pkey, chunks) each, [None] when
+   the step rebuilt the state) and where the step touched the old row
+   indices [touched] ((grp, index) each). *)
+let check_segments name st ~table ~before ~touched =
+  if row_bag (Array.to_list (state_rows st)) <> row_bag table then
+    Alcotest.failf "%s: its rows are not the table's" name;
+  if not (renders_fresh st) then Alcotest.failf "%s: render differs from a fresh one" name;
+  if not (same_sequences st) then
+    Alcotest.failf "%s: a sequence (header and trailer included) differs from a fresh one" name;
+  List.iter
+    (fun p ->
+      let chunks = Matview.partition_chunks p in
+      Array.iter
+        (fun c ->
+          let len = Array.length (Relation.chunk_rows c) in
+          if len < 1 || len > 256 || (Array.length chunks > 1 && len < 64) then
+            Alcotest.failf "%s: a segment of %d rows (of %d)" name len (Array.length chunks))
+        chunks)
+    (Matview.partitions st);
+  let cumulative = st.Matview.spec.Matview.frame = Rfview_core.Frame.Cumulative in
+  let kept now c = Array.exists (fun c' -> c' == c) now in
+  List.iter
+    (fun (pkey, old_chunks) ->
+      let g = match pkey with [ Value.Int g ] -> g | _ -> assert false in
+      let now = match part_of st g with Some p -> Matview.partition_chunks p | None -> [||] in
+      (* a chunk of physically unchanged rows is the old chunk *)
+      Array.iter
+        (fun c ->
+          let rows = Relation.chunk_rows c in
+          let same o =
+            let orows = Relation.chunk_rows o in
+            Array.length orows = Array.length rows && Array.for_all2 ( == ) orows rows
+          in
+          if (not (kept old_chunks c)) && Array.exists same old_chunks then
+            Alcotest.failf "%s: a chunk of unchanged rows was rebuilt" name)
+        now;
+      (* the old segment of each touched row; a segment two or more
+         away from all of them (and, for a cumulative view, before
+         them) is kept *)
+      let seg_of k =
+        let j = ref 0 and start = ref 0 in
+        while
+          !j + 1 < Array.length old_chunks
+          && !start + Array.length (Relation.chunk_rows old_chunks.(!j)) <= k
+        do
+          start := !start + Array.length (Relation.chunk_rows old_chunks.(!j));
+          incr j
+        done;
+        !j
+      in
+      let hit =
+        List.filter_map (fun (g', k) -> if g' = g then Some (seg_of k) else None) touched
+      in
+      Array.iteri
+        (fun j c ->
+          let untouched =
+            List.for_all (fun t -> abs (j - t) >= 2 && ((not cumulative) || j < t)) hit
+          in
+          if untouched && not (kept now c) then
+            Alcotest.failf "%s: untouched segment %d of grp %d was rebuilt" name j g)
+        old_chunks)
+    before
+
+let prop_segments steps =
+  let db = Db.create () in
+  ignore (Db.exec db seq_ddl);
+  Db.load_table db ~table:"seq"
+    (Array.of_list
+       (List.concat_map
+          (fun (g, n) ->
+            List.init n (fun i ->
+                [|
+                  Value.Int g;
+                  Value.Int (4 * (i + 1));
+                  Value.Float (float_of_int ((i * 7 mod 11) - 5));
+                |]))
+          [ (1, 256); (2, 300); (3, 70) ]));
+  List.iteri
+    (fun i def ->
+      ignore (Db.exec db (Printf.sprintf "CREATE MATERIALIZED VIEW sv%d AS %s" i def)))
+    seg_views;
+  let states =
+    Array.init (List.length seg_views) (fun i ->
+        Matview.copy_state (Option.get (Db.view_state db (Printf.sprintf "sv%d" i))))
+  in
+  let ocol = states.(0).Matview.ocol in
+  let table = ref (Array.to_list (state_rows states.(0))) in
+  List.iter
+    (fun ops ->
+      (* view 0's rows of grp [g], in order, before the step *)
+      let rows_of g =
+        match part_of states.(0) g with Some p -> Matview.partition_rows p | None -> [||]
+      in
+      let pick rows i =
+        let n = Array.length rows in
+        (((if i < 0 then n + i else i) mod n) + n) mod n
+      in
+      (* the step's delta, and the old (grp, row index) it touches *)
+      let inserts = ref [] and deletes = ref [] and updates = ref [] and touched = ref [] in
+      let refreshed = ref [] and taken = ref [] in
+      (* a row this step has not edited yet *)
+      let untaken g i =
+        let rows = rows_of g in
+        if Array.length rows = 0 then None
+        else
+          let r = rows.(pick rows i) in
+          if List.memq r !taken then None
+          else begin
+            taken := r :: !taken;
+            Some r
+          end
+      in
+      (* every row sharing [r]'s order value, where its claim may land *)
+      let touch g r =
+        Array.iteri
+          (fun k x ->
+            if Value.equal (Row.get x ocol) (Row.get r ocol) then touched := (g, k) :: !touched)
+          (rows_of g)
+      in
+      let touch_slot g r =
+        Option.iter
+          (fun p ->
+            let slot = Matview.insert_rank states.(0) p r - 1 in
+            touched := (g, Int.max 0 (slot - 1)) :: (g, slot) :: !touched)
+          (part_of states.(0) g)
+      in
+      let update g r nr =
+        touch g r;
+        touch_slot (match Row.get nr 0 with Value.Int g' -> g' | _ -> g) nr;
+        updates := (r, nr) :: !updates
+      in
+      List.iter
+        (function
+          | S_ins (g, at, m, v) ->
+            let rows = rows_of g in
+            let pos =
+              if Array.length rows = 0 then 4
+              else match Row.get rows.(pick rows at) ocol with Value.Int p -> p | _ -> 4
+            in
+            for k = 0 to m - 1 do
+              let r = [| Value.Int g; Value.Int pos; edit_value (v + k) |] in
+              touch_slot g r;
+              inserts := r :: !inserts
+            done
+          | S_del (g, at, m) ->
+            let rows = rows_of g in
+            for k = 0 to Int.min m (Array.length rows) - 1 do
+              Option.iter
+                (fun r ->
+                  touch g r;
+                  deletes := r :: !deletes)
+                (untaken g ((pick rows at + k) mod Array.length rows))
+            done
+          | S_upd (g, i, v) ->
+            Option.iter
+              (fun r -> update g r [| Row.get r 0; Row.get r 1; edit_value v |])
+              (untaken g i)
+          | S_move_pos (g, i, p) ->
+            Option.iter
+              (fun r -> update g r [| Row.get r 0; Value.Int p; Row.get r 2 |])
+              (untaken g i)
+          | S_move_grp (g, i, g') ->
+            Option.iter
+              (fun r -> update g r [| Value.Int g'; Row.get r 1; Row.get r 2 |])
+              (untaken g i)
+          | S_refresh i -> refreshed := i :: !refreshed)
+        ops;
+      let inserts = List.rev !inserts and deletes = List.rev !deletes
+      and updates = List.rev !updates in
+      let remove r l =
+        let rec go = function [] -> [] | x :: xs -> if Row.equal x r then xs else x :: go xs in
+        go l
+      in
+      table := List.fold_left (fun t r -> remove r t) !table deletes;
+      table := List.fold_left (fun t (o, nr) -> nr :: remove o t) !table updates;
+      table := inserts @ !table;
+      let before =
+        Array.map
+          (fun st ->
+            List.map
+              (fun p -> (Matview.partition_key p, Matview.partition_chunks p))
+              (Matview.partitions st))
+          states
+      in
+      let plan = Matview.shared_plan (Array.to_list states) ~inserts ~deletes ~updates in
+      Array.iter (Matview.apply_shared plan) states;
+      (* a rebuilt state keeps its rows' order, ties included, so the
+         class invariant holds, but it is cut afresh *)
+      List.iter (fun i -> states.(i) <- fresh_state states.(i)) !refreshed;
+      Array.iteri
+        (fun i st ->
+          check_segments (Printf.sprintf "sv%d" i) st ~table:!table
+            ~before:(if List.mem i !refreshed then [] else before.(i))
+            ~touched:!touched)
+        states)
+    steps;
   true
 
 (* ---- No forced minor collection on the write path ----
@@ -1072,8 +1408,8 @@ let test_write_path_no_forced_minor () =
    partitions.  Allocation counts are deterministic, so the bound is
    exact where a time bound would be noise. *)
 
-let statement_words ~groups =
-  let per_group = 2_500 and spacing = 16 and reps = 12 in
+let statement_words ?(views = write_path_views) ?(ranks = 2_500) ~groups ~per_group () =
+  let spacing = 16 and reps = 12 in
   let db = Db.create () in
   ignore (Db.exec db seq_ddl);
   Db.load_table db ~table:"seq"
@@ -1091,11 +1427,11 @@ let statement_words ~groups =
               "CREATE MATERIALIZED VIEW %s AS SELECT grp, pos, val, %s(val) OVER \
                (PARTITION BY grp ORDER BY pos %s) AS %s FROM seq"
               name fn frame col)))
-    write_path_views;
+    views;
   let words = Array.make 3 0. in
   for i = 0 to reps - 1 do
     (* the same partitions and ranks at both sizes *)
-    let grp = i mod 8 and pos = ((i * 211 mod per_group) + 1) * spacing in
+    let grp = i mod Int.min groups 8 and pos = ((i * 211 mod ranks) + 1) * spacing in
     List.iteri
       (fun k sql ->
         (* from an empty minor heap: a collection inside the statement
@@ -1117,20 +1453,38 @@ let statement_words ~groups =
   List.iter
     (fun (name, _, _, _) ->
       if Db.view_state db name = None then Alcotest.failf "%s left incremental maintenance" name)
-    write_path_views;
+    views;
   Array.map (fun w -> w /. float_of_int reps) words
+
+let check_flat ~bound ~what small large =
+  List.iteri
+    (fun k kind ->
+      let ratio = large.(k) /. small.(k) in
+      if ratio > bound then
+        Alcotest.failf "%s: %.0f words at %s, %.0f (%.2fx > %.2fx)" kind large.(k) what
+          small.(k) ratio bound)
+    [ "UPDATE"; "INSERT"; "DELETE" ]
 
 let test_write_cost_flat () =
   Rfview_analysis.Verify.disable ();
   Fun.protect ~finally:Rfview_analysis.Verify.enable (fun () ->
-      let small = statement_words ~groups:8 and large = statement_words ~groups:32 in
-      List.iteri
-        (fun k kind ->
-          let ratio = large.(k) /. small.(k) in
-          if ratio > 1.25 then
-            Alcotest.failf "%s: %.0f words at 32 partitions, %.0f at 8 (%.2fx > 1.25x)" kind
-              large.(k) small.(k) ratio)
-        [ "UPDATE"; "INSERT"; "DELETE" ])
+      check_flat ~bound:1.25 ~what:"32 partitions against 8"
+        (statement_words ~groups:8 ~per_group:2_500 ())
+        (statement_words ~groups:32 ~per_group:2_500 ()))
+
+(* §2.3 again, inside one partition: a sliding view's single-row edit
+   changes l+h+1 values, so with the three sliding views above over one
+   partition, the words a single-row UPDATE, INSERT or DELETE allocates
+   stay within 1.5x between 1,000 and 20,000 rows (edits at the same
+   ranks).  What is left of the partition size is the chunk and segment
+   arrays an edit copies, n/256 entries each. *)
+let test_partition_cost_flat () =
+  Rfview_analysis.Verify.disable ();
+  Fun.protect ~finally:Rfview_analysis.Verify.enable (fun () ->
+      let views = List.filter (fun (name, _, _, _) -> name <> "v_cum") write_path_views in
+      let words rows = statement_words ~views ~ranks:1_000 ~groups:1 ~per_group:rows () in
+      check_flat ~bound:1.5 ~what:"20,000 rows in the partition against 1,000" (words 1_000)
+        (words 20_000))
 
 (* ---- Row arrays are never written in place (qcheck) ----
 
@@ -1159,30 +1513,25 @@ let freeze st =
     fz_state = copy;
     fz_parts =
       List.map
-        (fun (p : Matview.partition_state) ->
-          (Array.map Array.copy p.Matview.base_rows, S.raw_to_array p.Matview.raw,
-           S.to_array p.Matview.seq))
-        copy.Matview.parts;
+        (fun p ->
+          (Array.map Array.copy (Matview.partition_rows p),
+           S.raw_to_array (Matview.partition_raw copy p),
+           S.to_array (Matview.partition_seq copy p)))
+        (Matview.partitions copy);
     fz_render = Relation.rows (Matview.render copy);
   }
-
-let floats_same a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 let rows_same a b = Array.length a = Array.length b && Array.for_all2 row_same_bits a b
 
 let still_frozen fz =
   let module S = Rfview_core.Seqdata in
   List.for_all2
-    (fun (p : Matview.partition_state) (rows, raw, seq) ->
-      rows_same p.Matview.base_rows rows
-      && floats_same (S.raw_to_array p.Matview.raw) raw
-      && floats_same (S.to_array p.Matview.seq) seq)
-    fz.fz_state.Matview.parts fz.fz_parts
-  &&
-  (Matview.drop_render_cache fz.fz_state;
-   rows_same (Relation.rows (Matview.render fz.fz_state)) fz.fz_render)
+    (fun p (rows, raw, seq) ->
+      rows_same (Matview.partition_rows p) rows
+      && floats_same (S.raw_to_array (Matview.partition_raw fz.fz_state p)) raw
+      && floats_same (S.to_array (Matview.partition_seq fz.fz_state p)) seq)
+    (Matview.partitions fz.fz_state) fz.fz_parts
+  && rows_same (Relation.rows (Matview.render fz.fz_state)) fz.fz_render
 
 let prop_no_in_place_writes chunks =
   let on = fixture_db () and off =
@@ -1248,6 +1597,8 @@ let () =
             test_write_path_no_forced_minor;
           Alcotest.test_case "single-row cost flat in the table size" `Quick
             test_write_cost_flat;
+          Alcotest.test_case "single-row cost flat in the partition size" `Quick
+            test_partition_cost_flat;
         ] );
       ( "cost",
         [
@@ -1268,8 +1619,12 @@ let () =
                prop_render_cache_coherent);
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:100
-               ~name:"rank maps compose across unrendered merges" arb_edits
-               prop_ranks_compose);
+               ~name:"segment caches carry across merges" arb_edits
+               prop_segments_carry);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:60
+               ~name:"random edits: segmented state equals a fresh one" arb_seg_steps
+               prop_segments);
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:25
                ~name:"no maintenance path writes into a row array"
