@@ -83,10 +83,12 @@ mvcc-chaos:
 
 # End-to-end server smoke over a real durable fixture: build a database
 # from the quickstart script, serve it on a fixed port, run three
-# client round-trips (`rfview call`), send one request line over the
-# 1 MiB line cap (too long for an argv string, so from python3), which
-# must draw {"ok":false,...}, check a fresh `ping` still answers, and
-# shut the server down cleanly.
+# client round-trips (`rfview call`), answer a 4,096-row cross join of
+# `seq` (a response line longer than the 64 KiB channel buffer) with
+# "rows":4096, send one request line over the 1 MiB line cap (too long
+# for an argv string, so from python3), which must draw
+# {"ok":false,...}, check a fresh `ping` still answers, and shut the
+# server down cleanly.
 serve-smoke:
 	rm -rf _serve_smoke
 	dune build bin/rfview.exe
@@ -100,6 +102,9 @@ serve-smoke:
 	  done; \
 	  ./_build/default/bin/rfview.exe call 7491 ping status \
 	    "query SELECT * FROM seq" && \
+	  ./_build/default/bin/rfview.exe call 7491 \
+	    "query SELECT * FROM seq a, seq b, seq c, seq d" \
+	    | grep -q '"rows":4096' && \
 	  python3 -c 'import socket, sys; \
 	    s = socket.create_connection(("127.0.0.1", 7491)); \
 	    s.sendall(b"query " + b"x" * 1500000 + b"\n"); \
@@ -131,9 +136,10 @@ serve-smoke:
 # compiled), writing BENCH_expr.json and failing unless compiled costs
 # at most half of interpreted.  Last, the read-path allocation bench
 # (minor-heap words and forced minor collections per server read of
-# the warehouse read shapes), writing BENCH_reads.json and failing
-# unless the serve query allocates at most 100k words and the Table 1
-# window averages at most 0.1 minor collections per read.
+# the warehouse read shapes, and the words of each answer's render and
+# encode), writing BENCH_reads.json and failing unless the serve query
+# allocates at most 100k words and the Table 1 window averages at most
+# 0.1 minor collections and 1,000 minor answer words per read.
 bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \
@@ -158,6 +164,7 @@ bench-smoke:
 	  && echo "BENCH_expr.json well-formed"
 	dune exec bench/main.exe -- reads --smoke
 	@grep -q '"acceptance"' BENCH_reads.json && grep -q '"words_per_read"' BENCH_reads.json \
+	  && grep -q '"answer_words_per_read"' BENCH_reads.json \
 	  && echo "BENCH_reads.json well-formed"
 
 # End-to-end warehouse benchmark smoke: a real `rfview serve` child on

@@ -63,6 +63,8 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
       if not (List.exists Value.is_null k) then
         Hashtbl.replace tbl k (rrow :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
     right;
+  (* each bucket in build order once, not once per probe *)
+  Hashtbl.filter_map_inplace (fun _ rrows -> Some (List.rev rrows)) tbl;
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let out = ref [] in
   Relation.iter
@@ -80,7 +82,7 @@ let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_
             matched := true;
             out := Row.append lrow rrow :: !out
           end)
-        (List.rev candidates);
+        candidates;
       if (not !matched) && kind = Left_outer then
         out := Row.append lrow rnull :: !out)
     left;

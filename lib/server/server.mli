@@ -55,6 +55,11 @@ val wait : t -> unit
 (** Request shutdown and {!wait}. *)
 val stop : t -> unit
 
+(** The response line (without its newline) to a [query] that answered
+    [rel] at snapshot [lsn]: [{"ok":true,"lsn":N,"rows":R,"data":"..."}],
+    where [data] is [Relation.render ~max_rows:max_int rel]. *)
+val query_response : Rfview_relalg.Relation.t -> lsn:int -> string
+
 (** {1 Client}
 
     A minimal blocking client for the protocol — what [rfview call]

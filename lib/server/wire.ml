@@ -3,31 +3,46 @@
    kilobytes, and each grow-and-copy of a buffer that size is another
    major-heap allocation. *)
 
-let escape = function
-  | '"' -> "\\\""
-  | '\\' -> "\\\\"
-  | '\n' -> "\\n"
-  | '\r' -> "\\r"
-  | '\t' -> "\\t"
-  | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-  | _ -> "" (* the character itself *)
+(* [extra.[c]]: how many bytes escaping [c] adds -- 0 for a byte written
+   as itself, 1 for a two-character escape ("\\", "\"", "\n", "\r",
+   "\t"), 5 for another control character, written "\u00XX". *)
+let extra =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> '\001'
+      | _ when i < 0x20 -> '\005'
+      | _ -> '\000')
 
 let escaped_length s =
-  let n = ref 0 in
-  String.iter (fun c -> n := !n + max 1 (String.length (escape c))) s;
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    n := !n + Char.code (String.unsafe_get extra (Char.code (String.unsafe_get s i)))
+  done;
   !n
 
+(* Write the escape of [c] at [at]; the position after it. *)
+let blit_escape c b at =
+  Bytes.set b at '\\';
+  match c with
+  | '"' | '\\' -> Bytes.set b (at + 1) c; at + 2
+  | '\n' -> Bytes.set b (at + 1) 'n'; at + 2
+  | '\r' -> Bytes.set b (at + 1) 'r'; at + 2
+  | '\t' -> Bytes.set b (at + 1) 't'; at + 2
+  | c ->
+    Bytes.blit_string "u00" 0 b (at + 1) 3;
+    Bytes.set b (at + 4) "0123456789abcdef".[Char.code c lsr 4];
+    Bytes.set b (at + 5) "0123456789abcdef".[Char.code c land 15];
+    at + 6
+
 (* Write [s] escaped at [at]; the position after it.  Runs that need no
-   escape are copied whole. *)
+   escape are copied with one blit. *)
 let blit_escaped s b at =
   let at = ref at and run = ref 0 in
   for i = 0 to String.length s - 1 do
-    let e = escape s.[i] in
-    if String.length e > 0 then begin
+    let c = String.unsafe_get s i in
+    if String.unsafe_get extra (Char.code c) <> '\000' then begin
       Bytes.blit_string s !run b !at (i - !run);
-      at := !at + i - !run;
-      Bytes.blit_string e 0 b !at (String.length e);
-      at := !at + String.length e;
+      at := blit_escape c b (!at + i - !run);
       run := i + 1
     end
   done;

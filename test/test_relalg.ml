@@ -599,12 +599,24 @@ let prop_float_to_string =
     (QCheck.make ~print:(Printf.sprintf "%h") gen)
     (fun f -> String.equal (Value.to_string (Value.Float f)) (printf_float f))
 
+(* A cell's text, built here and not by the code under test: ints by
+   [string_of_int], floats by [printf_float], dates by [Printf]. *)
+let cell_oracle = function
+  | Value.Null -> "NULL"
+  | Value.Bool b -> if b then "TRUE" else "FALSE"
+  | Value.Int i -> string_of_int i
+  | Value.Float f -> printf_float f
+  | Value.String s -> s
+  | Value.Date d ->
+    let y, m, d = Value.ymd_of_date d in
+    Printf.sprintf "%04d-%02d-%02d" y m d
+
 (* [Relation.render] as it was, kept as the oracle. *)
 let render_oracle ?(max_rows = 40) r =
   let headers = Array.map (fun c -> Schema.qualified_name c) (Relation.schema r) in
   let rows = Relation.rows r in
   let shown = min max_rows (Array.length rows) in
-  let cells = Array.init shown (fun i -> Array.map Value.to_string rows.(i)) in
+  let cells = Array.init shown (fun i -> Array.map cell_oracle rows.(i)) in
   let ncols = Array.length headers in
   let width j =
     Array.fold_left
@@ -652,22 +664,58 @@ let prop_render_oracle =
       frequency
         [ (6, gen_value);
           (1, map (fun s -> Value.String s) (string_size ~gen:printable (int_range 0 12)));
-          (1, map (fun f -> Value.Float f) float) ]
+          (1, map (fun f -> Value.Float f) float);
+          (* Int extremes and multi-digit negatives *)
+          ( 2,
+            map (fun i -> Value.Int i)
+              (oneof
+                 [ oneofl [ min_int; max_int; min_int + 1; max_int - 1; -10; -99; -100 ];
+                   int_range (-1_000_000_000) (-10); int ]) );
+          (* integral floats at the edge of the digit path, -0.0,
+             non-integral floats, nan and the infinities *)
+          ( 2,
+            map (fun f -> Value.Float f)
+              (oneof
+                 [ map (fun k -> 1e15 -. float_of_int k) (int_range 0 3);
+                   map (fun k -> -1e15 +. float_of_int k) (int_range 0 3);
+                   oneofl [ -0.; 0.; 1e15; -1e15; Float.nan; Float.infinity;
+                            Float.neg_infinity; 0.1; -2.5; 1e-7; 123456.789 ] ]) );
+          (1, map (fun d -> Value.Date d) (int_range (-1_000) 40_000));
+          (* strings a JSON encoder has to escape *)
+          ( 1,
+            map (fun s -> Value.String s)
+              (string_size ~gen:(oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; 'a'; ' ' ])
+                 (int_range 0 8)) );
+        ]
     in
     triple
       (list_repeat ncols
          (pair (opt (oneofl [ "t"; "seq" ])) (string_size ~gen:(char_range 'a' 'z') (int_range 1 9))))
-      (list_size (int_range 0 30) (map Array.of_list (list_repeat ncols value)))
+      (pair (list_size (int_range 0 30) (map Array.of_list (list_repeat ncols value)))
+         (int_range 1 40))
       (opt (int_range 0 35))
   in
   QCheck.Test.make ~count:2_000 ~name:"render equals the old render"
     (QCheck.make gen)
-    (fun (cols, rows, max_rows) ->
+    (fun (cols, (rows, chunk), max_rows) ->
       let schema =
         Schema.make (List.map (fun (rel, name) -> Schema.column ?rel name Dtype.String) cols)
       in
-      let r = Relation.of_array schema (Array.of_list rows) in
-      String.equal (Relation.render ?max_rows r) (render_oracle ?max_rows r))
+      (* rows cut into chunks of [chunk] rows, so [max_rows] can fall
+         inside any chunk *)
+      let rows = Array.of_list rows in
+      let r =
+        Relation.of_chunks schema
+          (Array.init
+             ((Array.length rows + chunk - 1) / chunk)
+             (fun c ->
+               Relation.chunk schema
+                 (Array.sub rows (c * chunk) (min chunk (Array.length rows - (c * chunk))))))
+      in
+      String.equal (Relation.render ?max_rows r) (render_oracle ?max_rows r)
+      && Array.for_all
+           (Array.for_all (fun v -> String.equal (Value.to_string v) (cell_oracle v)))
+           rows)
 
 (* ---- Sorting against a stable list sort ----
 

@@ -65,6 +65,41 @@ let test_wire_roundtrip () =
   Alcotest.(check (pair string string)) "split bare verb" ("ping", "")
     (Wire.split "ping\n")
 
+(* The escaper as it was, one byte at a time: the oracle. *)
+let escape_oracle s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* Strings over all 256 byte values, with long runs that need no escape
+   and runs of bytes that all do. *)
+let prop_escape_oracle =
+  let gen =
+    let open QCheck.Gen in
+    let run =
+      frequency
+        [ (2, string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 64));
+          (2, string_size ~gen:(char_range ' ' '~') (int_range 0 200));
+          (1, string_size ~gen:(map Char.chr (int_range 0 0x1f)) (int_range 1 12));
+          (1, string_size ~gen:(oneofl [ '"'; '\\'; '\n' ]) (int_range 1 12)) ]
+    in
+    map (String.concat "") (list_size (int_range 0 8) run)
+  in
+  QCheck.Test.make ~count:2_000 ~name:"jstr and json_escape equal the per-byte escaper"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      let e = escape_oracle s in
+      String.equal (Wire.json_escape s) e && String.equal (Wire.jstr s) ("\"" ^ e ^ "\""))
+
 (* ---- Server round-trips ---- *)
 
 let with_server f =
@@ -106,6 +141,35 @@ let test_server_roundtrips () =
           let r = expect_ok "fresh query" (req c "query SELECT * FROM t") in
           Alcotest.(check (option string)) "unpinned read is at tip" (Some "2")
             (Wire.field r "rows")))
+
+(* An answer longer than the 64 KiB channel buffer: 15 rows cubed by a
+   cross join, with cells that need escaping, come back whole. *)
+let test_server_large_answer () =
+  with_server (fun srv session ->
+      let c = Server.Client.connect ~port:(Server.port srv) in
+      Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+        (fun () ->
+          ignore (expect_ok "create" (req c "exec CREATE TABLE t (a INT, b FLOAT, c VARCHAR)"));
+          let values =
+            List.init 15 (fun i ->
+                Printf.sprintf "(%d, %s, '%s')" ((i - 7) * 1_000_003)
+                  (List.nth [ "-0.5"; "1e15"; "2.0"; "-3.25" ] (i mod 4))
+                  (List.nth [ "say \"hi\""; "back\\slash"; "tab\there"; "" ] (i mod 4)))
+          in
+          ignore
+            (expect_ok "insert"
+               (req c ("exec INSERT INTO t VALUES " ^ String.concat ", " values)));
+          let sql = "SELECT * FROM t x, t y, t z" in
+          let r = expect_ok "query" (req c ("query " ^ sql)) in
+          Alcotest.(check bool) "longer than the channel buffer" true
+            (String.length r > 65_536);
+          Alcotest.(check (option string)) "rows" (Some "3375") (Wire.field r "rows");
+          match Session.query session sql with
+          | Ok rel ->
+            Alcotest.(check (option string)) "data is the rendered table"
+              (Some (Rfview_relalg.Relation.render ~max_rows:max_int rel))
+              (Wire.field r "data")
+          | Error e -> Alcotest.fail (Session.describe_error e)))
 
 let test_server_batch_and_errors () =
   with_server (fun srv _session ->
@@ -244,10 +308,14 @@ let () =
           Alcotest.test_case "propagates exceptions" `Quick
             test_pool_propagates_exceptions;
         ] );
-      ("wire", [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip ]);
+      ( "wire",
+        [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_escape_oracle ] );
       ( "protocol",
         [
           Alcotest.test_case "roundtrips" `Quick test_server_roundtrips;
+          Alcotest.test_case "answer longer than the channel buffer" `Quick
+            test_server_large_answer;
           Alcotest.test_case "batch + errors" `Quick
             test_server_batch_and_errors;
           Alcotest.test_case "batch size limit" `Quick test_server_batch_limit;
