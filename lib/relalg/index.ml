@@ -12,8 +12,11 @@ type kind =
   | Hash
   | Ordered
 
+(* keyed by [Value.equal], so INT and FLOAT keys of equal value meet *)
+module Value_tbl = Hashtbl.Make (Value)
+
 type t =
-  | Hash_index of (Value.t, int list) Hashtbl.t
+  | Hash_index of int list Value_tbl.t
   | Ordered_index of (Value.t * int) array
 
 let kind_name = function
@@ -25,13 +28,13 @@ let kind_name = function
 let build kind (rel : Relation.t) ~key_col : t =
   match kind with
   | Hash ->
-    let tbl = Hashtbl.create (max 16 (Relation.cardinality rel)) in
+    let tbl = Value_tbl.create (max 16 (Relation.cardinality rel)) in
     Relation.iteri
       (fun i row ->
         let k = Row.get row key_col in
         if not (Value.is_null k) then
-          Hashtbl.replace tbl k
-            (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+          Value_tbl.replace tbl k
+            (i :: Option.value ~default:[] (Value_tbl.find_opt tbl k)))
       rel;
     Hash_index tbl
   | Ordered ->
@@ -89,7 +92,7 @@ let lookup_eq t k =
   if Value.is_null k then []
   else
     match t with
-    | Hash_index tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl k)
+    | Hash_index tbl -> Option.value ~default:[] (Value_tbl.find_opt tbl k)
     | Ordered_index entries ->
       collect_ids entries ~start:(lower_bound entries k) ~stop:(upper_bound entries k)
 

@@ -43,36 +43,47 @@ let nested_loop kind (left : Relation.t) (right : Relation.t) cond : Relation.t 
     left;
   Relation.of_rev_list (output_schema left right) !out
 
+(* Keyed by [Row.equal]: INT 1 and FLOAT 1.0 are one key, where a
+   polymorphic [Hashtbl] keys by structure and keeps them apart. *)
+module Row_tbl = Hashtbl.Make (Row)
+
 (* Hash join on [left_keys(l) = right_keys(r)] pairwise, with an optional
    residual predicate over the combined row.  SQL equality: NULL keys
-   never match. *)
+   never match, INT and FLOAT keys of equal value do. *)
 let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_keys
     ?residual () : Relation.t =
   if List.length left_keys <> List.length right_keys || left_keys = [] then
     invalid_arg "Joinop.hash_join: key lists must be equal-length and non-empty";
+  (* a row's key, or [[||]] when a component is NULL *)
   let key_of exprs =
-    let fns = List.map Expr.compile exprs in
-    fun row -> List.map (fun f -> f row) fns
+    let fns = Array.of_list (List.map Expr.compile exprs) in
+    fun row ->
+      let k = Array.make (Array.length fns) Value.Null and null = ref false in
+      for i = 0 to Array.length fns - 1 do
+        k.(i) <- fns.(i) row;
+        if Value.is_null k.(i) then null := true
+      done;
+      if !null then [||] else k
   in
   let left_key = key_of left_keys and right_key = key_of right_keys in
   let residual = Option.map (pair_pred left) residual in
-  let tbl = Hashtbl.create (max 16 (Relation.cardinality right)) in
+  let tbl = Row_tbl.create (max 16 (Relation.cardinality right)) in
   Relation.iter
     (fun rrow ->
       let k = right_key rrow in
-      if not (List.exists Value.is_null k) then
-        Hashtbl.replace tbl k (rrow :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+      if Array.length k > 0 then
+        Row_tbl.replace tbl k (rrow :: Option.value ~default:[] (Row_tbl.find_opt tbl k)))
     right;
   (* each bucket in build order once, not once per probe *)
-  Hashtbl.filter_map_inplace (fun _ rrows -> Some (List.rev rrows)) tbl;
+  Row_tbl.filter_map_inplace (fun _ rrows -> Some (List.rev rrows)) tbl;
   let rnull = null_row (Schema.arity (Relation.schema right)) in
   let out = ref [] in
   Relation.iter
     (fun lrow ->
       let k = left_key lrow in
       let candidates =
-        if List.exists Value.is_null k then []
-        else Option.value ~default:[] (Hashtbl.find_opt tbl k)
+        if Array.length k = 0 then []
+        else Option.value ~default:[] (Row_tbl.find_opt tbl k)
       in
       let matched = ref false in
       List.iter

@@ -8,8 +8,11 @@ let arity (r : t) = Array.length r
 let append (a : t) (b : t) : t = Array.append a b
 let of_array (a : Value.t array) : t = a
 
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b && Array.for_all2 Value.equal a b
+(* a top-level loop: [Array.for_all2] allocates a closure per call *)
+let rec equal_from (a : t) (b : t) i =
+  i = Array.length a || (Value.equal a.(i) b.(i) && equal_from a b (i + 1))
+
+let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
 
 let compare (a : t) (b : t) =
   let n = min (Array.length a) (Array.length b) in

@@ -227,11 +227,19 @@ let sql_compare a b =
 
 let equal a b = compare a b = 0
 
+(* Numerics hash as their float image, so INT and FLOAT of equal value
+   collide; an integral image in the int range hashes as that int, and
+   an INT below 2^53 in magnitude is its own exact image (no boxing). *)
+let hash_float f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then Hashtbl.hash (int_of_float f)
+  else Hashtbl.hash f
+
 let hash = function
   | Null -> 0
   | Bool b -> Hashtbl.hash b
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i when i > -(1 lsl 53) && i < 1 lsl 53 -> Hashtbl.hash i
+  | Int i -> hash_float (float_of_int i)
+  | Float f -> hash_float f
   | String s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d, 'd')
 

@@ -1,21 +1,27 @@
 (* The chaos harness: randomized DML streams against a shadow oracle,
    with faults injected at the engine's registered sites.
 
-   The stream runs INSERT/UPDATE/DELETE/CSV-load/REFRESH statements over
-   a (grp, pos, val) sequence table carrying three materialized sequence
-   views (cumulative SUM per group, sliding AVG, sliding MIN) and a
-   derivation cache.  A *shadow oracle* — a plain row list to which each
-   statement's effect is applied only when the engine reports success —
-   tracks what the base table must contain.
+   One stream driver runs all four harnesses.  Its statements are
+   INSERT/UPDATE/DELETE/CSV-load/REFRESH over a (grp, pos, val) table
+   carrying five materialized views; a *shadow oracle* — a row list to
+   which a statement's effect is applied only when the engine reports
+   success — tracks what the table must contain.  The driver owns the
+   setup, the one PRNG that draws both the statements and the layer's
+   events (a seed fixes the whole run), the oracle and its rollback when
+   a group-commit chunk fails, the chunk loop, and one check after every
+   chunk, with injection suspended: the base table equals the oracle,
+   every non-stale view equals full recomputation, and reading a stale
+   (quarantined) view heals it to exactly the recomputed contents.
 
-   After every statement the harness checks, with injection suspended:
-   1. the base table equals the oracle (a failed statement must have
-      rolled back completely, a successful one applied completely);
-   2. every non-stale materialized view equals full recomputation of its
-      definition;
-   3. reading a stale (quarantined) view heals it: the lazy refresh
-      yields exactly the recomputed contents;
-   4. periodically, a cache answer equals uncached execution.
+   Each harness is a fault layer adding its handle, its events after a
+   chunk and its final phase (detailed in its section below):
+   - [run]: in memory, one site armed for the whole run, cache probes;
+   - [run_crash]: a durable directory, five crash variants, a final
+     kill and recovery;
+   - [run_replica]: a durable primary shipped to replica feeds, reads
+     checked at their LSN, replica/feed/primary events, failover;
+   - [run_storage]: a durable primary on the simulated disk, storage
+     events, a final scrub and recovery.
 
    Any violation raises [Divergence].  Nothing here depends on the test
    framework, so the harness also serves examples and the CLI. *)
@@ -26,7 +32,13 @@ module Catalog = Rfview_engine.Catalog
 module Cache = Rfview_engine.Cache
 module Csv = Rfview_engine.Csv
 module Fault = Rfview_engine.Fault
+module Io = Rfview_engine.Io
+module Scrub = Rfview_engine.Scrub
 module Parser = Rfview_sql.Parser
+module Replica = Rfview_replica.Replica
+module Ship = Rfview_replica.Ship
+module Feed = Rfview_replica.Feed
+module Repair = Rfview_replica.Repair
 
 exception Divergence of string
 
@@ -192,24 +204,123 @@ let check_views db ~context =
               (Relation.render (Relation.sorted_by_all recomputed)))
     (Catalog.all_views (Db.catalog db))
 
-(* Read every stale view, which must heal it (lazy full refresh), and
-   compare the healed contents with recomputation.  Returns the number
-   of views healed. *)
-let heal_stale db ~context =
-  let stale = Db.stale_views db in
-  List.iter
-    (fun name ->
-      let read = Db.query db (Printf.sprintf "SELECT * FROM %s" name) in
-      if Db.is_stale db name then
-        divergence "%s: reading stale view %s did not heal it" context name;
-      let v = Catalog.view (Db.catalog db) name in
-      let recomputed = Db.run_query db v.Catalog.definition in
-      if not (Relation.equal_bag read recomputed) then
-        divergence "%s: healed view %s diverged from full recomputation" context name)
-    stale;
-  List.length stale
+(* ---- The stream driver ---- *)
 
-(* ---- The harness ---- *)
+type stream = {
+  prng : Prng.t;
+  mutable db : Db.t;             (* the current handle; recovery swaps it *)
+  mutable oracle : Row.t list;   (* the base table at the last commit *)
+  mutable statements : int;      (* statements attempted *)
+  mutable failed : int;          (* statements and chunks that raised *)
+  mutable quarantines : int;     (* views seen stale at a check *)
+  mutable heals : int;           (* stale views healed by a check *)
+  mutable checks : int;          (* checks passed *)
+}
+
+(* The invariants, with injection suspended: they must observe the
+   state a fault left behind, not re-trigger it.  Reading a stale view
+   must heal it (lazy full refresh) to exactly its recomputation. *)
+let check s ~context =
+  Fault.with_suspended (fun () ->
+      let stale = Db.stale_views s.db in
+      check_base s.db s.oracle ~context;
+      check_views s.db ~context;
+      List.iter
+        (fun name ->
+          let read = Db.query s.db (Printf.sprintf "SELECT * FROM %s" name) in
+          if Db.is_stale s.db name then
+            divergence "%s: reading stale view %s did not heal it" context name;
+          let v = Catalog.view (Db.catalog s.db) name in
+          if not (Relation.equal_bag read (Db.run_query s.db v.Catalog.definition)) then
+            divergence "%s: healed view %s diverged from full recomputation" context name)
+        stale;
+      s.quarantines <- s.quarantines + List.length stale;
+      s.heals <- s.heals + List.length stale;
+      s.checks <- s.checks + 1)
+
+(* What a fault layer adds to the stream. *)
+type 'report layer = {
+  after_chunk : crossed:(int -> bool) -> last:int -> context:string -> unit;
+      (* the layer's events after the chunk ending at statement [last];
+         [crossed p]: a period-[p] boundary lies inside the chunk (at
+         chunk size 1, exactly [last mod p = 0]) *)
+  finish : unit -> 'report;      (* the final phase *)
+  close : unit -> unit;          (* teardown besides the handle *)
+}
+
+(* Run the setup on [db], build the layer over the stream, then run
+   [ops] statements: one per chunk at [batch <= 1], else [Db.with_batch]
+   chunks of [batch] (group commit).  [check] and the layer's events
+   follow every chunk and happen nowhere else, so a crash never finds an
+   open batch: the directory holds the whole chunk (one WAL batch
+   record) or none of it. *)
+let drive ~seed ~ops ~batch db (layer : stream -> 'report layer) : 'report =
+  List.iter (fun sql -> ignore (Db.exec db sql)) setup_sql;
+  let s =
+    {
+      prng = Prng.create ~seed;
+      db;
+      oracle = [];
+      statements = 0;
+      failed = 0;
+      quarantines = 0;
+      heals = 0;
+      checks = 0;
+    }
+  in
+  let close = ref ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm_all ();
+      !close ();
+      try Db.close s.db with _ -> ())
+  @@ fun () ->
+  let l = layer s in
+  close := l.close;
+  let last_sql = ref "(none)" in
+  let exec_op () =
+    let op = gen_op s.prng in
+    last_sql := sql_of_op op;
+    (match
+       match op with
+       | Load_csv batch ->
+         ignore (Csv.import_string s.db ~table:"seq" (csv_of_batch batch))
+       | op -> ignore (Db.exec s.db (sql_of_op op))
+     with
+     | () -> s.oracle <- apply_oracle s.oracle op
+     | exception _ -> s.failed <- s.failed + 1);
+    s.statements <- s.statements + 1
+  in
+  let i = ref 1 in
+  while !i <= ops do
+    let chunk = if batch <= 1 then 1 else min batch (ops - !i + 1) in
+    let first = !i and last = !i + chunk - 1 in
+    let oracle0 = s.oracle in
+    (match
+       if chunk = 1 then exec_op ()
+       else Db.with_batch s.db (fun () -> for _ = first to last do exec_op () done)
+     with
+     | () -> ()
+     | exception _ ->
+       (* a commit-time failure rolls the whole chunk back; the oracle
+          must forget the chunk with it *)
+       s.oracle <- oracle0;
+       s.failed <- s.failed + 1);
+    let context =
+      if chunk = 1 then Printf.sprintf "op %d (%s)" first !last_sql
+      else Printf.sprintf "ops %d-%d (batch; last: %s)" first last !last_sql
+    in
+    check s ~context;
+    l.after_chunk ~crossed:(fun p -> p > 0 && last / p > (first - 1) / p) ~last ~context;
+    i := last + 1
+  done;
+  l.finish ()
+
+(* ---- The in-memory layer: [run] ----
+
+   An in-memory database, one site optionally armed for the whole run,
+   and a derivation cache probed with faults live (the cache must
+   degrade, never corrupt) against uncached execution (suspended). *)
 
 let run ?(config = default_config) ?inject ?(sanitize = false) () : report =
   (* the differential sanitizer hooks into plan_query, so enabling it
@@ -223,122 +334,53 @@ let run ?(config = default_config) ?inject ?(sanitize = false) () : report =
   @@ fun () ->
   let db = Db.create () in
   let cache = Cache.create ~capacity:4 db in
-  List.iter (fun sql -> ignore (Db.exec db sql)) setup_sql;
+  drive ~seed:config.seed ~ops:config.ops ~batch:config.batch db @@ fun s ->
   (* seed the cache so probes can hit by derivation *)
   ignore (Cache.query cache cache_seed_query);
-  let prng = Prng.create ~seed:config.seed in
-  let oracle = ref [] in
-  let report =
-    ref
-      {
-        statements = 0;
-        failed = 0;
-        quarantines = 0;
-        heals = 0;
-        cache_probes = 0;
-        cache_hits = 0;
-        checks = 0;
-      }
-  in
-  (match inject with
-   | Some (site, policy) -> Fault.arm site policy
-   | None -> ());
-  Fun.protect
-    ~finally:(fun () -> Fault.disarm_all ())
-    (fun () ->
-      let last_sql = ref "(none)" in
-      let exec_op () =
-        let op = gen_op prng in
-        last_sql := sql_of_op op;
-        let applied =
-          match op with
-          | Load_csv batch ->
-            (match Csv.import_string db ~table:"seq" (csv_of_batch batch) with
-             | _ -> true
-             | exception _ -> false)
-          | op ->
-            (match Db.exec db (sql_of_op op) with
-             | _ -> true
-             | exception _ -> false)
-        in
-        if applied then oracle := apply_oracle !oracle op
-        else report := { !report with failed = !report.failed + 1 };
-        report := { !report with statements = !report.statements + 1 }
-      in
-      (* [batch <= 1]: one statement per chunk, checks after each —
-         the original per-statement stream.  [batch > 1]: chunks run
-         inside [with_batch] (group commit, one propagation per view)
-         and the invariants are only checkable at commit boundaries. *)
-      let i = ref 1 in
-      while !i <= config.ops do
-        let chunk =
-          if config.batch <= 1 then 1
-          else min config.batch (config.ops - !i + 1)
-        in
-        let first = !i and last = !i + chunk - 1 in
-        let oracle0 = !oracle in
-        (match
-           if chunk = 1 then exec_op ()
-           else Db.with_batch db (fun () -> for _ = first to last do exec_op () done)
-         with
-         | () -> ()
-         | exception _ ->
-           (* a commit-time failure rolls the whole batch back; the
-              oracle must forget the chunk with it *)
-           oracle := oracle0;
-           report := { !report with failed = !report.failed + 1 });
-        let context =
-          if chunk = 1 then Printf.sprintf "op %d (%s)" first !last_sql
-          else Printf.sprintf "ops %d-%d (batch; last: %s)" first last !last_sql
-        in
-        (* all consistency checks run with injection suspended: they must
-           observe the state the fault left behind, not re-trigger it *)
-        Fault.with_suspended (fun () ->
-            let stale_now = List.length (Db.stale_views db) in
-            report := { !report with quarantines = !report.quarantines + stale_now };
-            check_base db !oracle ~context;
-            check_views db ~context;
-            let healed = heal_stale db ~context in
-            report := { !report with heals = !report.heals + healed; checks = !report.checks + 1 });
-        (* cache probe: runs with faults live (the cache must degrade,
-           never corrupt); the reference runs suspended.  A batched chunk
-           probes when it crossed a probe point — after its commit, so a
-           hit must never serve a pre-batch answer. *)
-        if last / config.cache_every > (first - 1) / config.cache_every then begin
+  Option.iter (fun (site, policy) -> Fault.arm site policy) inject;
+  let probes = ref 0 and hits = ref 0 in
+  {
+    (* a batched chunk probes when it crossed a probe point — after its
+       commit, so a hit must never serve a pre-batch answer *)
+    after_chunk =
+      (fun ~crossed ~last ~context:_ ->
+        if crossed config.cache_every then
           List.iter
             (fun sql ->
               let result, outcome = Cache.query cache sql in
               let reference =
-                Fault.with_suspended (fun () -> Db.run_query db (Parser.query sql))
+                Fault.with_suspended (fun () -> Db.run_query s.db (Parser.query sql))
               in
               if not (Relation.equal_bag result reference) then
                 divergence "op %d: cache answer diverged from uncached execution (%s)"
                   last
                   (Cache.describe_outcome outcome);
-              report :=
-                {
-                  !report with
-                  cache_probes = !report.cache_probes + 1;
-                  cache_hits =
-                    (!report.cache_hits
-                    + match outcome with Cache.Hit _ -> 1 | _ -> 0);
-                })
-            cache_probe_queries
-        end;
-        i := last + 1
-      done;
-      !report)
+              incr probes;
+              match outcome with Cache.Hit _ -> incr hits | _ -> ())
+            cache_probe_queries);
+    finish =
+      (fun () : report ->
+        {
+          statements = s.statements;
+          failed = s.failed;
+          quarantines = s.quarantines;
+          heals = s.heals;
+          cache_probes = !probes;
+          cache_hits = !hits;
+          checks = s.checks;
+        });
+    close = ignore;
+  }
 
-(* ---- Crash-recovery chaos ----
+(* ---- The crash layer: [run_crash] ----
 
-   The same randomized stream and shadow oracle, but over a *durable*
-   database directory, with simulated crashes: the process never dies,
-   the in-memory database object is simply abandoned (per-statement
-   fsync makes that an accurate kill model) and the directory reopened
-   through recovery.  Crash variants also tear the WAL tail mid-record,
-   arm the wal/checkpoint/recovery fault sites, and crash between
-   checkpoints — after every recovery the database must equal the oracle
-   at the last committed statement. *)
+   A durable directory with simulated crashes: the process never dies,
+   the in-memory handle is simply abandoned (per-statement fsync makes
+   that an accurate kill model) and the directory reopened through
+   recovery.  Crash variants also tear the WAL tail mid-record, arm the
+   wal/checkpoint/recovery fault sites, and crash between checkpoints —
+   after every recovery the database must equal the oracle at the last
+   committed statement. *)
 
 type crash_config = {
   cc_seed : int;
@@ -378,10 +420,9 @@ let fresh_dir dir =
 let run_crash ?(config = default_crash_config) ~dir () : crash_report =
   let module Wal = Rfview_engine.Wal in
   fresh_dir dir;
-  let db = ref (Db.open_durable dir) in
-  List.iter (fun sql -> ignore (Db.exec !db sql)) setup_sql;
-  let prng = Prng.create ~seed:config.cc_seed in
-  let oracle = ref [] in
+  drive ~seed:config.cc_seed ~ops:config.cc_ops ~batch:config.cc_batch
+    (Db.open_durable dir)
+  @@ fun s ->
   let report =
     ref
       {
@@ -397,27 +438,23 @@ let run_crash ?(config = default_crash_config) ~dir () : crash_report =
         cr_heals = 0;
       }
   in
-  let check ~context =
-    Fault.with_suspended (fun () ->
-        check_base !db !oracle ~context;
-        check_views !db ~context;
-        let healed = heal_stale !db ~context in
-        report := { !report with cr_heals = !report.cr_heals + healed })
-  in
-  (* Reopen [dir] and fold the recovery report into the counters; the
-     recovered database must match the oracle at the last commit. *)
+  let bump f = report := f !report in
+  (* Abandon the handle, reopen [dir] and fold the recovery report into
+     the counters; the recovered database must match the oracle at the
+     last commit. *)
   let recover ~context =
-    let db', (r : Db.recovery_report) = Db.recover dir in
-    db := db';
-    report :=
-      {
-        !report with
-        cr_crashes = !report.cr_crashes + 1;
-        cr_torn = (!report.cr_torn + if r.Db.torn then 1 else 0);
-        cr_replayed = !report.cr_replayed + r.Db.replayed;
-        cr_quarantined = !report.cr_quarantined + List.length r.Db.quarantined;
-      };
-    check ~context;
+    Db.close s.db;
+    let db, (r : Db.recovery_report) = Db.recover dir in
+    s.db <- db;
+    bump (fun c ->
+        {
+          c with
+          cr_crashes = c.cr_crashes + 1;
+          cr_torn = (c.cr_torn + if r.Db.torn then 1 else 0);
+          cr_replayed = c.cr_replayed + r.Db.replayed;
+          cr_quarantined = c.cr_quarantined + List.length r.Db.quarantined;
+        });
+    check s ~context;
     r
   in
   let crash variant i =
@@ -425,14 +462,13 @@ let run_crash ?(config = default_crash_config) ~dir () : crash_report =
     match variant with
     | 0 ->
       (* clean kill: abandon the handle, recover from disk *)
-      Db.close !db;
       ignore (recover ~context)
     | 1 ->
       (* torn write: a strict prefix of a valid frame lands on the log
          tail — recovery must truncate it, not replay it *)
-      Db.close !db;
+      Db.close s.db;
       let frame = Wal.frame (Wal.Statement "CREATE TABLE torn_marker (x INT)") in
-      let cut = 1 + Prng.int prng (String.length frame - 1) in
+      let cut = 1 + Prng.int s.prng (String.length frame - 1) in
       let oc =
         open_out_gen [ Open_append; Open_binary ] 0o644 (Filename.concat dir "log.wal")
       in
@@ -441,125 +477,94 @@ let run_crash ?(config = default_crash_config) ~dir () : crash_report =
       let r = recover ~context in
       if not r.Db.torn then
         divergence "%s: recovery did not report the torn tail" context;
-      if Catalog.find_table (Db.catalog !db) "torn_marker" <> None then
+      if Catalog.find_table (Db.catalog s.db) "torn_marker" <> None then
         divergence "%s: recovery replayed a torn record" context
     | 2 ->
       (* durability failure: an armed WAL site must reject the statement
          (rolled back, not on disk) — the oracle is not updated *)
-      let site = Prng.choose prng [ "wal.append"; "wal.fsync" ] in
+      let site = Prng.choose s.prng [ "wal.append"; "wal.fsync" ] in
       Fault.arm site Fault.Always;
-      (match Db.exec !db "INSERT INTO seq VALUES (1, 99, 5)" with
+      (match Db.exec s.db "INSERT INTO seq VALUES (1, 99, 5)" with
        | _ -> divergence "%s: statement committed with %s armed" context site
-       | exception _ ->
-         report := { !report with cr_wal_faults = !report.cr_wal_faults + 1 });
+       | exception _ -> bump (fun c -> { c with cr_wal_faults = c.cr_wal_faults + 1 }));
       Fault.disarm site;
-      check ~context;
-      Db.close !db;
+      check s ~context;
       ignore (recover ~context)
     | 3 ->
       (* checkpoint crash: the write faults partway, the temp file is
          discarded — the previous checkpoint plus the longer WAL must
          still recover the oracle state *)
-      let nth = 1 + Prng.int prng 6 in
+      let nth = 1 + Prng.int s.prng 6 in
       Fault.arm "checkpoint.write" (Fault.Nth nth);
-      (match Db.checkpoint !db with
-       | () -> report := { !report with cr_checkpoints = !report.cr_checkpoints + 1 }
+      (match Db.checkpoint s.db with
+       | () -> bump (fun c -> { c with cr_checkpoints = c.cr_checkpoints + 1 })
        | exception _ ->
-         report :=
-           { !report with cr_checkpoint_faults = !report.cr_checkpoint_faults + 1 });
+         bump (fun c -> { c with cr_checkpoint_faults = c.cr_checkpoint_faults + 1 }));
       Fault.disarm "checkpoint.write";
-      Db.close !db;
       ignore (recover ~context)
     | _ ->
       (* recovery-time fault: replay dies mid-WAL on the first attempt;
          a retry with the site disarmed must succeed cleanly *)
-      Db.close !db;
+      Db.close s.db;
       Fault.arm "recover.replay" (Fault.Nth 1);
-      (match Db.recover dir with
-       | db', _ ->
+      let first = try Some (Db.recover dir) with Db.Recovery_error _ -> None in
+      Fault.disarm "recover.replay";
+      (match first with
+       | Some (db, _) ->
          (* an empty WAL suffix replays nothing, so the site never fires *)
-         Fault.disarm "recover.replay";
-         db := db';
-         report := { !report with cr_crashes = !report.cr_crashes + 1 };
-         check ~context
-       | exception Db.Recovery_error _ ->
-         Fault.disarm "recover.replay";
-         report := { !report with cr_recover_faults = !report.cr_recover_faults + 1 };
+         s.db <- db;
+         bump (fun c -> { c with cr_crashes = c.cr_crashes + 1 });
+         check s ~context
+       | None ->
+         bump (fun c -> { c with cr_recover_faults = c.cr_recover_faults + 1 });
          ignore (recover ~context))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm_all ();
-      Db.close !db)
-    (fun () ->
-      let last_sql = ref "(none)" in
-      let exec_op () =
-        let op = gen_op prng in
-        last_sql := sql_of_op op;
-        let applied =
-          match op with
-          | Load_csv batch ->
-            (match Csv.import_string !db ~table:"seq" (csv_of_batch batch) with
-             | _ -> true
-             | exception _ -> false)
-          | op ->
-            (match Db.exec !db (sql_of_op op) with
-             | _ -> true
-             | exception _ -> false)
-        in
-        if applied then oracle := apply_oracle !oracle op;
-        report := { !report with cr_statements = !report.cr_statements + 1 }
-      in
-      (* crossed p = "a period-[p] boundary lies inside this chunk";
-         at chunk size 1 this is exactly [i mod p = 0].  Checkpoints and
-         crashes only happen at chunk boundaries, so a crash never finds
-         an open batch: the directory holds either the whole chunk (one
-         WAL batch record) or none of it. *)
-      let i = ref 1 in
-      while !i <= config.cc_ops do
-        let chunk =
-          if config.cc_batch <= 1 then 1
-          else min config.cc_batch (config.cc_ops - !i + 1)
-        in
-        let first = !i and last = !i + chunk - 1 in
-        let crossed p = p > 0 && last / p > (first - 1) / p in
-        let oracle0 = !oracle in
-        (match
-           if chunk = 1 then exec_op ()
-           else Db.with_batch !db (fun () -> for _ = first to last do exec_op () done)
-         with
-         | () -> ()
-         | exception _ -> oracle := oracle0);
-        let context =
-          if chunk = 1 then Printf.sprintf "op %d (%s)" first !last_sql
-          else Printf.sprintf "ops %d-%d (batch; last: %s)" first last !last_sql
-        in
-        check ~context;
+  {
+    after_chunk =
+      (fun ~crossed ~last ~context:_ ->
         if crossed config.cc_checkpoint_every then begin
-          Db.checkpoint !db;
-          report := { !report with cr_checkpoints = !report.cr_checkpoints + 1 }
+          Db.checkpoint s.db;
+          bump (fun c -> { c with cr_checkpoints = c.cr_checkpoints + 1 })
         end;
-        if crossed config.cc_crash_every then crash (Prng.int prng 5) last;
-        i := last + 1
-      done;
-      (* final kill + recovery: the directory alone must reproduce the
-         oracle *)
-      Db.close !db;
-      ignore (recover ~context:"final recovery");
-      !report)
+        if crossed config.cc_crash_every then crash (Prng.int s.prng 5) last);
+    (* final kill + recovery: the directory alone must reproduce the
+       oracle *)
+    finish =
+      (fun () ->
+        ignore (recover ~context:"final recovery");
+        { !report with cr_statements = s.statements; cr_heals = s.heals });
+    close = ignore;
+  }
 
-(* ---- Replication chaos ----
+(* Pump a shipping primary's records to its feeds (the replica and
+   storage layers); a pump never fails outside an armed site. *)
+let pump_feeds ship ~context =
+  try Ship.pump ship
+  with e -> divergence "%s: pump failed: %s" context (Printexc.to_string e)
 
-   The same randomized stream over a durable primary, shipped through
-   per-replica feeds (Rfview_replica) while the harness records the
-   oracle's row list *at every commit boundary*, keyed by the primary's
-   LSN.  Every read served by any replica is tagged with an LSN; the
-   harness asserts it equals the oracle's state at exactly that LSN — a
-   replica may be stale, it may never be wrong.
+(* Recover a shipping primary in [pdir] (LSNs carry across recovery) and
+   reattach each [(name, path)] feed where it stopped; returns the new
+   shipper. *)
+let reopen_primary s ~pdir ?(checkpoint_bytes = 0) feeds =
+  let db, _ = Db.recover pdir in
+  s.db <- db;
+  if checkpoint_bytes > 0 then Db.set_checkpoint_bytes db (Some checkpoint_bytes);
+  let ship = Ship.create db in
+  List.iter (fun (name, path) -> Ship.reattach ship ~name ~path) feeds;
+  ship
 
-   Chaos events between statements: kill a replica (rebuilt from the
-   feed alone: checkpoint artifact + record suffix), corrupt an
-   unconsumed feed entry (the replica must quarantine, then heal via
+(* ---- The replica layer: [run_replica] ----
+
+   A durable primary shipped through per-replica feeds (Rfview_replica)
+   while the layer records the oracle's row list *at every commit
+   boundary*, keyed by the primary's LSN.  Every read served by any
+   replica is tagged with an LSN; the layer asserts it equals the
+   oracle's state at exactly that LSN — a replica may be stale, it may
+   never be wrong.
+
+   Chaos events between chunks: kill a replica (rebuilt from the feed
+   alone: checkpoint artifact + record suffix), corrupt an unconsumed
+   feed entry (the replica must quarantine, then heal via
    [Ship.resync]), lag a replica (its bounded reads must refuse with
    [Stale]), arm [replica.apply] (the interrupted poll must resume
    exactly), arm [ship.append] (the half-shipped entry must come back
@@ -570,10 +575,6 @@ let run_crash ?(config = default_crash_config) ~dir () : crash_report =
    the freshest replica is promoted, and the promoted directory must
    hold the oracle state at the promoted LSN — losing at most the tail
    that was never pumped. *)
-
-module Replica = Rfview_replica.Replica
-module Ship = Rfview_replica.Ship
-module Feed = Rfview_replica.Feed
 
 type replica_config = {
   rp_seed : int;
@@ -633,7 +634,9 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
   let promoted_dir = Filename.concat dir "promoted" in
   fresh_dir pdir;
   fresh_dir promoted_dir;
-  let prng = Prng.create ~seed:config.rp_seed in
+  drive ~seed:config.rp_seed ~ops:config.rp_ops ~batch:config.rp_batch
+    (Db.open_durable pdir)
+  @@ fun s ->
   let report =
     ref
       {
@@ -655,12 +658,9 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
       }
   in
   let bump f = report := f !report in
-  (* primary + shipper *)
-  let pdb = ref (Db.open_durable pdir) in
-  List.iter (fun sql -> ignore (Db.exec !pdb sql)) setup_sql;
   if config.rp_checkpoint_bytes > 0 then
-    Db.set_checkpoint_bytes !pdb (Some config.rp_checkpoint_bytes);
-  let ship = ref (Ship.create !pdb) in
+    Db.set_checkpoint_bytes s.db (Some config.rp_checkpoint_bytes);
+  let ship = ref (Ship.create s.db) in
   let slots =
     List.init config.rp_replicas (fun i ->
         let rs_name = Printf.sprintf "r%d" i in
@@ -674,62 +674,62 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
           rs_corrupted = false;
         })
   in
-  (* the oracle's row list at every commit boundary, keyed by LSN *)
+  (* the oracle's row list at every commit boundary, keyed by LSN; only
+     at chunk boundaries, since inside a batch the LSN has not advanced
+     yet and mid-batch states would overwrite the boundary state *)
   let history : (int, Row.t list) Hashtbl.t = Hashtbl.create 64 in
-  let oracle = ref [] in
-  let remember () = Hashtbl.replace history (Db.lsn !pdb) !oracle in
+  let remember () = Hashtbl.replace history (Db.lsn s.db) s.oracle in
   remember ();
   let last_pump_tip = ref 0 in
   let pump ~context =
-    match Ship.pump !ship with
-    | n ->
-      last_pump_tip := Db.lsn !pdb;
-      bump (fun r -> { r with rp_pumps = r.rp_pumps + 1; rp_deliveries = r.rp_deliveries + n })
-    | exception e -> divergence "%s: pump failed: %s" context (Printexc.to_string e)
+    let n = pump_feeds !ship ~context in
+    last_pump_tip := Db.lsn s.db;
+    bump (fun r -> { r with rp_pumps = r.rp_pumps + 1; rp_deliveries = r.rp_deliveries + n })
   in
+  (* a poll never fails outside an armed site *)
   let poll slot ~context =
-    match Replica.poll slot.rs_rep with
-    | _ -> ()
-    | exception Fault.Injected _ ->
-      divergence "%s: unexpected injected fault in poll of %s" context slot.rs_name
-    | exception e ->
-      divergence "%s: poll of %s failed: %s" context slot.rs_name
-        (Printexc.to_string e)
+    try ignore (Replica.poll slot.rs_rep)
+    with e ->
+      divergence "%s: poll of %s failed: %s" context slot.rs_name (Printexc.to_string e)
   in
-  (* a quarantine is legitimate iff this feed really was damaged *)
-  let note_quarantine slot ~context reason =
-    if not slot.rs_corrupted then
-      divergence "%s: replica %s quarantined without feed damage (%s)" context
-        slot.rs_name reason;
-    bump (fun r -> { r with rp_quarantines = r.rp_quarantines + 1 })
-  in
-  (* heal a quarantined replica: ship a fresh tip artifact, re-poll, and
-     demand it comes back Ready (the artifact carries a fingerprint, so
-     a wrong rebuild would re-quarantine) *)
+  (* Heal a quarantined replica, if it is one: the quarantine is
+     legitimate iff its feed really was damaged; ship a fresh tip
+     artifact, re-poll, and demand it comes back Ready (the artifact
+     carries a fingerprint, so a wrong rebuild would re-quarantine).
+     Says whether the replica was quarantined. *)
   let repair slot ~context =
-    Ship.resync !ship ~name:slot.rs_name;
-    bump (fun r -> { r with rp_resyncs = r.rp_resyncs + 1 });
-    last_pump_tip := Db.lsn !pdb;
-    poll slot ~context;
     match Replica.status slot.rs_rep with
-    | Replica.Ready -> ()
-    | Replica.Syncing -> divergence "%s: %s still syncing after resync" context slot.rs_name
+    | Replica.Ready | Replica.Syncing -> false
     | Replica.Quarantined { reason; _ } ->
-      divergence "%s: %s still quarantined after resync: %s" context slot.rs_name reason
+      if not slot.rs_corrupted then
+        divergence "%s: replica %s quarantined without feed damage (%s)" context
+          slot.rs_name reason;
+      bump (fun r -> { r with rp_quarantines = r.rp_quarantines + 1 });
+      Ship.resync !ship ~name:slot.rs_name;
+      bump (fun r -> { r with rp_resyncs = r.rp_resyncs + 1 });
+      last_pump_tip := Db.lsn s.db;
+      poll slot ~context;
+      (match Replica.status slot.rs_rep with
+       | Replica.Ready -> ()
+       | Replica.Syncing -> divergence "%s: %s still syncing after resync" context slot.rs_name
+       | Replica.Quarantined { reason; _ } ->
+         divergence "%s: %s still quarantined after resync: %s" context slot.rs_name reason);
+      true
+  in
+  (* kill: abandon the replica object; the rebuilt one must bootstrap
+     from the feed alone *)
+  let rebootstrap slot ~context =
+    slot.rs_rep <- Replica.attach ~name:slot.rs_name ~feed:slot.rs_path ();
+    slot.rs_lag_until <- 0;
+    poll slot ~context;
+    repair slot ~context
   in
   let check_replica_read slot ~context ~tip =
-    match Replica.status slot.rs_rep with
-    | Replica.Quarantined { reason; _ } ->
-      note_quarantine slot ~context reason;
-      repair slot ~context
-    | Replica.Syncing -> ()
-    | Replica.Ready ->
-      let bound = Prng.int prng (config.rp_max_lag + 1) in
-      let kind = if Prng.int prng 3 = 0 then `Tot else `Base in
-      let sql =
-        match kind with
-        | `Base -> "SELECT grp, pos, val FROM seq"
-        | `Tot -> "SELECT * FROM v_tot"
+    if (not (repair slot ~context)) && Replica.status slot.rs_rep = Replica.Ready then begin
+      let bound = Prng.int s.prng (config.rp_max_lag + 1) in
+      let kind, sql =
+        if Prng.int s.prng 3 = 0 then (`Tot, "SELECT * FROM v_tot")
+        else (`Base, "SELECT grp, pos, val FROM seq")
       in
       (match Replica.read slot.rs_rep ~tip ~max_records:bound sql with
        | Ok (rel, at) ->
@@ -767,21 +767,13 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
        | Error (Replica.Unavailable reason) ->
          divergence "%s: ready replica %s refused a read: %s" context slot.rs_name
            reason)
+    end
   in
   let chaos_event ~context i =
-    let slot = List.nth slots (Prng.int prng (List.length slots)) in
-    match Prng.int prng 6 with
+    let slot = List.nth slots (Prng.int s.prng (List.length slots)) in
+    match Prng.int s.prng 6 with
     | 0 ->
-      (* kill: the replica object is abandoned; the rebuilt one must
-         bootstrap from the feed alone *)
-      slot.rs_rep <- Replica.attach ~name:slot.rs_name ~feed:slot.rs_path ();
-      slot.rs_lag_until <- 0;
-      poll slot ~context;
-      (match Replica.status slot.rs_rep with
-       | Replica.Quarantined { reason; _ } ->
-         note_quarantine slot ~context reason;
-         repair slot ~context
-       | _ -> ());
+      ignore (rebootstrap slot ~context);
       bump (fun r -> { r with rp_kills = r.rp_kills + 1 })
     | 1 ->
       (* corrupt a payload byte of the feed's LAST entry (its CRC then
@@ -793,7 +785,7 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
        | [] -> () (* empty feed: nothing to damage *)
        | (_, finish) :: earlier ->
          let start = match earlier with [] -> 0 | (_, f) :: _ -> f in
-         let at = start + 8 + Prng.int prng (max 1 (finish - start - 8)) in
+         let at = start + 8 + Prng.int s.prng (max 1 (finish - start - 8)) in
          let fd = Unix.openfile slot.rs_path [ Unix.O_RDWR ] 0o644 in
          Fun.protect
            ~finally:(fun () -> try Unix.close fd with _ -> ())
@@ -805,17 +797,10 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
              ignore (Unix.lseek fd at Unix.SEEK_SET);
              ignore (Unix.write fd b 0 1));
          slot.rs_corrupted <- true;
-         slot.rs_rep <- Replica.attach ~name:slot.rs_name ~feed:slot.rs_path ();
-         slot.rs_lag_until <- 0;
          bump (fun r -> { r with rp_corruptions = r.rp_corruptions + 1 });
-         poll slot ~context;
-         (match Replica.status slot.rs_rep with
-          | Replica.Quarantined { reason; _ } ->
-            note_quarantine slot ~context reason;
-            repair slot ~context
-          | _ ->
-            divergence "%s: %s consumed a corrupt feed entry without quarantining"
-              context slot.rs_name))
+         if not (rebootstrap slot ~context) then
+           divergence "%s: %s consumed a corrupt feed entry without quarantining"
+             context slot.rs_name)
     | 2 ->
       (* lag: stop polling this replica for a stretch — its bounded
          reads must refuse once the primary moves past the bound *)
@@ -837,167 +822,107 @@ let run_replica ?(config = default_replica_config) ~dir () : replica_report =
          truncated back off and the retry must ship cleanly *)
       Fault.arm "ship.append" (Fault.Nth 1);
       (match Ship.pump !ship with
-       | _ -> last_pump_tip := Db.lsn !pdb
+       | _ -> last_pump_tip := Db.lsn s.db
        | exception Fault.Injected _ ->
          bump (fun r -> { r with rp_ship_faults = r.rp_ship_faults + 1 }));
       Fault.disarm "ship.append";
       pump ~context
     | _ ->
-      (* primary crash: recover the directory (LSNs must carry across)
-         and reattach every feed where it stopped *)
-      Db.close !pdb;
+      (* primary crash: recover the directory and reattach every feed *)
+      Db.close s.db;
       Ship.close !ship;
-      let db', _ = Db.recover pdir in
-      pdb := db';
-      if config.rp_checkpoint_bytes > 0 then
-        Db.set_checkpoint_bytes !pdb (Some config.rp_checkpoint_bytes);
-      ship := Ship.create !pdb;
-      List.iter
-        (fun s -> Ship.reattach !ship ~name:s.rs_name ~path:s.rs_path)
-        slots;
+      ship :=
+        reopen_primary s ~pdir ~checkpoint_bytes:config.rp_checkpoint_bytes
+          (List.map (fun slot -> (slot.rs_name, slot.rs_path)) slots);
       bump (fun r -> { r with rp_primary_crashes = r.rp_primary_crashes + 1 })
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm_all ();
-      Ship.close !ship;
-      (try Db.close !pdb with _ -> ()))
-    (fun () ->
-      (* first sync: every replica bootstraps to the setup state *)
-      pump ~context:"initial sync";
-      List.iter (fun s -> poll s ~context:"initial sync") slots;
-      let last_epoch = ref (Db.epoch !pdb) in
-      let note_compactions () =
-        let e = Db.epoch !pdb in
-        if e > !last_epoch then begin
-          bump (fun r ->
-              { r with rp_compactions = r.rp_compactions + (e - !last_epoch) });
-          last_epoch := e
-        end
-        else if e < !last_epoch then last_epoch := e
-      in
-      let last_sql = ref "(none)" in
-      let exec_op () =
-        let op = gen_op prng in
-        last_sql := sql_of_op op;
-        let applied =
-          match op with
-          | Load_csv batch ->
-            (match Csv.import_string !pdb ~table:"seq" (csv_of_batch batch) with
-             | _ -> true
-             | exception _ -> false)
-          | op ->
-            (match Db.exec !pdb (sql_of_op op) with
-             | _ -> true
-             | exception _ -> false)
-        in
-        if applied then oracle := apply_oracle !oracle op;
-        (* history is recorded at chunk boundaries only: inside a batch
-           the LSN has not advanced yet, so a per-statement record here
-           would overwrite the boundary state with mid-batch ones *)
-        bump (fun r -> { r with rp_statements = r.rp_statements + 1 })
-      in
-      let i = ref 1 in
-      while !i <= config.rp_ops do
-        let chunk =
-          if config.rp_batch <= 1 then 1
-          else min config.rp_batch (config.rp_ops - !i + 1)
-        in
-        let first = !i and last = !i + chunk - 1 in
-        let crossed p = p > 0 && last / p > (first - 1) / p in
-        let oracle0 = !oracle in
-        (match
-           if chunk = 1 then exec_op ()
-           else Db.with_batch !pdb (fun () -> for _ = first to last do exec_op () done)
-         with
-         | () -> ()
-         | exception _ -> oracle := oracle0);
+  (* first sync: every replica bootstraps to the setup state *)
+  pump ~context:"initial sync";
+  List.iter (fun slot -> poll slot ~context:"initial sync") slots;
+  let last_epoch = ref (Db.epoch s.db) in
+  let note_compactions () =
+    let e = Db.epoch s.db in
+    if e > !last_epoch then begin
+      bump (fun r -> { r with rp_compactions = r.rp_compactions + (e - !last_epoch) });
+      last_epoch := e
+    end
+    else if e < !last_epoch then last_epoch := e
+  in
+  (* ---- failover ----
+     Heal every quarantined replica while the primary still lives, then
+     kill the primary with its unshipped tail and promote the freshest
+     replica.  The promoted directory must reproduce the oracle at the
+     promoted LSN — at most the unpumped tail is lost. *)
+  let failover () =
+    let context = "failover" in
+    List.iter
+      (fun slot ->
+        if slot.rs_lag_until > 0 then slot.rs_lag_until <- 0;
+        poll slot ~context;
+        ignore (repair slot ~context))
+      slots;
+    let tip = Db.lsn s.db in
+    Db.close s.db;
+    Ship.close !ship;
+    (* the freshest replica not in quarantine; the first of equals *)
+    let winner =
+      match
+        List.filter
+          (fun slot ->
+            match Replica.status slot.rs_rep with Replica.Quarantined _ -> false | _ -> true)
+          slots
+      with
+      | [] -> divergence "failover: no promotable replica"
+      | first :: rest ->
+        List.fold_left
+          (fun best slot ->
+            if Replica.applied_lsn best.rs_rep >= Replica.applied_lsn slot.rs_rep then best
+            else slot)
+          first rest
+    in
+    let promoted_lsn = Replica.applied_lsn winner.rs_rep in
+    if promoted_lsn < !last_pump_tip then
+      divergence "failover: promoted lsn %d lost shipped history (pumped to %d)"
+        promoted_lsn !last_pump_tip;
+    let promoted = Replica.promote winner.rs_rep ~dir:promoted_dir in
+    (match Hashtbl.find_opt history promoted_lsn with
+     | None -> divergence "promoted state: promoted lsn %d has no oracle state" promoted_lsn
+     | Some rows -> check_base promoted rows ~context:"promoted state");
+    (* the promoted primary must accept writes and recover on its own *)
+    ignore (Db.exec promoted "INSERT INTO seq VALUES (1, 98, 4)");
+    let after = Hashtbl.find history promoted_lsn @ [ row 1 98 (Value.Float 4.) ] in
+    check_base promoted after ~context:"promoted write";
+    Db.close promoted;
+    let reopened, _ = Db.recover promoted_dir in
+    check_base reopened after ~context:"promoted recovery";
+    check_views reopened ~context:"promoted recovery";
+    Db.close reopened;
+    {
+      !report with
+      rp_statements = s.statements;
+      rp_promoted_lsn = promoted_lsn;
+      rp_lost_tail = tip - promoted_lsn;
+    }
+  in
+  {
+    after_chunk =
+      (fun ~crossed ~last ~context ->
         remember ();
         note_compactions ();
-        let context =
-          if chunk = 1 then Printf.sprintf "op %d (%s)" first !last_sql
-          else Printf.sprintf "ops %d-%d (batch; last: %s)" first last !last_sql
-        in
         if crossed config.rp_pump_every then begin
           pump ~context;
           List.iter
-            (fun s -> if s.rs_lag_until <= last then poll s ~context)
+            (fun slot -> if slot.rs_lag_until <= last then poll slot ~context)
             slots
         end;
         if crossed config.rp_read_every then
           List.iter
-            (fun s -> check_replica_read s ~context ~tip:(Db.lsn !pdb))
+            (fun slot -> check_replica_read slot ~context ~tip:(Db.lsn s.db))
             slots;
-        if crossed config.rp_event_every then chaos_event ~context last;
-        i := last + 1
-      done;
-      (* ---- failover ----
-         Heal every quarantined replica while the primary still lives,
-         then kill the primary with its unshipped tail and promote the
-         freshest replica.  The promoted directory must reproduce the
-         oracle at the promoted LSN — at most the unpumped tail is
-         lost. *)
-      let context = "failover" in
-      List.iter
-        (fun s ->
-          if s.rs_lag_until > 0 then s.rs_lag_until <- 0;
-          poll s ~context;
-          match Replica.status s.rs_rep with
-          | Replica.Quarantined { reason; _ } ->
-            note_quarantine s ~context reason;
-            repair s ~context
-          | _ -> ())
-        slots;
-      let tip = Db.lsn !pdb in
-      Db.close !pdb;
-      Ship.close !ship;
-      let winner =
-        List.fold_left
-          (fun best s ->
-            match Replica.status s.rs_rep with
-            | Replica.Ready | Replica.Syncing ->
-              (match best with
-               | Some b
-                 when Replica.applied_lsn b.rs_rep >= Replica.applied_lsn s.rs_rep
-                 -> best
-               | _ -> Some s)
-            | Replica.Quarantined _ -> best)
-          None slots
-      in
-      let winner =
-        match winner with
-        | Some s -> s
-        | None -> divergence "failover: no promotable replica"
-      in
-      let promoted_lsn = Replica.applied_lsn winner.rs_rep in
-      if promoted_lsn < !last_pump_tip then
-        divergence "failover: promoted lsn %d lost shipped history (pumped to %d)"
-          promoted_lsn !last_pump_tip;
-      let promoted = Replica.promote winner.rs_rep ~dir:promoted_dir in
-      let check_promoted db ~context =
-        match Hashtbl.find_opt history promoted_lsn with
-        | None -> divergence "%s: promoted lsn %d has no oracle state" context promoted_lsn
-        | Some rows -> check_base db rows ~context
-      in
-      check_promoted promoted ~context:"promoted state";
-      (* the promoted primary must accept writes and recover on its own *)
-      ignore (Db.exec promoted "INSERT INTO seq VALUES (1, 98, 4)");
-      let after =
-        (Hashtbl.find history promoted_lsn) @ [ row 1 98 (Value.Float 4.) ]
-      in
-      check_base promoted after ~context:"promoted write";
-      Db.close promoted;
-      let reopened, _ = Db.recover promoted_dir in
-      check_base reopened after ~context:"promoted recovery";
-      check_views reopened ~context:"promoted recovery";
-      Db.close reopened;
-      bump (fun r ->
-          {
-            r with
-            rp_promoted_lsn = promoted_lsn;
-            rp_lost_tail = tip - promoted_lsn;
-          });
-      !report)
+        if crossed config.rp_event_every then chaos_event ~context last);
+    finish = failover;
+    close = (fun () -> Ship.close !ship);
+  }
 
 (* ---- State fingerprint (rollback-idempotence checks) ----
 
@@ -1031,25 +956,20 @@ let fingerprint (db : Db.t) : string =
 let fingerprint_session s =
   fingerprint ((Rfview.Session.Unsafe.database [@alert "-unsafe"]) s)
 
-(* ---- Storage-fault chaos ----
+(* ---- The storage layer: [run_storage] ----
 
-   The same stream and oracle over a durable primary whose every disk
-   byte moves through the Io seam, with the simulated-disk backend
-   driving the faults the other harnesses cannot express: disk-full
-   episodes (a byte budget that tears writes), power cuts that lose
-   every unsynced byte, and silent media corruption that only the
-   scrubber can see.  One feed is kept pumped to the primary's tip so
-   the cross-source repair path has a peer to rebuild from; every WAL
-   rebuild is checked for *bit*-identity against a copy taken before
-   the damage (the codec is canonical, so anything less is a wrong
-   rebuild).  The central assertion is the usual one: the database is
-   never silently wrong — committed statements survive every event,
-   failed ones roll back completely, and damage is always *reported*
-   before it is repaired. *)
-
-module Io = Rfview_engine.Io
-module Scrub = Rfview_engine.Scrub
-module Repair = Rfview_replica.Repair
+   A durable primary whose every disk byte moves through the Io seam,
+   with the simulated-disk backend driving the faults the other layers
+   cannot express: disk-full episodes (a byte budget that tears writes),
+   power cuts that lose every unsynced byte, and silent media corruption
+   that only the scrubber can see.  One feed is kept pumped to the
+   primary's tip so the cross-source repair path has a peer to rebuild
+   from; every WAL rebuild is checked for *bit*-identity against a copy
+   taken before the damage (the codec is canonical, so anything less is
+   a wrong rebuild).  The central assertion is the usual one: the
+   database is never silently wrong — committed statements survive
+   every event, failed ones roll back completely, and damage is always
+   *reported* before it is repaired. *)
 
 type storage_config = {
   st_seed : int;
@@ -1086,7 +1006,9 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
   let wal = Filename.concat pdir "log.wal" in
   Fault.disarm_all ();
   Io.Sim.reset ();
-  let prng = Prng.create ~seed:config.st_seed in
+  drive ~seed:config.st_seed ~ops:config.st_ops ~batch:config.st_batch
+    (Db.open_durable pdir)
+  @@ fun s ->
   let report =
     ref
       {
@@ -1104,47 +1026,25 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
       }
   in
   let bump f = report := f !report in
-  let db = ref (Db.open_durable pdir) in
-  List.iter (fun sql -> ignore (Db.exec !db sql)) setup_sql;
-  let ship = ref (Ship.create !db) in
+  let ship = ref (Ship.create s.db) in
   Ship.attach !ship ~name:"storage" ~path:feed_path;
-  let oracle = ref [] in
-  let check ~context =
-    Fault.with_suspended (fun () ->
-        check_base !db !oracle ~context;
-        check_views !db ~context;
-        ignore (heal_stale !db ~context);
-        bump (fun r -> { r with st_checks = r.st_checks + 1 }))
-  in
   (* keep the feed at the tip: it is the repair peer, so it must carry
      every record (and a fingerprint there) before damage strikes *)
-  let pump ~context =
-    match Ship.pump !ship with
-    | _ -> ()
-    | exception e ->
-      divergence "%s: pump failed: %s" context (Printexc.to_string e)
-  in
+  let pump ~context = ignore (pump_feeds !ship ~context) in
   (* close everything so the offline tools (scrub, repair, Sim.crash)
      own the directory *)
   let shutdown () =
     Ship.close !ship;
-    Db.close !db
+    Db.close s.db
   in
   let reopen ~context =
-    let db', _ = Db.recover pdir in
-    db := db';
-    ship := Ship.create !db;
-    Ship.reattach !ship ~name:"storage" ~path:feed_path;
-    check ~context
+    ship := reopen_primary s ~pdir [ ("storage", feed_path) ];
+    check s ~context
   in
   let scrub_counting () =
     let r = Repair.scrub ~feeds:[ feed_path ] pdir in
-    bump (fun rep ->
-        {
-          rep with
-          st_scrub_findings =
-            rep.st_scrub_findings + List.length r.Scrub.damage;
-        });
+    let found = List.length r.Scrub.damage in
+    bump (fun c -> { c with st_scrub_findings = c.st_scrub_findings + found });
     r
   in
   (* silent media corruption: XOR one byte in place, through the
@@ -1185,43 +1085,43 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
       outcome.Repair.o_actions
   in
   let storage_event ~context =
-    match Prng.int prng 6 with
+    match Prng.int s.prng 6 with
     | 0 ->
       (* a one-shot EIO at a seam site: the statement must fail, roll
          back completely, and NOT drop the session to degraded mode
          (only ENOSPC is a disk-state condition worth waiting out) *)
-      let site = Prng.choose prng [ "io.write"; "io.fsync" ] in
+      let site = Prng.choose s.prng [ "io.write"; "io.fsync" ] in
       Io.Sim.set_error_kind Io.Eio;
       Fault.arm site (Fault.Nth 1);
-      (match Db.exec !db "INSERT INTO seq VALUES (2, 99, 6)" with
+      (match Db.exec s.db "INSERT INTO seq VALUES (2, 99, 6)" with
        | _ -> divergence "%s: statement committed with %s armed" context site
        | exception Db.Degraded_error _ ->
          divergence "%s: an EIO fault must not enter degraded mode" context
        | exception _ ->
          bump (fun r -> { r with st_io_faults = r.st_io_faults + 1 }));
       Fault.disarm site;
-      check ~context
+      check s ~context
     | 1 ->
       (* disk full: the commit tears, rolls back, and the session drops
          to read-only degraded mode; once space frees, the backoff
          probe must lift it and the retried statement must commit *)
-      Io.Sim.set_budget (Some (Prng.int prng 16));
-      (match Db.exec !db "INSERT INTO seq VALUES (3, 99, 7)" with
+      Io.Sim.set_budget (Some (Prng.int s.prng 16));
+      (match Db.exec s.db "INSERT INTO seq VALUES (3, 99, 7)" with
        | _ -> divergence "%s: statement committed on a full disk" context
        | exception Db.Degraded_error _ ->
          bump (fun r -> { r with st_enospc = r.st_enospc + 1 })
        | exception e ->
          divergence "%s: expected Degraded_error on ENOSPC, got %s" context
            (Printexc.to_string e));
-      (match Db.health !db with
+      (match Db.health s.db with
        | Db.Degraded _ -> ()
        | Db.Healthy ->
          divergence "%s: ENOSPC did not enter degraded mode" context);
       (* reads keep serving the pre-failure state while degraded *)
-      Fault.with_suspended (fun () -> check_base !db !oracle ~context);
+      Fault.with_suspended (fun () -> check_base s.db s.oracle ~context);
       (* further writes are rejected while the probe keeps failing *)
       for _ = 1 to 2 do
-        match Db.exec !db "INSERT INTO seq VALUES (3, 99, 7)" with
+        match Db.exec s.db "INSERT INTO seq VALUES (3, 99, 7)" with
         | _ -> divergence "%s: degraded session accepted a write" context
         | exception Db.Degraded_error _ ->
           bump (fun r -> { r with st_degraded_writes = r.st_degraded_writes + 1 })
@@ -1229,24 +1129,20 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
       (* free the disk: within the probe backoff bound (capped at 64
          rejections between probes) a retried write must go through *)
       Io.Sim.set_budget None;
-      let lifted = ref false in
-      let attempts = ref 0 in
-      while (not !lifted) && !attempts < 200 do
-        incr attempts;
-        match Db.exec !db "INSERT INTO seq VALUES (1, 7, 3)" with
-        | _ ->
-          oracle := apply_oracle !oracle (Insert { grp = 1; pos = 7; value = 3. });
-          lifted := true
-        | exception Db.Degraded_error _ -> ()
-      done;
-      if not !lifted then
-        divergence "%s: degraded mode never lifted after space freed" context;
-      (match Db.health !db with
+      let rec retry attempts =
+        if attempts = 0 then
+          divergence "%s: degraded mode never lifted after space freed" context;
+        match Db.exec s.db "INSERT INTO seq VALUES (1, 7, 3)" with
+        | _ -> s.oracle <- apply_oracle s.oracle (Insert { grp = 1; pos = 7; value = 3. })
+        | exception Db.Degraded_error _ -> retry (attempts - 1)
+      in
+      retry 200;
+      (match Db.health s.db with
        | Db.Healthy -> bump (fun r -> { r with st_resumes = r.st_resumes + 1 })
        | Db.Degraded { reason; _ } ->
          divergence "%s: still degraded after a committed write: %s" context
            reason);
-      check ~context
+      check s ~context
     | 2 ->
       (* power cut: abandon everything, lose every unsynced byte.  The
          engine fsyncs per commit, so recovery reproduces the oracle
@@ -1259,23 +1155,27 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
           (Scrub.describe r);
       bump (fun rep -> { rep with st_crashes = rep.st_crashes + 1 });
       reopen ~context
-    | 3 ->
-      (* bit rot in the log: only the scrubber sees it, and the feed
-         carries the affected records — the rebuilt log must be
-         bit-identical to the pre-damage bytes *)
+    | (3 | 5) as event ->
+      (* bit rot that only the scrubber sees.  In the log, the feed
+         carries the affected records: the rebuilt log must be
+         bit-identical to the pre-damage bytes.  In the feed, repair
+         re-seeds it from the (healthy) primary and the shipper resumes
+         on the fresh artifact. *)
+      let path = if event = 3 then wal else feed_path in
       pump ~context;
       shutdown ();
-      let pristine = Io.read_file wal in
+      let pristine = Io.read_file path in
       if String.length pristine > 0 then begin
-        flip_byte wal ~at:(Prng.int prng (String.length pristine));
-        repair_and_verify ~context ~pristine_wal:(Some pristine)
+        flip_byte path ~at:(Prng.int s.prng (String.length pristine));
+        repair_and_verify ~context
+          ~pristine_wal:(if event = 3 then Some pristine else None)
       end;
       reopen ~context
-    | 4 ->
+    | _ ->
       (* the WAL deleted outright: with a checkpoint on disk the
          scrubber reports the hole and repair rebuilds the whole
          suffix from the feed, bit-identical *)
-      if Db.epoch !db = 0 then Db.checkpoint !db;
+      if Db.epoch s.db = 0 then Db.checkpoint s.db;
       pump ~context;
       shutdown ();
       let pristine = Io.read_file wal in
@@ -1283,78 +1183,29 @@ let run_storage ?(config = default_storage_config) ~dir () : storage_report =
       bump (fun r -> { r with st_corruptions = r.st_corruptions + 1 });
       repair_and_verify ~context ~pristine_wal:(Some pristine);
       reopen ~context
-    | _ ->
-      (* feed corruption: scrub sees it, repair re-seeds the feed from
-         the (healthy) primary, and the shipper resumes on the fresh
-         artifact *)
-      pump ~context;
-      shutdown ();
-      let bytes = Io.read_file feed_path in
-      if String.length bytes > 0 then begin
-        flip_byte feed_path ~at:(Prng.int prng (String.length bytes));
-        repair_and_verify ~context ~pristine_wal:None
-      end;
-      reopen ~context
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm_all ();
-      Io.Sim.reset ();
-      (try Ship.close !ship with _ -> ());
-      (try Db.close !db with _ -> ()))
-    (fun () ->
-      let last_sql = ref "(none)" in
-      let exec_op () =
-        let op = gen_op prng in
-        last_sql := sql_of_op op;
-        let applied =
-          match op with
-          | Load_csv batch ->
-            (match Csv.import_string !db ~table:"seq" (csv_of_batch batch) with
-             | _ -> true
-             | exception _ -> false)
-          | op ->
-            (match Db.exec !db (sql_of_op op) with
-             | _ -> true
-             | exception _ -> false)
-        in
-        if applied then oracle := apply_oracle !oracle op;
-        bump (fun r -> { r with st_statements = r.st_statements + 1 })
-      in
-      let i = ref 1 in
-      while !i <= config.st_ops do
-        let chunk =
-          if config.st_batch <= 1 then 1
-          else min config.st_batch (config.st_ops - !i + 1)
-        in
-        let first = !i and last = !i + chunk - 1 in
-        let crossed p = p > 0 && last / p > (first - 1) / p in
-        let oracle0 = !oracle in
-        (match
-           if chunk = 1 then exec_op ()
-           else Db.with_batch !db (fun () -> for _ = first to last do exec_op () done)
-         with
-         | () -> ()
-         | exception _ -> oracle := oracle0);
-        let context =
-          if chunk = 1 then Printf.sprintf "op %d (%s)" first !last_sql
-          else Printf.sprintf "ops %d-%d (batch; last: %s)" first last !last_sql
-        in
-        check ~context;
-        if crossed config.st_checkpoint_every then Db.checkpoint !db;
+  {
+    after_chunk =
+      (fun ~crossed ~last:_ ~context ->
+        if crossed config.st_checkpoint_every then Db.checkpoint s.db;
         pump ~context;
-        if crossed config.st_event_every then storage_event ~context;
-        i := last + 1
-      done;
-      (* final: the directory must scrub clean and, alone, reproduce
-         the oracle *)
-      pump ~context:"final pump";
-      shutdown ();
-      let r = scrub_counting () in
-      if not (Scrub.clean r) then
-        divergence "final scrub: %s" (Scrub.describe r);
-      let db', _ = Db.recover pdir in
-      db := db';
-      check_base !db !oracle ~context:"final recovery";
-      check_views !db ~context:"final recovery";
-      !report)
+        if crossed config.st_event_every then storage_event ~context);
+    (* final: the directory must scrub clean and, alone, reproduce the
+       oracle *)
+    finish =
+      (fun () ->
+        pump ~context:"final pump";
+        shutdown ();
+        let r = scrub_counting () in
+        if not (Scrub.clean r) then
+          divergence "final scrub: %s" (Scrub.describe r);
+        let db, _ = Db.recover pdir in
+        s.db <- db;
+        check_base s.db s.oracle ~context:"final recovery";
+        check_views s.db ~context:"final recovery";
+        { !report with st_statements = s.statements; st_checks = s.checks });
+    close =
+      (fun () ->
+        Io.Sim.reset ();
+        try Ship.close !ship with _ -> ());
+  }

@@ -1,19 +1,19 @@
 (** The chaos harness: randomized DML streams against a shadow oracle,
     with faults injected at the engine's registered sites.
 
-    The stream runs INSERT/UPDATE/DELETE/CSV-load/REFRESH statements
-    over a [(grp, pos, val)] sequence table carrying three materialized
-    sequence views and a derivation cache, mirroring each successful
-    statement's effect onto a plain row-list oracle.  After every
-    statement it checks, with injection suspended, that
+    One seeded stream of INSERT/UPDATE/DELETE/CSV-load/REFRESH
+    statements runs over a [(grp, pos, val)] table carrying five
+    materialized views, mirroring each successful statement's effect
+    onto a plain row-list oracle.  After every statement (or
+    group-commit chunk) it checks, with injection suspended, that
 
     - the base table equals the oracle (failed statements rolled back
       completely, successful ones applied completely);
     - every non-stale materialized view equals full recomputation;
     - reading a stale (quarantined) view heals it to exactly the
-      recomputed contents;
-    - periodic cache answers equal uncached execution.
+      recomputed contents.
 
+    Each entry point below runs that stream under one fault layer.
     Violations raise {!Divergence}; a completed run returns counters
     proving the interesting paths were actually exercised. *)
 
@@ -44,8 +44,9 @@ type report = {
   checks : int;        (** invariant checkpoints passed *)
 }
 
-(** Run one stream; [inject] arms one fault site for the whole run
-    (always disarmed again on exit).  [sanitize] enables the
+(** Run the stream in memory, with periodic cache answers checked
+    against uncached execution; [inject] arms one fault site for the
+    whole run (always disarmed again on exit).  [sanitize] enables the
     differential sanitizer ({!Rfview_analysis.Sanitize}) for the run:
     every query the harness executes — cache probes, view recomputation
     checks, heal reads — then has each sub-plan's concrete relation
@@ -62,16 +63,16 @@ val run :
 
 (** {1 Crash-recovery chaos}
 
-    The same stream and oracle over a {e durable} database directory,
-    with simulated crashes: the in-memory handle is abandoned (the
-    engine fsyncs per statement, so that is an accurate kill model) and
-    the directory reopened through recovery.  Crash variants: clean
-    kill; a torn mid-record WAL tail (must be truncated, never
-    replayed); armed [wal.append]/[wal.fsync] (the statement must roll
-    back and stay off disk); a faulting checkpoint write (the previous
-    checkpoint plus the longer WAL must still recover); a faulting first
-    recovery ([recover.replay]) followed by a clean retry.  After every
-    recovery the database must equal the oracle at the last committed
+    The stream over a {e durable} database directory, with simulated
+    crashes: the in-memory handle is abandoned (the engine fsyncs per
+    statement, so that is an accurate kill model) and the directory
+    reopened through recovery.  Crash variants: clean kill; a torn
+    mid-record WAL tail (must be truncated, never replayed); armed
+    [wal.append]/[wal.fsync] (the statement must roll back and stay off
+    disk); a faulting checkpoint write (the previous checkpoint plus the
+    longer WAL must still recover); a faulting first recovery
+    ([recover.replay]) followed by a clean retry.  After every recovery
+    the database must equal the oracle at the last committed
     statement. *)
 
 type crash_config = {
@@ -107,7 +108,7 @@ val run_crash : ?config:crash_config -> dir:string -> unit -> crash_report
 
 (** {1 Replication chaos}
 
-    The same stream over a durable primary shipped to N replica feeds
+    The stream over a durable primary shipped to N replica feeds
     ({!Rfview_replica}), with the oracle's state recorded {e at every
     commit boundary, keyed by LSN}.  The central assertion: every read
     any replica serves, tagged with LSN [l], equals the oracle's state
@@ -170,9 +171,9 @@ val fingerprint_session : Rfview.Session.t -> string
 
 (** {1 Storage-fault chaos}
 
-    The same stream and oracle over a durable primary whose every disk
-    byte moves through the {!Rfview_engine.Io} seam, with the simulated
-    disk driving the faults the other harnesses cannot express:
+    The stream over a durable primary whose every disk byte moves
+    through the {!Rfview_engine.Io} seam, with the simulated disk
+    driving the faults the other layers cannot express:
     one-shot EIO at the [io.*] sites (the statement must roll back),
     disk-full episodes (the session must drop to read-only degraded
     mode and resume via the space probe once the budget clears), power

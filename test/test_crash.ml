@@ -1,9 +1,10 @@
 (* Durability tests: the checksummed WAL, checkpoints, crash recovery
    and the crash-recovery chaos harness.
 
-   Every test works in its own directory under the build sandbox; the
-   crash model is abandoning the in-memory handle (the engine fsyncs per
-   statement) plus direct file surgery for torn writes and corruption. *)
+   Every test works in its own directory under the run's temporary root
+   (Temp_dirs); the crash model is abandoning the in-memory handle (the
+   engine fsyncs per statement) plus direct file surgery for torn writes
+   and corruption. *)
 
 open Rfview_relalg
 module Db = Rfview_engine.Database
@@ -18,13 +19,7 @@ let with_clean_faults f =
   Fun.protect ~finally:Fault.reset f
 
 (* A fresh (emptied) database directory per test. *)
-let fresh_dir name =
-  let dir = "tdb_" ^ name in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  dir
+let fresh_dir name = Temp_dirs.fresh ("tdb_" ^ name)
 
 let wal_path dir = Filename.concat dir "log.wal"
 
@@ -375,52 +370,24 @@ let test_crash_chaos_batched () =
 
 let test_crash_chaos_matrix () =
   with_clean_faults (fun () ->
-      let seeds = [ 7; 21; 42 ] in
-      let total =
-        List.fold_left
-          (fun acc seed ->
-            let r =
-              Chaos.run_crash
-                ~config:{ Chaos.default_crash_config with Chaos.cc_seed = seed }
-                ~dir:(fresh_dir (Printf.sprintf "chaos%d" seed))
-                ()
-            in
-            {
-              Chaos.cr_statements = acc.Chaos.cr_statements + r.Chaos.cr_statements;
-              cr_crashes = acc.Chaos.cr_crashes + r.Chaos.cr_crashes;
-              cr_torn = acc.Chaos.cr_torn + r.Chaos.cr_torn;
-              cr_wal_faults = acc.Chaos.cr_wal_faults + r.Chaos.cr_wal_faults;
-              cr_checkpoints = acc.Chaos.cr_checkpoints + r.Chaos.cr_checkpoints;
-              cr_checkpoint_faults =
-                acc.Chaos.cr_checkpoint_faults + r.Chaos.cr_checkpoint_faults;
-              cr_recover_faults =
-                acc.Chaos.cr_recover_faults + r.Chaos.cr_recover_faults;
-              cr_replayed = acc.Chaos.cr_replayed + r.Chaos.cr_replayed;
-              cr_quarantined = acc.Chaos.cr_quarantined + r.Chaos.cr_quarantined;
-              cr_heals = acc.Chaos.cr_heals + r.Chaos.cr_heals;
-            })
-          {
-            Chaos.cr_statements = 0;
-            cr_crashes = 0;
-            cr_torn = 0;
-            cr_wal_faults = 0;
-            cr_checkpoints = 0;
-            cr_checkpoint_faults = 0;
-            cr_recover_faults = 0;
-            cr_replayed = 0;
-            cr_quarantined = 0;
-            cr_heals = 0;
-          }
-          seeds
+      let reports =
+        List.map
+          (fun seed ->
+            Chaos.run_crash
+              ~config:{ Chaos.default_crash_config with Chaos.cc_seed = seed }
+              ~dir:(fresh_dir (Printf.sprintf "chaos%d" seed))
+              ())
+          [ 7; 21; 42 ]
       in
+      let total f = List.fold_left (fun a r -> a + f r) 0 reports in
       let positive what n = Alcotest.(check bool) (what ^ " exercised") true (n > 0) in
-      positive "statements" total.Chaos.cr_statements;
-      positive "crash/recovery cycles" total.Chaos.cr_crashes;
-      positive "torn tails" total.Chaos.cr_torn;
-      positive "WAL-site rejections" total.Chaos.cr_wal_faults;
-      positive "checkpoints" total.Chaos.cr_checkpoints;
-      positive "checkpoint faults" total.Chaos.cr_checkpoint_faults;
-      positive "replayed records" total.Chaos.cr_replayed;
+      positive "statements" (total (fun r -> r.Chaos.cr_statements));
+      positive "crash/recovery cycles" (total (fun r -> r.Chaos.cr_crashes));
+      positive "torn tails" (total (fun r -> r.Chaos.cr_torn));
+      positive "WAL-site rejections" (total (fun r -> r.Chaos.cr_wal_faults));
+      positive "checkpoints" (total (fun r -> r.Chaos.cr_checkpoints));
+      positive "checkpoint faults" (total (fun r -> r.Chaos.cr_checkpoint_faults));
+      positive "replayed records" (total (fun r -> r.Chaos.cr_replayed));
       List.iter
         (fun site -> positive ("site " ^ site) (Fault.fired site))
         [ "wal.append"; "wal.fsync"; "checkpoint.write"; "recover.replay" ])
@@ -518,7 +485,7 @@ let test_refused_replay_readable () =
       [ "Catalog_error("; "Engine_error(" ]
 
 let () =
-  Alcotest.run "crash"
+  Temp_dirs.run "crash"
     [
       ( "roundtrip",
         [

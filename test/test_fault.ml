@@ -1019,8 +1019,65 @@ let test_chaos_batched_clean () =
         r.Chaos.quarantines;
       Alcotest.(check bool) "cache exercised" true (r.Chaos.cache_probes > 0))
 
+(* ---- Site coverage per harness ----
+
+   Each chaos harness at its default config must reach every site on its
+   list, so a change to the shared stream driver cannot quietly drop a
+   path. *)
+
+let engine_sites =
+  [
+    "csv.load_row";
+    "database.apply_delete";
+    "database.apply_insert";
+    "database.apply_update";
+    "database.propagate_view";
+    "database.refresh_view";
+    "matview.apply_derived";
+    "matview.apply_shared";
+    "matview.init_state";
+  ]
+
+let durable_sites =
+  engine_sites
+  @ [
+      "checkpoint.install";
+      "checkpoint.write";
+      "io.fsync";
+      "io.rename";
+      "io.truncate";
+      "io.write";
+      "recover.replay";
+      "wal.append";
+      "wal.fsync";
+    ]
+
+let harness_sites =
+  [
+    ( "run",
+      engine_sites @ [ "cache.admit"; "cache.derive_answer" ],
+      fun () -> ignore (Chaos.run ()) );
+    ( "run_crash",
+      durable_sites,
+      fun () -> ignore (Chaos.run_crash ~dir:(Temp_dirs.fresh "sites_crash") ()) );
+    ( "run_replica",
+      durable_sites @ [ "replica.apply"; "ship.append"; "ship.fsync" ],
+      fun () -> ignore (Chaos.run_replica ~dir:(Temp_dirs.fresh "sites_replica") ()) );
+    ( "run_storage",
+      durable_sites @ [ "ship.append"; "ship.fsync" ],
+      fun () -> ignore (Chaos.run_storage ~dir:(Temp_dirs.fresh "sites_storage") ()) );
+  ]
+
+let test_harness_sites (harness, sites, run) () =
+  with_clean_faults (fun () ->
+      run ();
+      List.iter
+        (fun site ->
+          if Fault.hits site = 0 then Alcotest.failf "%s never reached %s" harness site)
+        sites)
+
 let () =
-  Alcotest.run "fault"
+  Temp_dirs.run "fault"
     [
       ( "registry",
         [
@@ -1073,6 +1130,11 @@ let () =
           Alcotest.test_case "sweep fires every site" `Slow test_chaos_sweep_all_sites;
           Alcotest.test_case "batched clean run" `Quick test_chaos_batched_clean;
         ] );
+      ( "site coverage",
+        List.map
+          (fun ((harness, _, _) as case) ->
+            Alcotest.test_case harness `Quick (test_harness_sites case))
+          harness_sites );
       ( "batched maintenance",
         [
           Alcotest.test_case "batch equals per-row" `Quick test_batch_vs_per_row;

@@ -203,6 +203,40 @@ let prop_pushdown_preserves_semantics =
       let optimized = Db.query db2 sql in
       Relation.equal_bag reference optimized)
 
+(* INT and FLOAT keys of equal value (0 and -0.0 included) join under
+   every strategy: the hash join and the hash index key by Value.equal,
+   as the ordered index and the nested loop compare. *)
+let test_mixed_numeric_keys () =
+  let single = "SELECT a.x, b.y FROM a, b WHERE a.x = b.y" in
+  let double = "SELECT a.x, b.y FROM a, b WHERE a.x = b.y AND a.u = b.v" in
+  let run ?index ?(nested = false) ~plan sql =
+    let db = Db.create () in
+    ignore (Db.exec db "CREATE TABLE a (x INT, u INT)");
+    ignore (Db.exec db "CREATE TABLE b (y FLOAT, v FLOAT)");
+    ignore (Db.exec db "INSERT INTO a VALUES (0, 1), (1, 1), (2, 2), (3, 2), (NULL, 1)");
+    ignore (Db.exec db "INSERT INTO b VALUES (-0.0, 1), (1.0, 1), (2.5, 2), (3.0, 1), (NULL, 1)");
+    Option.iter (fun using -> ignore (Db.exec db ("CREATE INDEX by_y ON b (y) " ^ using))) index;
+    if nested then
+      Db.reconfigure db { (Db.config db) with Db.hash_join = false; index_join = false };
+    Alcotest.(check bool) (sql ^ " plan " ^ plan) true (contains (Db.explain db sql) plan);
+    Db.query db sql
+  in
+  let check what expected actual =
+    if not (Relation.equal_bag expected actual) then
+      Alcotest.failf "%s:@.expected:@.%s@.got:@.%s" what (Relation.render expected)
+        (Relation.render actual)
+  in
+  let reference = run ~nested:true ~plan:"Join [nested-loop]" single in
+  Alcotest.(check int) "nested loop rows" 3 (Relation.cardinality reference);
+  check "hash join" reference (run ~plan:"Join [hash]" single);
+  check "hash index" reference
+    (run ~index:"USING HASH" ~plan:"Join [index(b.y eq)]" single);
+  check "ordered index" reference
+    (run ~index:"USING ORDERED" ~plan:"Join [index(b.y eq)]" single);
+  let reference = run ~nested:true ~plan:"Join [nested-loop]" double in
+  Alcotest.(check int) "two-key nested loop rows" 2 (Relation.cardinality reference);
+  check "two-key hash join" reference (run ~plan:"Join [hash]" double)
+
 (* ---- Failure injection ---- *)
 
 let test_engine_errors () =
@@ -339,6 +373,7 @@ let () =
           Alcotest.test_case "three-way" `Quick test_pushdown_three_way;
           Alcotest.test_case "one-sided range joins hash" `Quick test_one_sided_range_hashes;
           Alcotest.test_case "left join semantics" `Quick test_left_join_where_not_pushed;
+          Alcotest.test_case "mixed INT/FLOAT join keys" `Quick test_mixed_numeric_keys;
           Alcotest.test_case "left outer pushdown shapes" `Quick
             test_left_outer_pushdown_shapes;
           QCheck_alcotest.to_alcotest prop_pushdown_preserves_semantics;

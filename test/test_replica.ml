@@ -4,7 +4,7 @@
    quarantine + resync, promotion, and the replication chaos matrix.
 
    Like the crash suite, every test works in its own directory under the
-   build sandbox; replicas live purely in memory and consume feed
+   run's temporary root (Temp_dirs); replicas live purely in memory and consume feed
    files. *)
 
 open Rfview_relalg
@@ -23,15 +23,7 @@ let with_clean_faults f =
   Fun.protect ~finally:Fault.reset f
 
 (* A fresh (emptied) database directory per test. *)
-let fresh_dir name =
-  let dir = "rdb_" ^ name in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if not (Sys.is_directory p) then Sys.remove p)
-      (Sys.readdir dir);
-  dir
+let fresh_dir name = Temp_dirs.fresh ("rdb_" ^ name)
 
 let wal_path dir = Filename.concat dir "log.wal"
 
@@ -550,70 +542,33 @@ let chaos_seeds = [ 3; 7; 11; 19; 23; 31; 42; 57; 71; 88; 101; 123 ]
 let run_chaos_matrix seeds ~batch ~full =
   with_clean_faults @@ fun () ->
   let dir = fresh_dir "replica_chaos" in
-  let total =
-    List.fold_left
-      (fun (acc : Chaos.replica_report) seed ->
+  let reports =
+    List.map
+      (fun seed ->
         let config =
-          {
-            Chaos.default_replica_config with
-            Chaos.rp_seed = seed;
-            rp_batch = batch;
-          }
+          { Chaos.default_replica_config with Chaos.rp_seed = seed; rp_batch = batch }
         in
-        let r = Chaos.run_replica ~config ~dir () in
-        {
-          r with
-          Chaos.rp_statements = acc.Chaos.rp_statements + r.Chaos.rp_statements;
-          rp_pumps = acc.Chaos.rp_pumps + r.Chaos.rp_pumps;
-          rp_deliveries = acc.Chaos.rp_deliveries + r.Chaos.rp_deliveries;
-          rp_reads = acc.Chaos.rp_reads + r.Chaos.rp_reads;
-          rp_stale_reads = acc.Chaos.rp_stale_reads + r.Chaos.rp_stale_reads;
-          rp_kills = acc.Chaos.rp_kills + r.Chaos.rp_kills;
-          rp_corruptions = acc.Chaos.rp_corruptions + r.Chaos.rp_corruptions;
-          rp_quarantines = acc.Chaos.rp_quarantines + r.Chaos.rp_quarantines;
-          rp_resyncs = acc.Chaos.rp_resyncs + r.Chaos.rp_resyncs;
-          rp_ship_faults = acc.Chaos.rp_ship_faults + r.Chaos.rp_ship_faults;
-          rp_apply_faults = acc.Chaos.rp_apply_faults + r.Chaos.rp_apply_faults;
-          rp_primary_crashes =
-            acc.Chaos.rp_primary_crashes + r.Chaos.rp_primary_crashes;
-          rp_compactions = acc.Chaos.rp_compactions + r.Chaos.rp_compactions;
-        })
-      {
-        Chaos.rp_statements = 0;
-        rp_pumps = 0;
-        rp_deliveries = 0;
-        rp_reads = 0;
-        rp_stale_reads = 0;
-        rp_kills = 0;
-        rp_corruptions = 0;
-        rp_quarantines = 0;
-        rp_resyncs = 0;
-        rp_ship_faults = 0;
-        rp_apply_faults = 0;
-        rp_primary_crashes = 0;
-        rp_compactions = 0;
-        rp_promoted_lsn = 0;
-        rp_lost_tail = 0;
-      }
+        Chaos.run_replica ~config ~dir ())
       seeds
   in
-  let positive what n = Alcotest.(check bool) (what ^ " exercised") true (n > 0) in
-  positive "statements" total.Chaos.rp_statements;
-  positive "pumps" total.Chaos.rp_pumps;
-  positive "deliveries" total.Chaos.rp_deliveries;
-  positive "verified reads" total.Chaos.rp_reads;
+  let total f = List.fold_left (fun a r -> a + f r) 0 reports in
+  let positive what f = Alcotest.(check bool) (what ^ " exercised") true (total f > 0) in
+  positive "statements" (fun r -> r.Chaos.rp_statements);
+  positive "pumps" (fun r -> r.Chaos.rp_pumps);
+  positive "deliveries" (fun r -> r.Chaos.rp_deliveries);
+  positive "verified reads" (fun r -> r.Chaos.rp_reads);
   if full then begin
     (* event-type coverage is only statistically certain over the large
        seed matrix; the smaller batched run just checks consistency *)
-    positive "stale refusals" total.Chaos.rp_stale_reads;
-    positive "replica kills" total.Chaos.rp_kills;
-    positive "feed corruptions" total.Chaos.rp_corruptions;
-    positive "quarantines" total.Chaos.rp_quarantines;
-    positive "resyncs" total.Chaos.rp_resyncs;
-    positive "primary crashes" total.Chaos.rp_primary_crashes;
-    positive "compactions" total.Chaos.rp_compactions;
-    positive "interrupted pumps" total.Chaos.rp_ship_faults;
-    positive "interrupted polls" total.Chaos.rp_apply_faults;
+    positive "stale refusals" (fun r -> r.Chaos.rp_stale_reads);
+    positive "replica kills" (fun r -> r.Chaos.rp_kills);
+    positive "feed corruptions" (fun r -> r.Chaos.rp_corruptions);
+    positive "quarantines" (fun r -> r.Chaos.rp_quarantines);
+    positive "resyncs" (fun r -> r.Chaos.rp_resyncs);
+    positive "primary crashes" (fun r -> r.Chaos.rp_primary_crashes);
+    positive "compactions" (fun r -> r.Chaos.rp_compactions);
+    positive "interrupted pumps" (fun r -> r.Chaos.rp_ship_faults);
+    positive "interrupted polls" (fun r -> r.Chaos.rp_apply_faults);
     (* the fired-at-least-once bar for the replication sites the matrix
        arms (the sweep in test_fault.ml excludes them by prefix) *)
     Alcotest.(check bool) "ship.append fired" true (Fault.fired "ship.append" > 0);
@@ -626,7 +581,7 @@ let test_replica_chaos_batched () =
   run_chaos_matrix [ 5; 29; 63 ] ~batch:4 ~full:false
 
 let () =
-  Alcotest.run "replica"
+  Temp_dirs.run "replica"
     [
       ( "compression",
         [

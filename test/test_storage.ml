@@ -25,16 +25,7 @@ let with_sim f =
     f
 
 (* A fresh (created, emptied) directory per test. *)
-let fresh_dir name =
-  let dir = "tsto_" ^ name in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f ->
-        let p = Filename.concat dir f in
-        if not (Sys.is_directory p) then Sys.remove p)
-      (Sys.readdir dir)
-  else Sys.mkdir dir 0o755;
-  dir
+let fresh_dir name = Temp_dirs.fresh ~create:true ("tsto_" ^ name)
 
 let wal_path dir = Filename.concat dir "log.wal"
 
@@ -508,78 +499,43 @@ let scrub_flip_property =
 
 let test_storage_chaos_matrix () =
   with_sim (fun () ->
-      let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ] in
-      let add a b =
-        {
-          Chaos.st_statements = a.Chaos.st_statements + b.Chaos.st_statements;
-          st_io_faults = a.Chaos.st_io_faults + b.Chaos.st_io_faults;
-          st_enospc = a.Chaos.st_enospc + b.Chaos.st_enospc;
-          st_degraded_writes =
-            a.Chaos.st_degraded_writes + b.Chaos.st_degraded_writes;
-          st_resumes = a.Chaos.st_resumes + b.Chaos.st_resumes;
-          st_crashes = a.Chaos.st_crashes + b.Chaos.st_crashes;
-          st_corruptions = a.Chaos.st_corruptions + b.Chaos.st_corruptions;
-          st_scrub_findings =
-            a.Chaos.st_scrub_findings + b.Chaos.st_scrub_findings;
-          st_repairs = a.Chaos.st_repairs + b.Chaos.st_repairs;
-          st_reseeds = a.Chaos.st_reseeds + b.Chaos.st_reseeds;
-          st_checks = a.Chaos.st_checks + b.Chaos.st_checks;
-        }
+      let reports =
+        List.map
+          (fun seed ->
+            Chaos.run_storage
+              ~config:
+                {
+                  Chaos.st_seed = seed;
+                  st_ops = 40;
+                  st_event_every = 6;
+                  st_checkpoint_every = 11;
+                  st_batch = (if seed mod 3 = 0 then 4 else 0);
+                }
+              ~dir:(fresh_dir (Printf.sprintf "chaos%d" seed))
+              ())
+          [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
       in
-      let zero =
-        {
-          Chaos.st_statements = 0;
-          st_io_faults = 0;
-          st_enospc = 0;
-          st_degraded_writes = 0;
-          st_resumes = 0;
-          st_crashes = 0;
-          st_corruptions = 0;
-          st_scrub_findings = 0;
-          st_repairs = 0;
-          st_reseeds = 0;
-          st_checks = 0;
-        }
-      in
-      let total =
-        List.fold_left
-          (fun acc seed ->
-            let r =
-              Chaos.run_storage
-                ~config:
-                  {
-                    Chaos.st_seed = seed;
-                    st_ops = 40;
-                    st_event_every = 6;
-                    st_checkpoint_every = 11;
-                    st_batch = (if seed mod 3 = 0 then 4 else 0);
-                  }
-                ~dir:(fresh_dir (Printf.sprintf "chaos%d" seed))
-                ()
-            in
-            add acc r)
-          zero seeds
-      in
+      let total f = List.fold_left (fun a r -> a + f r) 0 reports in
       (* aggregated across the matrix, every storage event and every
          recovery path must actually have been exercised *)
-      let nonzero what n =
-        if n <= 0 then Alcotest.failf "matrix never exercised %s" what
+      let nonzero what f =
+        if total f <= 0 then Alcotest.failf "matrix never exercised %s" what
       in
       Alcotest.(check bool) "statements ran" true
-        (total.Chaos.st_statements >= 12 * 40);
-      nonzero "io.* faults" total.Chaos.st_io_faults;
-      nonzero "ENOSPC episodes" total.Chaos.st_enospc;
-      nonzero "degraded-mode rejections" total.Chaos.st_degraded_writes;
-      nonzero "probe resumes" total.Chaos.st_resumes;
-      nonzero "power cuts" total.Chaos.st_crashes;
-      nonzero "corruptions" total.Chaos.st_corruptions;
-      nonzero "scrub findings" total.Chaos.st_scrub_findings;
-      nonzero "WAL repairs" total.Chaos.st_repairs;
-      nonzero "feed reseeds" total.Chaos.st_reseeds;
-      nonzero "oracle checks" total.Chaos.st_checks)
+        (total (fun r -> r.Chaos.st_statements) >= 12 * 40);
+      nonzero "io.* faults" (fun r -> r.Chaos.st_io_faults);
+      nonzero "ENOSPC episodes" (fun r -> r.Chaos.st_enospc);
+      nonzero "degraded-mode rejections" (fun r -> r.Chaos.st_degraded_writes);
+      nonzero "probe resumes" (fun r -> r.Chaos.st_resumes);
+      nonzero "power cuts" (fun r -> r.Chaos.st_crashes);
+      nonzero "corruptions" (fun r -> r.Chaos.st_corruptions);
+      nonzero "scrub findings" (fun r -> r.Chaos.st_scrub_findings);
+      nonzero "WAL repairs" (fun r -> r.Chaos.st_repairs);
+      nonzero "feed reseeds" (fun r -> r.Chaos.st_reseeds);
+      nonzero "oracle checks" (fun r -> r.Chaos.st_checks))
 
 let () =
-  Alcotest.run "storage"
+  Temp_dirs.run "storage"
     [
       ( "simulated disk",
         [
