@@ -165,6 +165,7 @@ bench-smoke:
 	dune exec bench/main.exe -- reads --smoke
 	@grep -q '"acceptance"' BENCH_reads.json && grep -q '"words_per_read"' BENCH_reads.json \
 	  && grep -q '"answer_words_per_read"' BENCH_reads.json \
+	  && grep -q '"derive_query_words_per_read"' BENCH_reads.json \
 	  && echo "BENCH_reads.json well-formed"
 
 # End-to-end warehouse benchmark smoke: a real `rfview serve` child on

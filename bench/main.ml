@@ -1892,12 +1892,15 @@ let run_expr_bench ~smoke =
    [bench delta] counts them).  The run fails unless the serve query
    alone allocates at most 100k words per read, the Table 1 window
    averages at most 0.1 minor collections and at most 1,000 minor
-   answer words per read, and every shape's first answer has its
-   pinned md5 (writes BENCH_reads.json). *)
+   answer words per read, the Table 2 derivation's query at most 300k
+   words and 1.2 minor collections per read, and every shape's first
+   answer has its pinned md5 (writes BENCH_reads.json). *)
 
 let reads_words_bar = 100_000.
 let reads_gcs_bar = 0.1
 let reads_answer_bar = 1_000.
+let reads_derive_words_bar = 300_000.
+let reads_derive_gcs_bar = 1.2
 
 type read_run = {
   shape : string;
@@ -2055,7 +2058,7 @@ let run_reads_bench ~smoke =
   Session.close sv;
   let find name = List.find (fun r -> r.shape = name) runs in
   let serve_words = (find "serve").query_words in
-  let window = find "window" in
+  let window = find "window" and derive = find "derive" in
   let changed =
     List.filter_map
       (fun r ->
@@ -2066,7 +2069,9 @@ let run_reads_bench ~smoke =
   in
   let pass =
     serve_words <= reads_words_bar && window.gcs <= reads_gcs_bar
-    && window.answer_minor <= reads_answer_bar && changed = []
+    && window.answer_minor <= reads_answer_bar
+    && derive.query_words <= reads_derive_words_bar && derive.gcs <= reads_derive_gcs_bar
+    && changed = []
   in
   let buf = Buffer.create 2048 in
   report_header buf ~experiment:"reads" ~smoke;
@@ -2090,8 +2095,11 @@ let run_reads_bench ~smoke =
        "  \"acceptance\": {\"serve_query_words_per_read\": %.0f, \"required_words_at_most\": %.0f, \
         \"window_minor_gcs_per_read\": %.3f, \"required_gcs_at_most\": %.1f, \
         \"window_answer_minor_words_per_read\": %.0f, \"required_answer_words_at_most\": %.0f, \
+        \"derive_query_words_per_read\": %.0f, \"required_derive_words_at_most\": %.0f, \
+        \"derive_minor_gcs_per_read\": %.3f, \"required_derive_gcs_at_most\": %.1f, \
         \"answers_changed\": [%s], \"pass\": %b}\n"
        serve_words reads_words_bar window.gcs reads_gcs_bar window.answer_minor reads_answer_bar
+       derive.query_words reads_derive_words_bar derive.gcs reads_derive_gcs_bar
        (String.concat ", " (List.map (Printf.sprintf "\"%s\"") changed))
        pass);
   Buffer.add_string buf "}\n";
@@ -2099,14 +2107,16 @@ let run_reads_bench ~smoke =
   write_report out buf ~keys:[ "acceptance"; "runs"; "words_per_read"; "minor_gcs_per_read" ];
   Printf.printf
     "\nwrote %s (serve query: %.0f words/read; window: %.3f minor GCs/read, %.0f minor answer \
-     words/read)\n%!"
-    out serve_words window.gcs window.answer_minor;
+     words/read; derive query: %.0f words/read, %.3f minor GCs/read)\n%!"
+    out serve_words window.gcs window.answer_minor derive.query_words derive.gcs;
   if not pass then begin
     Printf.eprintf
       "reads acceptance FAILED: serve query %.0f words/read (bar %.0f), window %.3f minor \
-       GCs/read (bar %.1f), window answer %.0f minor words/read (bar %.0f), answers differing \
-       from their pinned md5: [%s]\n%!"
+       GCs/read (bar %.1f), window answer %.0f minor words/read (bar %.0f), derive query %.0f \
+       words/read (bar %.0f) and %.3f minor GCs/read (bar %.1f), answers differing from their \
+       pinned md5: [%s]\n%!"
       serve_words reads_words_bar window.gcs reads_gcs_bar window.answer_minor reads_answer_bar
+      derive.query_words reads_derive_words_bar derive.gcs reads_derive_gcs_bar
       (String.concat ", " changed);
     exit 1
   end

@@ -823,6 +823,25 @@ let run_source src (q : Ast.query) : Relation.t =
   let _, _, physical = plan_source src q in
   P.Physical.execute (catalog_of src) physical
 
+(* EXPLAIN's text: the bound, optimized and physical plans.  EXPLAIN
+   ANALYZE's: one instrumented run's profile. *)
+let explain_text src ~analyze (q : Ast.query) =
+  let bound, optimized, physical = plan_source src q in
+  if analyze then
+    let _result, profile = P.Physical.execute_analyze (catalog_of src) physical in
+    P.Physical.render_profile profile
+  else
+    Printf.sprintf "== logical ==\n%s== optimized ==\n%s== physical ==\n%s"
+      (P.Logical.to_string bound) (P.Logical.to_string optimized)
+      (P.Physical.to_string physical)
+
+(* EXPLAIN [ANALYZE] text as a relation: one [plan] row per line *)
+let plan_lines text =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
+  Relation.make
+    (Schema.make [ Schema.column "plan" Dtype.String ])
+    (List.map (fun l -> [| Value.String l |]) lines)
+
 (* An index of [kind] over [r]'s rows, keyed on [column] if it exists. *)
 let index_on kind r column =
   Option.map
@@ -1551,24 +1570,9 @@ let rec exec_statement_in_scope db (stmt : Ast.statement) : result =
   | Ast.St_refresh_view name ->
     refresh_view_full db (Catalog.view db.catalog name);
     Done (Printf.sprintf "REFRESH %s" name)
-  | Ast.St_explain inner ->
-    (match inner with
-     | Ast.St_query q ->
-       let bound, optimized, physical = plan_source (live db) q in
-       Done
-         (Printf.sprintf "== logical ==\n%s== optimized ==\n%s== physical ==\n%s"
-            (P.Logical.to_string bound)
-            (P.Logical.to_string optimized)
-            (P.Physical.to_string physical))
-     | other -> exec_statement_in_scope db other)
-  | Ast.St_explain_analyze inner ->
-    (match inner with
-     | Ast.St_query q ->
-       let src = live db in
-       let _, _, physical = plan_source src q in
-       let _result, profile = P.Physical.execute_analyze (catalog_of src) physical in
-       Done (P.Physical.render_profile profile)
-     | other -> exec_statement_in_scope db other)
+  | Ast.St_explain (Ast.St_query q) -> Done (explain_text (live db) ~analyze:false q)
+  | Ast.St_explain_analyze (Ast.St_query q) -> Done (explain_text (live db) ~analyze:true q)
+  | Ast.St_explain other | Ast.St_explain_analyze other -> exec_statement_in_scope db other
   in
   (* DDL/REFRESH reaches the log as SQL text; DML already queued its row
      deltas on the apply path (an EXPLAIN'd statement logs as itself via
@@ -1626,9 +1630,12 @@ let exec_script db (sql : string) : result list =
   | None -> List.rev !results
 
 let query db (sql : string) : Relation.t =
-  match exec db sql with
-  | Relation r -> r
-  | Done msg -> engine_error "expected a query, got: %s" msg
+  let stmt = Parser.statement sql in
+  match (stmt, exec_statement db stmt) with
+  | _, Relation r -> r
+  | (Ast.St_explain (Ast.St_query _) | Ast.St_explain_analyze (Ast.St_query _)), Done text ->
+    plan_lines text
+  | _, Done msg -> engine_error "expected a query, got: %s" msg
 
 let explain db (sql : string) : string =
   match exec_statement db (Ast.St_explain (Parser.statement sql)) with
@@ -2107,6 +2114,10 @@ module Snapshot = struct
     check_open sn;
     match Parser.statement sql with
     | Ast.St_query q -> run_query sn q
+    | Ast.St_explain (Ast.St_query q) ->
+      plan_lines (explain_text (version_source sn.sn_version) ~analyze:false q)
+    | Ast.St_explain_analyze (Ast.St_query q) ->
+      plan_lines (explain_text (version_source sn.sn_version) ~analyze:true q)
     | stmt ->
       engine_error "snapshot is read-only: %s is not a query"
         (Pretty.statement stmt)

@@ -128,7 +128,10 @@ val exec_script : t -> string -> result list
     inside a statement scope) are no-ops joining the enclosing scope. *)
 val with_batch : t -> (unit -> 'a) -> 'a
 
-(** Execute a query statement.  @raise Engine_error if it is not one. *)
+(** Execute a query statement.  [EXPLAIN] and [EXPLAIN ANALYZE] of a
+    query answer their text as a relation of one [plan] column, one
+    row per line, as {!Snapshot.query} does.
+    @raise Engine_error on any other statement. *)
 val query : t -> string -> Relation.t
 
 (** Logical and physical plan text. *)
@@ -343,8 +346,10 @@ module Snapshot : sig
       indexes.  Safe to call from any domain.  A quarantined view heals
       {e snapshot-locally}: recomputed from the frozen base tables and
       never written back.  Heals and built indexes are memoized on the
-      version, so every snapshot of one LSN shares them.
-      @raise Engine_error on a non-query statement or a closed
+      version, so every snapshot of one LSN shares them.  [EXPLAIN]
+      and [EXPLAIN ANALYZE] of a query answer their text as a relation
+      of one [plan] column, one row per line.
+      @raise Engine_error on any other statement or a closed
       snapshot. *)
   val query : t -> string -> Relation.t
 

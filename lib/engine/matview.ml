@@ -358,22 +358,24 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
   let st =
     { spec; base_schema; out_schema; pcols; ocol; vcol; layout; parts = Pmap.empty }
   in
-  (* partition rows *)
-  let tbl = Hashtbl.create 16 in
+  (* partition rows, keyed by SQL equality ([Row.Tbl]) as [Pmap] orders
+     them: INT 1 and FLOAT 1.0 are one partition *)
+  let tbl = Row.Tbl.create 16 in
   let order = ref [] in
+  let pcol_array = Array.of_list pcols in
   Relation.iter
     (fun row ->
-      let k = List.map (fun i -> Row.get row i) pcols in
-      match Hashtbl.find_opt tbl k with
+      let k = Array.map (Row.get row) pcol_array in
+      match Row.Tbl.find_opt tbl k with
       | Some rows -> rows := row :: !rows
       | None ->
-        Hashtbl.add tbl k (ref [ row ]);
+        Row.Tbl.add tbl k (ref [ row ]);
         order := k :: !order)
     base;
   st.parts <-
     List.fold_left
       (fun parts k ->
-        let arr = Array.of_list (List.rev !(Hashtbl.find tbl k)) in
+        let arr = Array.of_list (List.rev !(Row.Tbl.find tbl k)) in
         (* stable sort by the order column *)
         let idx = Array.init (Array.length arr) Fun.id in
         Array.sort
@@ -381,6 +383,7 @@ let init_state (spec : seq_spec) ~(base : Relation.t) ~(out_schema : Schema.t) :
             let c = Value.compare (Row.get arr.(i) ocol) (Row.get arr.(j) ocol) in
             if c <> 0 then c else Int.compare i j)
           idx;
+        let k = Array.to_list k in
         Pmap.add k (make_partition st k (Array.map (fun i -> arr.(i)) idx)) parts)
       Pmap.empty !order;
   st

@@ -328,69 +328,110 @@ let rec plan ?(opts = default_options) (cat : catalog_view) (l : Logical.t) : t 
     Union_all { left = recur left; right = recur right }
   | Logical.Alias { input; rel } -> Alias { input = recur input; rel }
 
-(* ---- Execution ---- *)
+(* ---- Execution ----
 
-(* [observer] is called per node with the node, its output and its
-   inclusive wall time; used by EXPLAIN ANALYZE.  A scan under a filter
-   (through aliases) delivers only the chunks whose zones admit the
-   filter's [ranges] (see [Relation.prune]): the rows it reports are
-   the rows the filter examines. *)
-let rec execute_obs ?(ranges = []) observer (cat : catalog_view) (p : t) : Relation.t =
-  let t0 = if observer == no_observer then 0. else Unix.gettimeofday () in
-  let result =
-    match p with
-    | Scan { table; _ } -> Relation.prune ranges (cat.table_contents table)
-    | Filter { input; pred } ->
-      Ops.filter pred (execute_obs ~ranges:(Expr.int_ranges pred) observer cat input)
-    | Project { input; exprs } -> Ops.project exprs (execute_obs observer cat input)
-    | Join { kind; algo; left; right; cond } ->
-      execute_join observer cat kind algo left right cond
-    | Aggregate { input; group; aggs } ->
-      Groupop.group_by ~group ~aggs (execute_obs observer cat input)
-    | Window_exec { input; fns; strategy } ->
-      Window.extend ~strategy (execute_obs observer cat input) fns
-    | Number { input; partition; order; name } ->
-      execute_number observer cat input partition order name
-    | Sort { input; keys } -> Sortop.sort keys (execute_obs observer cat input)
-    | Distinct input -> Ops.distinct (execute_obs observer cat input)
-    | Limit { input; n } -> Ops.limit n (execute_obs observer cat input)
-    | Union_all { left; right } ->
-      Ops.union_all (execute_obs observer cat left) (execute_obs observer cat right)
-    | Alias { input; rel } ->
-      let r = execute_obs ~ranges observer cat input in
-      Relation.with_schema (Schema.with_rel rel (Relation.schema r)) r
-  in
-  if observer != no_observer then
-    observer p result (Unix.gettimeofday () -. t0);
-  result
+   One push executor.  Each node of the plan becomes a [pipe]: its
+   output schema, and a producer that hands its rows to a consumer one
+   chunk at a time ([Relation.chunk]) and returns at the end of its
+   stream.
 
-and no_observer : t -> Relation.t -> float -> unit = fun _ _ _ -> ()
+   - Streamed nodes transform a chunk and hand it on, so no relation
+     is built between them: Scan (the chunks whose zones admit the
+     ranges of the filter above it, through aliases), Filter (a chunk
+     whose rows all pass is handed on as it is), Project (of every
+     input column in order: the chunks as they are), Alias, Union_all
+     (the left branch, then the right), Distinct (each row's first
+     occurrence), and a join's probe (left) side.
+   - Pipeline breakers collect their input first, then hand on their
+     result's chunks: Aggregate, Window, Number, Sort, Limit, a join's
+     build (right) side, and the query root.
+   - A Project directly above a Join runs on the join's (left, right)
+     pairs, through expressions compiled on the pair
+     ([Ops.projector]): no concatenated row is built.
 
-and execute_join observer cat kind algo left right cond =
-  let l = execute_obs observer cat left and r = execute_obs observer cat right in
-  match algo with
-  | Nested_loop -> Joinop.nested_loop kind l r cond
-  | Hash { left_keys; right_keys; residual } ->
-    Joinop.hash_join kind ~left:l ~right:r ~left_keys ~right_keys ?residual ()
-  | Index_nl { table; column; probe; residual } ->
-    let index =
-      match cat.table_index ~table ~column with
-      | Some idx -> idx
-      | None -> plan_error "index on %s.%s disappeared during execution" table column
-    in
-    (match probe with
-     | P_eq e ->
-       Joinop.index_join kind ~left:l ~right:r ~index ~probe:(Joinop.Probe_eq e)
-         ?residual ()
-     | P_range (lo, hi) ->
-       Joinop.index_join kind ~left:l ~right:r ~index ~probe:(Joinop.Probe_range (lo, hi))
-         ?residual ()
-     | P_in items ->
-       Joinop.index_join kind ~left:l ~right:r ~index ~probe:(Joinop.Probe_in items)
-         ?residual ())
+   Rows reach every breaker in the order an operator-at-a-time run
+   would give them: a join's left rows in order, each left row's right
+   candidates in build order, a union's left branch first.  So float
+   sums and group order do not depend on the chunking.
 
-and execute_number observer cat input partition order name =
-  let r = execute_obs observer cat input in
+   EXPLAIN ANALYZE runs the same pipes with a meter on each node.  One
+   clock charges the time since its last reading to the node that owns
+   it: a node owns it while its producer runs and while its consumer
+   transforms a chunk, and gives it back to its parent for the time
+   the parent spends on each chunk it hands on.  A node's self time is
+   thus its own work, and its inclusive time is that plus its
+   children's.  A fused Project's work is its join's. *)
+
+(* A node's output: its schema, and a producer handing its chunks to a
+   consumer. *)
+type pipe = { schema : Schema.t; run : (Relation.chunk -> unit) -> unit }
+
+(* The chunks of a relation made on demand (a breaker's result). *)
+let chunks_of schema make =
+  { schema; run = (fun emit -> Array.iter emit (Relation.chunks (make ()))) }
+
+let collect p =
+  let acc = ref [] in
+  p.run (fun c -> acc := c :: !acc);
+  Relation.of_rev_chunks p.schema !acc
+
+(* EXPLAIN ANALYZE's meters *)
+
+type meter = {
+  mutable rows : int;  (* handed on *)
+  mutable self : float;
+}
+
+type profiler = {
+  mutable owner : meter;  (* of the clock *)
+  mutable since : float;
+  mutable meters : (int * t * meter) list;  (* depth, node, meter; newest first *)
+}
+
+(* Charge the clock's owner up to now and hand the clock to [m]; the
+   previous owner. *)
+let switch prof m =
+  let now = Unix.gettimeofday () in
+  let prev = prof.owner in
+  prev.self <- prev.self +. (now -. prof.since);
+  prof.since <- now;
+  prof.owner <- m;
+  prev
+
+(* The meter of [node], registered in pre-order (so taken before the
+   node's children are built), as a wrapper of the node's pipe. *)
+let meter prof ~depth node : pipe -> pipe =
+  match prof with
+  | None -> Fun.id
+  | Some prof ->
+    let m = { rows = 0; self = 0. } in
+    prof.meters <- (depth, node, m) :: prof.meters;
+    fun p ->
+      {
+        p with
+        run =
+          (fun emit ->
+            let parent = switch prof m in
+            p.run (fun c ->
+                m.rows <- m.rows + Relation.chunk_length c;
+                ignore (switch prof parent);
+                emit c;
+                ignore (switch prof m));
+            ignore (switch prof parent));
+      }
+
+(* [p] with each chunk replaced by [f c], or dropped when that is
+   [None]; [sieve ()] makes [f] afresh for each run. *)
+let sifted p sieve =
+  {
+    p with
+    run =
+      (fun emit ->
+        let f = sieve () in
+        p.run (fun c -> match f c with Some c -> emit c | None -> ()));
+  }
+
+let number_rows partition order name r =
   let rows = Relation.rows r in
   let { Sortop.idx; segments; _ } = Sortop.partition_sort partition order rows in
   let numbers = Array.make (Array.length rows) 0 in
@@ -406,8 +447,141 @@ and execute_number observer cat input partition order name =
   Relation.init schema (Array.length rows) (fun i ->
       Row.append rows.(i) [| Value.Int numbers.(i) |])
 
+(* [ranges]: the Int ranges of the filter above, through aliases, that
+   a scan prunes its chunks by. *)
+let rec build cat prof ~depth ~ranges (node : t) : pipe =
+  let metered = meter prof ~depth node in
+  let p =
+    match node with
+    | Scan { table; _ } ->
+      let r = cat.table_contents table in
+      {
+        schema = Relation.schema r;
+        run =
+          (fun emit ->
+            Array.iter
+              (fun c -> if Relation.admits_chunk ranges c then emit c)
+              (Relation.chunks r));
+      }
+    | Filter { input; pred } ->
+      let ranges = Expr.int_ranges pred in
+      let p = build cat prof ~depth:(depth + 1) ~ranges input in
+      let keep = Expr.compile_pred pred in
+      sifted p (fun () ->
+          let sieve = Relation.sieve keep in
+          fun c -> if Relation.admits_chunk ranges c then sieve c else None)
+    | Project { input = Join { kind; algo; left; right; cond } as j; exprs } ->
+      (* the join's meter first: pre-order *)
+      let metered_join = meter prof ~depth:(depth + 1) j in
+      metered_join
+        (join cat prof ~depth:(depth + 1) ~project:(Some exprs) kind algo left right cond)
+    | Project { input; exprs } ->
+      let p = child cat prof depth input in
+      let schema = Ops.project_schema p.schema exprs in
+      (* every column, in order: the input's rows as they are *)
+      let identity =
+        List.length exprs = Schema.arity p.schema
+        && List.for_all Fun.id
+             (List.mapi (fun i (e, _) -> match e with Expr.Col j -> i = j | _ -> false) exprs)
+      in
+      if identity then { p with schema }
+      else
+        let f = Ops.projector ~left_arity:max_int exprs in
+        let one row = f row row in
+        { schema; run = (fun emit -> p.run (fun c -> emit (Relation.map_chunk one c))) }
+    | Join { kind; algo; left; right; cond } ->
+      join cat prof ~depth ~project:None kind algo left right cond
+    | Aggregate { input; group; aggs } ->
+      let p = child cat prof depth input in
+      {
+        schema = Groupop.output_schema p.schema group aggs;
+        run =
+          (fun emit ->
+            let t = Groupop.table ~group ~aggs in
+            let add = Groupop.add t in
+            p.run (fun c -> Array.iter add (Relation.chunk_rows c));
+            let b = Relation.builder emit in
+            Groupop.iter_results t (Relation.push b);
+            Relation.flush b);
+      }
+    | Window_exec { input; fns; strategy } ->
+      let p = child cat prof depth input in
+      chunks_of (Window.output_schema p.schema fns) (fun () ->
+          Window.extend ~strategy (collect p) fns)
+    | Number { input; partition; order; name } ->
+      let p = child cat prof depth input in
+      chunks_of
+        (Schema.append p.schema (Schema.make [ Schema.column name Dtype.Int ]))
+        (fun () -> number_rows partition order name (collect p))
+    | Sort { input; keys } ->
+      let p = child cat prof depth input in
+      chunks_of p.schema (fun () -> Sortop.sort keys (collect p))
+    | Distinct input ->
+      let p = child cat prof depth input in
+      sifted p (fun () -> Relation.sieve (Ops.first_seen ()))
+    | Limit { input; n } ->
+      let p = child cat prof depth input in
+      chunks_of p.schema (fun () -> Ops.limit n (collect p))
+    | Union_all { left; right } ->
+      let l = child cat prof depth left in
+      let r = child cat prof depth right in
+      {
+        schema = Ops.union_schema l.schema r.schema;
+        run = (fun emit -> l.run emit; r.run emit);
+      }
+    | Alias { input; rel } ->
+      let p = build cat prof ~depth:(depth + 1) ~ranges input in
+      { p with schema = Schema.with_rel rel p.schema }
+  in
+  metered p
+
+and child cat prof depth n = build cat prof ~depth:(depth + 1) ~ranges:[] n
+
+(* A join: the right side collected into the join's table, the left
+   side streamed through it.  Each output row is the concatenated row,
+   or, under a fused Project, the projection of the pair. *)
+and join cat prof ~depth ~project kind algo left right cond =
+  let lp = child cat prof depth left in
+  let rp = child cat prof depth right in
+  let left_arity = Schema.arity lp.schema in
+  let joined = Schema.append lp.schema rp.schema in
+  let schema, out =
+    match project with
+    | None -> (joined, Row.append)
+    | Some exprs -> (Ops.project_schema joined exprs, Ops.projector ~left_arity exprs)
+  in
+  {
+    schema;
+    run =
+      (fun emit ->
+        let access, residual =
+          match algo with
+          | Nested_loop -> (Joinop.Every, Some cond)
+          | Hash { left_keys; right_keys; residual } ->
+            (Joinop.Keys (left_keys, right_keys), residual)
+          | Index_nl { table; column; probe; residual } ->
+            let index =
+              match cat.table_index ~table ~column with
+              | Some idx -> idx
+              | None -> plan_error "index on %s.%s disappeared during execution" table column
+            in
+            let probe =
+              match probe with
+              | P_eq e -> Joinop.Probe_eq e
+              | P_range (lo, hi) -> Joinop.Probe_range (lo, hi)
+              | P_in items -> Joinop.Probe_in items
+            in
+            (Joinop.Index (index, probe), residual)
+        in
+        let right = collect rp in
+        let b = Relation.builder emit in
+        let step = Joinop.prober kind access ~left_arity ~right ~residual ~out (Relation.push b) in
+        lp.run (fun c -> Array.iter step (Relation.chunk_rows c));
+        Relation.flush b);
+  }
+
 let execute (cat : catalog_view) (p : t) : Relation.t =
-  execute_obs no_observer cat p
+  collect (build cat None ~depth:0 ~ranges:[] p)
 
 (* ---- EXPLAIN ANALYZE: instrumented execution ---- *)
 
@@ -440,40 +614,33 @@ let node_label = function
   | Union_all _ -> "UnionAll"
   | Alias { rel; _ } -> "Alias " ^ rel
 
-let children = function
-  | Scan _ -> []
-  | Filter { input; _ }
-  | Project { input; _ }
-  | Aggregate { input; _ }
-  | Window_exec { input; _ }
-  | Number { input; _ }
-  | Sort { input; _ }
-  | Distinct input
-  | Limit { input; _ }
-  | Alias { input; _ } -> [ input ]
-  | Join { left; right; _ } | Union_all { left; right } -> [ left; right ]
-
-(* Execute once while recording per-node inclusive wall time and output
-   cardinality; entries are reported in pre-order of the plan. *)
+(* Execute once with a meter on every node; entries come in pre-order
+   of the plan.  A node's inclusive time is the sum of its direct
+   children's, plus its self time. *)
 let execute_analyze (cat : catalog_view) (p : t) : Relation.t * profile_entry list =
-  let measured : (t, int * float) Hashtbl.t = Hashtbl.create 32 in
-  let observer node result seconds =
-    Hashtbl.replace measured node (Relation.cardinality result, seconds)
-  in
-  let result = execute_obs observer cat p in
-  (* walk the plan in pre-order and look the measurements up *)
-  let entries = ref [] in
-  let rec walk depth node =
-    let rows, seconds =
-      match Hashtbl.find_opt measured node with
-      | Some m -> m
-      | None -> (0, 0.)
-    in
-    entries := { depth; label = node_label node; rows; seconds } :: !entries;
-    List.iter (walk (depth + 1)) (children node)
-  in
-  walk 0 p;
-  (result, List.rev !entries)
+  let root = { rows = 0; self = 0. } in
+  let prof = { owner = root; since = Unix.gettimeofday (); meters = [] } in
+  let result = collect (build cat (Some prof) ~depth:0 ~ranges:[] p) in
+  ignore (switch prof root);
+  let nodes = Array.of_list (List.rev prof.meters) in
+  let n = Array.length nodes in
+  let inclusive = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let depth, _, (m : meter) = nodes.(i) in
+    let children = ref 0. and j = ref (i + 1) in
+    while !j < n && (let d, _, _ = nodes.(!j) in d > depth) do
+      (let d, _, _ = nodes.(!j) in
+       if d = depth + 1 then children := !children +. inclusive.(!j));
+      incr j
+    done;
+    inclusive.(i) <- !children +. m.self
+  done;
+  ( result,
+    Array.to_list
+      (Array.mapi
+         (fun i (depth, node, (m : meter)) ->
+           { depth; label = node_label node; rows = m.rows; seconds = inclusive.(i) })
+         nodes) )
 
 let render_profile (entries : profile_entry list) : string =
   let buf = Buffer.create 256 in

@@ -74,7 +74,13 @@ val choose_join_algo :
 (** Lower a logical plan. *)
 val plan : ?opts:options -> catalog_view -> Logical.t -> t
 
-(** Execute bottom-up against the catalog.
+(** Execute against the catalog as pipelines of row chunks: streamed
+    nodes hand each chunk on, and only the breakers (Aggregate,
+    Window, Number, Sort, Limit, a join's build side and the root)
+    collect their input.  A Project directly above a Join is computed on the
+    join's (left, right) pairs.  Rows reach every breaker in
+    operator-at-a-time order, so answers do not depend on the
+    chunking.
     @raise Plan_error if an index disappeared since planning. *)
 val execute : catalog_view -> t -> Relation.t
 
@@ -87,8 +93,12 @@ type profile_entry = {
   seconds : float;  (** inclusive of children *)
 }
 
-(** Execute once while recording per-node inclusive wall time and output
-    cardinality, reported in pre-order of the plan. *)
+(** Execute once, as {!execute} does, with a meter on every node: the
+    rows it hands on and its own time, charged while it owns the
+    clock.  Entries come in pre-order of the plan; a node's [seconds]
+    is the sum of its direct children's plus its own, so inclusive
+    minus the children's is its self time, never negative.  A fused
+    Project's work is counted in its join. *)
 val execute_analyze : catalog_view -> t -> Relation.t * profile_entry list
 
 val render_profile : profile_entry list -> string

@@ -40,13 +40,13 @@ type state = {
   kind : kind;
   mutable count : int;          (* non-NULL inputs seen *)
   mutable sum_i : int;          (* integer sum, the result while [floats = 0] *)
-  mutable sum_f : float;
+  sum_f : float array;  (* one cell: a flat float, updated without boxing *)
   mutable floats : int;         (* Float inputs in the state *)
   mutable extremum : Value.t;   (* Null until the first non-NULL input *)
 }
 
 let create kind =
-  { kind; count = 0; sum_i = 0; sum_f = 0.; floats = 0; extremum = Value.Null }
+  { kind; count = 0; sum_i = 0; sum_f = [| 0. |]; floats = 0; extremum = Value.Null }
 
 (* [Value.compare] with -0.0 below 0.0 (and below an Int 0), the order
    [Float.min]/[Float.max] and the core's sequences use: MIN and MAX
@@ -73,10 +73,10 @@ let add st (v : Value.t) =
        (match v with
         | Value.Int i ->
           st.sum_i <- st.sum_i + i;
-          st.sum_f <- st.sum_f +. float_of_int i
+          st.sum_f.(0) <- st.sum_f.(0) +. float_of_int i
         | Value.Float f ->
           st.floats <- st.floats + 1;
-          st.sum_f <- st.sum_f +. f
+          st.sum_f.(0) <- st.sum_f.(0) +. f
         | v -> Value.type_error "%s over non-numeric %s" (kind_name st.kind) (Value.to_string v))
      | Min ->
        if Value.is_null st.extremum || compare_extremum v st.extremum < 0 then
@@ -97,10 +97,10 @@ let remove st (v : Value.t) =
        (match v with
         | Value.Int i ->
           st.sum_i <- st.sum_i - i;
-          st.sum_f <- st.sum_f -. float_of_int i
+          st.sum_f.(0) <- st.sum_f.(0) -. float_of_int i
         | Value.Float f ->
           st.floats <- st.floats - 1;
-          st.sum_f <- st.sum_f -. f
+          st.sum_f.(0) <- st.sum_f.(0) -. f
         | v -> Value.type_error "%s over non-numeric %s" (kind_name st.kind) (Value.to_string v)))
 
 let result st : Value.t =
@@ -109,8 +109,8 @@ let result st : Value.t =
   | Sum ->
     if st.count = 0 then Value.Null
     else if st.floats = 0 then Value.Int st.sum_i
-    else Value.Float st.sum_f
-  | Avg -> if st.count = 0 then Value.Null else Value.Float (st.sum_f /. float_of_int st.count)
+    else Value.Float st.sum_f.(0)
+  | Avg -> if st.count = 0 then Value.Null else Value.Float (st.sum_f.(0) /. float_of_int st.count)
   | Min | Max -> st.extremum
 
 let of_seq kind vs =

@@ -549,6 +549,7 @@ let compile_pred e =
   let f = comp_pred max_int e in
   fun row -> f row row
 
+let compile_pair ~left_arity e = comp left_arity e
 let compile_pred_pair ~left_arity e = comp_pred left_arity e
 
 (* ---- Static typing against a schema ---- *)
@@ -651,7 +652,7 @@ let conjoin = function
   | e :: rest -> List.fold_left (fun acc c -> Binop (And, acc, c)) e rest
 
 (* The Int ranges (column, lo, hi) that a row must meet for [e] to hold
-   (see [Relation.prune]): one per top-level conjunct [col op k] or
+   (see [Relation.admits_chunk]): one per top-level conjunct [col op k] or
    [col BETWEEN a AND b] with Int constants, op one of = < <= > >=.
    Empty when [e] can raise: a skipped row must not skip an exception. *)
 let int_ranges e =

@@ -79,6 +79,11 @@ val compile : t -> Row.t -> Value.t
 (** [compile_pred e row] is [holds row e]. *)
 val compile_pred : t -> Row.t -> bool
 
+(** Values over a join's (left, right) pair: [compile_pair ~left_arity e l r]
+    is [eval (Row.append l r) e] for a left row of [left_arity] columns,
+    without building the concatenated row (a projection above a join). *)
+val compile_pair : left_arity:int -> t -> Row.t -> Row.t -> Value.t
+
 (** Join conditions: [compile_pred_pair ~left_arity e l r] is
     [holds (Row.append l r) e] for a left row of [left_arity] columns,
     without building the concatenated row.  With [~left_arity:max_int]
@@ -109,7 +114,7 @@ val conjuncts : t -> t list
 val conjoin : t list -> t
 
 (** The Int ranges [(col, lo, hi)] (inclusive) that every row on which
-    the predicate holds lies in, for {!Relation.prune}: one per
+    the predicate holds lies in, for {!Relation.admits_chunk}: one per
     top-level conjunct [col op k] or [col BETWEEN a AND b] with Int
     constants and op one of [= < <= > >=].  OR, NOT, NULL, Float and
     mixed-type comparisons give none.  Empty when the predicate can

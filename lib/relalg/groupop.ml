@@ -38,45 +38,69 @@ let output_schema (input : Schema.t) group aggs : Schema.t =
   in
   Schema.make (group_cols @ agg_cols)
 
+(* The group table: one entry per group key under SQL equality
+   ([Row.Tbl]), so INT 1 and FLOAT 1.0 are one group, and so are 0.0
+   and -0.0, and NULL groups with NULL.  A group's key is the first
+   key value met.  Each row's key is computed into one reused probe
+   buffer: only a new group allocates its key. *)
+type table = {
+  group_fns : (Row.t -> Value.t) array;
+  arg_fns : (Row.t -> Value.t) array;
+  kinds : Aggregate.kind array;
+  global : bool;  (* no group expressions *)
+  groups : Aggregate.state array Row.Tbl.t;
+  probe : Row.t;
+  mutable order : (Row.t * Aggregate.state array) list;  (* newest first *)
+}
+
+let table ~(group : Expr.t list) ~(aggs : agg_spec list) =
+  let group_fns = Array.of_list (List.map Expr.compile group) in
+  {
+    group_fns;
+    arg_fns = Array.of_list (List.map (fun a -> Expr.compile a.arg) aggs);
+    kinds = Array.of_list (List.map (fun a -> a.kind) aggs);
+    global = group = [];
+    groups = Row.Tbl.create 64;
+    probe = Array.make (Array.length group_fns) Value.Null;
+    order = [];
+  }
+
+let new_group t key =
+  let states = Array.map Aggregate.create t.kinds in
+  Row.Tbl.add t.groups key states;
+  t.order <- (key, states) :: t.order;
+  states
+
+let add t row =
+  let key = t.probe in
+  for k = 0 to Array.length t.group_fns - 1 do
+    key.(k) <- t.group_fns.(k) row
+  done;
+  let states =
+    match Row.Tbl.find t.groups key with
+    | states -> states
+    | exception Not_found -> new_group t (Array.copy key)
+  in
+  for i = 0 to Array.length t.arg_fns - 1 do
+    Aggregate.add states.(i) (t.arg_fns.(i) row)
+  done
+
+let iter_results t f =
+  (* Global aggregation over an empty input still yields one row. *)
+  if t.order = [] && t.global then ignore (new_group t [||]);
+  List.iter
+    (fun (key, states) ->
+      let nk = Array.length key in
+      let row = Array.make (nk + Array.length states) Value.Null in
+      Array.blit key 0 row 0 nk;
+      Array.iteri (fun i st -> row.(nk + i) <- Aggregate.result st) states;
+      f row)
+    (List.rev t.order)
+
 let group_by ?(group : Expr.t list = []) ~(aggs : agg_spec list) (r : Relation.t) :
     Relation.t =
-  let schema = output_schema (Relation.schema r) group aggs in
-  let tbl : (Row.t, Aggregate.state array) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  let group_fns = Array.of_list (List.map Expr.compile group) in
-  let arg_fns = Array.of_list (List.map (fun a -> Expr.compile a.arg) aggs) in
-  Relation.iter
-    (fun row ->
-      let key = Array.make (Array.length group_fns) Value.Null in
-      for k = 0 to Array.length group_fns - 1 do
-        key.(k) <- group_fns.(k) row
-      done;
-      let states =
-        match Hashtbl.find_opt tbl key with
-        | Some st -> st
-        | None ->
-          let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
-          Hashtbl.add tbl key st;
-          order := key :: !order;
-          st
-      in
-      for i = 0 to Array.length arg_fns - 1 do
-        Aggregate.add states.(i) (arg_fns.(i) row)
-      done)
-    r;
-  (* Global aggregation over an empty input still yields one row. *)
-  if !order = [] && group = [] then begin
-    let st = Array.of_list (List.map (fun a -> Aggregate.create a.kind) aggs) in
-    Hashtbl.add tbl [||] st;
-    order := [ [||] ]
-  end;
-  (* [!order] lists the groups newest first: the rows are built in
-     reverse *)
-  let rows =
-    List.map
-      (fun key ->
-        let states = Hashtbl.find tbl key in
-        Row.append key (Array.map Aggregate.result states))
-      !order
-  in
-  Relation.of_rev_list schema rows
+  let t = table ~group ~aggs in
+  Relation.iter (add t) r;
+  let rows = ref [] in
+  iter_results t (fun row -> rows := row :: !rows);
+  Relation.of_rev_list (output_schema (Relation.schema r) group aggs) !rows

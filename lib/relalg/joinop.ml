@@ -19,86 +19,6 @@ let null_row n : Row.t = Array.make n Value.Null
 let output_schema left right =
   Schema.append (Relation.schema left) (Relation.schema right)
 
-(* A condition or residual over the concatenated schema, tested on the
-   (left, right) pair so rejected pairs build no combined row. *)
-let pair_pred left cond =
-  Expr.compile_pred_pair ~left_arity:(Schema.arity (Relation.schema left)) cond
-
-let nested_loop kind (left : Relation.t) (right : Relation.t) cond : Relation.t =
-  let out = ref [] in
-  let rnull = null_row (Schema.arity (Relation.schema right)) in
-  let holds = pair_pred left cond in
-  Relation.iter
-    (fun lrow ->
-      let matched = ref false in
-      Relation.iter
-        (fun rrow ->
-          if holds lrow rrow then begin
-            matched := true;
-            out := Row.append lrow rrow :: !out
-          end)
-        right;
-      if (not !matched) && kind = Left_outer then
-        out := Row.append lrow rnull :: !out)
-    left;
-  Relation.of_rev_list (output_schema left right) !out
-
-(* Keyed by [Row.equal]: INT 1 and FLOAT 1.0 are one key, where a
-   polymorphic [Hashtbl] keys by structure and keeps them apart. *)
-module Row_tbl = Hashtbl.Make (Row)
-
-(* Hash join on [left_keys(l) = right_keys(r)] pairwise, with an optional
-   residual predicate over the combined row.  SQL equality: NULL keys
-   never match, INT and FLOAT keys of equal value do. *)
-let hash_join kind ~(left : Relation.t) ~(right : Relation.t) ~left_keys ~right_keys
-    ?residual () : Relation.t =
-  if List.length left_keys <> List.length right_keys || left_keys = [] then
-    invalid_arg "Joinop.hash_join: key lists must be equal-length and non-empty";
-  (* a row's key, or [[||]] when a component is NULL *)
-  let key_of exprs =
-    let fns = Array.of_list (List.map Expr.compile exprs) in
-    fun row ->
-      let k = Array.make (Array.length fns) Value.Null and null = ref false in
-      for i = 0 to Array.length fns - 1 do
-        k.(i) <- fns.(i) row;
-        if Value.is_null k.(i) then null := true
-      done;
-      if !null then [||] else k
-  in
-  let left_key = key_of left_keys and right_key = key_of right_keys in
-  let residual = Option.map (pair_pred left) residual in
-  let tbl = Row_tbl.create (max 16 (Relation.cardinality right)) in
-  Relation.iter
-    (fun rrow ->
-      let k = right_key rrow in
-      if Array.length k > 0 then
-        Row_tbl.replace tbl k (rrow :: Option.value ~default:[] (Row_tbl.find_opt tbl k)))
-    right;
-  (* each bucket in build order once, not once per probe *)
-  Row_tbl.filter_map_inplace (fun _ rrows -> Some (List.rev rrows)) tbl;
-  let rnull = null_row (Schema.arity (Relation.schema right)) in
-  let out = ref [] in
-  Relation.iter
-    (fun lrow ->
-      let k = left_key lrow in
-      let candidates =
-        if Array.length k = 0 then []
-        else Option.value ~default:[] (Row_tbl.find_opt tbl k)
-      in
-      let matched = ref false in
-      List.iter
-        (fun rrow ->
-          let ok = match residual with None -> true | Some p -> p lrow rrow in
-          if ok then begin
-            matched := true;
-            out := Row.append lrow rrow :: !out
-          end)
-        candidates;
-      if (not !matched) && kind = Left_outer then
-        out := Row.append lrow rnull :: !out)
-    left;
-  Relation.of_rev_list (output_schema left right) !out
-
 (* Probe specification for an index join: how to derive the inner key
    bounds from the outer row. *)
 type probe =
@@ -106,44 +26,108 @@ type probe =
   | Probe_range of Expr.t option * Expr.t option  (* f(outer) <= inner.key <= g(outer) *)
   | Probe_in of Expr.t list                  (* inner.key IN (f(outer), g(outer), ...) *)
 
-let index_join kind ~(left : Relation.t) ~(right : Relation.t) ~(index : Index.t)
-    ~probe ?residual () : Relation.t =
+type access =
+  | Every
+  | Keys of Expr.t list * Expr.t list
+  | Index of Index.t * probe
+
+(* [candidates access right]: [f] on each right row that may match a
+   left row, in build order. *)
+let candidates access (right : Relation.t) : Row.t -> (Row.t -> unit) -> unit =
+  match access with
+  | Every -> fun _ f -> Relation.iter f right
+  | Keys (left_keys, right_keys) ->
+    if List.length left_keys <> List.length right_keys || left_keys = [] then
+      invalid_arg "Joinop.hash_join: key lists must be equal-length and non-empty";
+    (* SQL equality: NULL keys never match, INT and FLOAT keys of equal
+       value do ([Row.Tbl]) *)
+    let compile keys = Array.of_list (List.map Expr.compile keys) in
+    let lfns = compile left_keys and rfns = compile right_keys in
+    (* [fill fns row k]: [k] holds the key of [row]; false when a
+       component is NULL *)
+    let fill fns row k =
+      let ok = ref true in
+      for i = 0 to Array.length fns - 1 do
+        k.(i) <- fns.(i) row;
+        if Value.is_null k.(i) then ok := false
+      done;
+      !ok
+    in
+    let tbl = Row.Tbl.create (max 16 (Relation.cardinality right)) in
+    Relation.iter
+      (fun rrow ->
+        let k = Array.make (Array.length rfns) Value.Null in
+        if fill rfns rrow k then
+          Row.Tbl.replace tbl k
+            (rrow :: Option.value ~default:[] (Row.Tbl.find_opt tbl k)))
+      right;
+    (* each bucket in build order once, not once per probe *)
+    Row.Tbl.filter_map_inplace (fun _ rrows -> Some (List.rev rrows)) tbl;
+    (* one probe key, refilled for every left row *)
+    let probe = Array.make (Array.length lfns) Value.Null in
+    fun lrow f ->
+      if fill lfns lrow probe then begin
+        match Row.Tbl.find tbl probe with
+        | bucket -> List.iter f bucket
+        | exception Not_found -> ()
+      end
+  | Index (index, probe) ->
+    (* [matches lrow f]: [f] on each candidate inner row id, in index order *)
+    let matches : Row.t -> (int -> unit) -> unit =
+      match probe with
+      | Probe_eq e ->
+        let key = Expr.compile e in
+        fun lrow f -> List.iter f (Index.lookup_eq index (key lrow))
+      | Probe_range (lo, hi) ->
+        let lo = Option.map Expr.compile lo and hi = Option.map Expr.compile hi in
+        fun lrow f ->
+          let eval_bound = Option.map (fun g -> g lrow) in
+          (match eval_bound lo, eval_bound hi with
+           (* a NULL bound can never compare TRUE against anything *)
+           | Some Value.Null, _ | _, Some Value.Null -> ()
+           | lo, hi -> Index.iter_range index ?lo ?hi f)
+      | Probe_in items ->
+        let items = List.map Expr.compile items in
+        fun lrow f ->
+          (* deduplicate keys so colliding item values do not double-count *)
+          let keys = List.map (fun g -> g lrow) items in
+          let keys = List.sort_uniq Value.compare keys in
+          List.iter (fun k -> List.iter f (Index.lookup_eq index k)) keys
+    in
+    fun lrow f -> matches lrow (fun rid -> f (Relation.get right rid))
+
+let prober kind access ~left_arity ~(right : Relation.t) ~residual ~out emit =
+  let each = candidates access right in
   let rnull = null_row (Schema.arity (Relation.schema right)) in
-  let residual = Option.map (pair_pred left) residual in
-  (* [matches lrow f]: [f] on each candidate inner row id, in index order *)
-  let matches : Row.t -> (int -> unit) -> unit =
-    match probe with
-    | Probe_eq e ->
-      let key = Expr.compile e in
-      fun lrow f -> List.iter f (Index.lookup_eq index (key lrow))
-    | Probe_range (lo, hi) ->
-      let lo = Option.map Expr.compile lo and hi = Option.map Expr.compile hi in
-      fun lrow f ->
-        let eval_bound = Option.map (fun g -> g lrow) in
-        (match eval_bound lo, eval_bound hi with
-         (* a NULL bound can never compare TRUE against anything *)
-         | Some Value.Null, _ | _, Some Value.Null -> ()
-         | lo, hi -> Index.iter_range index ?lo ?hi f)
-    | Probe_in items ->
-      let items = List.map Expr.compile items in
-      fun lrow f ->
-        (* deduplicate keys so colliding item values do not double-count *)
-        let keys = List.map (fun g -> g lrow) items in
-        let keys = List.sort_uniq Value.compare keys in
-        List.iter (fun k -> List.iter f (Index.lookup_eq index k)) keys
+  (* the residual is tested on the (left, right) pair, so a rejected
+     pair builds no row *)
+  let holds =
+    match residual with
+    | None -> fun _ _ -> true
+    | Some e -> Expr.compile_pred_pair ~left_arity e
   in
+  fun lrow ->
+    let matched = ref false in
+    each lrow (fun rrow ->
+        if holds lrow rrow then begin
+          matched := true;
+          emit (out lrow rrow)
+        end);
+    if (not !matched) && kind = Left_outer then emit (out lrow rnull)
+
+let join kind access ~(left : Relation.t) ~(right : Relation.t) ~residual =
   let out = ref [] in
-  Relation.iter
-    (fun lrow ->
-      let matched = ref false in
-      matches lrow (fun rid ->
-          let rrow = Relation.get right rid in
-          let ok = match residual with None -> true | Some p -> p lrow rrow in
-          if ok then begin
-            matched := true;
-            out := Row.append lrow rrow :: !out
-          end);
-      if (not !matched) && kind = Left_outer then
-        out := Row.append lrow rnull :: !out)
-    left;
+  let step =
+    prober kind access ~left_arity:(Schema.arity (Relation.schema left)) ~right ~residual
+      ~out:Row.append (fun row -> out := row :: !out)
+  in
+  Relation.iter step left;
   Relation.of_rev_list (output_schema left right) !out
+
+let nested_loop kind left right cond = join kind Every ~left ~right ~residual:(Some cond)
+
+let hash_join kind ~left ~right ~left_keys ~right_keys ?residual () =
+  join kind (Keys (left_keys, right_keys)) ~left ~right ~residual
+
+let index_join kind ~left ~right ~index ~probe ?residual () =
+  join kind (Index (index, probe)) ~left ~right ~residual

@@ -170,17 +170,16 @@ let map_chunks f chunks =
 
 (* Row-for-row images keep the chunk boundaries; the zones no longer
    describe the rows, so they are dropped. *)
-let map schema (f : Row.t -> Row.t) r =
-  {
-    r with
-    schema;
-    chunks =
-      map_chunks
-        (fun c -> unzoned (Row.array_init (Array.length c.rows) (fun i -> f c.rows.(i))))
-        r.chunks;
-  }
+let map_chunk (f : Row.t -> Row.t) c =
+  let rows = c.rows in
+  let out = Array.make (Array.length rows) [||] in
+  for i = 0 to Array.length rows - 1 do
+    out.(i) <- f rows.(i)
+  done;
+  unzoned out
 
-let with_schema schema r = { r with schema }
+let map schema (f : Row.t -> Row.t) r =
+  { r with schema; chunks = map_chunks (map_chunk f) r.chunks }
 
 let column_values r i =
   let out = Array.make (cardinality r) Value.Null in
@@ -212,44 +211,45 @@ let rec admits_any zone = function
   | [] -> false
   | ranges :: rest -> admits zone ranges || admits_any zone rest
 
-let prune ranges r =
-  if ranges = [] then r
-  else
-    let kept = Array.fold_left (fun n c -> if admits c.zone ranges then n + 1 else n) 0 r.chunks in
-    if kept = Array.length r.chunks then r
+(* [sieve keep c]: the rows of [c] for which [keep] holds, in order:
+   [c] itself when all of them do, [None] when none does.  Each row's
+   outcome is marked in a byte buffer the sieve keeps, so a partly
+   passing chunk costs its new rows and not an index array. *)
+let sieve (keep : Row.t -> bool) =
+  let marks = Bytes.create chunk_size in
+  fun c ->
+    let rows = c.rows in
+    let m = ref 0 in
+    for i = 0 to Array.length rows - 1 do
+      if keep rows.(i) then begin
+        Bytes.set marks i '\001';
+        incr m
+      end
+      else Bytes.set marks i '\000'
+    done;
+    if !m = Array.length rows then Some c
+    else if !m = 0 then None
     else begin
-      let chunks = Array.make kept empty_chunk in
-      let next = ref 0 in
-      Array.iter
-        (fun c ->
-          if admits c.zone ranges then begin
-            chunks.(!next) <- c;
-            incr next
-          end)
-        r.chunks;
-      of_chunks r.schema chunks
+      let out = Array.make !m [||] and k = ref 0 in
+      for i = 0 to Array.length rows - 1 do
+        if Bytes.get marks i <> '\000' then begin
+          out.(!k) <- rows.(i);
+          incr k
+        end
+      done;
+      Some (unzoned out)
     end
 
 let filter ranges (keep : Row.t -> bool) r =
-  let r = prune ranges r in
+  let sieve = sieve keep in
   let out = ref [] and changed = ref false in
-  let hits = Array.make chunk_size 0 in
   Array.iter
     (fun c ->
-      let m = ref 0 in
-      Array.iteri
-        (fun i row ->
-          if keep row then begin
-            hits.(!m) <- i;
-            incr m
-          end)
-        c.rows;
-      if !m = Array.length c.rows then out := c :: !out
-      else begin
-        changed := true;
-        if !m > 0 then
-          out := unzoned (Row.array_init !m (fun k -> c.rows.(hits.(k)))) :: !out
-      end)
+      match if admits c.zone ranges then sieve c else None with
+      | Some kept ->
+        if kept != c then changed := true;
+        out := kept :: !out
+      | None -> changed := true)
     r.chunks;
   if not !changed then r else of_chunks r.schema (chunks_of_rev_list !out)
 
@@ -313,6 +313,39 @@ let edit r ~admit f =
 
 let chunk = zoned
 let chunk_rows c = c.rows
+
+(* ---- Streams of chunks ---- *)
+
+let chunks r = r.chunks
+let chunk_length c = Array.length c.rows
+let admits_chunk ranges c = admits c.zone ranges
+let of_rev_chunks schema rev = of_chunks schema (chunks_of_rev_list rev)
+
+(* Rows gathered into full chunks.  A chunk array that has been handed
+   on is never written again: the next row starts a fresh one. *)
+type builder = {
+  emit : chunk -> unit;
+  mutable buf : Row.t array;
+  mutable fill : int;
+}
+
+let builder emit = { emit; buf = [||]; fill = 0 }
+
+let push b row =
+  if b.fill = 0 then b.buf <- Array.make chunk_size [||];
+  b.buf.(b.fill) <- row;
+  b.fill <- b.fill + 1;
+  if b.fill = chunk_size then begin
+    b.fill <- 0;
+    b.emit (unzoned b.buf)
+  end
+
+let flush b =
+  if b.fill > 0 then begin
+    let rows = Array.sub b.buf 0 b.fill in
+    b.fill <- 0;
+    b.emit (unzoned rows)
+  end
 
 let of_chunks_at schema chunks ~starts = { schema; chunks; starts }
 

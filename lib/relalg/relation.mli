@@ -53,9 +53,6 @@ val get : t -> int -> Row.t
 (** [map schema f r]: [f] on every row in order, under a new schema. *)
 val map : Schema.t -> (Row.t -> Row.t) -> t -> t
 
-(** The same rows (and zones) under another schema of equal arity. *)
-val with_schema : Schema.t -> t -> t
-
 (** [concat a b]: the rows of [a] then of [b], sharing both relations'
     chunks; [a]'s schema. *)
 val concat : t -> t -> t
@@ -72,14 +69,11 @@ val column_values : t -> int -> Value.t array
     chunk without a zone, or whose column [c] holds a non-Int value, is
     never skipped. *)
 
-(** The chunks whose zones admit every range, shared. *)
-val prune : (int * int * int) list -> t -> t
-
 (** [filter ranges keep r]: the rows of [r] for which [keep] holds, in
-    order, where [keep] may be called only on the rows of chunks that
-    {!prune} keeps: the caller guarantees that [keep] is false, and
-    raises nothing, on every row outside the ranges.  A chunk whose
-    rows all pass is shared, zone included. *)
+    order, where [keep] may be called only on the rows of chunks whose
+    zones admit every range ({!admits_chunk}): the caller guarantees
+    that [keep] is false, and raises nothing, on every row outside the
+    ranges.  A chunk whose rows all pass is shared, zone included. *)
 val filter : (int * int * int) list -> (Row.t -> bool) -> t -> t
 
 (** [r] with a zone on every chunk: the form tables and rendered views
@@ -107,6 +101,45 @@ type chunk
 val chunk : Schema.t -> Row.t array -> chunk
 
 val chunk_rows : chunk -> Row.t array
+
+(** {1 Streams of chunks}
+
+    A query runs as a stream of chunks from operator to operator
+    (the planner's executor).  A chunk handed on is never written
+    again, so a consumer may keep it. *)
+
+(** The relation's chunks, in order: its own array, not a copy. *)
+val chunks : t -> chunk array
+
+val chunk_length : chunk -> int
+
+(** Whether the chunk's zone admits every range, as the zones section
+    above defines it: a chunk it does not admit holds no row that lies
+    in them all. *)
+val admits_chunk : (int * int * int) list -> chunk -> bool
+
+(** [map_chunk f c]: [f] on every row of [c], in order. *)
+val map_chunk : (Row.t -> Row.t) -> chunk -> chunk
+
+(** [sieve keep] is a function from a chunk to the rows of it that
+    [keep] holds for, in order: the chunk itself when all rows pass,
+    [None] when none does.  [keep] is called once per row, in order. *)
+val sieve : (Row.t -> bool) -> chunk -> chunk option
+
+(** [of_rev_chunks schema chunks]: the relation of [chunks] in reverse
+    order, shared. *)
+val of_rev_chunks : Schema.t -> chunk list -> t
+
+(** Rows gathered one at a time into chunks of {!chunk_size} rows. *)
+type builder
+
+(** A builder handing each full chunk to the function. *)
+val builder : (chunk -> unit) -> builder
+
+val push : builder -> Row.t -> unit
+
+(** Hand on the rows gathered since the last full chunk, if any. *)
+val flush : builder -> unit
 
 (** The relation made of [chunks], shared, in order. *)
 val of_chunks : Schema.t -> chunk array -> t

@@ -27,6 +27,16 @@ let compare (a : t) (b : t) =
 let hash (r : t) =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 r
 
+(* Keyed by SQL equality: INT 1 and FLOAT 1.0 are one key, and so are
+   0.0 and -0.0, and NULL meets NULL, where a polymorphic [Hashtbl]
+   keys by structure and keeps such values apart. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 (* [Array.init n f] without the forced minor collection.  An array
    longer than 256 words goes straight to the major heap, and when its
    fill value is a young block [caml_make_vect] first runs a full minor

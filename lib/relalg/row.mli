@@ -15,6 +15,11 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+(** Tables keyed by rows under {!equal}, the key equality of GROUP BY,
+    DISTINCT and hash joins: INT and FLOAT of one value are one key,
+    0.0 and -0.0 are one key, and NULL is equal to NULL. *)
+module Tbl : Hashtbl.S with type key = t
+
 (** [array_init n f] is [Array.init n f], filled from the constant
     [[||]] and then in index order, so a long array of fresh rows never
     forces a minor collection (see the implementation). *)

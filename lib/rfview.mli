@@ -366,7 +366,9 @@ module Snapshot : sig
   (** The commit point this snapshot reflects. *)
   val lsn : t -> int
 
-  (** Evaluate a query against the pinned state.  Read-only: non-query
+  (** Evaluate a query against the pinned state.  [EXPLAIN] and
+      [EXPLAIN ANALYZE] of a query answer their text as a relation of
+      one [plan] column, one row per line.  Read-only: other
       statements are refused with [Error (Runtime _)].  Safe to call
       from any domain, concurrently with the writer. *)
   val query : t -> string -> (Relation.t, Session.error) Stdlib.result

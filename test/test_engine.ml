@@ -158,6 +158,38 @@ let test_matview_partitioned () =
   in
   check_same_bag "partitioned maintenance" (Db.query db "SELECT * FROM vp") reference
 
+(* The partition table keys by SQL equality, as the partition map
+   orders keys: rows keyed INT 1 and FLOAT 1.0 are one partition.  (A
+   table column holds one type, so only a relation built by hand mixes
+   them.) *)
+let test_matview_partition_keys () =
+  let schema =
+    Schema.make
+      [ Schema.column "g" Dtype.Float; Schema.column "pos" Dtype.Int;
+        Schema.column "val" Dtype.Float ]
+  in
+  let base =
+    Relation.make schema
+      [ [| Value.Int 1; Value.Int 1; Value.Float 10. |];
+        [| Value.Float 1.; Value.Int 2; Value.Float 20. |];
+        [| Value.Float 2.; Value.Int 1; Value.Float 5. |] ]
+  in
+  let spec =
+    { Matview.source = "t"; partition = [ "g" ]; order_col = "pos"; value_col = "val";
+      agg = Aggregate.Sum; frame = Core.Frame.Cumulative;
+      items = [ (Some "g", "g"); (Some "pos", "pos"); (None, "s") ] }
+  in
+  let out_schema =
+    Schema.make
+      [ Schema.column "g" Dtype.Float; Schema.column "pos" Dtype.Int;
+        Schema.column "s" Dtype.Float ]
+  in
+  let st = Matview.init_state spec ~base ~out_schema in
+  let parts = Matview.partitions st in
+  Alcotest.(check int) "two partitions" 2 (List.length parts);
+  Alcotest.(check (list int)) "every row kept" [ 2; 1 ]
+    (List.map (fun p -> Array.length (Matview.partition_rows p)) parts)
+
 let test_matview_fallback_on_nulls () =
   (* NULL in the value column: the incremental path must decline and the
      view must still be correct via full refresh *)
@@ -615,6 +647,102 @@ let test_explain_analyze () =
     Alcotest.(check bool) "has cardinalities" true (contains "3 rows")
   | Db.Relation _ -> Alcotest.fail "expected profile text"
 
+(* GROUP BY and DISTINCT key by SQL equality: INT 1 and FLOAT 1.0 are
+   one key over a UNION ALL of INT 1, 2 and FLOAT 1.0, 3.5.  COALESCE
+   types the INT operand FLOAT while its values stay INTs, so the
+   operands' schemas agree (a bare INT-FLOAT union, which gives the
+   same answer, is an RF109 error to the plan checker). *)
+let test_group_distinct_sql_equality () =
+  let db = Db.create () in
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [ "CREATE TABLE ia (v INT)"; "CREATE TABLE fb (v FLOAT)";
+      "INSERT INTO ia VALUES (1), (2)"; "INSERT INTO fb VALUES (1.0), (3.5)" ];
+  let distinct =
+    Db.query db
+      "SELECT DISTINCT v FROM (SELECT COALESCE(v, 0.0) AS v FROM ia UNION ALL SELECT v \
+       FROM fb) u"
+  in
+  Alcotest.(check int) "DISTINCT: 3 rows" 3 (Relation.cardinality distinct);
+  let grouped =
+    Db.query db
+      "SELECT v, COUNT(*) AS n FROM (SELECT COALESCE(v, 0.0) AS v FROM ia UNION ALL \
+       SELECT v FROM fb) u GROUP BY v"
+  in
+  Alcotest.(check int) "GROUP BY: 3 groups" 3 (Relation.cardinality grouped);
+  Alcotest.(check (list string)) "first key of each group, and its count"
+    [ "1 2"; "2 1"; "3.5 1" ]
+    (List.map
+       (fun row -> Value.to_string row.(0) ^ " " ^ Value.to_string row.(1))
+       (Relation.to_list grouped))
+
+(* The paper's Table 2 derivation (Fig. 10, MaxOA by UNION ALL) over
+   303 stored positions, as the read bench runs it. *)
+let derive_db () =
+  let db = Db.create () in
+  add_matseq db
+    (Core.Compute.sequence (Core.Frame.sliding ~l:2 ~h:1)
+       (Core.Seqdata.raw_of_array (Array.init 300 (fun i -> float_of_int ((i * 37) mod 23)))));
+  ignore (Db.exec db "CREATE INDEX matseq_pos ON matseq (pos)");
+  (db, Core.Sqlgen.maxoa ~lx:2 ~h:1 ~ly:4 `Union)
+
+(* EXPLAIN ANALYZE of the derive query: every node's rows, in pre-order,
+   and a self time (inclusive minus the direct children's, as
+   warebench's operator split takes it) that is never negative. *)
+let test_derive_profile () =
+  let db, sql = derive_db () in
+  let q = match Parser.statement sql with Rfview_sql.Ast.St_query q -> q | _ -> assert false in
+  let module Ph = Rfview_planner.Physical in
+  let _, profile = Ph.execute_analyze (Db.catalog_view db) (Db.plan_query db q) in
+  let branch join_rows =
+    [ ("Project", join_rows); ("Join [hash]", join_rows); ("Alias s1", 303);
+      ("Scan matseq", 303); ("Alias s2", 303); ("Scan matseq", 303) ]
+  in
+  Alcotest.(check (list (pair string int))) "labels and rows"
+    ([ ("Project", 303); ("LeftOuterJoin [hash]", 303); ("Alias s", 303);
+       ("Scan matseq", 303); ("Alias c", 299); ("Project", 299); ("Aggregate", 299);
+       ("Alias u", 22_500); ("UnionAll", 22_500) ]
+     @ branch 11_325 @ branch 11_175)
+    (List.map (fun (e : Ph.profile_entry) -> (e.label, e.rows)) profile);
+  let a = Array.of_list profile in
+  Array.iteri
+    (fun i (e : Ph.profile_entry) ->
+      let children = ref 0. and j = ref (i + 1) in
+      while !j < Array.length a && a.(!j).depth > e.depth do
+        if a.(!j).depth = e.depth + 1 then children := !children +. a.(!j).seconds;
+        incr j
+      done;
+      if e.seconds -. !children < 0. then
+        Alcotest.failf "%s (entry %d): self time %g s" e.label i (e.seconds -. !children))
+    a
+
+(* A snapshot answers EXPLAIN and EXPLAIN ANALYZE of a query as one
+   [plan] column, a row per line; other statements stay refused. *)
+let test_snapshot_explain () =
+  let db, sql = derive_db () in
+  let sn = Db.snapshot db in
+  Fun.protect
+    ~finally:(fun () -> Db.release db sn)
+    (fun () ->
+      let lines r = List.map (fun row -> Value.to_string row.(0)) (Relation.to_list r) in
+      let analyzed = Db.Snapshot.query sn ("EXPLAIN ANALYZE " ^ sql) in
+      Alcotest.(check (list string)) "one plan column" [ "plan" ]
+        (Schema.names (Relation.schema analyzed));
+      Alcotest.(check int) "one line per node" 21 (Relation.cardinality analyzed);
+      Alcotest.(check bool) "the union's rows" true
+        (List.exists
+           (fun l -> String.trim (String.sub l 0 40) = "UnionAll" && String.length l > 50)
+           (lines analyzed));
+      let plain = lines (Db.Snapshot.query sn ("EXPLAIN " ^ sql)) in
+      Alcotest.(check bool) "the physical plan" true (List.mem "== physical ==" plain);
+      Alcotest.(check bool) "the same text as the live EXPLAIN" true
+        (match Db.exec db ("EXPLAIN " ^ sql) with
+         | Db.Done text -> String.concat "\n" plain ^ "\n" = text
+         | Db.Relation _ -> false);
+      match Db.Snapshot.query sn "EXPLAIN INSERT INTO matseq VALUES (0, 0)" with
+      | _ -> Alcotest.fail "a snapshot must refuse EXPLAIN of a write"
+      | exception Db.Engine_error _ -> ())
+
 (* ---- Query cache (paper §3's caching motivation) ---- *)
 
 module Cache = Rfview_engine.Cache
@@ -701,6 +829,7 @@ let () =
           Alcotest.test_case "insert/update/delete" `Quick
             test_matview_incremental_insert_delete_update;
           Alcotest.test_case "partitioned" `Quick test_matview_partitioned;
+          Alcotest.test_case "partition keys by SQL equality" `Quick test_matview_partition_keys;
           Alcotest.test_case "fallback on NULLs" `Quick test_matview_fallback_on_nulls;
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:100 ~name:"random DML stream" arb_dml_stream
@@ -740,7 +869,13 @@ let () =
           Alcotest.test_case "header mapping" `Quick test_csv_header_mapping;
         ] );
       ( "analyze",
-        [ Alcotest.test_case "explain analyze" `Quick test_explain_analyze ] );
+        [
+          Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
+          Alcotest.test_case "derive profile" `Quick test_derive_profile;
+          Alcotest.test_case "EXPLAIN on a snapshot" `Quick test_snapshot_explain;
+          Alcotest.test_case "GROUP BY and DISTINCT by SQL equality" `Quick
+            test_group_distinct_sql_equality;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "hit/miss/derive" `Quick test_cache_hit_miss;

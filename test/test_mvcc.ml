@@ -421,6 +421,28 @@ let test_session_query_snapshot_sugar () =
        | Error e -> Alcotest.fail (Session.describe_error e));
       Snapshot.close sn)
 
+(* EXPLAIN answers the same relation on the snapshot path and, inside
+   a batch, on the direct path *)
+let test_session_query_explain () =
+  let s = session_fixture () in
+  let plan sql =
+    match Session.query s sql with
+    | Ok rel ->
+      Alcotest.(check (list string)) "one plan column" [ "plan" ]
+        (Schema.names (Relation.schema rel));
+      List.map (fun row -> Value.to_string row.(0)) (Relation.to_list rel)
+    | Error e -> Alcotest.fail (Session.describe_error e)
+  in
+  let sql = "EXPLAIN SELECT a FROM t WHERE a > 1" in
+  let analyze = "EXPLAIN ANALYZE SELECT a FROM t WHERE a > 1" in
+  let quiescent = plan sql in
+  let quiescent_analyze = List.length (plan analyze) in
+  Alcotest.(check bool) "the physical plan" true (List.mem "== physical ==" quiescent);
+  Session.with_batch s (fun () ->
+      Alcotest.(check (list string)) "EXPLAIN in a batch" quiescent (plan sql);
+      Alcotest.(check int) "EXPLAIN ANALYZE in a batch" quiescent_analyze
+        (List.length (plan analyze)))
+
 let test_facade_snapshot_at_stale_error () =
   let s = session_fixture () in
   for i = 10 to 30 do
@@ -606,6 +628,8 @@ let () =
         [
           Alcotest.test_case "Session.query is snapshot-at-tip" `Quick
             test_session_query_snapshot_sugar;
+          Alcotest.test_case "Session.query answers EXPLAIN on both paths" `Quick
+            test_session_query_explain;
           Alcotest.test_case "Snapshot.at stale error" `Quick
             test_facade_snapshot_at_stale_error;
           qtest ~count:100 "snapshot never sees an open batch"

@@ -973,7 +973,12 @@ let prop_zone_pruned_scan (rows, cuts, pred) =
 let test_zone_pruning_reads () =
   let rows = List.init 2000 (fun i -> [| Value.Int i; Value.Float 1.; Value.Int (i mod 7) |]) in
   let stored = Relation.store (Relation.of_rev_list zone_schema (List.rev rows)) in
-  let admitted pred = Relation.cardinality (Relation.prune (Expr.int_ranges pred) stored) in
+  let admitted pred =
+    Array.fold_left
+      (fun n c ->
+        if Relation.admits_chunk (Expr.int_ranges pred) c then n + Relation.chunk_length c else n)
+      0 (Relation.chunks stored)
+  in
   let cmp op c k = Expr.Binop (op, Expr.Col c, Expr.Const k) in
   Alcotest.(check int) "a = 700" Relation.chunk_size (admitted (cmp Expr.Eq 0 (Value.Int 700)));
   Alcotest.(check int) "a < 0" 0 (admitted (cmp Expr.Lt 0 (Value.Int 0)));
@@ -984,6 +989,169 @@ let test_zone_pruning_reads () =
   Alcotest.(check int) "a = 700.0" 2000 (admitted (cmp Expr.Eq 0 (Value.Float 700.)));
   Alcotest.(check int) "b = 1" 2000 (admitted (cmp Expr.Eq 1 (Value.Int 1)));
   Alcotest.(check int) "a = NULL" 2000 (admitted (cmp Expr.Eq 0 Value.Null))
+
+(* ---- The executor: every join algorithm, one answer ----
+
+   Random small tables l and r of (k FLOAT, v INT), stored in chunks
+   of random sizes, with keys that SQL equality folds together: INT and
+   FLOAT of one value, 0.0 and -0.0, and NULL.  Each join algorithm runs
+   the shape UNION ALL of (join -> Project) for an inner and a LEFT
+   OUTER join, then GROUP BY and DISTINCT over it, and DISTINCT over a
+   join without a projection.  Hash and nested-loop joins give the same
+   rows in the same order; the index join the same bag.  GROUP BY and
+   DISTINCT match a nested-loop oracle over SQL key equality. *)
+
+module Ph = Rfview_planner.Physical
+
+let exec_schema name =
+  Schema.make [ Schema.column ~rel:name "k" Dtype.Float; Schema.column ~rel:name "v" Dtype.Int ]
+
+(* [rows] stored in chunks of [cut] rows *)
+let stored_in schema rows cut =
+  let rows = Array.of_list rows in
+  let n = Array.length rows in
+  Relation.of_chunks schema
+    (Array.init ((n + cut - 1) / cut) (fun c ->
+         Relation.chunk schema (Array.sub rows (c * cut) (min cut (n - (c * cut))))))
+
+let gen_exec_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> Value.Int k) (int_range (-2) 2));
+        (3, map (fun k -> Value.Float (float_of_int k)) (int_range (-2) 2));
+        (2, oneofl [ Value.Float 0.; Value.Float (-0.); Value.Float 0.5 ]);
+        (1, return Value.Null);
+      ])
+
+let gen_exec_table =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 0 40)
+         (map2
+            (fun k v -> [| k; v |])
+            gen_exec_key
+            (frequency [ (5, map (fun v -> Value.Int v) (int_range (-9) 9)); (1, return Value.Null) ])))
+      (int_range 1 7))
+
+(* SQL key equality, written out: NULL groups with NULL, numbers by
+   their value (so 0.0 meets -0.0 and INT 1 meets FLOAT 1.0). *)
+let sql_key_eq a b =
+  match a, b with
+  | Value.Null, Value.Null -> true
+  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
+    Value.to_float a = Value.to_float b
+  | _ -> false
+
+let sql_row_eq a b = Array.length a = Array.length b && Array.for_all2 sql_key_eq a b
+
+(* rows as exact text: INT 1 is not FLOAT 1.0, nor 0.0 -0.0 *)
+let row_texts rows =
+  List.map (fun row -> String.concat "|" (Array.to_list (Array.map Value.to_string row))) rows
+
+let texts r = row_texts (Relation.to_list r)
+
+(* GROUP BY column 0 with COUNT star and SUM of column 1, in order of
+   first appearance, each group keyed by its first key *)
+let group_oracle rows =
+  let groups = ref [] in
+  List.iter
+    (fun row ->
+      match List.find_opt (fun (k, _) -> sql_key_eq k row.(0)) !groups with
+      | Some (_, members) -> members := row :: !members
+      | None -> groups := (row.(0), ref [ row ]) :: !groups)
+    rows;
+  List.rev_map
+    (fun (k, members) ->
+      let vs = List.filter_map (fun row -> match row.(1) with Value.Int v -> Some v | _ -> None) !members in
+      [| k; Value.Int (List.length !members);
+         (if vs = [] then Value.Null else Value.Int (List.fold_left ( + ) 0 vs)) |])
+    !groups
+
+let distinct_oracle rows =
+  List.rev
+    (List.fold_left
+       (fun seen row -> if List.exists (sql_row_eq row) seen then seen else row :: seen)
+       [] rows)
+
+let prop_executor_agrees ((lrows, lcut), (rrows, rcut), with_residual) =
+  let l = stored_in (exec_schema "l") lrows lcut and r = stored_in (exec_schema "r") rrows rcut in
+  let cat =
+    {
+      Ph.table_contents = (function "l" -> l | _ -> r);
+      table_index =
+        (fun ~table ~column ->
+          if table = "r" && column = "k" then Some (Index.build Index.Hash r ~key_col:0) else None);
+    }
+  in
+  let side t = Ph.Alias { input = Ph.Scan { table = t; schema = exec_schema t }; rel = t } in
+  let eq = Expr.Binop (Expr.Eq, Expr.Col 0, Expr.Col 2) in
+  (* l.v <= r.v *)
+  let residual = if with_residual then Some (Expr.Binop (Expr.Le, Expr.Col 1, Expr.Col 3)) else None in
+  let cond = match residual with Some res -> Expr.conjoin [ eq; res ] | None -> eq in
+  let algos =
+    [
+      Ph.Nested_loop;
+      Ph.Hash { left_keys = [ Expr.Col 0 ]; right_keys = [ Expr.Col 0 ]; residual };
+      Ph.Index_nl { table = "r"; column = "k"; probe = Ph.P_eq (Expr.Col 0); residual };
+    ]
+  in
+  let join kind algo = Ph.Join { kind; algo; left = side "l"; right = side "r"; cond } in
+  let exprs = [ (Expr.Col 0, "k"); (Expr.Binop (Expr.Add, Expr.Col 1, Expr.Col 3), "v") ] in
+  let shape algo =
+    Ph.Union_all
+      {
+        left = Ph.Project { input = join Joinop.Inner algo; exprs };
+        right = Ph.Project { input = join Joinop.Left_outer algo; exprs };
+      }
+  in
+  let aggs =
+    [ Groupop.star_count "n"; { Groupop.kind = Aggregate.Sum; arg = Expr.Col 1; name = "s" } ]
+  in
+  let run algo =
+    let u = Ph.execute cat (shape algo) in
+    let grouped = Ph.execute cat (Ph.Aggregate { input = shape algo; group = [ Expr.Col 0 ]; aggs }) in
+    let distinct = Ph.execute cat (Ph.Distinct (shape algo)) in
+    let j = Ph.execute cat (join Joinop.Left_outer algo) in
+    let joined = Ph.execute cat (Ph.Distinct (join Joinop.Left_outer algo)) in
+    let against what got expected =
+      if texts got <> row_texts expected then
+        QCheck.Test.fail_reportf "%s differs from the oracle:@.%s@.oracle:@.%s" what
+          (String.concat "\n" (texts got))
+          (String.concat "\n" (row_texts expected))
+    in
+    against "GROUP BY" grouped (group_oracle (Relation.to_list u));
+    against "DISTINCT" distinct (distinct_oracle (Relation.to_list u));
+    against "DISTINCT over a join" joined (distinct_oracle (Relation.to_list j));
+    (texts u, texts grouped, joined)
+  in
+  match List.map run algos with
+  | [ nl; hash; (iu, _, ij) ] ->
+    let (nu, ng, nj) = nl and (hu, hg, hj) = hash in
+    let same what a b =
+      if a <> b then
+        QCheck.Test.fail_reportf "%s:@.%s@.against:@.%s" what (String.concat "\n" a)
+          (String.concat "\n" b)
+    in
+    same "hash and nested loop: UNION ALL" hu nu;
+    same "hash and nested loop: GROUP BY" hg ng;
+    same "hash and nested loop: DISTINCT over a join" (texts hj) (texts nj);
+    same "index and nested loop: UNION ALL bag" (List.sort compare iu) (List.sort compare nu);
+    (* DISTINCT keeps each row's first occurrence, which depends on
+       the order the index join finds the rows in: the same bag up to
+       SQL equality *)
+    if not (Relation.equal_bag ij nj) then
+      QCheck.Test.fail_reportf "index and nested loop: DISTINCT over a join bag";
+    true
+  | _ -> false
+
+let arb_executor =
+  QCheck.make
+    ~print:(fun ((l, lc), (r, rc), res) ->
+      let show rows = String.concat " " (List.map Row.to_string rows) in
+      Printf.sprintf "l (chunks of %d): %s\nr (chunks of %d): %s\nresidual: %b" lc (show l) rc
+        (show r) res)
+    QCheck.Gen.(triple gen_exec_table gen_exec_table bool)
 
 let () =
   Alcotest.run "relalg"
@@ -1037,6 +1205,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_float_to_string;
           QCheck_alcotest.to_alcotest prop_render_oracle;
           QCheck_alcotest.to_alcotest prop_index_range_join;
+        ] );
+      ( "executor",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:300
+               ~name:"join algorithms, GROUP BY and DISTINCT agree with SQL-equality oracles"
+               arb_executor prop_executor_agrees);
         ] );
       ( "zones",
         [

@@ -142,6 +142,38 @@ let test_server_roundtrips () =
           Alcotest.(check (option string)) "unpinned read is at tip" (Some "2")
             (Wire.field r "rows")))
 
+(* [query] profiles a read on a snapshot: EXPLAIN and EXPLAIN ANALYZE
+   answer one [plan] row per line, and EXPLAIN of a write stays an
+   error. *)
+let test_server_explain () =
+  with_server (fun srv _session ->
+      let c = Server.Client.connect ~port:(Server.port srv) in
+      Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+        (fun () ->
+          ignore (expect_ok "create" (req c "exec CREATE TABLE t (a INT, b INT)"));
+          ignore (expect_ok "insert" (req c "exec INSERT INTO t VALUES (1, 10), (2, 20), (1, 30)"));
+          let sql = "SELECT a, SUM(b) AS s FROM t GROUP BY a" in
+          let r = expect_ok "explain analyze" (req c ("query EXPLAIN ANALYZE " ^ sql)) in
+          let data = Option.value ~default:"" (Wire.field r "data") in
+          let has sub =
+            let n = String.length sub in
+            let rec go i = i + n <= String.length data && (String.sub data i n = sub || go (i + 1)) in
+            go 0
+          in
+          Alcotest.(check bool) "a plan column" true (has "| plan");
+          Alcotest.(check bool) "the aggregate node" true (has "Aggregate");
+          Alcotest.(check bool) "the scan's three rows" true (has "3 rows");
+          Alcotest.(check (option string)) "one row per plan node" (Some "4")
+            (Wire.field r "rows");
+          let r = expect_ok "explain" (req c ("query EXPLAIN " ^ sql)) in
+          Alcotest.(check bool) "the physical plan" true
+            (match Wire.field r "data" with
+             | Some d -> String.length d > 0
+             | None -> false);
+          let r = req c "query EXPLAIN INSERT INTO t VALUES (3, 3)" in
+          Alcotest.(check (option string)) "EXPLAIN of a write is refused" (Some "false")
+            (Wire.field r "ok")))
+
 (* An answer longer than the 64 KiB channel buffer: 15 rows cubed by a
    cross join, with cells that need escaping, come back whole. *)
 let test_server_large_answer () =
@@ -314,6 +346,7 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "roundtrips" `Quick test_server_roundtrips;
+          Alcotest.test_case "EXPLAIN over the wire" `Quick test_server_explain;
           Alcotest.test_case "answer longer than the channel buffer" `Quick
             test_server_large_answer;
           Alcotest.test_case "batch + errors" `Quick
