@@ -50,8 +50,9 @@ replica-chaos:
 # simulated disk (ENOSPC byte budgets with torn writes, EIO, seeded bit
 # flips, power cuts losing unsynced bytes), disk-full degraded mode and
 # the space-probe resume, the io.* fault-site sweep, the scrub property,
-# cross-source WAL repair with bit-identity, and the multi-seed
-# storage-chaos matrix against the shadow oracle.
+# cross-source WAL repair with bit-identity, the pinned md5 of every
+# artifact, the decoder fuzz (hostile CRC-valid frames), and the
+# multi-seed storage-chaos matrix against the shadow oracle.
 storage-chaos:
 	dune exec test/test_storage.exe
 

@@ -1,7 +1,7 @@
 (* Versioned checkpoints: a snapshot of base tables, index DDL, view
    definitions and per-view materialized state.
 
-   File layout — a sequence of CRC-framed records (Wal.frame_payload):
+   File layout — a sequence of CRC-framed records (Wal.frames):
 
      H epoch                      header
      T name schema rows           one per base table
@@ -10,9 +10,9 @@
      S name stale incr contents?  state, right after its view's V record
      Z count                      trailer: number of records before it
 
-   Written to [checkpoint.tmp], fsynced, renamed over [checkpoint] —
-   a visible checkpoint file is always complete, so on read a short
-   file or missing trailer means real corruption, not a torn write.
+   Installed by Io.install (tmp file, fsync, rename) — a visible
+   checkpoint file is always complete, so on read a short file or
+   missing trailer means real corruption, not a torn write.
 
    Damage policy on read: a CRC-mismatched record sitting where a
    materialized view's S record belongs marks that view [`Damaged] (the
@@ -127,37 +127,18 @@ let write ~dir ~lsn ~epoch ~tables ~index_ddl ~views =
         views
   in
   let payloads = payloads @ [ trailer_payload (List.length payloads) ] in
-  let path = file ~dir in
-  let tmp = path ^ ".tmp" in
-  let f = Io.openf tmp ~mode:Io.Create_trunc in
-  (try
-     List.iter
-       (fun payload ->
-         Fault.hit site_write;
-         Io.write f (Wal.frame_payload payload))
-       payloads;
-     Io.fsync f;
-     Io.close f
-   with e ->
-     Io.close f;
-     Io.remove tmp;
-     raise e);
-  Io.rename tmp path;
-  (* make the rename itself durable (best-effort: not every platform
-     lets a directory be opened for fsync) *)
-  Io.fsync_dir dir
+  Io.install (file ~dir) (fun f ->
+      List.iter
+        (fun payload ->
+          Fault.hit site_write;
+          Io.write f (Wal.frame_payload payload))
+        payloads)
 
 (* ---- Reading ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let read_data ~name data : snapshot =
-  let frames, torn = Wal.parse_frames data in
-  if torn then corrupt "%s: short file (checkpoints are rename-atomic)" name;
+  let frames, tail = Wal.frames data in
+  if tail <> None then corrupt "%s: short file (checkpoints are rename-atomic)" name;
   let epoch = ref None in
   let lsn = ref 0 in
   let tables = ref [] in
@@ -172,12 +153,13 @@ let read_data ~name data : snapshot =
     | exception Codec.Decode m -> corrupt "%s: at byte %d: %s" name off m
   in
   List.iter
-    (fun (payload, off) ->
+    (fun (f : Wal.frame) ->
+      (* messages give the payload's offset *)
+      let off = f.Wal.f_offset + 8 in
       if !trailer <> None then
         corrupt "%s: record after the trailer at byte %d" name off;
       incr seen;
-      match payload with
-      | None ->
+      if not f.Wal.f_crc_ok then
         (* a CRC-mismatched record: tolerable only in the position of a
            materialized view's state record *)
         (match !views with
@@ -186,8 +168,8 @@ let read_data ~name data : snapshot =
          | _ ->
            corrupt "%s: damaged record %d at byte %d is not a view state" name
              !seen off)
-      | Some payload ->
-        with_reader payload off (fun r ->
+      else
+        with_reader f.Wal.f_payload off (fun r ->
             match Codec.get_char r with
             | 'H' ->
               if !epoch <> None then corrupt "%s: duplicate header" name;
@@ -197,8 +179,7 @@ let read_data ~name data : snapshot =
             | 'T' ->
               let t_name = Codec.get_string r in
               let t_schema = Codec.get_schema r in
-              let n = Codec.get_int r in
-              if n < 0 then corrupt "%s: negative row count" name;
+              let n = Codec.get_count r "row count" in
               let t_rows = Array.init n (fun _ -> Codec.get_row r) in
               tables := { t_name; t_schema; t_rows } :: !tables
             | 'I' -> index_ddl := Codec.get_string r :: !index_ddl
@@ -249,46 +230,42 @@ let read_bytes ?(name = "<checkpoint bytes>") data = read_data ~name data
 (* Raw file bytes, for shipping the artifact to a replica feed. *)
 let contents ~dir =
   let path = file ~dir in
-  if Sys.file_exists path then Some (read_file path) else None
+  if Sys.file_exists path then Some (Io.read_file path) else None
 
 let read ~dir : snapshot option =
   let path = file ~dir in
   if not (Sys.file_exists path) then None
-  else Some (read_data ~name:path (read_file path))
+  else Some (read_data ~name:path (Io.read_file path))
 
 (* ---- Test helper: damage one view's state record in place ---- *)
 
 let corrupt_state ~dir ~view : bool =
   let path = file ~dir in
-  if not (Sys.file_exists path) then false
-  else begin
-    let frames, _ = Wal.parse_frames (read_file path) in
-    let target =
-      List.find_opt
-        (fun (payload, _off) ->
-          match payload with
-          | Some p when String.length p > 0 && p.[0] = 'S' ->
-            let r = Codec.reader p in
-            (match
-               let _tag = Codec.get_char r in
-               Codec.get_string r
-             with
-             | name -> String.lowercase_ascii name = String.lowercase_ascii view
-             | exception Codec.Decode _ -> false)
-          | _ -> false)
-        frames
-    in
-    match target with
-    | None -> false
-    | Some (Some payload, off) ->
-      let f = Io.openf path ~mode:Io.Write in
-      Fun.protect
-        ~finally:(fun () -> Io.close f)
-        (fun () ->
-          (* flip the last payload byte: the frame CRC no longer matches *)
-          let at = off + String.length payload - 1 in
-          let byte = Char.code payload.[String.length payload - 1] lxor 0xFF in
-          Io.pwrite f ~at (String.make 1 (Char.chr byte)));
-      true
-    | Some (None, _) -> false
-  end
+  let is_state (f : Wal.frame) =
+    let p = f.Wal.f_payload in
+    f.Wal.f_crc_ok && String.length p > 0 && p.[0] = 'S'
+    &&
+    let r = Codec.reader p in
+    match
+      let _tag = Codec.get_char r in
+      Codec.get_string r
+    with
+    | name -> String.lowercase_ascii name = String.lowercase_ascii view
+    | exception Codec.Decode _ -> false
+  in
+  let target =
+    if Sys.file_exists path then List.find_opt is_state (fst (Wal.frames (Io.read_file path)))
+    else None
+  in
+  match target with
+  | None -> false
+  | Some { Wal.f_offset; f_payload = payload; _ } ->
+    let f = Io.openf path ~mode:Io.Write in
+    Fun.protect
+      ~finally:(fun () -> Io.close f)
+      (fun () ->
+        (* flip the last payload byte: the frame CRC no longer matches *)
+        let at = f_offset + 8 + String.length payload - 1 in
+        let byte = Char.code payload.[String.length payload - 1] lxor 0xFF in
+        Io.pwrite f ~at (String.make 1 (Char.chr byte)));
+    true

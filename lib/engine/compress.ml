@@ -108,6 +108,10 @@ let compress (src : string) : string =
 
 let decompress (src : string) ~expected : string =
   let n = String.length src in
+  (* a two-byte reference token expands to at most [max_match] bytes:
+     a larger [expected] is a hostile length, not one to allocate *)
+  if expected < 0 || expected > (n + 1) / 2 * max_match then
+    raise (Corrupt (Printf.sprintf "%d bytes cannot expand to %d" n expected));
   let out = Buffer.create expected in
   let i = ref 0 in
   (try

@@ -1880,19 +1880,9 @@ let restore_snapshot ?config (snap : Checkpoint.snapshot) =
    rename-atomic), so sweep them at open instead of letting them
    accumulate forever. *)
 let sweep_tmp dir =
-  match Sys.readdir dir with
-  | entries ->
-    Array.to_list entries
-    |> List.filter (fun e -> Filename.check_suffix e ".tmp")
-    |> List.sort String.compare
-    |> List.filter_map (fun e ->
-           let path = Filename.concat dir e in
-           if Sys.is_directory path then None
-           else begin
-             Io.remove path;
-             Some path
-           end)
-  | exception Sys_error _ -> []
+  let stray = Io.tmp_files dir in
+  List.iter Io.remove stray;
+  stray
 
 (* Attach a healthy WAL writer for [dir]. *)
 let attach db ~dir ~wal ~epoch ~base_lsn ~appended =

@@ -232,6 +232,30 @@ let fsync_dir dir =
     (try Unix.close fd with _ -> ())
   | exception _ -> ()
 
+let install path fill =
+  let tmp = path ^ ".tmp" in
+  let f = openf tmp ~mode:Create_trunc in
+  (try
+     fill f;
+     fsync f;
+     close f
+   with e ->
+     close f;
+     remove tmp;
+     raise e);
+  rename tmp path;
+  fsync_dir (Filename.dirname path)
+
+let tmp_files dir =
+  match Sys.readdir dir with
+  | entries ->
+    Array.to_list entries
+    |> List.filter (fun e -> Filename.check_suffix e ".tmp")
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
+    |> List.filter (fun p -> not (Sys.is_directory p))
+  | exception Sys_error _ -> []
+
 let exists = Sys.file_exists
 
 let file_size path =

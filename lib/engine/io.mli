@@ -80,6 +80,20 @@ val remove : string -> unit
 (** Best-effort directory fsync (not every platform allows it). *)
 val fsync_dir : string -> unit
 
+(** Atomically install the file at [path]: [fill] writes [path ^ ".tmp"],
+    which is then fsynced, closed and renamed over [path], and the
+    directory is fsynced so the rename itself is durable.  A crash at
+    any point leaves either the old file or the complete new one.  When
+    [fill], the fsync or the close fails, the tmp file is removed and
+    the exception re-raised; a failed rename leaves it for {!tmp_files}
+    to find. *)
+val install : string -> (file -> unit) -> unit
+
+(** The regular [*.tmp] files directly in [dir] (full paths, sorted):
+    what a crash between writing and renaming an {!install} leaves.
+    [[]] when [dir] cannot be read. *)
+val tmp_files : string -> string list
+
 val exists : string -> bool
 
 (** 0 when the file does not exist. *)

@@ -112,76 +112,47 @@ let wal_damage ~path ~checkpoint_epoch : damage list =
     List.rev !out
   end
 
-(* ---- The checkpoint ---- *)
+(* ---- The checkpoint and feeds (frame level) ---- *)
+
+(* one [Crc] damage per complete frame whose checksum mismatches *)
+let crc_damage art frames =
+  List.filter_map
+    (fun (f : Wal.frame) ->
+      if f.Wal.f_crc_ok then None
+      else Some { d_artifact = art; d_kind = Crc { offset = f.Wal.f_offset } })
+    frames
 
 let checkpoint_damage path : damage list =
   let art = Checkpoint_file path in
   if not (Io.exists path) then []
   else begin
     let data = Io.read_file path in
-    let frames, torn = Wal.parse_frames data in
-    let out = ref [] in
-    let push k = out := { d_artifact = art; d_kind = k } :: !out in
-    List.iter
-      (fun (payload, off) ->
-        (* [parse_frames] returns the payload offset; report the frame *)
-        match payload with None -> push (Crc { offset = off - 8 }) | Some _ -> ())
-      frames;
-    if torn then
-      push (Structure "short file (checkpoints are rename-atomic)");
+    let frames, tail = Wal.frames data in
     (* structural validation on top of frame health: damaged view-state
        records are recoverable (the view quarantines), anything else
-       [read_data] rejects is structural damage *)
-    if not torn then begin
-      match Checkpoint.read_bytes ~name:path data with
-      | _ -> ()
-      | exception Checkpoint.Corrupt m -> push (Structure m)
-    end;
-    List.rev !out
+       [read_bytes] rejects is structural damage *)
+    let structure =
+      if tail <> None then [ Structure "short file (checkpoints are rename-atomic)" ]
+      else
+        match Checkpoint.read_bytes ~name:path data with
+        | _ -> []
+        | exception Checkpoint.Corrupt m -> [ Structure m ]
+    in
+    crc_damage art frames @ List.map (fun k -> { d_artifact = art; d_kind = k }) structure
   end
-
-(* ---- Feeds (frame level) ---- *)
-
-let max_entry = 1 lsl 30
 
 let feed_frame_damage path : damage list =
   let art = Feed_file path in
   if not (Io.exists path) then [ { d_artifact = art; d_kind = Missing } ]
   else begin
-    let data = Io.read_file path in
-    let len = String.length data in
-    let b = Bytes.unsafe_of_string data in
-    let out = ref [] in
-    let push k = out := { d_artifact = art; d_kind = k } :: !out in
-    let pos = ref 0 in
-    (try
-       while !pos + 8 <= len do
-         let n = Int32.to_int (Bytes.get_int32_le b !pos) in
-         if n < 0 || n > max_entry || !pos + 8 + n > len then begin
-           push (Torn { offset = !pos });
-           raise Exit
-         end;
-         let stored_crc = Bytes.get_int32_le b (!pos + 4) in
-         let payload = String.sub data (!pos + 8) n in
-         if Wal.crc32 payload <> stored_crc then push (Crc { offset = !pos });
-         pos := !pos + 8 + n
-       done;
-       if !pos < len then push (Torn { offset = !pos })
-     with Exit -> ());
-    List.rev !out
+    let frames, tail = Wal.frames (Io.read_file path) in
+    crc_damage art frames
+    @ match tail with
+      | Some offset -> [ { d_artifact = art; d_kind = Torn { offset } } ]
+      | None -> []
   end
 
 (* ---- A whole directory ---- *)
-
-let tmp_files dir =
-  match Sys.readdir dir with
-  | entries ->
-    Array.to_list entries
-    |> List.filter (fun e -> Filename.check_suffix e ".tmp")
-    |> List.sort String.compare
-    |> List.map (Filename.concat dir)
-    |> List.filter (fun p -> not (Sys.is_directory p))
-  | exception Sys_error _ -> []
 
 let scrub_dir ?(feeds = []) dir : report =
   if not (Sys.file_exists dir) then { scanned = []; damage = [] }
@@ -210,6 +181,6 @@ let scrub_dir ?(feeds = []) dir : report =
     List.iter (fun p -> scan (Feed_file p) (feed_frame_damage p)) feeds;
     List.iter
       (fun p -> scan (Tmp_file p) [ { d_artifact = Tmp_file p; d_kind = Stray_tmp } ])
-      (tmp_files dir);
+      (Io.tmp_files dir);
     { scanned = List.rev !scanned; damage = List.rev !damage }
   end

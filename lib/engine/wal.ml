@@ -126,8 +126,9 @@ module Codec = struct
   let reader data = { data; pos = 0 }
   let at_end r = r.pos >= String.length r.data
 
+  (* written so that a hostile [n] near [max_int] cannot overflow *)
   let need r n =
-    if r.pos + n > String.length r.data then
+    if n > String.length r.data - r.pos then
       decode_error "payload truncated (want %d bytes at %d of %d)" n r.pos
         (String.length r.data)
 
@@ -150,6 +151,14 @@ module Codec = struct
     v
 
   let get_int r = Int64.to_int (get_i64 r)
+
+  let get_count r what =
+    let n = get_int r in
+    if n < 0 then decode_error "negative %s %d" what n;
+    if n > String.length r.data - r.pos then
+      decode_error "%s %d exceeds the %d byte(s) left" what n
+        (String.length r.data - r.pos);
+    n
 
   let get_string r =
     let n = get_int r in
@@ -179,13 +188,11 @@ module Codec = struct
     | c -> decode_error "bad value tag %C" c
 
   let get_row r : Row.t =
-    let n = get_int r in
-    if n < 0 then decode_error "negative row arity %d" n;
+    let n = get_count r "row arity" in
     Array.init n (fun _ -> get_value r)
 
   let get_schema r : Schema.t =
-    let n = get_int r in
-    if n < 0 then decode_error "negative schema arity %d" n;
+    let n = get_count r "schema arity" in
     Schema.make
       (List.init n (fun _ ->
            let rel = if get_bool r then Some (get_string r) else None in
@@ -197,8 +204,7 @@ module Codec = struct
 
   let get_relation r : Relation.t =
     let schema = get_schema r in
-    let n = get_int r in
-    if n < 0 then decode_error "negative row count %d" n;
+    let n = get_count r "row count" in
     Relation.init schema n (fun _ -> get_row r)
 end
 
@@ -279,8 +285,7 @@ let rec record_of_payload (payload : string) : record =
   let r = Codec.reader payload in
   let get_rows () =
     let table = Codec.get_string r in
-    let n = Codec.get_int r in
-    if n < 0 then raise (Codec.Decode "negative record row count");
+    let n = Codec.get_count r "record row count" in
     (table, Array.init n (fun _ -> Codec.get_row r))
   in
   match Codec.get_char r with
@@ -294,8 +299,7 @@ let rec record_of_payload (payload : string) : record =
     Delete { table; rows }
   | 'u' ->
     let table = Codec.get_string r in
-    let n = Codec.get_int r in
-    if n < 0 then raise (Codec.Decode "negative record row count");
+    let n = Codec.get_count r "record row count" in
     let pairs =
       Array.init n (fun _ ->
           let old_row = Codec.get_row r in
@@ -307,8 +311,7 @@ let rec record_of_payload (payload : string) : record =
     let table, rows = get_rows () in
     Load { table; rows }
   | 'b' ->
-    let n = Codec.get_int r in
-    if n < 0 then raise (Codec.Decode "negative batch record count");
+    let n = Codec.get_count r "batch record count" in
     Batch (List.init n (fun _ -> record_of_payload (Codec.get_string r)))
   | 'z' ->
     (* compressed batch body: unwrap, then parse as the 'b' body *)
@@ -322,12 +325,15 @@ let rec record_of_payload (payload : string) : record =
         raise (Codec.Decode (Printf.sprintf "compressed batch: %s" m))
     in
     let br = Codec.reader body in
-    let n = Codec.get_int br in
-    if n < 0 then raise (Codec.Decode "negative batch record count");
+    let n = Codec.get_count br "batch record count" in
     Batch (List.init n (fun _ -> record_of_payload (Codec.get_string br)))
   | c -> raise (Codec.Decode (Printf.sprintf "bad record tag %C" c))
 
-(* ---- Framing: [length ∥ crc32 ∥ payload], both u32 LE ---- *)
+(* ---- Frames: [length ∥ crc32 ∥ payload], both u32 LE ----
+
+   The one frame format of every durable artifact: this log, the
+   checkpoint and the replication feed.  Nothing else reads or writes a
+   frame header. *)
 
 let frame_payload (payload : string) : string =
   let n = String.length payload in
@@ -339,54 +345,33 @@ let frame_payload (payload : string) : string =
 
 let frame r = frame_payload (payload_of_record r)
 
-(* Sanity bound on a record length: a corrupt length field must not make
-   the scanner skip gigabytes of file (or allocate them). *)
-let max_record = 1 lsl 30
+(* Sanity bound on a frame's length: a corrupt length field must not
+   make a walk skip (or allocate) gigabytes. *)
+let max_frame = 1 lsl 30
 
-let parse_frames (data : string) : (string option * int) list * bool =
+type frame = { f_offset : int; f_payload : string; f_crc_ok : bool }
+
+let frames ?(from = 0) (data : string) : frame list * int option =
   let len = String.length data in
-  let out = ref [] in
-  let torn = ref false in
-  let pos = ref 0 in
-  (try
-     while !pos + 8 <= len do
-       let b = Bytes.unsafe_of_string data in
-       let n = Int32.to_int (Bytes.get_int32_le b !pos) in
-       if n < 0 || n > max_record || !pos + 8 + n > len then begin
-         torn := true;
-         raise Exit
-       end;
-       let stored_crc = Bytes.get_int32_le b (!pos + 4) in
-       let payload = String.sub data (!pos + 8) n in
-       let entry = if crc32 payload = stored_crc then Some payload else None in
-       out := (entry, !pos + 8) :: !out;
-       pos := !pos + 8 + n
-     done;
-     if !pos < len then torn := true
-   with Exit -> ());
-  (List.rev !out, !torn)
+  let b = Bytes.unsafe_of_string data in
+  let rec walk pos acc =
+    if pos + 8 > len then (List.rev acc, if pos < len then Some pos else None)
+    else
+      let n = Int32.to_int (Bytes.get_int32_le b pos) in
+      if n < 0 || n > max_frame || pos + 8 + n > len then (List.rev acc, Some pos)
+      else
+        let f_payload = String.sub data (pos + 8) n in
+        let f_crc_ok = crc32 f_payload = Bytes.get_int32_le b (pos + 4) in
+        walk (pos + 8 + n) ({ f_offset = pos; f_payload; f_crc_ok } :: acc)
+  in
+  walk from []
 
 (* ---- The writer ---- *)
 
 type writer = { file : Io.file; mutable pos : int }
 
-let read_file = Io.read_file
-
-(* Atomically install a fresh log: write [Begin epoch] to a temp file,
-   fsync, rename over [path].  A crash at any point leaves either the
-   old log or the complete new one. *)
 let create path ~epoch : writer =
-  let tmp = path ^ ".tmp" in
-  let f = Io.openf tmp ~mode:Io.Create_trunc in
-  (try
-     Io.write f (frame (Begin epoch));
-     Io.fsync f;
-     Io.close f
-   with e ->
-     Io.close f;
-     Io.remove tmp;
-     raise e);
-  Io.rename tmp path;
+  Io.install path (fun f -> Io.write f (frame (Begin epoch)));
   let f = Io.openf path ~mode:Io.Append in
   { file = f; pos = Io.size f }
 
@@ -434,32 +419,19 @@ type scan = {
 
 let scan path : scan =
   if not (Sys.file_exists path) then wal_error "no log at %s" path;
-  let data = read_file path in
-  let frames, short_tail = parse_frames data in
+  let frames, tail = frames (Io.read_file path) in
   (* stop at the first damaged or undecodable record: for an append-only
      log everything from there on is a torn tail *)
-  let records = ref [] in
-  let valid_bytes = ref 0 in
-  let torn = ref short_tail in
-  (try
-     List.iter
-       (fun (payload, off) ->
-         match payload with
-         | None ->
-           torn := true;
-           raise Exit
-         | Some payload ->
-           (match record_of_payload payload with
-            | record ->
-              records := record :: !records;
-              valid_bytes := off + String.length payload
-            | exception Codec.Decode _ ->
-              torn := true;
-              raise Exit))
-       frames
-   with Exit -> ());
-  match List.rev !records with
-  | Begin epoch :: records -> { epoch; records; torn = !torn; valid_bytes = !valid_bytes }
+  let rec take acc valid_bytes = function
+    | [] -> (List.rev acc, valid_bytes, tail <> None)
+    | f :: rest ->
+      (match if f.f_crc_ok then Some (record_of_payload f.f_payload) else None with
+       | Some record ->
+         take (record :: acc) (f.f_offset + 8 + String.length f.f_payload) rest
+       | None | (exception Codec.Decode _) -> (List.rev acc, valid_bytes, true))
+  in
+  match take [] 0 frames with
+  | Begin epoch :: records, valid_bytes, torn -> { epoch; records; torn; valid_bytes }
   | _ -> wal_error "%s: missing or unreadable BEGIN record" path
 
 (* ---- Detailed scanning (wal-info, the replication shipper) ----
@@ -485,39 +457,19 @@ type detail = {
 
 let scan_detail path : detail =
   if not (Sys.file_exists path) then wal_error "no log at %s" path;
-  let data = read_file path in
-  let len = String.length data in
-  let out = ref [] in
-  let torn = ref None in
-  let pos = ref 0 in
-  let index = ref 0 in
-  (try
-     while !pos + 8 <= len do
-       let b = Bytes.unsafe_of_string data in
-       let n = Int32.to_int (Bytes.get_int32_le b !pos) in
-       if n < 0 || n > max_record || !pos + 8 + n > len then begin
-         torn := Some !pos;
-         raise Exit
-       end;
-       let stored_crc = Bytes.get_int32_le b (!pos + 4) in
-       let payload = String.sub data (!pos + 8) n in
-       let crc_ok = crc32 payload = stored_crc in
-       let record =
-         if not crc_ok then None
-         else match record_of_payload payload with
-           | r -> Some r
-           | exception Codec.Decode _ -> None
-       in
-       incr index;
-       out :=
-         { e_index = !index; e_offset = !pos; e_bytes = 8 + n; e_crc_ok = crc_ok;
-           e_record = record }
-         :: !out;
-       pos := !pos + 8 + n
-     done;
-     if !pos < len then torn := Some !pos
-   with Exit -> ());
-  { d_entries = List.rev !out; d_torn = !torn; d_size = len }
+  let data = Io.read_file path in
+  let frames, d_torn = frames data in
+  let entry i f =
+    let e_record =
+      if not f.f_crc_ok then None
+      else match record_of_payload f.f_payload with
+        | r -> Some r
+        | exception Codec.Decode _ -> None
+    in
+    { e_index = i + 1; e_offset = f.f_offset; e_bytes = 8 + String.length f.f_payload;
+      e_crc_ok = f.f_crc_ok; e_record }
+  in
+  { d_entries = List.mapi entry frames; d_torn; d_size = String.length data }
 
 let truncate path valid_bytes =
   let f = Io.openf path ~mode:Io.Write in

@@ -63,8 +63,7 @@ val record_of_payload : string -> record
 type writer
 
 (** Atomically install a fresh log containing only [Begin epoch]
-    (written to a temp file, fsynced, renamed over [path]) and return
-    an append handle to it. *)
+    ({!Io.install}) and return an append handle to it. *)
 val create : string -> epoch:int -> writer
 
 (** Open an existing log for appending. *)
@@ -135,10 +134,9 @@ type detail = {
 (** @raise Wal_error when the file is missing. *)
 val scan_detail : string -> detail
 
-(** {1 Framing and value codec}
+(** {1 Value codec}
 
-    Shared with {!module:Checkpoint}, which frames its own records the
-    same way. *)
+    Shared with {!module:Checkpoint} and the replication feed. *)
 
 module Codec : sig
   exception Decode of string
@@ -161,6 +159,12 @@ module Codec : sig
   val get_char : reader -> char
   val get_bool : reader -> bool
   val get_int : reader -> int
+
+  (** A count of items that each take at least one byte ([what] names
+      it in the error): rejected when negative or larger than the bytes
+      left, before anything is allocated for it. *)
+  val get_count : reader -> string -> int
+
   val get_string : reader -> string
 
   (** [n] raw bytes, no length prefix. *)
@@ -171,11 +175,27 @@ module Codec : sig
   val get_relation : reader -> Relation.t
 end
 
-(** Frame an arbitrary payload as [length ∥ crc32 ∥ payload]. *)
+(** {1 Frames}
+
+    Every durable artifact — the log, the checkpoint and the
+    replication feed — is a sequence of frames [length ∥ crc32 ∥
+    payload] (both u32 LE, a payload of at most 1 GiB).  This module is
+    the only one that reads or writes a frame header. *)
+
+(** Frame an arbitrary payload. *)
 val frame_payload : string -> string
 
-(** Parse a string of framed records into [(payload, offset)] pairs —
-    [None] for a record whose CRC does not match (skipped by its length
-    field); [offset] is the payload's byte offset.  The boolean is true
-    when a torn tail (short frame) was cut off. *)
-val parse_frames : string -> (string option * int) list * bool
+(** One complete frame found by {!frames}. *)
+type frame = {
+  f_offset : int;  (** byte offset of the frame (its length field) *)
+  f_payload : string;
+  f_crc_ok : bool;  (** the stored CRC matches the payload *)
+}
+
+(** The frames of [data] from byte [from] (default 0) on, in order.  A
+    frame whose CRC mismatches is still framed by its length field, so
+    the walk goes on past it.  The walk stops at a short tail — fewer
+    than 8 header bytes, a length over the bound, or a payload running
+    past the end — and returns its offset; [None] when the frames end
+    exactly at the end of [data]. *)
+val frames : ?from:int -> string -> frame list * int option

@@ -318,6 +318,16 @@ and bind_query_body (cat : catalog) (body : Ast.query_body) : Logical.t =
     if Schema.arity sl <> Schema.arity sr then
       bind_error "UNION operands have different numbers of columns (%d vs %d)"
         (Schema.arity sl) (Schema.arity sr);
+    (* the answer takes the left operand's column types, so a column
+       typed INT on one side and FLOAT on the other would hold values
+       its type does not admit (the plan checker's RF109) *)
+    Array.iteri
+      (fun i (c : Schema.column) ->
+        let ty = (Schema.col sr i).Schema.ty in
+        if c.Schema.ty <> ty then
+          bind_error "UNION operand column %d (%s) is %s on the left and %s on the right"
+            (i + 1) c.Schema.name (Dtype.to_string c.Schema.ty) (Dtype.to_string ty))
+      sl;
     let u = Logical.Union_all { left = l; right = r } in
     if all then u else Logical.Distinct u
 

@@ -29,13 +29,14 @@ let build kind (rel : Relation.t) ~key_col : t =
   match kind with
   | Hash ->
     let tbl = Value_tbl.create (max 16 (Relation.cardinality rel)) in
-    Relation.iteri
-      (fun i row ->
-        let k = Row.get row key_col in
-        if not (Value.is_null k) then
-          Value_tbl.replace tbl k
-            (i :: Option.value ~default:[] (Value_tbl.find_opt tbl k)))
-      rel;
+    (* from the last row back, so each key lists its rows in row order:
+       an index join then meets SQL-equal rows in the order the hash
+       and nested-loop joins do *)
+    for i = Relation.cardinality rel - 1 downto 0 do
+      let k = Row.get (Relation.get rel i) key_col in
+      if not (Value.is_null k) then
+        Value_tbl.replace tbl k (i :: Option.value ~default:[] (Value_tbl.find_opt tbl k))
+    done;
     Hash_index tbl
   | Ordered ->
     let count = ref 0 in

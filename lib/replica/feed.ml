@@ -1,6 +1,6 @@
 (* A replication feed: the append-only stream one replica consumes.
 
-   The file is a sequence of CRC-framed entries (Wal.frame_payload):
+   The file is a sequence of CRC-framed entries (Wal.frames):
 
      C lsn epoch fp? data        a checkpoint artifact — the primary's
                                  whole checkpoint file, packed
@@ -89,33 +89,11 @@ let decode (payload : string) : entry =
 
 type writer = { f : Io.file; mutable pos : int }
 
-let read_file = Io.read_file
-
 let sweep_tmp path = Io.remove (path ^ ".tmp")
 
 let create path : writer =
   sweep_tmp path;
   { f = Io.openf path ~mode:Io.Create_trunc; pos = 0 }
-
-(* Same sanity bound as the WAL scanner: a corrupt length field must not
-   make a walk skip (or allocate) gigabytes. *)
-let max_entry = 1 lsl 30
-
-(* Byte length of the well-framed prefix: frames are hopped by their
-   length field (CRC is not checked — a complete-but-corrupt frame still
-   frames itself); the walk stops at the first short frame. *)
-let framed_prefix (data : string) : int =
-  let len = String.length data in
-  let b = Bytes.unsafe_of_string data in
-  let pos = ref 0 in
-  (try
-     while !pos + 8 <= len do
-       let n = Int32.to_int (Bytes.get_int32_le b !pos) in
-       if n < 0 || n > max_entry || !pos + 8 + n > len then raise Exit;
-       pos := !pos + 8 + n
-     done
-   with Exit -> ());
-  !pos
 
 (* Reopening after a shipper crash: a torn tail (an append the crash cut
    short) is chopped off before appending resumes, so the frame stream
@@ -125,8 +103,8 @@ let open_append path : writer =
   if not (Sys.file_exists path) then create path
   else begin
     sweep_tmp path;
-    let data = read_file path in
-    let valid = framed_prefix data in
+    let data = Io.read_file path in
+    let valid = Option.value (snd (Wal.frames data)) ~default:(String.length data) in
     let f = Io.openf path ~mode:Io.Write in
     if valid < String.length data then Io.ftruncate f valid;
     Io.seek f valid;
@@ -169,38 +147,20 @@ let size = Io.file_size
 let read_from path ~offset : (item * int) list * int option =
   if not (Sys.file_exists path) then ([], None)
   else begin
-    let data = read_file path in
-    let len = String.length data in
-    if offset > len then
+    let data = Io.read_file path in
+    if offset > String.length data then
       (* the file shrank under us: it is not the feed we were reading *)
       ([ (Damage { offset }, offset) ], None)
     else begin
-      let b = Bytes.unsafe_of_string data in
-      let items = ref [] in
-      let torn_at = ref None in
-      let pos = ref offset in
-      (try
-         while !pos + 8 <= len do
-           let n = Int32.to_int (Bytes.get_int32_le b !pos) in
-           if n < 0 || n > max_entry || !pos + 8 + n > len then begin
-             torn_at := Some !pos;
-             raise Exit
-           end;
-           let stored_crc = Bytes.get_int32_le b (!pos + 4) in
-           let payload = String.sub data (!pos + 8) n in
-           let finish = !pos + 8 + n in
-           let item =
-             if Wal.crc32 payload <> stored_crc then Damage { offset = !pos }
-             else
-               match decode payload with
-               | e -> Entry e
-               | exception Corrupt _ -> Damage { offset = !pos }
-           in
-           items := (item, finish) :: !items;
-           pos := finish
-         done;
-         if !pos < len then torn_at := Some !pos
-       with Exit -> ());
-      (List.rev !items, !torn_at)
+      let frames, tail = Wal.frames ~from:offset data in
+      let item { Wal.f_offset; f_payload; f_crc_ok } =
+        let it =
+          match if f_crc_ok then Some (decode f_payload) else None with
+          | Some e -> Entry e
+          | None | (exception Corrupt _) -> Damage { offset = f_offset }
+        in
+        (it, f_offset + 8 + String.length f_payload)
+      in
+      (List.map item frames, tail)
     end
   end

@@ -172,21 +172,9 @@ let verify_fp dir ~base_lsn ~records ~at_lsn ~fp =
   | ok -> ok
   | exception _ -> false
 
-(* Atomically install a rebuilt log: tmp + fsync + rename, the same
-   protocol as [Wal.create]. *)
 let install_wal path ~epoch ~records =
-  let tmp = path ^ ".tmp" in
-  let f = Io.openf tmp ~mode:Io.Create_trunc in
-  (try
-     Io.write f (Wal.frame (Wal.Begin epoch));
-     List.iter (fun r -> Io.write f (Wal.frame r)) records;
-     Io.fsync f;
-     Io.close f
-   with e ->
-     Io.close f;
-     Io.remove tmp;
-     raise e);
-  Io.rename tmp path
+  Io.install path (fun f ->
+      List.iter (fun r -> Io.write f (Wal.frame r)) (Wal.Begin epoch :: records))
 
 let repair_wal dir ~feeds ~(before : Scrub.report) : action list =
   let path = wal_file dir in

@@ -124,6 +124,25 @@ let test_bind_errors () =
   Alcotest.(check bool) "non-grouped column" true
     (fails "SELECT pos, SUM(val) FROM seq GROUP BY val")
 
+(* A UNION of an INT and a FLOAT column is a bind error, as it is to
+   the plan checker (RF109): the answer would be typed INT and hold
+   FLOAT 3.5. *)
+let test_union_type_mismatch () =
+  let db = Db.create () in
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [ "CREATE TABLE ia (v INT)"; "CREATE TABLE fb (v FLOAT)";
+      "INSERT INTO ia VALUES (1), (2)"; "INSERT INTO fb VALUES (1.0), (3.5)" ];
+  List.iter
+    (fun sql ->
+      match Db.exec db sql with
+      | exception Rfview_planner.Binder.Bind_error _ -> ()
+      | _ -> Alcotest.failf "bound: %s" sql)
+    [
+      "SELECT DISTINCT v FROM (SELECT v FROM ia UNION ALL SELECT v FROM fb) u";
+      "SELECT v, COUNT(*) AS n FROM (SELECT v FROM ia UNION ALL SELECT v FROM fb) u GROUP BY v";
+    ]
+
 (* ---- Physical plan selection ---- *)
 
 let test_plan_selection () =
@@ -343,6 +362,7 @@ let () =
           Alcotest.test_case "subquery + union" `Quick test_subquery_union;
           Alcotest.test_case "order by alias/ordinal" `Quick test_order_by_alias_and_ordinal;
           Alcotest.test_case "bind errors" `Quick test_bind_errors;
+          Alcotest.test_case "UNION operand types" `Quick test_union_type_mismatch;
         ] );
       ( "physical",
         [

@@ -997,8 +997,8 @@ let test_zone_pruning_reads () =
    FLOAT of one value, 0.0 and -0.0, and NULL.  Each join algorithm runs
    the shape UNION ALL of (join -> Project) for an inner and a LEFT
    OUTER join, then GROUP BY and DISTINCT over it, and DISTINCT over a
-   join without a projection.  Hash and nested-loop joins give the same
-   rows in the same order; the index join the same bag.  GROUP BY and
+   join without a projection.  Every algorithm gives the same rows in
+   the same order.  GROUP BY and
    DISTINCT match a nested-loop oracle over SQL key equality. *)
 
 module Ph = Rfview_planner.Physical
@@ -1136,12 +1136,8 @@ let prop_executor_agrees ((lrows, lcut), (rrows, rcut), with_residual) =
     same "hash and nested loop: UNION ALL" hu nu;
     same "hash and nested loop: GROUP BY" hg ng;
     same "hash and nested loop: DISTINCT over a join" (texts hj) (texts nj);
-    same "index and nested loop: UNION ALL bag" (List.sort compare iu) (List.sort compare nu);
-    (* DISTINCT keeps each row's first occurrence, which depends on
-       the order the index join finds the rows in: the same bag up to
-       SQL equality *)
-    if not (Relation.equal_bag ij nj) then
-      QCheck.Test.fail_reportf "index and nested loop: DISTINCT over a join bag";
+    same "index and nested loop: UNION ALL" iu nu;
+    same "index and nested loop: DISTINCT over a join" (texts ij) (texts nj);
     true
   | _ -> false
 

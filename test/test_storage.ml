@@ -9,6 +9,8 @@ module Db = Rfview_engine.Database
 module Fault = Rfview_engine.Fault
 module Io = Rfview_engine.Io
 module Wal = Rfview_engine.Wal
+module Checkpoint = Rfview_engine.Checkpoint
+module Compress = Rfview_engine.Compress
 module Scrub = Rfview_engine.Scrub
 module Feed = Rfview_replica.Feed
 module Ship = Rfview_replica.Ship
@@ -369,6 +371,218 @@ let test_feed_tmp_sweep () =
       Alcotest.(check bool) "feed open sweeps its .tmp sibling" false
         (Sys.file_exists ftmp))
 
+(* ---- Pinned artifact bytes ----
+
+   A fixed script on a durable database, shipped to one feed: DDL, DML,
+   a compressed batch, a checkpoint, then more DML.  The md5 of the
+   checkpoint, the log and the feed pin the frame layout and every
+   record codec: a change meant to move a byte updates these pins and
+   says why. *)
+
+let pinned_ddl =
+  [
+    "CREATE TABLE sales (day DATE, region VARCHAR, qty INT, amount FLOAT)";
+    "CREATE INDEX sales_day ON sales (day)";
+    "CREATE MATERIALIZED VIEW running AS SELECT region, day, SUM(amount) OVER \
+     (PARTITION BY region ORDER BY day ROWS UNBOUNDED PRECEDING) AS total FROM sales";
+    "INSERT INTO sales VALUES (DATE '2024-01-01', 'north', 3, 10.5), (DATE '2024-01-02', \
+     'north', NULL, -0.0), (DATE '2024-01-01', 'south', 7, 2.25)";
+    "UPDATE sales SET amount = 11.75 WHERE region = 'north' AND qty = 3";
+  ]
+
+let pinned_after =
+  [
+    "DELETE FROM sales WHERE region = 'south' AND qty = 7";
+    "INSERT INTO sales VALUES (DATE '2024-02-01', 'east', 1, 1e-3)";
+  ]
+
+let test_pinned_artifact_bytes () =
+  with_sim (fun () ->
+      let dir = fresh_dir "pinned" in
+      let feed = Filename.concat (fresh_dir "pinned_feed") "f.feed" in
+      let db = Db.open_durable dir in
+      let sh = Ship.create db in
+      Ship.attach sh ~name:"f" ~path:feed;
+      let exec sql = ignore (Db.exec db sql) in
+      List.iter exec pinned_ddl;
+      Db.with_batch db (fun () ->
+          for i = 1 to 24 do
+            exec
+              (Printf.sprintf "INSERT INTO sales VALUES (DATE '2024-01-%02d', 'west', %d, %d.5)"
+                 i i (i * 3))
+          done);
+      Db.checkpoint db;
+      List.iter exec pinned_after;
+      ignore (Ship.pump sh);
+      Ship.close sh;
+      Db.close db;
+      let md5 path = Digest.to_hex (Digest.string (Io.read_file path)) in
+      Alcotest.(check (list string)) "checkpoint, log and feed md5"
+        [ "4f42e1c9263b6877b1cf4a3e6b449d16"; "4d933de60c2a0b21ee229b5f2b193d8f";
+          "c1c4267e640abf8d3c5589e21a5e906d" ]
+        [ md5 (Filename.concat dir "checkpoint"); md5 (wal_path dir); md5 feed ])
+
+(* ---- Hostile bytes ----
+
+   Every decoder fed CRC-valid frames around hostile payloads returns
+   normally or raises its own typed error: never [Invalid_argument],
+   never a huge allocation. *)
+
+let write_file path data = Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+(* One CRC-valid frame holding an [s] record whose string claims
+   [max_int - 3] bytes: the codec's bounds check must not overflow. *)
+let test_huge_string_length () =
+  let path = wal_path (fresh_dir "huge_len") in
+  let b = Bytes.create 9 in
+  Bytes.set b 0 's';
+  Bytes.set_int64_le b 1 (Int64.of_int (max_int - 3));
+  let begin_frame = Wal.frame (Wal.Begin 1) in
+  write_file path (begin_frame ^ Wal.frame_payload (Bytes.to_string b));
+  let s = Wal.scan path in
+  Alcotest.(check bool) "scan: torn at the hostile record" true s.Wal.torn;
+  Alcotest.(check int) "scan: no record after BEGIN" 0 (List.length s.Wal.records);
+  Alcotest.(check int) "scan: valid prefix is BEGIN" (String.length begin_frame)
+    s.Wal.valid_bytes;
+  match (Wal.scan_detail path).Wal.d_entries with
+  | [ _; e ] ->
+    Alcotest.(check bool) "scan_detail: CRC matches" true e.Wal.e_crc_ok;
+    Alcotest.(check bool) "scan_detail: undecodable" true (e.Wal.e_record = None)
+  | es -> Alcotest.failf "scan_detail: %d entries, expected 2" (List.length es)
+
+(* Valid payloads of every decoder, to mutate: WAL records (a plain and
+   a compressed batch among them), the frames of a real checkpoint and
+   of a real feed; also that checkpoint's bytes, the base a mutated
+   frame is spliced into. *)
+let hostile_corpus =
+  lazy
+    (let open Rfview_relalg in
+     let row i =
+       [| Value.Int i; Value.Float (float_of_int i /. 4.); Value.String "north"; Value.Null;
+          Value.Date (19_000 + i); Value.Bool (i mod 2 = 0) |]
+     in
+     let rows = Array.init 3 row in
+     let records =
+       Wal.
+         [
+           Begin 3;
+           Statement "CREATE TABLE t (a INT)";
+           Insert { table = "t"; rows };
+           Delete { table = "t"; rows };
+           Update { table = "t"; pairs = Array.map (fun r -> (r, row 9)) rows };
+           Load { table = "t"; rows };
+           Batch [ Insert { table = "t"; rows = [| row 1 |] } ];
+           Batch (List.init 12 (fun i -> Insert { table = "t"; rows = [| row i |] }));
+         ]
+     in
+     let dir = fresh_dir "hostile" in
+     let feed = Filename.concat dir "f.feed" in
+     let db = build dir in
+     let sh = Ship.create db in
+     Ship.attach sh ~name:"f" ~path:feed;
+     ignore (Db.exec db "INSERT INTO seq VALUES (4, 40)");
+     ignore (Ship.pump sh);
+     Ship.close sh;
+     Db.checkpoint db;
+     Db.close db;
+     let checkpoint = Io.read_file (Filename.concat dir "checkpoint") in
+     let payloads data = List.map (fun f -> f.Wal.f_payload) (fst (Wal.frames data)) in
+     ( List.map Wal.payload_of_record records @ payloads checkpoint
+       @ payloads (Io.read_file feed),
+       checkpoint ))
+
+let hostile_dir = lazy (fresh_dir "hostile_run")
+
+(* counts and lengths a hostile payload may claim *)
+let extremes = [ max_int; max_int - 3; min_int; -1; 1 lsl 30; 1 lsl 40; 255 ]
+
+let gen_hostile =
+  QCheck.Gen.delay @@ fun () ->
+  let open QCheck.Gen in
+  let corpus, _ = Lazy.force hostile_corpus in
+  let set_byte p i c =
+    let b = Bytes.of_string p in
+    if i < Bytes.length b then Bytes.set b i c;
+    Bytes.to_string b
+  in
+  let set_int p i v =
+    let b = Bytes.of_string p in
+    if i + 8 <= Bytes.length b then Bytes.set_int64_le b i (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let mutate p =
+    let n = String.length p in
+    frequency
+      [
+        (3, map2 (set_byte p) (int_bound n) char);
+        (3, map2 (set_int p) (int_bound n) (oneofl extremes));
+        (1, map (fun k -> String.sub p 0 k) (int_bound n));
+      ]
+  in
+  let rec mutations k p = if k = 0 then return p else mutate p >>= mutations (k - 1) in
+  frequency
+    [
+      (1, string_size ~gen:char (int_bound 64));
+      (4, triple (oneofl corpus) (int_range 1 3) unit >>= fun (p, k, ()) -> mutations k p);
+    ]
+
+(* [f ()] returns normally or raises an exception [typed] accepts *)
+let only what typed f =
+  match f () with
+  | _ -> ()
+  | exception e when typed e -> ()
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let prop_hostile_frames payload =
+  let _, checkpoint = Lazy.force hostile_corpus in
+  let framed = Wal.frame_payload payload in
+  let dir = Lazy.force hostile_dir in
+  let wal = wal_path dir and feed = Filename.concat dir "f.feed" in
+  (match Wal.frames framed with
+   | [ { Wal.f_crc_ok = true; _ } ], None -> ()
+   | _ -> QCheck.Test.fail_reportf "the walker lost a well-formed frame");
+  only "Wal.frames on raw bytes" (fun _ -> false) (fun () -> Wal.frames payload);
+  let decode = function Wal.Codec.Decode _ -> true | _ -> false in
+  only "Wal.record_of_payload" decode (fun () -> Wal.record_of_payload payload);
+  let wal_error = function Wal.Wal_error _ -> true | _ -> false in
+  List.iter
+    (fun data ->
+      write_file wal data;
+      only "Wal.scan" wal_error (fun () -> Wal.scan wal);
+      only "Wal.scan_detail" wal_error (fun () -> Wal.scan_detail wal))
+    [ framed; Wal.frame (Wal.Begin 1) ^ framed ];
+  (* the hostile frame alone, and in place of each of a real
+     checkpoint's frames *)
+  let frames = fst (Wal.frames checkpoint) in
+  let spliced i =
+    String.concat ""
+      (List.mapi (fun j f -> if i = j then framed else Wal.frame_payload f.Wal.f_payload) frames)
+  in
+  List.iter
+    (fun data ->
+      only "Checkpoint.read_bytes"
+        (function Checkpoint.Corrupt _ -> true | _ -> false)
+        (fun () -> Checkpoint.read_bytes data))
+    (framed :: List.init (List.length frames) spliced);
+  write_file feed framed;
+  only "Feed.read_from"
+    (function Feed.Corrupt _ -> true | _ -> false)
+    (fun () -> Feed.read_from feed ~offset:0);
+  let r = Wal.Codec.reader payload in
+  only "Compress.unpack"
+    (function Compress.Corrupt _ | Wal.Codec.Decode _ -> true | _ -> false)
+    (fun () ->
+      Compress.unpack
+        ~get_int:(fun () -> Wal.Codec.get_int r)
+        ~get_char:(fun () -> Wal.Codec.get_char r)
+        ~get_bytes:(Wal.Codec.get_raw r));
+  true
+
+let hostile_frames_property =
+  QCheck.Test.make ~count:400 ~name:"hostile frames get typed errors"
+    (QCheck.make ~print:(fun p -> Printf.sprintf "%S" p) gen_hostile)
+    prop_hostile_frames
+
 (* ---- Cross-source WAL repair (the acceptance criterion) ---- *)
 
 let test_wal_rebuild_from_feed () =
@@ -571,6 +785,13 @@ let () =
           Alcotest.test_case "WAL rebuilt from feed, bit-identical" `Quick
             test_wal_rebuild_from_feed;
           QCheck_alcotest.to_alcotest scrub_flip_property;
+        ] );
+      ( "artifact bytes",
+        [ Alcotest.test_case "pinned md5 of every artifact" `Quick test_pinned_artifact_bytes ] );
+      ( "decoder fuzz",
+        [
+          Alcotest.test_case "max_int - 3 string length" `Quick test_huge_string_length;
+          QCheck_alcotest.to_alcotest hostile_frames_property;
         ] );
       ( "chaos",
         [
