@@ -137,10 +137,12 @@ serve-smoke:
 # compiled), writing BENCH_expr.json and failing unless compiled costs
 # at most half of interpreted.  Last, the read-path allocation bench
 # (minor-heap words and forced minor collections per server read of
-# the warehouse read shapes, and the words of each answer's render and
-# encode), writing BENCH_reads.json and failing unless the serve query
-# allocates at most 100k words and the Table 1 window averages at most
-# 0.1 minor collections and 1,000 minor answer words per read.
+# the warehouse read shapes, and the words of each answer written into
+# a reused per-connection buffer), writing BENCH_reads.json and failing
+# unless the serve query allocates at most 100k words, and the Table 1
+# window averages at most 0.1 minor collections, at most 25k query
+# words and at most 1,000 answer words (minor plus direct major) per
+# read.
 bench-smoke:
 	dune exec bench/main.exe -- delta --smoke
 	@grep -q '"acceptance"' BENCH_delta.json && grep -q '"speedup"' BENCH_delta.json \

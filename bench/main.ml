@@ -1885,20 +1885,24 @@ let run_expr_bench ~smoke =
    the query alone) and the minor collections one read runs.  Each
    measured read begins from an empty minor heap ([Gc.minor ()] first),
    so a read that allocates less than the minor heap and still
-   collects forced that collection.  The answer
-   ([Server.query_response]: render plus encode, the bytes the server
-   sends) is counted on its own too: its minor words and the words it
+   collects forced that collection.  The answer is written as the
+   server writes it, into one reused buffer ([Server.query_line]: the
+   table measured, then written in its JSON form with the envelope),
+   and is counted on its own too: its minor words and the words it
    allocates directly on the major heap (major minus promoted, as
-   [bench delta] counts them).  The run fails unless the serve query
-   alone allocates at most 100k words per read, the Table 1 window
-   averages at most 0.1 minor collections and at most 1,000 minor
-   answer words per read, the Table 2 derivation's query at most 300k
-   words and 1.2 minor collections per read, and every shape's first
-   answer has its pinned md5 (writes BENCH_reads.json). *)
+   [bench delta] counts them).  The first answer of each shape is also
+   checked against [Server.query_response].  The run fails unless the
+   serve query alone allocates at most 100k words per read, the Table 1
+   window's query at most 25k words, and its answer at most 1,000
+   words (minor plus direct major), with at most 0.1 minor collections
+   per read, the Table 2 derivation's query at most 300k words and 1.2
+   minor collections per read, and every shape's first answer has its
+   pinned md5 (writes BENCH_reads.json). *)
 
 let reads_words_bar = 100_000.
 let reads_gcs_bar = 0.1
 let reads_answer_bar = 1_000.
+let reads_window_words_bar = 25_000.
 let reads_derive_words_bar = 300_000.
 let reads_derive_gcs_bar = 1.2
 
@@ -1908,8 +1912,8 @@ type read_run = {
   rows : int;
   words : float;  (** minor words of the whole read *)
   query_words : float;
-  answer_minor : float;  (** render plus encode, minor words *)
-  answer_major : float;  (** render plus encode, direct major words *)
+  answer_minor : float;  (** the answer's minor words *)
+  answer_major : float;  (** the answer's direct major words *)
   gcs : float;
   p50 : float;
   md5 : string;
@@ -1985,9 +1989,12 @@ let run_reads_bench ~smoke =
       ("average", wh, average, per_group);
     ]
   in
-  (* one server read: the rows, the minor words of the query alone, the
-     minor and direct major words of the answer ([Server.query_response]:
-     render plus encode), and the response line *)
+  (* one server read: the answer relation, its snapshot's LSN, the
+     minor words of the query alone, the minor and direct major words
+     of the answer ([Server.query_line] into the reused [answers]
+     buffer), and the answer line's bytes and length, newline
+     included *)
+  let answers = Rfview_server.Server.answer_buffer () in
   let read s sql =
     let sn = Snapshot.snapshot s in
     let w0 = Gc.minor_words () in
@@ -1999,10 +2006,10 @@ let run_reads_bench ~smoke =
     let query_words = Gc.minor_words () -. w0 in
     let lsn = Snapshot.lsn sn in
     let w0 = Gc.minor_words () and _, p0, m0 = Gc.counters () in
-    let line = Rfview_server.Server.query_response rel ~lsn in
+    let bytes, len = Rfview_server.Server.query_line answers rel ~lsn in
     let w1 = Gc.minor_words () and _, p1, m1 = Gc.counters () in
     Snapshot.close sn;
-    (Relation.cardinality rel, query_words, w1 -. w0, m1 -. m0 -. (p1 -. p0), line)
+    (rel, lsn, query_words, w1 -. w0, m1 -. m0 -. (p1 -. p0), bytes, len)
   in
   row_line
     [ Printf.sprintf "%-7s" "shape"; " rows"; "words/read"; "query words"; "answer words";
@@ -2011,7 +2018,10 @@ let run_reads_bench ~smoke =
     List.map
       (fun (name, s, sql, rows) ->
         (* warm the version's index and heal memos *)
-        let _, _, _, _, first = read s (sql 0) in
+        let rel, lsn, _, _, _, bytes, len = read s (sql 0) in
+        let first = Bytes.sub_string bytes 0 (len - 1) in
+        if first <> Rfview_server.Server.query_response rel ~lsn || Bytes.get bytes (len - 1) <> '\n'
+        then failwith (Printf.sprintf "reads: %s: the buffered answer differs from query_response" name);
         let total_words = ref 0. and query_words = ref 0. and gcs = ref 0 in
         let answer_minor = ref 0. and answer_major = ref 0. in
         let times = Array.make reps 0. in
@@ -2020,7 +2030,8 @@ let run_reads_bench ~smoke =
           let c0 = (Gc.quick_stat ()).Gc.minor_collections in
           let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
-          let n, qw, aw, am, _ = read s (sql i) in
+          let rel, _, qw, aw, am, _, _ = read s (sql i) in
+          let n = Relation.cardinality rel in
           times.(i) <- Unix.gettimeofday () -. t0;
           total_words := !total_words +. (Gc.minor_words () -. w0);
           gcs := !gcs + ((Gc.quick_stat ()).Gc.minor_collections - c0);
@@ -2069,7 +2080,8 @@ let run_reads_bench ~smoke =
   in
   let pass =
     serve_words <= reads_words_bar && window.gcs <= reads_gcs_bar
-    && window.answer_minor <= reads_answer_bar
+    && window.query_words <= reads_window_words_bar
+    && window.answer_minor +. window.answer_major <= reads_answer_bar
     && derive.query_words <= reads_derive_words_bar && derive.gcs <= reads_derive_gcs_bar
     && changed = []
   in
@@ -2094,11 +2106,13 @@ let run_reads_bench ~smoke =
     (Printf.sprintf
        "  \"acceptance\": {\"serve_query_words_per_read\": %.0f, \"required_words_at_most\": %.0f, \
         \"window_minor_gcs_per_read\": %.3f, \"required_gcs_at_most\": %.1f, \
-        \"window_answer_minor_words_per_read\": %.0f, \"required_answer_words_at_most\": %.0f, \
+        \"window_query_words_per_read\": %.0f, \"required_window_query_words_at_most\": %.0f, \
+        \"window_answer_words_per_read\": %.0f, \"required_answer_words_at_most\": %.0f, \
         \"derive_query_words_per_read\": %.0f, \"required_derive_words_at_most\": %.0f, \
         \"derive_minor_gcs_per_read\": %.3f, \"required_derive_gcs_at_most\": %.1f, \
         \"answers_changed\": [%s], \"pass\": %b}\n"
-       serve_words reads_words_bar window.gcs reads_gcs_bar window.answer_minor reads_answer_bar
+       serve_words reads_words_bar window.gcs reads_gcs_bar window.query_words
+       reads_window_words_bar (window.answer_minor +. window.answer_major) reads_answer_bar
        derive.query_words reads_derive_words_bar derive.gcs reads_derive_gcs_bar
        (String.concat ", " (List.map (Printf.sprintf "\"%s\"") changed))
        pass);
@@ -2106,16 +2120,19 @@ let run_reads_bench ~smoke =
   let out = "BENCH_reads.json" in
   write_report out buf ~keys:[ "acceptance"; "runs"; "words_per_read"; "minor_gcs_per_read" ];
   Printf.printf
-    "\nwrote %s (serve query: %.0f words/read; window: %.3f minor GCs/read, %.0f minor answer \
-     words/read; derive query: %.0f words/read, %.3f minor GCs/read)\n%!"
-    out serve_words window.gcs window.answer_minor derive.query_words derive.gcs;
+    "\nwrote %s (serve query: %.0f words/read; window: %.3f minor GCs/read, %.0f query words/read, \
+     %.0f answer words/read; derive query: %.0f words/read, %.3f minor GCs/read)\n%!"
+    out serve_words window.gcs window.query_words
+    (window.answer_minor +. window.answer_major)
+    derive.query_words derive.gcs;
   if not pass then begin
     Printf.eprintf
       "reads acceptance FAILED: serve query %.0f words/read (bar %.0f), window %.3f minor \
-       GCs/read (bar %.1f), window answer %.0f minor words/read (bar %.0f), derive query %.0f \
-       words/read (bar %.0f) and %.3f minor GCs/read (bar %.1f), answers differing from their \
-       pinned md5: [%s]\n%!"
-      serve_words reads_words_bar window.gcs reads_gcs_bar window.answer_minor reads_answer_bar
+       GCs/read (bar %.1f), window query %.0f words/read (bar %.0f), window answer %.0f \
+       words/read (bar %.0f), derive query %.0f words/read (bar %.0f) and %.3f minor GCs/read \
+       (bar %.1f), answers differing from their pinned md5: [%s]\n%!"
+      serve_words reads_words_bar window.gcs reads_gcs_bar window.query_words
+      reads_window_words_bar (window.answer_minor +. window.answer_major) reads_answer_bar
       derive.query_words reads_derive_words_bar derive.gcs reads_derive_gcs_bar
       (String.concat ", " changed);
     exit 1

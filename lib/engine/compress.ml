@@ -27,13 +27,19 @@ let hash3 (s : string) i =
   and c = Char.code s.[i + 2] in
   ((a lsl 8) lxor (b lsl 4) lxor c) land (hash_size - 1)
 
+(* Hash chains: head.(h) = most recent position with hash h, -1 none;
+   prev.(pos mod window) = previous position with the same hash.  One
+   pair per domain, emptied at each call: a frame then allocates no
+   12k-word tables on the major heap. *)
+let chains =
+  Domain.DLS.new_key (fun () -> (Array.make hash_size (-1), Array.make window (-1)))
+
 let compress (src : string) : string =
   let n = String.length src in
   let out = Buffer.create (n / 2 + 16) in
-  (* hash chains: head.(h) = most recent position with hash h, -1 none;
-     prev.(pos mod window) = previous position with the same hash *)
-  let head = Array.make hash_size (-1) in
-  let prev = Array.make window (-1) in
+  let head, prev = Domain.DLS.get chains in
+  Array.fill head 0 hash_size (-1);
+  Array.fill prev 0 window (-1);
   let group = Buffer.create 17 in
   let group_len = ref 0 in
   let flag_byte = ref 0 in
@@ -60,9 +66,12 @@ let compress (src : string) : string =
     end
   in
   let match_len a b limit =
-    (* length of the common prefix of src[a..] and src[b..], capped *)
+    (* length of the common prefix of src[a..] and src[b..], capped;
+       the caller keeps [b + limit <= n] and [a < b] *)
     let l = ref 0 in
-    while !l < limit && src.[a + !l] = src.[b + !l] do incr l done;
+    while !l < limit && String.unsafe_get src (a + !l) = String.unsafe_get src (b + !l) do
+      incr l
+    done;
     !l
   in
   let i = ref 0 in
@@ -74,9 +83,14 @@ let compress (src : string) : string =
       let limit = min max_match (n - pos) in
       let cand = ref head.(hash3 src pos) in
       let chain = ref 0 in
-      while !cand >= 0 && pos - !cand <= window && !chain < max_chain do
+      (* A candidate replaces the best only when strictly longer, so
+         the walk stops once the best reaches [limit], and a candidate
+         whose byte at [!best_len] differs is not measured: the same
+         choices, fewer comparisons. *)
+      while !cand >= 0 && pos - !cand <= window && !chain < max_chain && !best_len < limit do
         let c = !cand in
-        if c < pos then begin
+        if c < pos && String.unsafe_get src (c + !best_len) = String.unsafe_get src (pos + !best_len)
+        then begin
           let l = match_len c pos limit in
           if l > !best_len then begin
             best_len := l;

@@ -346,7 +346,8 @@ let rec plan ?(opts = default_options) (cat : catalog_view) (l : Logical.t) : t 
      result's chunks: Aggregate, Window, Number, Sort, Limit, a join's
      build (right) side, and the query root.
    - A Project directly above a Join runs on the join's (left, right)
-     pairs, through expressions compiled on the pair
+     pairs, and one directly above a Window on the (input row, window
+     values) pairs, through expressions compiled on the pair
      ([Ops.projector]): no concatenated row is built.
 
    Rows reach every breaker in the order an operator-at-a-time run
@@ -360,7 +361,8 @@ let rec plan ?(opts = default_options) (cat : catalog_view) (l : Logical.t) : t 
    transforms a chunk, and gives it back to its parent for the time
    the parent spends on each chunk it hands on.  A node's self time is
    thus its own work, and its inclusive time is that plus its
-   children's.  A fused Project's work is its join's. *)
+   children's.  A fused Project's work is its join's or its
+   window's. *)
 
 (* A node's output: its schema, and a producer handing its chunks to a
    consumer. *)
@@ -475,6 +477,9 @@ let rec build cat prof ~depth ~ranges (node : t) : pipe =
       let metered_join = meter prof ~depth:(depth + 1) j in
       metered_join
         (join cat prof ~depth:(depth + 1) ~project:(Some exprs) kind algo left right cond)
+    | Project { input = Window_exec { input; fns; strategy } as w; exprs } ->
+      let metered_window = meter prof ~depth:(depth + 1) w in
+      metered_window (window cat prof ~depth:(depth + 1) ~project:(Some exprs) input fns strategy)
     | Project { input; exprs } ->
       let p = child cat prof depth input in
       let schema = Ops.project_schema p.schema exprs in
@@ -504,10 +509,7 @@ let rec build cat prof ~depth ~ranges (node : t) : pipe =
             Groupop.iter_results t (Relation.push b);
             Relation.flush b);
       }
-    | Window_exec { input; fns; strategy } ->
-      let p = child cat prof depth input in
-      chunks_of (Window.output_schema p.schema fns) (fun () ->
-          Window.extend ~strategy (collect p) fns)
+    | Window_exec { input; fns; strategy } -> window cat prof ~depth ~project:None input fns strategy
     | Number { input; partition; order; name } ->
       let p = child cat prof depth input in
       chunks_of
@@ -579,6 +581,23 @@ and join cat prof ~depth ~project kind algo left right cond =
         lp.run (fun c -> Array.iter step (Relation.chunk_rows c));
         Relation.flush b);
   }
+
+(* A window: its input collected, each output row the input row with
+   its window values appended, or, under a fused Project, the
+   projection of that pair. *)
+and window cat prof ~depth ~project input fns strategy =
+  let p = child cat prof depth input in
+  let extended = Window.output_schema p.schema fns in
+  let schema, out =
+    match project with
+    | None -> (extended, Row.append)
+    | Some exprs ->
+      ( Ops.project_schema extended exprs,
+        Ops.projector ~left_arity:(Schema.arity p.schema) exprs )
+  in
+  chunks_of schema (fun () ->
+      let rows = Relation.rows (collect p) in
+      Relation.init schema (Array.length rows) (Window.outputs ~strategy rows fns out))
 
 let execute (cat : catalog_view) (p : t) : Relation.t =
   collect (build cat None ~depth:0 ~ranges:[] p)

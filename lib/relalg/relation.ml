@@ -374,22 +374,48 @@ let sorted_by_all r =
   Array.sort Row.compare copy;
   of_array r.schema copy
 
-(* ---- ASCII table rendering ---- *)
+(* ---- Tables: the ASCII rendering and its JSON form ----
 
-let render ?(max_rows = 40) r =
-  let headers =
-    Array.map (fun c -> Schema.qualified_name c) r.schema
-  in
+   A table is laid out in two passes over its shown rows.  The first
+   measures: each column's width, from its cells' text lengths, and,
+   for the JSON form, the bytes escaping adds, so the table's length is
+   exact before a byte is written.  The second writes the lines in
+   order: a rule, the header row, a rule, one line per row, a rule,
+   then the trailer line when rows are cut.  Column j's cell is a
+   space, the text, its padding to [widths.(j)] and a space, then the
+   column's right border.
+
+   The JSON form is the same table escaped as the contents of a JSON
+   string: each newline is written "\n", and header and string cells
+   go through [Escape]; the other cells' text (digits, signs, '.',
+   'e', "inf", "nan", dates, NULL, TRUE, FALSE) never needs an escape.
+   [render] is the plain form: one layout code, not two. *)
+
+type table = {
+  json : bool;
+  rel : t;
+  shown : int;
+  headers : string array;
+  widths : int array;
+  kept : string array;  (* see [table] *)
+  trailer : string;  (* without its newline; [""] when every row is shown *)
+  length : int;
+}
+
+let table ?(max_rows = 40) ~json r =
+  let headers = Array.map (fun c -> Schema.qualified_name c) r.schema in
   let ncols = Array.length headers in
   let shown = min max_rows (cardinality r) in
   (* the rows of chunk [c] that are shown: [0 .. visible c - 1] *)
   let visible c = Int.max 0 (Int.min (Array.length r.chunks.(c).rows) (shown - r.starts.(c))) in
-  (* first pass: column widths from the cells' text lengths.  The text
-     of a [Value.printed] cell is formatted once, here, and kept for the
-     second pass at [row * ncols + column] of [kept], which holds [""]
-     for every other cell (a printed text is never empty).  [kept] is
-     made when the first such cell is met, so an answer without one
-     keeps nothing. *)
+  (* the bytes the JSON escape adds to the header and string cells *)
+  let escape s = if json then Escape.escaped_length s - String.length s else 0 in
+  let escapes = ref (Array.fold_left (fun n h -> n + escape h) 0 headers) in
+  (* The text of a [Value.printed] cell is formatted once, here, and
+     kept for the second pass at [row * ncols + column] of [kept],
+     which holds [""] for every other cell (a printed text is never
+     empty).  [kept] is made when the first such cell is met, so an
+     answer without one keeps nothing. *)
   let widths = Array.map String.length headers in
   let kept = ref [||] in
   for c = 0 to Array.length r.chunks - 1 do
@@ -397,71 +423,128 @@ let render ?(max_rows = 40) r =
     for i = 0 to visible c - 1 do
       let row = rows.(i) in
       for j = 0 to ncols - 1 do
-        let v = row.(j) in
         let w =
-          if Value.printed v then begin
+          match row.(j) with
+          | Value.String s ->
+            escapes := !escapes + escape s;
+            String.length s
+          | (Value.Int _ | Value.Null | Value.Bool _) as v -> Value.text_length v
+          | v when Value.printed v ->
             let s = Value.to_string v in
             if Array.length !kept = 0 then kept := Array.make (shown * ncols) "";
             !kept.(((r.starts.(c) + i) * ncols) + j) <- s;
             String.length s
-          end
-          else Value.text_length v
+          | v -> Value.text_length v
         in
         if w > widths.(j) then widths.(j) <- w
       done
     done
   done;
-  (* column j spans [starts.(j), starts.(j) + widths.(j) + 2]: a space,
-     the cell, its padding and a space, then its right border *)
-  let starts = Array.make ncols 0 in
-  let at = ref 1 in
-  for j = 0 to ncols - 1 do
-    starts.(j) <- !at;
-    at := !at + widths.(j) + 3
-  done;
-  let width = !at + 1 (* every line, newline included *) in
+  let newline = if json then 2 else 1 in
+  (* a line: the left border, then per column a space, the cell, a
+     space and the border *)
+  let line = Array.fold_left (fun n w -> n + w + 3) 1 widths + newline in
   let trailer =
-    if shown < cardinality r then
-      Printf.sprintf "... (%d of %d rows shown)\n" shown (cardinality r)
+    if shown < cardinality r then Printf.sprintf "... (%d of %d rows shown)" shown (cardinality r)
     else ""
   in
-  (* sized exactly, and blank: the padding is already in place *)
-  let out = Bytes.make (((shown + 4) * width) + String.length trailer) ' ' in
-  let borders k c =
-    let o = k * width in
-    Bytes.set out o c;
-    for j = 0 to ncols - 1 do
-      Bytes.set out (o + starts.(j) + widths.(j) + 2) c
-    done;
-    Bytes.set out (o + width - 1) '\n'
+  let length =
+    ((shown + 4) * line) + !escapes
+    + if trailer = "" then 0 else String.length trailer + newline
   in
-  let rule k =
-    Bytes.fill out (k * width) (width - 1) '-';
-    borders k '+'
-  in
-  rule 0;
-  borders 1 '|';
-  Array.iteri
-    (fun j h -> Bytes.blit_string h 0 out (width + starts.(j) + 1) (String.length h))
-    headers;
-  rule 2;
-  (* second pass: each cell written in place, on line [row + 3] *)
-  let kept = !kept in
+  { json; rel = r; shown; headers; widths; kept = !kept; trailer; length }
+
+let table_length t = t.length
+
+let blit_newline t b at =
+  if t.json then begin
+    Bytes.set b at '\\';
+    Bytes.set b (at + 1) 'n';
+    at + 2
+  end
+  else begin
+    Bytes.set b at '\n';
+    at + 1
+  end
+
+let blit_rule t b at =
+  Bytes.set b at '+';
+  let at = ref (at + 1) in
+  for j = 0 to Array.length t.widths - 1 do
+    let w = t.widths.(j) + 2 in
+    Bytes.fill b !at w '-';
+    Bytes.set b (!at + w) '+';
+    at := !at + w + 1
+  done;
+  blit_newline t b !at
+
+(* a header or string cell's text, escaped in the JSON form *)
+let blit_string t s b at =
+  if t.json then Escape.blit_escaped s b at
+  else begin
+    Bytes.blit_string s 0 b at (String.length s);
+    at + String.length s
+  end
+
+(* The end of column [j]'s cell, whose text of [len] bytes (before
+   any escape) ends at [at]: the padding, a space and the border. *)
+let close_cell t j len b at =
+  let stop = at + t.widths.(j) - len + 1 in
+  for k = at to stop - 1 do
+    Bytes.set b k ' '
+  done;
+  Bytes.set b stop '|';
+  stop + 1
+
+let blit_table t b at =
+  let at = ref (blit_rule t b at) in
+  Bytes.set b !at '|';
+  incr at;
+  for j = 0 to Array.length t.headers - 1 do
+    let h = t.headers.(j) in
+    Bytes.set b !at ' ';
+    at := close_cell t j (String.length h) b (blit_string t h b (!at + 1))
+  done;
+  at := blit_rule t b (blit_newline t b !at);
+  let r = t.rel and ncols = Array.length t.headers in
   for c = 0 to Array.length r.chunks - 1 do
     let rows = r.chunks.(c).rows in
-    for i = 0 to visible c - 1 do
-      let row = rows.(i) and k = r.starts.(c) + i + 3 in
-      borders k '|';
+    for i = 0 to Int.min (Array.length rows) (t.shown - r.starts.(c)) - 1 do
+      let row = rows.(i) and k = (r.starts.(c) + i) * ncols in
+      Bytes.set b !at '|';
+      incr at;
       for j = 0 to ncols - 1 do
-        let at = (k * width) + starts.(j) + 1 in
-        let s = if Array.length kept = 0 then "" else kept.(((k - 3) * ncols) + j) in
-        if String.length s = 0 then Value.blit_text row.(j) out at
-        else Bytes.blit_string s 0 out at (String.length s)
-      done
+        Bytes.set b !at ' ';
+        let start = !at + 1 in
+        at :=
+          match row.(j) with
+          | Value.String s -> close_cell t j (String.length s) b (blit_string t s b start)
+          | v ->
+            let stop =
+              if Array.length t.kept = 0 || String.length t.kept.(k + j) = 0 then
+                Value.blit_text v b start
+              else begin
+                let s = t.kept.(k + j) in
+                Bytes.blit_string s 0 b start (String.length s);
+                start + String.length s
+              end
+            in
+            close_cell t j (stop - start) b stop
+      done;
+      at := blit_newline t b !at
     done
   done;
-  rule (shown + 3);
-  Bytes.blit_string trailer 0 out ((shown + 4) * width) (String.length trailer);
-  Bytes.unsafe_to_string out
+  at := blit_rule t b !at;
+  if t.trailer = "" then !at
+  else begin
+    Bytes.blit_string t.trailer 0 b !at (String.length t.trailer);
+    blit_newline t b (!at + String.length t.trailer)
+  end
+
+let render ?max_rows r =
+  let t = table ?max_rows ~json:false r in
+  let b = Bytes.create t.length in
+  ignore (blit_table t b 0);
+  Bytes.unsafe_to_string b
 
 let print ?max_rows r = print_string (render ?max_rows r)

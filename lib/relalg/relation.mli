@@ -162,4 +162,20 @@ val sorted_by_all : t -> t
 (** ASCII-table rendering, truncated to [max_rows] (default 40). *)
 val render : ?max_rows:int -> t -> string
 
+(** A rendering measured and ready to write: [render]'s layout, or with
+    [~json:true] the same bytes escaped as the contents of a JSON string
+    (each newline as ["\\n"], header and string cells through
+    {!Escape}), so that writing it between quotes gives
+    [Wire.jstr (render ?max_rows r)] without the intermediate string. *)
+type table
+
+val table : ?max_rows:int -> json:bool -> t -> table
+
+(** The exact number of bytes {!blit_table} writes. *)
+val table_length : table -> int
+
+(** [blit_table t b at] writes the table into [b] at [at] and returns
+    the position after it. *)
+val blit_table : table -> Bytes.t -> int -> int
+
 val print : ?max_rows:int -> t -> unit

@@ -8,50 +8,67 @@ type key = {
 
 let key ?(asc = true) expr = { expr; asc }
 
-(* Key values of a row array.  Each key is compiled once and evaluated
-   at most once per row, when a comparison first needs it.  A sort first
-   compares each row with the next, in row order, to see whether the
-   input is already ordered, so keys are first evaluated in row order.
-   That check reaches a key of a row only where the row and its
-   neighbour agree on every earlier key; rows that agree on those keys
-   end up adjacent to such a row in any ordering, and a sort compares
-   every pair that ends up adjacent, so the sort would have evaluated
-   that key too.  A key no comparison reaches is still never
-   evaluated, and a key that raises still raises. *)
+(* Key values of a row array.  A key that is a plain column is read
+   from the rows where a comparison needs it.  Any other key is
+   compiled once and evaluated at most once per row, when a comparison
+   first needs it.  A sort first compares each row with the next, in
+   row order, to see whether the input is already ordered, so keys are
+   first evaluated in row order.  That check reaches a key of a row
+   only where the row and its neighbour agree on every earlier key;
+   rows that agree on those keys end up adjacent to such a row in any
+   ordering, and a sort compares every pair that ends up adjacent, so
+   the sort would have evaluated that key too.  A key no comparison
+   reaches is still never evaluated, and a key that raises still
+   raises. *)
+type source =
+  | Column of int
+  | Computed of (Row.t -> Value.t) * Value.t array (* [unset] until evaluated *)
+
 type keyed = {
   rows : Row.t array;
-  fns : (Row.t -> Value.t) array;
+  sources : source array;
   ascending : bool array;
-  vals : Value.t array array; (* vals.(k).(i), [unset] until evaluated *)
 }
 
 (* Physically unique, so no evaluated key is ever mistaken for it. *)
 let unset = Value.String "unset"
 
+let source n (e : Expr.t) =
+  match e with
+  | Expr.Col c -> Column c
+  | e -> Computed (Expr.compile e, Array.make n unset)
+
 let keyed keys rows =
   let n = Array.length rows in
   {
     rows;
-    fns = Array.of_list (List.map (fun k -> Expr.compile k.expr) keys);
+    sources = Array.of_list (List.map (fun k -> source n k.expr) keys);
     ascending = Array.of_list (List.map (fun (k : key) -> k.asc) keys);
-    vals = Array.of_list (List.map (fun _ -> Array.make n unset) keys);
   }
 
 let key_value t k i =
-  let v = t.vals.(k).(i) in
-  if v != unset then v
-  else begin
-    let v = t.fns.(k) t.rows.(i) in
-    t.vals.(k).(i) <- v;
-    v
-  end
+  match t.sources.(k) with
+  | Column c -> t.rows.(i).(c)
+  | Computed (f, vals) ->
+    let v = vals.(i) in
+    if v != unset then v
+    else begin
+      let v = f t.rows.(i) in
+      vals.(i) <- v;
+      v
+    end
+
+(* [Value.compare], with the common pair of Ints first *)
+let compare_values (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Value.Int x, Value.Int y -> Int.compare x y
+  | a, b -> Value.compare a b
 
 let rec compare_from t i j k =
-  if k = Array.length t.fns then 0
+  if k = Array.length t.sources then 0
   else
-    let c = Value.compare (key_value t k i) (key_value t k j) in
-    let c = if t.ascending.(k) then c else -c in
-    if c <> 0 then c else compare_from t i j (k + 1)
+    let c = compare_values (key_value t k i) (key_value t k j) in
+    if c <> 0 then if t.ascending.(k) then c else -c else compare_from t i j (k + 1)
 
 let compare_rows t i j = compare_from t i j 0
 
@@ -85,41 +102,38 @@ type partitioned = {
   segments : (int * int) list;
 }
 
-let rec compare_values_from (a : Value.t array) (b : Value.t array) k =
-  if k = Array.length a then 0
-  else
-    let c = Value.compare a.(k) b.(k) in
-    if c <> 0 then c else compare_values_from a b (k + 1)
-
-let compare_values a b = compare_values_from a b 0
+(* Partition keys are ascending keys evaluated for every row, in row
+   order, before sorting: a plain column needs nothing, and no
+   partition at all builds nothing. *)
+let partition_keys partition (rows : Row.t array) =
+  let parts = keyed (List.map key partition) rows in
+  let computed = Array.exists (function Computed _ -> true | Column _ -> false) parts.sources in
+  if computed then
+    for i = 0 to Array.length rows - 1 do
+      for k = 0 to Array.length parts.sources - 1 do
+        ignore (key_value parts k i)
+      done
+    done;
+  parts
 
 let partition_sort partition order (rows : Row.t array) : partitioned =
-  let part = Array.of_list (List.map Expr.compile partition) in
-  let part_keys =
-    Row.array_init (Array.length rows) (fun i ->
-        let key = Array.make (Array.length part) Value.Null in
-        for k = 0 to Array.length part - 1 do
-          key.(k) <- part.(k) rows.(i)
-        done;
-        key)
-  in
+  let parts = partition_keys partition rows in
   let order_keys = keyed order rows in
   let n = Array.length rows in
   let idx = Array.init n Fun.id in
   let cmp i j =
-    let c = compare_values part_keys.(i) part_keys.(j) in
+    let c = compare_from parts i j 0 in
     if c <> 0 then c
     else
-      let c = compare_rows order_keys i j in
+      let c = compare_from order_keys i j 0 in
       if c <> 0 then c else Int.compare i j
   in
   sort_identity cmp idx;
   let rec segments acc start =
     if start >= n then List.rev acc
     else begin
-      let key = part_keys.(idx.(start)) in
       let stop = ref (start + 1) in
-      while !stop < n && compare_values part_keys.(idx.(!stop)) key = 0 do
+      while !stop < n && compare_from parts idx.(!stop) idx.(start) 0 = 0 do
         incr stop
       done;
       segments ((start, !stop) :: acc) !stop

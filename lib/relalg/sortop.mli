@@ -8,11 +8,12 @@ type key = {
 
 val key : ?asc:bool -> Expr.t -> key
 
-(** The key values of a row array.  Each key is compiled once and
-    evaluated at most once per row, on first use.  A sort first checks
-    whether its input is already ordered, comparing each row with the
-    next, so keys are first evaluated in row order; the keys evaluated
-    are still exactly those some comparison of the sort reaches. *)
+(** The key values of a row array.  A key that is a plain column is
+    read from the rows; any other key is compiled once and evaluated at
+    most once per row, on first use.  A sort first checks whether its
+    input is already ordered, comparing each row with the next, so keys
+    are first evaluated in row order; the keys evaluated are still
+    exactly those some comparison of the sort reaches. *)
 type keyed
 
 val keyed : key list -> Row.t array -> keyed
@@ -38,6 +39,7 @@ type partitioned = {
   segments : (int * int) list;  (** each partition's [\[start, stop)] in [idx] *)
 }
 
-(** Partition keys are evaluated for every row, in row order, before
-    sorting; order keys on demand, as in {!keyed}. *)
+(** Partition keys that are not plain columns are evaluated for every
+    row, in row order, before sorting; order keys on demand, as in
+    {!keyed}.  Without partition keys there is one segment. *)
 val partition_sort : Expr.t list -> key list -> Row.t array -> partitioned

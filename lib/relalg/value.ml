@@ -57,7 +57,10 @@ let date_of_ymd y m d =
   let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy in
   era * 146097 + doe - 719468
 
-let ymd_of_date days =
+(* The civil date of a day number, handed to [k] with the caller's two
+   other arguments: [k] a function with no free variables, so a caller
+   that writes the date builds neither a tuple nor a closure. *)
+let civil days k b at =
   let z = days + 719468 in
   let era = (if z >= 0 then z else z - 146096) / 146097 in
   let doe = z - era * 146097 in
@@ -68,7 +71,9 @@ let ymd_of_date days =
   let d = doy - (153 * mp + 2) / 5 + 1 in
   let m = if mp < 10 then mp + 3 else mp - 9 in
   let y = if m <= 2 then y + 1 else y in
-  (y, m, d)
+  k y m d b at
+
+let ymd_of_date days = civil days (fun y m d _ _ -> (y, m, d)) Bytes.empty 0
 
 let date_year days = let y, _, _ = ymd_of_date days in y
 let date_month days = let _, m, _ = ymd_of_date days in m
@@ -81,30 +86,33 @@ let parse_date s =
      with _ -> None)
   | _ -> None
 
-let date_to_string days =
-  let y, m, d = ymd_of_date days in
-  Printf.sprintf "%04d-%02d-%02d" y m d
-
 (* ---- Rendering ----
 
    A value's text is measured ([text_length]) and written ([blit_text])
    where it goes.  An Int, and a float that is integral and below 1e15,
    are digits written straight into the bytes: such a float is exactly
    an int, so "%.1f" is its digits and ".0", with the sign of a negative
-   zero kept.  NULL, a boolean and a string are text that already
-   exists.  Only the other floats ("%.6g") and dates are formatted by
-   Printf ([printed]): a caller that needs both the length and the bytes
-   of such a value formats it once, with [to_string].  Helpers are
-   top-level functions of their arguments, so a cell costs no closure. *)
+   zero kept.  A date of the years 0 to 9999 is "%04d-%02d-%02d", ten
+   bytes of fixed-width digits, also written in place.  NULL, a boolean
+   and a string are text that already exists.  Only the other floats
+   ("%.6g") and dates are formatted by Printf ([printed]): a caller that
+   needs both the length and the bytes of such a value formats it once,
+   with [to_string].  Helpers are top-level functions of their
+   arguments, so a cell costs no closure. *)
 
 (* below 1e15, [f] is integral when it survives the round trip through
    an int: two instructions, where [Float.is_integer] is a C call *)
 let is_digit_float f = Float.abs f < 1e15 && Float.of_int (Float.to_int f) = f
 let is_neg_zero f = f = 0. && Float.sign_bit f
 
+(* the day numbers of 0000-01-01 and 9999-12-31 *)
+let first_plain_day = date_of_ymd 0 1 1
+let last_plain_day = date_of_ymd 9999 12 31
+let is_plain_date d = d >= first_plain_day && d <= last_plain_day
+
 let printed = function
   | Float f -> not (is_digit_float f)
-  | Date _ -> true
+  | Date d -> not (is_plain_date d)
   | Null | Bool _ | Int _ | String _ -> false
 
 (* Ints are counted and written on the negative side, where [min_int]
@@ -114,8 +122,17 @@ let printed = function
    (an int has at most 19) *)
 let rec neg_digits k p n = if k = 19 || n > p then k else neg_digits (k + 1) (p * 10) n
 
+(* the same, the first six counts unrolled: a cell's number is short *)
+let neg_length n =
+  if n > -10 then 1
+  else if n > -100 then 2
+  else if n > -1000 then 3
+  else if n > -10000 then 4
+  else if n > -100000 then 5
+  else neg_digits 6 (-1000000) n
+
 (* the length of [string_of_int i] *)
-let int_length i = if i < 0 then 1 + neg_digits 1 (-10) i else neg_digits 1 (-10) (-i)
+let int_length i = if i < 0 then 1 + neg_length i else neg_length (-i)
 
 (* write the digits of [n <= 0] backwards, the last one at [k] *)
 let rec blit_neg_digits b n k =
@@ -130,8 +147,37 @@ let blit_int i b at =
   blit_neg_digits b (if i < 0 then i else -i) (stop - 1);
   stop
 
+(* write [0 <= n < 10^k] as exactly [k] digits, zero-padded, at [at] *)
+let rec blit_fixed n k b at =
+  if k > 0 then begin
+    Bytes.set b (at + k - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    blit_fixed (n / 10) (k - 1) b at
+  end
+
+(* write "yyyy-mm-dd" of a year in 0 .. 9999 at [at]; the position
+   after it *)
+let blit_ymd y m d b at =
+  blit_fixed y 4 b at;
+  Bytes.set b (at + 4) '-';
+  blit_fixed m 2 b (at + 5);
+  Bytes.set b (at + 7) '-';
+  blit_fixed d 2 b (at + 8);
+  at + 10
+
+let blit_date days b at = civil days blit_ymd b at
+
+let date_to_string days =
+  if is_plain_date days then begin
+    let b = Bytes.create 10 in
+    ignore (blit_date days b 0);
+    Bytes.unsafe_to_string b
+  end
+  else
+    let y, m, d = ymd_of_date days in
+    Printf.sprintf "%04d-%02d-%02d" y m d
+
 (* The text of a value that is not written as digits: an Int never
-   reaches here, and a float only when it is [printed]. *)
+   reaches here, and a float or a date only when it is [printed]. *)
 let plain_text = function
   | Null -> "NULL"
   | Bool true -> "TRUE"
@@ -144,27 +190,34 @@ let plain_text = function
 let text_length = function
   | Int i -> int_length i
   | Float f when is_digit_float f -> if is_neg_zero f then 4 else int_length (int_of_float f) + 2
+  | Date d when is_plain_date d -> 10
   | v -> String.length (plain_text v)
 
 let blit_text v b at =
   match v with
-  | Int i -> ignore (blit_int i b at)
+  | Int i -> blit_int i b at
   | Float f when is_digit_float f ->
-    if is_neg_zero f then Bytes.blit_string "-0.0" 0 b at 4
+    if is_neg_zero f then begin
+      Bytes.blit_string "-0.0" 0 b at 4;
+      at + 4
+    end
     else begin
       let at = blit_int (int_of_float f) b at in
       Bytes.set b at '.';
-      Bytes.set b (at + 1) '0'
+      Bytes.set b (at + 1) '0';
+      at + 2
     end
+  | Date d when is_plain_date d -> blit_date d b at
   | v ->
     let s = plain_text v in
-    Bytes.blit_string s 0 b at (String.length s)
+    Bytes.blit_string s 0 b at (String.length s);
+    at + String.length s
 
 let to_string v =
   match v with
-  | (Int _ | Float _) when not (printed v) ->
+  | Int _ | Float _ | Date _ when not (printed v) ->
     let b = Bytes.create (text_length v) in
-    blit_text v b 0;
+    ignore (blit_text v b 0);
     Bytes.unsafe_to_string b
   | v -> plain_text v
 

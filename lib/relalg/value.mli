@@ -52,19 +52,20 @@ val date_to_string : int -> string
     and its ["%.6g"] otherwise, a string as itself, a date as
     [yyyy-mm-dd]. *)
 
-(** Whether the text of a value is formatted by [Printf]: a date, or a
-    float that is not integral below 1e15.  Every other value is
-    measured and written without allocating. *)
+(** Whether the text of a value is formatted by [Printf]: a float that
+    is not integral below 1e15, or a date outside the years 0 to 9999.
+    Every other value is measured and written without allocating. *)
 val printed : t -> bool
 
 (** The length of the text of a value.  Allocates nothing unless the
     value is {!printed}, which it formats. *)
 val text_length : t -> int
 
-(** [blit_text v b at] writes the text of [v] into [b] at [at], with
-    the same allocation as {!text_length}: a caller that needs both for
-    a {!printed} value formats it once, with {!to_string}. *)
-val blit_text : t -> Bytes.t -> int -> unit
+(** [blit_text v b at] writes the text of [v] into [b] at [at] and
+    returns the position after it, with the same allocation as
+    {!text_length}: a caller that needs both for a {!printed} value
+    formats it once, with {!to_string}. *)
+val blit_text : t -> Bytes.t -> int -> int
 
 val to_string : t -> string
 

@@ -253,70 +253,236 @@ let eval_navigation func ~lo ~hi (vals : Value.t array) : Value.t array =
         else vals.(hi)
       | Agg _ | Row_number | Rank | Dense_rank -> assert false)
 
-(* Compute one window function over all rows; result.(i) corresponds to
-   input row i (original order). *)
-let compute_column strategy (rows : Row.t array) (fn : fn) : Value.t array =
+(* ---- Typed argument columns ----
+
+   A framed SUM, COUNT or AVG whose argument is a plain column holding
+   only Ints, or only Floats, besides NULLs, reads that column once into
+   an unboxed array and a NULL mask, and folds it on unboxed
+   accumulators: one pass, no [Value.t] per row until the result is
+   boxed.  The fold is [Aggregate]'s, step for step: NULLs are skipped;
+   [count] counts the rest; over Ints the sum is an int and, for AVG,
+   also a float sum of [float_of_int] of each value; over Floats the
+   float sum starts from [0.]; a value that leaves the frame is
+   subtracted as [Aggregate.remove] does.  So the answers are the
+   [Value.t] path's bit for bit.  The kernel drivers, the strategies
+   and the scatter to input order are unchanged; [Naive], MIN/MAX and
+   other arguments keep the [Value.t] path. *)
+
+(* A column of values by row: boxed, or unboxed with [null.[i] <> '\000']
+   on the NULL rows *)
+type column =
+  | Values of Value.t array
+  | Ints of int array * Bytes.t
+  | Floats of Float.Array.t * Bytes.t
+
+let value col i =
+  match col with
+  | Values a -> a.(i)
+  | Ints (a, null) -> if Bytes.get null i <> '\000' then Value.Null else Value.Int a.(i)
+  | Floats (a, null) ->
+    if Bytes.get null i <> '\000' then Value.Null else Value.Float (Float.Array.get a i)
+
+(* The kind of column [c] of [rows]: that of its first non-NULL value *)
+let rec column_kind (rows : Row.t array) c i =
+  if i = Array.length rows then Dtype.Int
+  else
+    match rows.(i).(c) with
+    | Value.Null -> column_kind rows c (i + 1)
+    | Value.Int _ -> Dtype.Int
+    | Value.Float _ -> Dtype.Float
+    | Value.Bool _ -> Dtype.Bool
+    | Value.String _ -> Dtype.String
+    | Value.Date _ -> Dtype.Date
+
+(* Fill from row [i] on; false at the first value of another kind *)
+let rec fill_ints (rows : Row.t array) c a null i =
+  i = Array.length rows
+  ||
+  match rows.(i).(c) with
+  | Value.Int x ->
+    a.(i) <- x;
+    fill_ints rows c a null (i + 1)
+  | Value.Null ->
+    Bytes.set null i '\001';
+    fill_ints rows c a null (i + 1)
+  | _ -> false
+
+let rec fill_floats (rows : Row.t array) c a null i =
+  i = Array.length rows
+  ||
+  match rows.(i).(c) with
+  | Value.Float x ->
+    Float.Array.set a i x;
+    fill_floats rows c a null (i + 1)
+  | Value.Null ->
+    Bytes.set null i '\001';
+    fill_floats rows c a null (i + 1)
+  | _ -> false
+
+(* Column [c] of [rows] unboxed, when its non-NULL values are all Ints
+   or all Floats. *)
+let typed_column (rows : Row.t array) c =
+  let n = Array.length rows in
+  let null = Bytes.make n '\000' in
+  match column_kind rows c 0 with
+  | Dtype.Int ->
+    let a = Array.make n 0 in
+    if fill_ints rows c a null 0 then Some (Ints (a, null)) else None
+  | Dtype.Float ->
+    let a = Float.Array.make n 0. in
+    if fill_floats rows c a null 0 then Some (Floats (a, null)) else None
+  | Dtype.Bool | Dtype.String | Dtype.Date -> None
+
+(* The accumulators: [count] non-NULL values, [sum] of Ints, and the
+   float sum in [fsum.(0)] (a flat float, updated without boxing) *)
+type acc = {
+  mutable count : int;
+  mutable sum : int;
+  fsum : Float.Array.t;
+}
+
+(* One partition ([idx.(start ..)], [m] rows) of a framed SUM/COUNT/AVG
+   over a typed argument, on the two pointers; results at the input
+   rows of [ints] or [floats], NULL where [nulls] is set. *)
+let eval_typed agg arg ~lo ~hi idx ~start ~m ~ints ~floats ~nulls =
+  let st = { count = 0; sum = 0; fsum = Float.Array.make 1 0. } in
+  let emit i =
+    let r = idx.(start + i) in
+    match agg with
+    | Aggregate.Count -> ints.(r) <- st.count
+    | _ when st.count = 0 -> Bytes.set nulls r '\001'
+    | Aggregate.Avg -> Float.Array.set floats r (Float.Array.get st.fsum 0 /. float_of_int st.count)
+    | _ -> (
+      match arg with
+      | Ints _ -> ints.(r) <- st.sum
+      | _ -> Float.Array.set floats r (Float.Array.get st.fsum 0))
+  in
+  match arg with
+  | Ints (a, null) ->
+    let add j =
+      let r = idx.(start + j) in
+      if Bytes.get null r = '\000' then begin
+        st.count <- st.count + 1;
+        st.sum <- st.sum + a.(r);
+        Float.Array.set st.fsum 0 (Float.Array.get st.fsum 0 +. float_of_int a.(r))
+      end
+    and retire j =
+      let r = idx.(start + j) in
+      if Bytes.get null r = '\000' then begin
+        st.count <- st.count - 1;
+        st.sum <- st.sum - a.(r);
+        Float.Array.set st.fsum 0 (Float.Array.get st.fsum 0 -. float_of_int a.(r))
+      end
+    in
+    Kernel.two_pointer ~m ~first:0 ~last:(m - 1) ~lo ~hi ~add ~retire ~emit
+  | Floats (a, null) ->
+    let add j =
+      let r = idx.(start + j) in
+      if Bytes.get null r = '\000' then begin
+        st.count <- st.count + 1;
+        Float.Array.set st.fsum 0 (Float.Array.get st.fsum 0 +. Float.Array.get a r)
+      end
+    and retire j =
+      let r = idx.(start + j) in
+      if Bytes.get null r = '\000' then begin
+        st.count <- st.count - 1;
+        Float.Array.set st.fsum 0 (Float.Array.get st.fsum 0 -. Float.Array.get a r)
+      end
+    in
+    Kernel.two_pointer ~m ~first:0 ~last:(m - 1) ~lo ~hi ~add ~retire ~emit
+  | Values _ -> invalid_arg "Window.eval_typed"
+
+(* Compute one window function over all rows; its value at input row i
+   is [value col i]. *)
+let compute_column strategy (rows : Row.t array) (fn : fn) : column =
   (match fn.func with
    | Agg _ | First_value | Last_value -> validate_frame fn.spec.frame
    | Row_number | Rank | Dense_rank | Lag _ | Lead _ -> ());
   let { Sortop.idx; order_keys; segments } =
     Sortop.partition_sort fn.spec.partition fn.spec.order rows
   in
-  let arg = Expr.compile fn.arg in
-  let out = Array.make (Array.length rows) Value.Null in
-  List.iter
-    (fun (start, stop) ->
-      let m = stop - start in
-      (* frame bounds: positional for ROWS, key-value based for RANGE *)
-      let bounds () =
-        let frame = fn.spec.frame in
-        match frame.mode with
-        | Rows -> (rows_bound frame.lo ~m, rows_bound frame.hi ~m)
-        | Range ->
-          let key =
-            match fn.spec.order with
-            | [ k ] -> k
-            | _ ->
-              raise (Invalid_frame "RANGE frames need exactly one ORDER BY key")
-          in
-          let t =
-            Array.init m (fun k ->
-                range_key_projection ~asc:key.Sortop.asc
-                  (Sortop.key_value order_keys 0 idx.(start + k)))
-          in
-          (range_bound frame.lo t ~upper:false, range_bound frame.hi t ~upper:true)
+  let n = Array.length rows in
+  (* frame bounds of the partition [start, start + m): positional for
+     ROWS, key-value based for RANGE *)
+  let bounds ~start ~m =
+    let frame = fn.spec.frame in
+    match frame.mode with
+    | Rows -> (rows_bound frame.lo ~m, rows_bound frame.hi ~m)
+    | Range ->
+      let key =
+        match fn.spec.order with
+        | [ k ] -> k
+        | _ -> raise (Invalid_frame "RANGE frames need exactly one ORDER BY key")
       in
-      let results =
-        match fn.func with
-        | Agg agg ->
-          let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
-          let lo, hi = bounds () in
-          eval_partition strategy agg ~lo ~hi vals
-        | (Row_number | Rank | Dense_rank) as func ->
-          eval_ranks func order_keys idx ~start ~stop
-        | (Lag _ | Lead _ | First_value | Last_value) as func ->
-          let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
-          let lo, hi = bounds () in
-          eval_navigation func ~lo ~hi vals
+      let t =
+        Array.init m (fun k ->
+            range_key_projection ~asc:key.Sortop.asc
+              (Sortop.key_value order_keys 0 idx.(start + k)))
       in
-      for k = 0 to m - 1 do
-        out.(idx.(start + k)) <- results.(k)
-      done)
-    segments;
-  out
+      (range_bound frame.lo t ~upper:false, range_bound frame.hi t ~upper:true)
+  in
+  let typed =
+    match strategy, fn.func, fn.arg with
+    | Incremental, Agg (Aggregate.Sum | Aggregate.Count | Aggregate.Avg), Expr.Col c ->
+      typed_column rows c
+    | _ -> None
+  in
+  match typed, fn.func with
+  | Some arg, Agg agg ->
+    let float_result =
+      match agg, arg with
+      | Aggregate.Avg, _ | Aggregate.Sum, Floats _ -> true
+      | _ -> false
+    in
+    let ints = if float_result then [||] else Array.make n 0 in
+    let floats = if float_result then Float.Array.make n 0. else Float.Array.make 0 0. in
+    let nulls = Bytes.make n '\000' in
+    List.iter
+      (fun (start, stop) ->
+        let m = stop - start in
+        let lo, hi = bounds ~start ~m in
+        eval_typed agg arg ~lo ~hi idx ~start ~m ~ints ~floats ~nulls)
+      segments;
+    if float_result then Floats (floats, nulls) else Ints (ints, nulls)
+  | _ ->
+    let arg = Expr.compile fn.arg in
+    let out = Array.make n Value.Null in
+    List.iter
+      (fun (start, stop) ->
+        let m = stop - start in
+        let results =
+          match fn.func with
+          | Agg agg ->
+            let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
+            let lo, hi = bounds ~start ~m in
+            eval_partition strategy agg ~lo ~hi vals
+          | (Row_number | Rank | Dense_rank) as func ->
+            eval_ranks func order_keys idx ~start ~stop
+          | (Lag _ | Lead _ | First_value | Last_value) as func ->
+            let vals = Value.array_init m (fun k -> arg rows.(idx.(start + k))) in
+            let lo, hi = bounds ~start ~m in
+            eval_navigation func ~lo ~hi vals
+        in
+        for k = 0 to m - 1 do
+          out.(idx.(start + k)) <- results.(k)
+        done)
+      segments;
+    Values out
+
+(* [f rows.(i) vals] for row [i], [vals] holding its window values in
+   the order of [fns]: one buffer, written over for each row. *)
+let outputs ?(strategy = Incremental) (rows : Row.t array) (fns : fn list) f =
+  let columns = Array.of_list (List.map (compute_column strategy rows) fns) in
+  let vals = Array.make (Array.length columns) Value.Null in
+  fun i ->
+    for c = 0 to Array.length columns - 1 do
+      vals.(c) <- value columns.(c) i
+    done;
+    f rows.(i) vals
 
 (* Append one column per window function; row order of the input is
    preserved. *)
-let extend ?(strategy = Incremental) (r : Relation.t) (fns : fn list) : Relation.t =
+let extend ?strategy (r : Relation.t) (fns : fn list) : Relation.t =
   let rows = Relation.rows r in
-  let columns = Array.of_list (List.map (compute_column strategy rows) fns) in
-  let extra = Array.length columns in
-  Relation.init (output_schema (Relation.schema r) fns) (Array.length rows) (fun i ->
-      let row = rows.(i) in
-      let arity = Array.length row in
-      let out = Array.make (arity + extra) Value.Null in
-      Array.blit row 0 out 0 arity;
-      for c = 0 to extra - 1 do
-        out.(arity + c) <- columns.(c).(i)
-      done;
-      out)
+  Relation.init (output_schema (Relation.schema r) fns) (Array.length rows)
+    (outputs ?strategy rows fns Row.append)

@@ -90,5 +90,20 @@ val validate_frame : frame -> unit
 
 val output_schema : Schema.t -> fn list -> Schema.t
 
-(** Append one column per window function; input row order preserved. *)
+(** Append one column per window function; input row order preserved.
+
+    A framed SUM, COUNT or AVG under [Incremental] whose argument is a
+    plain column holding only Ints, or only Floats, besides NULLs, is
+    folded on an unboxed copy of that column, in [Aggregate]'s order of
+    operations: the same answers, bit for bit, as the [Value.t] path
+    that every other function and argument takes. *)
 val extend : ?strategy:strategy -> Relation.t -> fn list -> Relation.t
+
+(** [outputs ?strategy rows fns f] evaluates [fns] over [rows] and
+    returns the function [i ↦ f rows.(i) vals], where [vals] holds row
+    [i]'s values of [fns], in order.  [vals] is one buffer, written over
+    at each call: [f] must not keep it.  [extend] is [f = Row.append];
+    a projection above the window passes its projector, so each output
+    row is built once. *)
+val outputs :
+  ?strategy:strategy -> Row.t array -> fn list -> (Row.t -> Row.t -> Row.t) -> int -> Row.t

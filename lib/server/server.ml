@@ -52,13 +52,76 @@ let render_result = function
 
 let describe = Session.describe_error
 
+(* ---- The answer to a query ----
+
+   One writer makes the line {"ok":true,"lsn":N,"rows":R,"data":"..."}:
+   the envelope, then the JSON form of the table ([Relation.table]),
+   written where it goes after one measuring pass.  The bytes are those
+   of [Wire.ok_fields] over [Wire.jstr (Relation.render rel)], without
+   the rendered string, its escaped copy or the object's copy of that.
+   A connection writes its answers into one buffer of its own, grown
+   geometrically and reused, and sends each with one write; an answer
+   above [answer_cap] gets a buffer of its own, so a connection never
+   keeps more than that. *)
+
+let answer_cap = 1 lsl 20
+
+type answer = {
+  table : Relation.table;
+  lsn : string;
+  rows : string;
+}
+
+let answer rel ~lsn =
+  {
+    table = Relation.table ~max_rows:max_int ~json:true rel;
+    lsn = Wire.jint lsn;
+    rows = Wire.jint (Relation.cardinality rel);
+  }
+
+let lsn_key = {|{"ok":true,"lsn":|}
+let rows_key = {|,"rows":|}
+let data_key = {|,"data":"|}
+
+(* without a newline *)
+let answer_length a =
+  String.length lsn_key + String.length a.lsn + String.length rows_key + String.length a.rows
+  + String.length data_key + Relation.table_length a.table + 2
+
+let blit_answer a b =
+  let put s at =
+    Bytes.blit_string s 0 b at (String.length s);
+    at + String.length s
+  in
+  let at = put data_key (put a.rows (put rows_key (put a.lsn (put lsn_key 0)))) in
+  let at = Relation.blit_table a.table b at in
+  Bytes.set b at '"';
+  Bytes.set b (at + 1) '}';
+  at + 2
+
 let query_response rel ~lsn =
-  Wire.ok_fields
-    [
-      ("lsn", Wire.jint lsn);
-      ("rows", Wire.jint (Relation.cardinality rel));
-      ("data", Wire.jstr (Relation.render ~max_rows:max_int rel));
-    ]
+  let a = answer rel ~lsn in
+  let b = Bytes.create (answer_length a) in
+  ignore (blit_answer a b);
+  Bytes.unsafe_to_string b
+
+type answer_buffer = { mutable bytes : Bytes.t }
+
+let answer_buffer () = { bytes = Bytes.empty }
+
+let query_line buf rel ~lsn =
+  let a = answer rel ~lsn in
+  let n = answer_length a + 1 in
+  let b =
+    if n > answer_cap then Bytes.create n
+    else begin
+      if Bytes.length buf.bytes < n then
+        buf.bytes <- Bytes.create (Int.min answer_cap (Int.max n (2 * Bytes.length buf.bytes)));
+      buf.bytes
+    end
+  in
+  Bytes.set b (blit_answer a b) '\n';
+  (b, n)
 
 let handle_conn srv fd =
   let ic = Unix.in_channel_of_descr fd in
@@ -72,6 +135,13 @@ let handle_conn srv fd =
     output_string oc s;
     output_char oc '\n';
     flush oc
+  in
+  (* [respond] leaves nothing in [oc], so a write straight to [fd]
+     keeps the order of the lines *)
+  let answers = answer_buffer () in
+  let respond_query rel ~lsn =
+    let b, n = query_line answers rel ~lsn in
+    ignore (Unix.write fd b 0 n)
   in
   let with_writer f =
     Mutex.lock srv.writer_mu;
@@ -94,7 +164,7 @@ let handle_conn srv fd =
   let do_query sql =
     let answer sn =
       match Snapshot.query sn sql with
-      | Ok rel -> respond (query_response rel ~lsn:(Snapshot.lsn sn))
+      | Ok rel -> respond_query rel ~lsn:(Snapshot.lsn sn)
       | Error e -> respond (Wire.error (describe e))
     in
     match !pinned with

@@ -60,6 +60,23 @@ val stop : t -> unit
     where [data] is [Relation.render ~max_rows:max_int rel]. *)
 val query_response : Rfview_relalg.Relation.t -> lsn:int -> string
 
+(** The largest answer a connection's buffer holds (1 MiB). *)
+val answer_cap : int
+
+(** A connection's reused answer buffer: it grows geometrically up to
+    {!answer_cap} and is written over by each answer. *)
+type answer_buffer
+
+val answer_buffer : unit -> answer_buffer
+
+(** [query_line buf rel ~lsn] writes the {!query_response} line and its
+    newline into [buf] and returns the bytes and the line's length,
+    newline included: what the server sends for a [query].  An answer
+    above {!answer_cap} is written into fresh bytes and [buf] is left
+    as it was.  The bytes are valid until the next call on [buf]. *)
+val query_line :
+  answer_buffer -> Rfview_relalg.Relation.t -> lsn:int -> Bytes.t * int
+
 (** {1 Client}
 
     A minimal blocking client for the protocol — what [rfview call]

@@ -599,6 +599,38 @@ let prop_float_to_string =
     (QCheck.make ~print:(Printf.sprintf "%h") gen)
     (fun f -> String.equal (Value.to_string (Value.Float f)) (printf_float f))
 
+(* Dates: the text written in place equals Printf's "%04d-%02d-%02d",
+   over day numbers from years before 0 to years past 9999 (where the
+   text is Printf's own), with [text_length] and the end [blit_text]
+   returns agreeing. *)
+let prop_date_text =
+  let gen =
+    let open QCheck.Gen in
+    let edge y m d = Value.date_of_ymd y m d in
+    frequency
+      [ (4, int_range (-5_000_000) 5_000_000);
+        (2, int_range (-800_000) 3_000_000);
+        ( 1,
+          map2 ( + ) (int_range (-2) 2)
+            (oneofl [ edge 0 1 1; edge 9999 12 31; edge (-1) 12 31; edge 10000 1 1; edge 1970 1 1;
+                      edge 2000 2 29; edge (-400) 3 1 ]) ) ]
+  in
+  QCheck.Test.make ~count:5_000 ~name:"date text equals the Printf form"
+    (QCheck.make ~print:string_of_int gen)
+    (fun days ->
+      let y, m, d = Value.ymd_of_date days in
+      let expected = Printf.sprintf "%04d-%02d-%02d" y m d in
+      let v = Value.Date days in
+      let b = Bytes.make (String.length expected + 2) '#' in
+      let stop = Value.blit_text v b 1 in
+      String.equal (Value.to_string v) expected
+      && String.equal (Value.date_to_string days) expected
+      && Value.text_length v = String.length expected
+      && stop = 1 + String.length expected
+      && String.equal (Bytes.sub_string b 1 (String.length expected)) expected
+      && Bytes.get b 0 = '#'
+      && Bytes.get b (stop) = '#')
+
 (* A cell's text, built here and not by the code under test: ints by
    [string_of_int], floats by [printf_float], dates by [Printf]. *)
 let cell_oracle = function
@@ -1199,6 +1231,7 @@ let () =
         [
           Alcotest.test_case "no forced minor collection" `Quick test_no_forced_minor;
           QCheck_alcotest.to_alcotest prop_float_to_string;
+          QCheck_alcotest.to_alcotest prop_date_text;
           QCheck_alcotest.to_alcotest prop_render_oracle;
           QCheck_alcotest.to_alcotest prop_index_range_join;
         ] );

@@ -100,6 +100,85 @@ let prop_escape_oracle =
       let e = escape_oracle s in
       String.equal (Wire.json_escape s) e && String.equal (Wire.jstr s) ("\"" ^ e ^ "\""))
 
+(* ---- The answer writer ----
+
+   [Server.query_line] writes the envelope and the JSON form of the
+   table into one reused buffer; its line must be the bytes of
+   [Wire.ok_fields] over [Wire.jstr (Relation.render ...)].  One buffer
+   serves every case, so an answer above the cap, drawn now and then,
+   is followed by small ones written into the same buffer. *)
+
+module Relation = Rfview_relalg.Relation
+module Schema = Rfview_relalg.Schema
+module Value = Rfview_relalg.Value
+module Dtype = Rfview_relalg.Dtype
+
+let answer_oracle rel ~lsn =
+  Wire.ok_fields
+    [
+      ("lsn", Wire.jint lsn);
+      ("rows", Wire.jint (Relation.cardinality rel));
+      ("data", Wire.jstr (Relation.render ~max_rows:max_int rel));
+    ]
+
+let gen_answer =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneof [ oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\031'; ' ' ];
+                              char_range 'a' 'z'; map Char.chr (int_range 0 255) ])
+      (int_range 0 10)
+  in
+  let value =
+    frequency
+      [ (1, return Value.Null);
+        (2, map (fun i -> Value.Int i) (oneof [ int_range (-1000) 1000; int ]));
+        (2, map (fun f -> Value.Float f)
+              (oneof [ oneofl [ -0.; 0.; 0.1; -2.5; 1e15; Float.nan; Float.infinity ];
+                       map (fun (a, b) -> float_of_int a /. float_of_int b)
+                         (pair (int_range (-1000) 1000) (int_range 1 9)); float ]));
+        (1, map (fun d -> Value.Date d) (int_range (-1_000_000) 3_000_000));
+        (1, map (fun b -> Value.Bool b) bool);
+        (3, map (fun s -> Value.String s) text) ]
+  in
+  let* ncols = int_range 1 4 in
+  let* names = list_repeat ncols text in
+  let* rows = list_size (int_range 0 12) (list_repeat ncols value) in
+  let* big = frequency [ (12, return false); (1, return (rows <> [])) ] in
+  let* lsn = int_range 0 1_000_000 in
+  return (names, rows, big, lsn)
+
+let prop_answer_writer =
+  let buf = Server.answer_buffer () in
+  QCheck.Test.make ~count:300 ~name:"the buffered answer equals ok_fields over jstr of render"
+    (QCheck.make
+       ~print:(fun (names, rows, big, lsn) ->
+         Printf.sprintf "lsn %d, big %b, columns [%s], rows [%s]" lsn big
+           (String.concat "; " (List.map String.escaped names))
+           (String.concat "; "
+              (List.map (fun r -> String.concat ", " (List.map Value.to_sql r)) rows)))
+       gen_answer)
+    (fun (names, rows, big, lsn) ->
+      let schema = Schema.make (List.map (fun n -> Schema.column n Dtype.String) names) in
+      let rows = Array.of_list (List.map Array.of_list rows) in
+      let rel = Relation.of_array schema rows in
+      let rel =
+        if not big then rel
+        else
+          (* every line of a table is as long as the first: repeat the
+             rows until the table alone passes the cap *)
+          let line =
+            String.length (Relation.render ~max_rows:max_int rel) / (Array.length rows + 4)
+          in
+          let times = (Server.answer_cap / (line * Array.length rows)) + 1 in
+          Relation.init schema (times * Array.length rows) (fun i -> rows.(i mod Array.length rows))
+      in
+      let expected = answer_oracle rel ~lsn in
+      let bytes, n = Server.query_line buf rel ~lsn in
+      ((not big) || n > Server.answer_cap)
+      && String.equal (Bytes.sub_string bytes 0 (n - 1)) expected
+      && Bytes.get bytes (n - 1) = '\n'
+      && String.equal (Server.query_response rel ~lsn) expected)
+
 (* ---- Server round-trips ---- *)
 
 let with_server f =
@@ -202,6 +281,33 @@ let test_server_large_answer () =
               (Some (Rfview_relalg.Relation.render ~max_rows:max_int rel))
               (Wire.field r "data")
           | Error e -> Alcotest.fail (Session.describe_error e)))
+
+(* One connection answers a query above the answer buffer's cap, then
+   small ones: each line equals [Server.query_response]. *)
+let test_server_answer_cap () =
+  with_server (fun srv session ->
+      let c = Server.Client.connect ~port:(Server.port srv) in
+      Fun.protect ~finally:(fun () -> Server.Client.disconnect c)
+        (fun () ->
+          ignore (expect_ok "create" (req c "exec CREATE TABLE t (a INT, c VARCHAR)"));
+          let long = String.concat "" (List.init 70 (fun _ -> "say \"hi\"\\")) in
+          let values = List.init 40 (fun i -> Printf.sprintf "(%d, '%s%d')" i long i) in
+          ignore
+            (expect_ok "insert"
+               (req c ("exec INSERT INTO t VALUES " ^ String.concat ", " values)));
+          let check what sql =
+            let line = expect_ok what (req c ("query " ^ sql)) in
+            let lsn = int_of_string (Option.get (Wire.field line "lsn")) in
+            match Session.query session sql with
+            | Ok rel ->
+              Alcotest.(check string) what (Server.query_response rel ~lsn) line;
+              String.length line
+            | Error e -> Alcotest.fail (Session.describe_error e)
+          in
+          let big = check "over the cap" "SELECT x.a, x.c, y.c FROM t x, t y" in
+          Alcotest.(check bool) "the first answer is above the cap" true (big > Server.answer_cap);
+          ignore (check "small after" "SELECT a, c FROM t WHERE a = 3");
+          ignore (check "small again" "SELECT a FROM t WHERE a < 5")))
 
 let test_server_batch_and_errors () =
   with_server (fun srv _session ->
@@ -342,13 +448,16 @@ let () =
         ] );
       ( "wire",
         [ Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
-          QCheck_alcotest.to_alcotest prop_escape_oracle ] );
+          QCheck_alcotest.to_alcotest prop_escape_oracle;
+          QCheck_alcotest.to_alcotest prop_answer_writer ] );
       ( "protocol",
         [
           Alcotest.test_case "roundtrips" `Quick test_server_roundtrips;
           Alcotest.test_case "EXPLAIN over the wire" `Quick test_server_explain;
           Alcotest.test_case "answer longer than the channel buffer" `Quick
             test_server_large_answer;
+          Alcotest.test_case "answers above the buffer cap, then small ones" `Quick
+            test_server_answer_cap;
           Alcotest.test_case "batch + errors" `Quick
             test_server_batch_and_errors;
           Alcotest.test_case "batch size limit" `Quick test_server_batch_limit;

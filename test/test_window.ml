@@ -509,6 +509,74 @@ let prop_strategies_agree (rows, agg, frame, asc, partitioned) =
   let answer strategy = List.map bits (column (Window.extend ~strategy r [ fn ]) 3) in
   answer Window.Naive = answer Window.Incremental
 
+(* ---- Typed argument columns ----
+
+   A SUM, COUNT or AVG over a plain column of only Ints, or only
+   Floats, besides NULLs runs on an unboxed copy of the column; the same
+   function over [COALESCE(col)], which is the column's value but not a
+   plain column, takes the [Value.t] path.  Both must agree bit for bit,
+   constructors included: over Int, Float (fractional, so the order of
+   the float additions shows), mixed and NULL-bearing columns, with and
+   without PARTITION BY, under every pair of ROWS bounds. *)
+
+let arb_typed_case =
+  let gen =
+    QCheck.Gen.(
+      let* kind = oneofl [ `Int; `Float; `Mixed ] in
+      let* nulls = frequency [ (2, return 0); (1, int_range 1 4); (1, return 10) ] in
+      let arg =
+        let* i = int_range (-50) 50 in
+        let* k = int_range 1 7 in
+        let* null = int_range 0 9 in
+        let f = float_of_int i /. float_of_int k in
+        let v =
+          match kind with
+          | `Int -> vi i
+          | `Float -> vf f
+          | `Mixed -> if k mod 2 = 0 then vi i else vf f
+        in
+        return (if null < nulls then Value.Null else v)
+      in
+      let* rows =
+        list_size (int_range 0 40) (triple (oneofl [ "a"; "b"; "c" ]) (int_range 0 15) arg)
+      in
+      let* agg = oneofl [ Aggregate.Sum; Aggregate.Count; Aggregate.Avg ] in
+      let* lo = gen_bound in
+      let* hi = gen_bound in
+      let* asc = bool in
+      let* partitioned = bool in
+      return (rows, agg, { Window.lo; hi; mode = Window.Rows }, asc, partitioned))
+  in
+  QCheck.make gen ~print:(fun (rows, agg, frame, asc, partitioned) ->
+      let bound = function
+        | Window.Unbounded_preceding -> "UNBOUNDED PRECEDING"
+        | Window.Preceding n -> Printf.sprintf "%d PRECEDING" n
+        | Window.Current_row -> "CURRENT ROW"
+        | Window.Following n -> Printf.sprintf "%d FOLLOWING" n
+        | Window.Unbounded_following -> "UNBOUNDED FOLLOWING"
+      in
+      Printf.sprintf "%s ROWS BETWEEN %s AND %s, asc=%b, partitioned=%b, rows=[%s]"
+        (Aggregate.kind_name agg) (bound frame.Window.lo) (bound frame.Window.hi) asc partitioned
+        (String.concat "; "
+           (List.map (fun (g, p, v) -> Printf.sprintf "%s,%d,%s" g p (bits v)) rows)))
+
+let prop_typed_equals_values (rows, agg, frame, asc, partitioned) =
+  let r =
+    Relation.of_array schema
+      (Array.of_list (List.map (fun (g, p, v) -> [| Value.String g; Value.Int p; v |]) rows))
+  in
+  let answer arg =
+    let fn =
+      { (window_fn
+           ~partition:(if partitioned then [ Expr.Col 0 ] else [])
+           ~order:[ Sortop.key ~asc (Expr.Col 1) ]
+           agg frame "c")
+        with Window.arg }
+    in
+    List.map bits (column (Window.extend r [ fn ]) 3)
+  in
+  answer (Expr.Col 2) = answer (Expr.Call (Expr.Coalesce, [ Expr.Col 2 ]))
+
 (* For non-NULL floats the core's sequences and the relalg window run
    the same kernel: core naive, core pipelined and both relalg
    strategies agree bit for bit on every body position. *)
@@ -603,5 +671,8 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:500 ~name:"core sequences equal the relalg window"
                arb_core_case prop_core_equals_relalg);
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:1000 ~name:"typed columns equal the Value.t path bit for bit"
+               arb_typed_case prop_typed_equals_values);
         ] );
     ]
