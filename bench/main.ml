@@ -19,8 +19,9 @@
 
    - Delta maintenance: per-row vs batched vs full-refresh view
      maintenance under bulk inserts, plus minor-heap words and minor
-     collections per single-row statement at the warehouse shape
-     (writes BENCH_delta.json).
+     collections per single-row statement at the warehouse shape, and
+     keyed writes on a table aged by appended rows (writes
+     BENCH_delta.json).
    - Generalized IVM: derived delta-plan maintenance of join/GROUP BY
      views vs full refresh (writes BENCH_IVM.json).
    - Scan sharing: certificate-gated shared base scans for same-keyed
@@ -673,6 +674,117 @@ let partition_sweep ~smoke =
   in
   (reps, results, ratios)
 
+(* Aged-table sweep: a keyed write against the table's age.  The
+   warehouse table (8 x 2,500 rows, no views) plus N more rows between
+   them, once loaded in key order (0 appended) and once with the N
+   appended afterwards in random key order, as INSERTs leave them: the
+   appended chunks' zones span every partition and most positions.
+   Both hold the same rows.  Each rep updates one loaded row and adds,
+   then deletes, one row between two loaded ones, so both tables stay
+   level; the same keys on both, interleaved.  Reports words (minor-heap plus
+   direct major) per UPDATE and DELETE and their best-of-k µs (the
+   least of k rounds' mean), and fails unless the aged table's worst
+   words ratio stays within 1.5x and its worst µs ratio within 2x.
+   The same sweep on the code before key summaries (2 vCPUs, OCaml
+   5.1.1) read [aged_before_summaries]: (N, words ratio, µs ratio),
+   reported beside this run's. *)
+
+let aged_words_bar = 1.5
+let aged_us_bar = 2.0
+let aged_before_summaries = [ (5_000, 1.97, 2.21); (10_000, 5.35, 5.91) ]
+
+let aged_sweep ~smoke =
+  let appended = if smoke then 5_000 else 10_000 in
+  let groups = 8 and per_group = 2_500 and spacing = 16 in
+  let rounds = 5 and reps = if smoke then 40 else 100 in
+  let rng = Prng.create ~seed:47 in
+  let loaded =
+    Array.init (groups * per_group) (fun i ->
+        [|
+          Value.Int (i / per_group);
+          Value.Int (((i mod per_group) + 1) * spacing);
+          Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+        |])
+  in
+  let extra =
+    Array.init appended (fun i ->
+        [|
+          Value.Int (i mod groups);
+          Value.Int ((((i / groups) + 1) * spacing) + 4);
+          Value.Float (float_of_int (Prng.int_range rng ~lo:(-50) ~hi:50));
+        |])
+  in
+  let open_table loads =
+    let s = Session.open_in_memory () in
+    sexec s "CREATE TABLE seq (grp INT, pos INT, val FLOAT)";
+    List.iter (Session.load_table s ~table:"seq") loads;
+    s
+  in
+  let in_order = Array.append loaded extra in
+  Array.stable_sort (fun (a : Row.t) b -> compare (a.(0), a.(1)) (b.(0), b.(1))) in_order;
+  let shuffled = Array.copy extra in
+  Prng.shuffle rng shuffled;
+  let sessions = [| open_table [ in_order ]; open_table [ loaded; shuffled ] |] in
+  Gc.full_major ();
+  let kinds = [| "UPDATE"; "DELETE" |] in
+  let words = Array.make_matrix 2 2 0. in
+  (* round sums of seconds: [times.(t).(k).(r)] *)
+  let times = Array.init 2 (fun _ -> Array.make_matrix 2 rounds 0.) in
+  let run t k r sql =
+    let s = sessions.(t) in
+    Gc.minor ();
+    let w0 = Gc.minor_words () and _, p0, m0 = Gc.counters () in
+    let t0 = Unix.gettimeofday () in
+    sexec s sql;
+    times.(t).(k).(r) <- times.(t).(k).(r) +. (Unix.gettimeofday () -. t0);
+    let w1 = Gc.minor_words () and _, p1, m1 = Gc.counters () in
+    words.(t).(k) <- words.(t).(k) +. (w1 -. w0) +. (m1 -. m0) -. (p1 -. p0)
+  in
+  for r = 0 to rounds - 1 do
+    for i = 0 to reps - 1 do
+      let n = (r * reps) + i in
+      let grp = n mod groups and pos = ((n * 211 mod per_group) + 1) * spacing in
+      let v = Prng.int_range rng ~lo:(-50) ~hi:50 in
+      for t = 0 to 1 do
+        run t 0 r (Printf.sprintf "UPDATE seq SET val = %d WHERE grp = %d AND pos = %d" v grp pos);
+        sexec sessions.(t)
+          (Printf.sprintf "INSERT INTO seq VALUES (%d, %d, %d)" grp (pos + (spacing / 2)) v);
+        run t 1 r
+          (Printf.sprintf "DELETE FROM seq WHERE grp = %d AND pos = %d" grp (pos + (spacing / 2)))
+      done
+    done
+  done;
+  Array.iter Session.close sessions;
+  let statements = float_of_int (rounds * reps) in
+  (* per table, per kind: (words, best-of-k µs) *)
+  let results =
+    Array.init 2 (fun t ->
+        Array.init 2 (fun k ->
+            ( words.(t).(k) /. statements,
+              Array.fold_left Float.min infinity times.(t).(k) /. float_of_int reps *. 1e6 )))
+  in
+  let worst f =
+    Array.fold_left Float.max 0.
+      (Array.init 2 (fun k -> f results.(1).(k) /. f results.(0).(k)))
+  in
+  let words_ratio = worst fst and us_ratio = worst snd in
+  Printf.printf
+    "\naged table (8 x 2,500 rows + %d, no views; rounds of %d, best of %d):\n" appended reps
+    rounds;
+  row_line [ "appended"; "statement"; "words/statement"; "best us" ];
+  Array.iteri
+    (fun t per_kind ->
+      Array.iteri
+        (fun k (w, us) ->
+          row_line
+            [ Printf.sprintf "%8d" (if t = 0 then 0 else appended); Printf.sprintf "%-9s" kinds.(k);
+              Printf.sprintf "%15.0f" w; Printf.sprintf "%7.1f" us ])
+        per_kind)
+    results;
+  Printf.printf "aged over fresh: words %.2fx (bar %.1fx), best us %.2fx (bar %.1fx)\n" words_ratio
+    aged_words_bar us_ratio aged_us_bar;
+  (appended, rounds * reps, kinds, results, words_ratio, us_ratio)
+
 let run_delta ~smoke =
   header "Delta maintenance: per-row vs batched vs full refresh";
   let n0 = if smoke then 300 else 5_000 in
@@ -797,6 +909,8 @@ let run_delta ~smoke =
   let sweep_reps, sweep, sweep_ratios = partition_sweep ~smoke in
   let _, sweep_words, sweep_p50 = List.find (fun (n, _, _) -> n = 10_000) sweep_ratios in
   let sweep_pass = sweep_words <= sweep_sliding_bar && sweep_p50 <= sweep_sliding_bar in
+  let aged_n, aged_statements, aged_kinds, aged, aged_words, aged_us = aged_sweep ~smoke in
+  let aged_pass = aged_words <= aged_words_bar && aged_us <= aged_us_bar in
   let buf = Buffer.create 1024 in
   report_header buf ~experiment:"delta-maintenance" ~smoke;
   Buffer.add_string buf (Printf.sprintf "  \"base_rows\": %d,\n" n0);
@@ -880,6 +994,32 @@ let run_delta ~smoke =
        sweep_words sweep_p50 sweep_sliding_bar sweep_pass);
   Buffer.add_string buf
     (Printf.sprintf
+       "  \"aged_table\": {\"groups\": 8, \"rows_per_group\": 2500, \"views\": 0, \
+        \"appended\": %d, \"statements_per_kind\": %d, \"runs\": [\n"
+       aged_n aged_statements);
+  Array.iteri
+    (fun t per_kind ->
+      Array.iteri
+        (fun k (w, us) ->
+          Buffer.add_string buf
+            (Printf.sprintf
+               "    {\"appended\": %d, \"statement\": \"%s\", \"words_per_statement\": %.0f, \
+                \"best_us\": %.1f}%s\n"
+               (if t = 0 then 0 else aged_n) aged_kinds.(k) w us
+               (if t = 1 && k = Array.length per_kind - 1 then "" else ",")))
+        per_kind)
+    aged;
+  let before_n, before_words, before_us =
+    List.find (fun (n, _, _) -> n = aged_n) aged_before_summaries
+  in
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  ], \"words_ratio\": %.2f, \"us_ratio\": %.2f, \"required_words_ratio_at_most\": %.1f, \
+        \"required_us_ratio_at_most\": %.1f, \"pass\": %b,\n    \"before_key_summaries\": \
+        {\"appended\": %d, \"words_ratio\": %.2f, \"us_ratio\": %.2f}},\n"
+       aged_words aged_us aged_words_bar aged_us_bar aged_pass before_n before_words before_us);
+  Buffer.add_string buf
+    (Printf.sprintf
        "  \"acceptance\": {\"batch\": %d, \"views\": 4, \"speedup\": %.2f, \
         \"required\": %.1f, \"pass\": %b}\n"
        accept_batch accept_speedup required pass);
@@ -888,14 +1028,14 @@ let run_delta ~smoke =
   write_report out buf
     ~keys:
       [ "acceptance"; "runs"; "speedup"; "words_per_statement"; "major_words_per_statement";
-        "minor_gcs_per_statement"; "p50_ratio_64_over_8"; "partition_sweep" ];
+        "minor_gcs_per_statement"; "p50_ratio_64_over_8"; "partition_sweep"; "aged_table" ];
   Printf.printf
     "\nwrote %s (acceptance speedup at B=%d, 4 views: %.1fx; write path: %.0f \
      words, %.0f direct major words, %.3f minor GCs per statement, p50 %.2fx \
      at 64 partitions; sliding view from 10^3 to 10^4 rows in a \
-     partition: words %.2fx, p50 %.2fx)\n%!"
+     partition: words %.2fx, p50 %.2fx; %d appended rows: words %.2fx, best us %.2fx)\n%!"
     out accept_batch accept_speedup write_words write_major write_gcs scaling sweep_words
-    sweep_p50;
+    sweep_p50 aged_n aged_words aged_us;
   if not write_pass then begin
     Printf.eprintf
       "delta write path FAILED: %.0f words/statement (bar %.0f), %.0f direct \
@@ -910,6 +1050,13 @@ let run_delta ~smoke =
       "delta partition sweep FAILED: the sliding view's words grew %.2fx and its p50 \
        %.2fx from 10^3 to 10^4 rows in a partition (bar %.1fx)\n%!"
       sweep_words sweep_p50 sweep_sliding_bar;
+    exit 1
+  end;
+  if not aged_pass then begin
+    Printf.eprintf
+      "delta aged table FAILED: a keyed write after %d appended rows costs %.2fx the words \
+       (bar %.1fx) and %.2fx the best us (bar %.1fx) of one on the table in key order\n%!"
+      aged_n aged_words aged_words_bar aged_us aged_us_bar;
     exit 1
   end;
   if (not smoke) && not pass then begin

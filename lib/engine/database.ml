@@ -1409,13 +1409,29 @@ let delete_rows db ~table ~kept ~deleted =
   record_or_propagate db (fun d -> Delta.delete d ~table deleted)
 
 (* Chunk rewrites for [Relation.edit], [None] when they change
-   nothing.  [without doomed] drops the rows [doomed] picks, in order;
+   nothing.  [without doomed] drops the rows [doomed] picks, calling it
+   once per row, in order, and allocates nothing until a row is doomed;
    [rewriting f] replaces each row [f] maps to [Some row'], in order,
    in a copy of the chunk. *)
 let without doomed chunk =
-  let kept = ref [] and hit = ref false in
-  Array.iter (fun row -> if doomed row then hit := true else kept := row :: !kept) chunk;
-  if !hit then Some (Array.of_list (List.rev !kept)) else None
+  let n = Array.length chunk in
+  let rec first i = if i = n then n else if doomed chunk.(i) then i else first (i + 1) in
+  let hit = first 0 in
+  if hit = n then None
+  else begin
+    (* the rows before [hit] are kept; the rest are tested in turn *)
+    let kept = Array.make (n - 1) [||] in
+    Array.blit chunk 0 kept 0 hit;
+    let k = ref hit in
+    for i = hit + 1 to n - 1 do
+      let row = chunk.(i) in
+      if not (doomed row) then begin
+        kept.(!k) <- row;
+        incr k
+      end
+    done;
+    Some (if !k = n - 1 then kept else Array.sub kept 0 !k)
+  end
 
 let rewriting f chunk =
   let copy = ref None in

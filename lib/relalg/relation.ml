@@ -9,7 +9,8 @@
    chunk, not the relation.  Nothing writes into a chunk, or into the
    chunk array of a relation, once it is built: relations, the versions
    that captured them and their derived relations share chunks
-   freely. *)
+   freely.  The one exception is a stored chunk's key summaries
+   ([keys] below), a memo that only [edit] reads and fills. *)
 
 let chunk_size = 256
 
@@ -18,10 +19,20 @@ let chunk_size = 256
    non-NULL value of column j in the chunk is an Int (an all-NULL
    column gives the empty zone [max_int, min_int]).  The full range
    [min_int, max_int] means "unknown": a non-Int column, or an Int
-   column holding some other value.  An unzoned chunk has [zone = [||]]. *)
+   column holding some other value.  An unzoned chunk has [zone = [||]].
+
+   [keys] memoizes key summaries for [edit]: [keys.(j)], once built, is
+   the sorted Int values of column j (NULLs left out), for a column
+   whose zone is known.  [[||]] is "not built": a summary is built only
+   for a zone that spans two distinct values, so it is never empty.
+   The field is written by the one writer that edits the relation, and
+   only ever to a fresh, complete array holding one summary more than
+   the last; no array it has pointed to is written again.  Readers of
+   other domains share the chunk but never read [keys]. *)
 type chunk = {
   rows : Row.t array;
   zone : int array;
+  mutable keys : int array array;
 }
 
 type t = {
@@ -30,10 +41,10 @@ type t = {
   starts : int array; (* starts.(c): rows before chunk c; one extra entry, the cardinality *)
 }
 
-(* a static constant, never young: the fill value of chunk arrays (see
-   [Row.array_init]) *)
-let empty_chunk = { rows = [||]; zone = [||] }
-let unzoned rows = { rows; zone = [||] }
+(* the fill value of chunk arrays, built at start-up and so never young
+   once the first minor collection has run (see [Row.array_init]) *)
+let empty_chunk = { rows = [||]; zone = [||]; keys = [||] }
+let unzoned rows = { rows; zone = [||]; keys = [||] }
 
 let zone_of (schema : Schema.t) (rows : Row.t array) =
   let ncols = Array.length schema in
@@ -59,7 +70,7 @@ let zone_of (schema : Schema.t) (rows : Row.t array) =
   done;
   zone
 
-let zoned schema rows = { rows; zone = zone_of schema rows }
+let zoned schema rows = { rows; zone = zone_of schema rows; keys = [||] }
 
 let of_chunks schema chunks =
   let n = Array.length chunks in
@@ -207,9 +218,93 @@ let rec admits_all zone = function
 
 let admits zone ranges = Array.length zone = 0 || admits_all zone ranges
 
-let rec admits_any zone = function
+(* ---- Key summaries ----
+
+   Rows appended in no particular key order give zones that span most
+   keys, so a zone alone admits a point range into every such chunk.
+   Once a zone has admitted [(j, lo, hi)], the chunk holds a row in it
+   for certain when the range reaches either bound of the zone, as both
+   bounds are values of the chunk.  Otherwise the chunk's sorted column
+   (its summary) decides, built on first use, when the zone spans more
+   values than the chunk has rows, so that a miss is likely.  A denser
+   column is taken to hold the range, as by its zone alone. *)
+
+(* column [j]'s Int values, sorted: its zone is known, so every non-NULL
+   value is an Int *)
+let summary c j =
+  let n = ref 0 in
+  Array.iter (fun (row : Row.t) -> match row.(j) with Value.Int _ -> incr n | _ -> ()) c.rows;
+  let keys = Array.make !n 0 and k = ref 0 and sorted = ref true in
+  Array.iter
+    (fun (row : Row.t) ->
+      match row.(j) with
+      | Value.Int v ->
+        if !k > 0 && keys.(!k - 1) > v then sorted := false;
+        keys.(!k) <- v;
+        incr k
+      | _ -> ())
+    c.rows;
+  if not !sorted then Array.stable_sort Int.compare keys;
+  keys
+
+(* the summary of column [j], built and memoized on first use *)
+let keys_of c j =
+  if Array.length c.keys > 0 && Array.length c.keys.(j) > 0 then c.keys.(j)
+  else begin
+    let keys = summary c j in
+    let memo =
+      if Array.length c.keys = 0 then Array.make (Array.length c.zone / 2) [||]
+      else Array.copy c.keys
+    in
+    memo.(j) <- keys;
+    c.keys <- memo;
+    keys
+  end
+
+(* whether some value of the sorted [keys] lies in [[lo, hi]] *)
+let any_within (keys : int array) lo hi =
+  (* the first index whose key is >= lo *)
+  let rec first a b =
+    if a >= b then a
+    else
+      let mid = (a + b) / 2 in
+      if keys.(mid) < lo then first (mid + 1) b else first a mid
+  in
+  let i = first 0 (Array.length keys) in
+  i < Array.length keys && keys.(i) <= hi
+
+(* whether some row's column [j] is an Int in [[lo, hi]], row by row *)
+let any_row_within c j lo hi =
+  let rec from i =
+    i < Array.length c.rows
+    && ((match c.rows.(i).(j) with Value.Int v -> lo <= v && v <= hi | _ -> false)
+       || from (i + 1))
+  in
+  from 0
+
+(* Whether a zoned chunk, whose zone admits [ranges], holds a row in
+   each of them.  An [open_tail] chunk, the last one with room, is
+   read row by row instead: the next append replaces it, so a summary
+   of it would serve one edit. *)
+let rec holds_each ~open_tail c = function
+  | [] -> true
+  | (j, lo, hi) :: ranges ->
+    let zlo = c.zone.(2 * j) and zhi = c.zone.((2 * j) + 1) in
+    let span = zhi - zlo in
+    ((zlo = min_int && zhi = max_int)
+    || lo <= zlo || hi >= zhi
+    || (span >= 0 && span < Array.length c.rows)
+    || if open_tail then any_row_within c j lo hi else any_within (keys_of c j) lo hi)
+    && holds_each ~open_tail c ranges
+
+(* The chunks [edit] visits: those that may hold a row in every range of
+   one of the lists. *)
+let rec visits ~open_tail c = function
   | [] -> false
-  | ranges :: rest -> admits zone ranges || admits_any zone rest
+  | ranges :: rest ->
+    Array.length c.zone = 0
+    || (admits_all c.zone ranges && holds_each ~open_tail c ranges)
+    || visits ~open_tail c rest
 
 (* [sieve keep c]: the rows of [c] for which [keep] holds, in order:
    [c] itself when all of them do, [None] when none does.  Each row's
@@ -291,7 +386,8 @@ let edit r ~admit f =
   let same_starts = ref true in
   for i = 0 to n - 1 do
     let c = r.chunks.(i) in
-    match if admits_any c.zone admit then f c.rows else None with
+    let open_tail = i = n - 1 && Array.length c.rows < chunk_size in
+    match if visits ~open_tail c admit then f c.rows else None with
     | None ->
       out.(!len) <- c;
       incr len

@@ -6,8 +6,19 @@
     column, the least and greatest Int value in the chunk.  A filter
     skips every chunk whose zone rules out one of its top-level
     conjuncts ({!filter}), and a single-row edit copies only the chunks
-    it changes ({!edit}, {!append_rows}).  No chunk is written once
-    built, so relations share chunks freely. *)
+    it changes ({!edit}, {!append_rows}).  An edit also asks a chunk's
+    key summaries, sorted copies of its Int columns built on first use,
+    so that it reaches only the chunks that hold its key however the
+    rows were appended.
+
+    No chunk is written once built, so relations share chunks freely,
+    across versions and domains.  The one exception is a stored chunk's
+    memo of key summaries: only {!edit} reads it, and the one writer
+    that edits the relation fills it, each time with a fresh and
+    complete array; no reader domain ever reads it.  It is not part of
+    a chunk's value, so no [=], [compare] or [Hashtbl.hash] may be
+    applied to chunks or relations (none is; use {!equal_bag} or
+    {!equal_ordered}). *)
 
 type t
 
@@ -67,7 +78,16 @@ val column_values : t -> int -> Value.t array
     its zone proves that no row can satisfy a range: every non-NULL
     value of column [c] in it is an Int and none lies in [[lo, hi]].  A
     chunk without a zone, or whose column [c] holds a non-Int value, is
-    never skipped. *)
+    never skipped.
+
+    {!edit} applies the same rule exactly.  Once a chunk's zone admits
+    a range that lies strictly inside it, the chunk's key summary of
+    column [c], its Int values sorted with NULLs left out, decides by
+    binary search.  A summary exists only for a column whose zone is
+    known and spans more values than the chunk has rows; a denser
+    column, and the last chunk while it has room (the next append
+    replaces it), is taken as its zone says, or read row by row.  Scans
+    ({!filter}, {!admits_chunk}) never build a summary. *)
 
 (** [filter ranges keep r]: the rows of [r] for which [keep] holds, in
     order, where [keep] may be called only on the rows of chunks whose
@@ -85,11 +105,15 @@ val store : t -> t
 val append_rows : t -> Row.t array -> t
 
 (** [edit r ~admit f] rewrites a stored relation chunk by chunk, in
-    order.  [f] sees the rows of each chunk whose zone admits one of
-    the range lists in [admit], and returns [None] to keep the chunk or
-    [Some rows] to replace it ([[||]] drops it).  Only replaced chunks
-    are copied; a replacement that fits into its predecessor together
-    with it is merged into it.  [r] itself when nothing is replaced. *)
+    order.  [f] sees the rows of each chunk that may hold a row in
+    every range of one of the lists in [admit] (its zone admits them,
+    and its key summaries, see above, hold a value in each), and
+    returns [None] to keep the chunk or [Some rows] to replace it
+    ([[||]] drops it).  The caller guarantees that [f] returns [None]
+    on a chunk with no row in the ranges of any list.  Only replaced
+    chunks are copied; a replacement that fits into its predecessor
+    together with it is merged into it.  [r] itself when nothing is
+    replaced. *)
 val edit : t -> admit:(int * int * int) list list -> (Row.t array -> Row.t array option) -> t
 
 (** A chunk of a stored relation: at most {!chunk_size} rows and their

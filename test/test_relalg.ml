@@ -1022,6 +1022,272 @@ let test_zone_pruning_reads () =
   Alcotest.(check int) "b = 1" 2000 (admitted (cmp Expr.Eq 1 (Value.Int 1)));
   Alcotest.(check int) "a = NULL" 2000 (admitted (cmp Expr.Eq 0 Value.Null))
 
+(* ---- Keyed edits: key summaries ----
+
+   [Relation.edit] visits a chunk only when its zone admits one of the
+   range lists and, for a point inside a wide zone, its sorted key
+   summary holds a value in every range.  The reference below is the
+   zone-only rule written out with the public API: the same visits,
+   merges and sharing, without summaries.  Rows come in random key
+   order through [append_rows], as INSERTs leave a table: small keys
+   with duplicates, wide and negative ones, [min_int] and [max_int],
+   NULLs, and a Float now and then in the Int column c. *)
+
+let reference_edit r ~admit f =
+  let schema = Relation.schema r in
+  let out = ref [] and changed = ref false in
+  Array.iter
+    (fun c ->
+      let visit = List.exists (fun ranges -> Relation.admits_chunk ranges c) admit in
+      match if visit then f (Relation.chunk_rows c) else None with
+      | None -> out := c :: !out
+      | Some rows -> (
+        changed := true;
+        if Array.length rows > 0 then
+          match !out with
+          | prev :: rest when Relation.chunk_length prev + Array.length rows <= Relation.chunk_size
+            ->
+            out := Relation.chunk schema (Array.append (Relation.chunk_rows prev) rows) :: rest
+          | _ -> out := Relation.chunk schema rows :: !out))
+    (Relation.chunks r);
+  if not !changed then r else Relation.of_rev_chunks schema !out
+
+(* [odd] cases add [min_int], [max_int] and, in column c, Floats: rare
+   enough that some chunks stay summarizable *)
+let gen_edit_key ~odd =
+  QCheck.Gen.(
+    frequency
+      ([
+         (30, map (fun i -> Value.Int i) (int_range (-20) 20));
+         (60, map (fun i -> Value.Int i) (int_range (-1_000_000) 1_000_000));
+         (5, return Value.Null);
+       ]
+      @
+      if odd then [ (1, oneofl [ Value.Int min_int; Value.Int max_int; Value.Int (min_int + 1) ]) ]
+      else []))
+
+let gen_edit_row ~odd =
+  QCheck.Gen.(
+    map3
+      (fun a b c -> [| a; Value.Float (float_of_int b); c |])
+      (gen_edit_key ~odd) (int_range 0 3)
+      (frequency
+         ((100, gen_edit_key ~odd)
+         ::
+         (if odd then [ (1, map (fun i -> Value.Float (float_of_int i)) (int_range (-3) 3)) ]
+          else []))))
+
+(* the keys of [rows], and the extremes, as range bounds *)
+let gen_bound rows =
+  let keys =
+    List.concat_map
+      (fun (row : Row.t) ->
+        List.filter_map
+          (function Value.Int k -> Some k | Value.Float f -> Some (int_of_float f) | _ -> None)
+          [ row.(0); row.(2) ])
+      rows
+  in
+  QCheck.Gen.(
+    frequency
+      ((if keys = [] then [] else [ (6, oneofl keys) ])
+      @ [
+          (3, int_range (-1_000_000) 1_000_000);
+          (1, oneofl [ min_int; max_int; 0 ]);
+        ]))
+
+let gen_ranges rows =
+  QCheck.Gen.(
+    list_size (frequency [ (1, return 0); (8, return 1); (3, return 2) ])
+      (map3
+         (fun c lo width -> (c, lo, if width < 0 then lo - 1 else lo + width))
+         (oneofl [ 0; 2 ])
+         (gen_bound rows)
+         (frequency [ (6, return 0); (2, int_range 0 50); (1, return (-1)) ])))
+
+type edit_kind = Drop | Rewrite | Replay
+
+(* rows in append batches, then three edits: kind, admit lists, and
+   pre-images for the replay shape *)
+let arb_keyed_edit =
+  let open QCheck.Gen in
+  let gen =
+    bool >>= fun odd ->
+    list_size (int_range 0 1_200) (gen_edit_row ~odd) >>= fun rows ->
+    list_size (int_range 1 6) (frequency [ (3, int_range 1 8); (2, int_range 1 400) ])
+    >>= fun batches ->
+    list_repeat 3
+      (triple
+         (oneofl [ Drop; Rewrite; Replay ])
+         (list_size (int_range 1 3) (gen_ranges rows))
+         (list_size (int_range 0 4)
+            (if rows = [] then gen_edit_row ~odd
+             else
+               (* a stored FLOAT 2.0 is the pre-image INT 2 *)
+               map
+                 (fun (row : Row.t) ->
+                   match row.(2) with
+                   | Value.Float f -> [| row.(0); row.(1); Value.Int (int_of_float f) |]
+                   | _ -> row)
+                 (oneofl rows))))
+    >>= fun edits -> return (rows, batches, edits)
+  in
+  QCheck.make
+    ~print:(fun (rows, batches, _) ->
+      Printf.sprintf "%d rows in batches [%s]" (List.length rows)
+        (String.concat "; " (List.map string_of_int batches)))
+    gen
+
+let appended schema rows batches =
+  let rows = Array.of_list rows and batches = Array.of_list batches in
+  let rec go r at k =
+    if at >= Array.length rows then r
+    else
+      let n = min batches.(k mod Array.length batches) (Array.length rows - at) in
+      go (Relation.append_rows r (Array.sub rows at n)) (at + n) (k + 1)
+  in
+  go (Relation.store (Relation.empty schema)) 0 0
+
+(* whether [row]'s column [c] lies in [[lo, hi]] for every range, by
+   SQL comparison, under which a Float in an Int column can match too *)
+let in_ranges (row : Row.t) ranges =
+  List.for_all
+    (fun (c, lo, hi) ->
+      match row.(c) with
+      | Value.Int v -> lo <= v && v <= hi
+      | Value.Float f -> lo <= hi && float_of_int lo <= f && f <= float_of_int hi
+      | _ -> false)
+    ranges
+
+(* A fresh chunk rewrite of the kind, and a probe of its state after the
+   edit: the replay shape consumes pre-images in table order. *)
+let edit_fn kind admit pre_images =
+  let hit row = List.exists (in_ranges row) admit in
+  match kind with
+  | Drop ->
+    ( (fun rows ->
+        if Array.exists hit rows then
+          Some (Array.of_list (List.filter (fun row -> not (hit row)) (Array.to_list rows)))
+        else None),
+      fun () -> 0 )
+  | Rewrite ->
+    ( (fun rows ->
+        if Array.exists hit rows then
+          Some
+            (Array.map
+               (fun (row : Row.t) -> if hit row then [| row.(0); Value.Float 9.; row.(2) |] else row)
+               rows)
+        else None),
+      fun () -> 0 )
+  | Replay ->
+    let pending = ref pre_images in
+    let take row =
+      let rec go acc = function
+        | [] -> false
+        | x :: rest when Row.equal x row ->
+          pending := List.rev_append acc rest;
+          true
+        | x :: rest -> go (x :: acc) rest
+      in
+      go [] !pending
+    in
+    ( (fun rows ->
+        if !pending = [] then None
+        else
+          let kept = List.filter (fun row -> not (take row)) (Array.to_list rows) in
+          if List.length kept = Array.length rows then None else Some (Array.of_list kept)),
+      fun () -> List.length !pending )
+
+(* the replay shape's admit lists: each pre-image's Int columns *)
+let pre_image_ranges (row : Row.t) =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun j v -> match v with Value.Int k -> Some (j, k, k) | _ -> None)
+       (Array.to_list row))
+
+let prop_keyed_edit (rows, batches, edits) =
+  let r0 = appended zone_schema rows batches in
+  (* kept rows are the same blocks; rewritten ones are fresh *)
+  let same_rows a b =
+    List.length a = List.length b && List.for_all2 (fun (x : Row.t) y -> x == y || x = y) a b
+  in
+  let step r (kind, admit, pre_images) =
+    let admit = if kind = Replay then List.map pre_image_ranges pre_images else admit in
+    let run edit =
+      let f, left = edit_fn kind admit pre_images in
+      let calls = ref [] in
+      let out =
+        edit r ~admit (fun rows ->
+            let res = f rows in
+            calls := (rows, res) :: !calls;
+            res)
+      in
+      (out, List.rev !calls, left ())
+    in
+    let got, got_calls, got_left = run (fun r ~admit f -> Relation.edit r ~admit f) in
+    let want, want_calls, want_left = run reference_edit in
+    let results calls = List.filter_map (fun (_, res) -> res) calls in
+    (* every chunk [edit] skipped was one [f] left unchanged *)
+    let rec subsequence a b =
+      match a, b with
+      | [], _ -> true
+      | _, [] -> false
+      | (x, _) :: a', (y, _) :: b' -> if x == y then subsequence a' b' else subsequence a b'
+    in
+    let got_chunks = Relation.chunks got and want_chunks = Relation.chunks want in
+    let ok =
+      (got == r) = (want == r)
+      && same_rows (Relation.to_list got) (Relation.to_list want)
+      && Array.length got_chunks = Array.length want_chunks
+      && Array.for_all2
+           (fun g w ->
+             (* a chunk the reference kept is kept, not copied *)
+             Relation.chunk_length g = Relation.chunk_length w
+             && ((not (Array.exists (( == ) w) (Relation.chunks r))) || g == w))
+           got_chunks want_chunks
+      && List.length (results got_calls) = List.length (results want_calls)
+      && List.for_all2
+           (fun a b -> same_rows (Array.to_list a) (Array.to_list b))
+           (results got_calls) (results want_calls)
+      && subsequence got_calls want_calls
+      && got_left = want_left
+    in
+    if not ok then QCheck.Test.fail_reportf "edit differs from the zone-only reference";
+    got
+  in
+  ignore (List.fold_left step r0 edits);
+  true
+
+(* After 10,000 rows appended one at a time in random key order, every
+   zone spans most keys, yet a point edit hands [f] only the chunk that
+   holds the key, and a key between two stored ones reaches no chunk. *)
+let test_keyed_edit_prunes () =
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> 2 * i) in
+  Rfview_workload.Prng.shuffle (Rfview_workload.Prng.create ~seed:29) keys;
+  let r =
+    Array.fold_left
+      (fun r k ->
+        Relation.append_rows r [| [| Value.Int k; Value.Float 0.; Value.Int (k mod 7) |] |])
+      (Relation.store (Relation.empty zone_schema))
+      keys
+  in
+  let seen k =
+    let chunks = ref 0 in
+    let holds rows = Array.exists (fun (row : Row.t) -> row.(0) = Value.Int k) rows in
+    ignore
+      (Relation.edit r ~admit:[ [ (0, k, k) ] ] (fun rows ->
+           incr chunks;
+           if not (holds rows) then Alcotest.failf "key %d: a chunk without it" k;
+           None));
+    !chunks
+  in
+  List.iter
+    (fun k -> Alcotest.(check int) (Printf.sprintf "key %d" k) 1 (seen k))
+    [ 0; 2; 9_998; 19_998; keys.(0); keys.(n - 1) ];
+  List.iter
+    (fun k -> Alcotest.(check int) (Printf.sprintf "key %d" k) 0 (seen k))
+    [ 1; 777; 19_997 ]
+
 (* ---- The executor: every join algorithm, one answer ----
 
    Random small tables l and r of (k FLOAT, v INT), stored in chunks
@@ -1248,5 +1514,10 @@ let () =
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:2000 ~name:"zone-pruned scan equals the unpruned filter"
                arb_zone_scan prop_zone_pruned_scan);
+          Alcotest.test_case "a point edit visits only the chunks that hold the key" `Quick
+            test_keyed_edit_prunes;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:1000 ~name:"keyed edits equal the zone-only reference"
+               arb_keyed_edit prop_keyed_edit);
         ] );
     ]

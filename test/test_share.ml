@@ -1408,17 +1408,36 @@ let test_write_path_no_forced_minor () =
    partitions.  Allocation counts are deterministic, so the bound is
    exact where a time bound would be noise. *)
 
-let statement_words ?(views = write_path_views) ?(ranks = 2_500) ~groups ~per_group () =
+(* [extra] more rows, [extra / groups] per partition between the
+   others, are loaded with them in key order, or with [~appended:true]
+   afterwards, shuffled, as INSERTs leave them at the table's end. *)
+let statement_words ?(views = write_path_views) ?(ranks = 2_500) ?(extra = 0)
+    ?(appended = false) ~groups ~per_group () =
   let spacing = 16 and reps = 12 in
   let db = Db.create () in
   ignore (Db.exec db seq_ddl);
-  Db.load_table db ~table:"seq"
-    (Array.init (groups * per_group) (fun i ->
-         [|
-           Value.Int (i / per_group);
-           Value.Int (((i mod per_group) + 1) * spacing);
-           Value.Float (float_of_int ((i * 37 mod 101) - 50));
-         |]));
+  let row grp pos i =
+    [| Value.Int grp; Value.Int pos; Value.Float (float_of_int ((i * 37 mod 101) - 50)) |]
+  in
+  let base =
+    Array.init (groups * per_group) (fun i ->
+        row (i / per_group) (((i mod per_group) + 1) * spacing) i)
+  in
+  let per_extra = extra / groups in
+  let more =
+    Array.init (groups * per_extra) (fun i ->
+        row (i / per_extra) ((((i mod per_extra) + 1) * spacing) + 4) i)
+  in
+  if appended then begin
+    Db.load_table db ~table:"seq" base;
+    Rfview_workload.Prng.shuffle (Rfview_workload.Prng.create ~seed:7) more;
+    Db.load_table db ~table:"seq" more
+  end
+  else begin
+    let all = Array.append base more in
+    Array.stable_sort (fun (a : Row.t) b -> compare (a.(0), a.(1)) (b.(0), b.(1))) all;
+    Db.load_table db ~table:"seq" all
+  end;
   List.iter
     (fun (name, fn, frame, col) ->
       ignore
@@ -1471,6 +1490,21 @@ let test_write_cost_flat () =
       check_flat ~bound:1.25 ~what:"32 partitions against 8"
         (statement_words ~groups:8 ~per_group:2_500 ())
         (statement_words ~groups:32 ~per_group:2_500 ()))
+
+(* A table's age costs a keyed edit nothing: 10,000 rows appended in
+   random key order leave chunks whose zones span every partition and
+   most positions, yet the words of a single-row UPDATE, INSERT or
+   DELETE on the older rows stay within 1.25x of a fresh table that
+   holds the same rows in key order, where the zones alone find the
+   key.  The views see the same partitions either way. *)
+let test_write_cost_ageless () =
+  Rfview_analysis.Verify.disable ();
+  Fun.protect ~finally:Rfview_analysis.Verify.enable (fun () ->
+      let words appended =
+        statement_words ~extra:10_000 ~appended ~groups:8 ~per_group:2_500 ()
+      in
+      check_flat ~bound:1.25 ~what:"10,000 appended rows against a table in key order"
+        (words false) (words true))
 
 (* §2.3 again, inside one partition: a sliding view's single-row edit
    changes l+h+1 values, so with the three sliding views above over one
@@ -1597,6 +1631,8 @@ let () =
             test_write_path_no_forced_minor;
           Alcotest.test_case "single-row cost flat in the table size" `Quick
             test_write_cost_flat;
+          Alcotest.test_case "single-row cost flat in the table's age" `Quick
+            test_write_cost_ageless;
           Alcotest.test_case "single-row cost flat in the partition size" `Quick
             test_partition_cost_flat;
         ] );
